@@ -163,6 +163,9 @@ class MultiPaxosReplica(Node):
     ):
         super().__init__(sim, network, name)
         self.peers = list(peers)
+        #: Every peer but ourselves, in ``peers`` order — the fan-out
+        #: list phase 1, phase 2, commit and heartbeat multicast to.
+        self.other_peers = [p for p in self.peers if p != name]
         self.quorums = MajorityQuorum(self.peers)
         if state_machine_factory is None:
             state_machine_factory = ListStateMachine
@@ -173,7 +176,6 @@ class MultiPaxosReplica(Node):
         self.log = {}  # index -> _EntryState
         self.commit_index = -1
         self.applied_index = -1
-        self.apply_results = {}
 
         self.is_leader = False
         self.leader_hint = self.peers[0]
@@ -224,11 +226,8 @@ class MultiPaxosReplica(Node):
         self._prepare_acks = {}
         if self.network.metrics is not None:
             self.network.metrics.mark_phase("multi-paxos", "prepare", self.sim.now)
-        for peer in self.peers:
-            if peer == self.name:
-                self._record_prepare_ack(self.name, self._own_accepted(), self.commit_index)
-            else:
-                self.send(peer, MPPrepare(self.ballot_num))
+        self._record_prepare_ack(self.name, self._own_accepted(), self.commit_index)
+        self.multicast(self.other_peers, MPPrepare(self.ballot_num))
         self._arm_election_timer()
 
     def _own_accepted(self):
@@ -237,12 +236,22 @@ class MultiPaxosReplica(Node):
             for index, entry in self.log.items()
         )
 
+    def _follow(self, ballot, leader):
+        """Adopt ``ballot`` (at least ours) and follow ``leader``.  A
+        ballot owned by another replica deposes us: a leader, or a
+        candidate whose phase 1 it supersedes, that kept going would
+        propose its own ``next_index`` under the new owner's ballot and
+        could overwrite a slot that owner already committed."""
+        self.ballot_num = ballot
+        self.leader_hint = leader
+        if ballot.pid != self.name:
+            self.is_leader = False
+            self._preparing = None
+        self._arm_election_timer()
+
     def handle_mpprepare(self, msg, src):
         if msg.ballot >= self.ballot_num:
-            self.ballot_num = msg.ballot
-            self.is_leader = False
-            self.leader_hint = msg.ballot.pid
-            self._arm_election_timer()
+            self._follow(msg.ballot, msg.ballot.pid)
             self.send(
                 src,
                 MPPrepareAck(msg.ballot, self._own_accepted(), self.commit_index),
@@ -302,17 +311,12 @@ class MultiPaxosReplica(Node):
     def _send_heartbeat(self):
         if not self.is_leader:
             return
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(peer, Heartbeat(self.ballot_num, self.commit_index))
+        self.multicast(self.other_peers,
+                       Heartbeat(self.ballot_num, self.commit_index))
 
     def handle_heartbeat(self, msg, src):
         if msg.ballot >= self.ballot_num:
-            self.ballot_num = msg.ballot
-            self.leader_hint = src
-            if self.is_leader and msg.ballot.pid != self.name:
-                self.is_leader = False
-            self._arm_election_timer()
+            self._follow(msg.ballot, src)
             self._advance_commit(msg.commit_index)
 
     # -- normal mode (phase 2) ---------------------------------------------
@@ -326,10 +330,12 @@ class MultiPaxosReplica(Node):
             self.send(src, ClientReply(msg.request_id,
                                        self._applied_requests[msg.request_id]))
             return
-        for index, entry in self.log.items():
-            value = entry.value
-            if isinstance(value, LogCommand) and \
-                    value.request_id == msg.request_id:
+        # Everything at or below applied_index is in _applied_requests
+        # (checked above), so only the un-applied window can still match.
+        for index in range(self.applied_index + 1, self.next_index):
+            entry = self.log.get(index)
+            if entry is not None and isinstance(entry.value, LogCommand) \
+                    and entry.value.request_id == msg.request_id:
                 # Already in the log, still committing.
                 self._client_of[index] = (src, msg.request_id)
                 return
@@ -347,15 +353,12 @@ class MultiPaxosReplica(Node):
             self.trace_local("propose", index=index)
         self.log[index] = _EntryState(self.ballot_num, value)
         self._pending[index] = {self.name}
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(peer, MPAccept(self.ballot_num, index, value))
+        self.multicast(self.other_peers,
+                       MPAccept(self.ballot_num, index, value))
 
     def handle_mpaccept(self, msg, src):
         if msg.ballot >= self.ballot_num:
-            self.ballot_num = msg.ballot
-            self.leader_hint = src
-            self._arm_election_timer()
+            self._follow(msg.ballot, src)
             self.log[msg.index] = _EntryState(msg.ballot, msg.value)
             self.send(src, MPAccepted(msg.ballot, msg.index))
 
@@ -376,12 +379,8 @@ class MultiPaxosReplica(Node):
         else:
             self.trace_local("commit", index=msg.index)
         self._commit(msg.index)
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(
-                    peer,
-                    MPCommit(self.ballot_num, msg.index, self.log[msg.index].value),
-                )
+        self.multicast(self.other_peers,
+                       MPCommit(self.ballot_num, msg.index, value))
 
     def handle_mpcommit(self, msg, src):
         entry = self.log.get(msg.index)
@@ -422,7 +421,6 @@ class MultiPaxosReplica(Node):
                                  req=value.request_id)
             else:
                 self.trace_local("apply", index=nxt, op=command)
-            self.apply_results[nxt] = result
             if isinstance(value, LogCommand):
                 self._applied_requests[value.request_id] = result
             client = self._client_of.pop(nxt, None)

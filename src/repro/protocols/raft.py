@@ -148,6 +148,8 @@ class RaftNode(Node):
                  snapshot_threshold=None):
         super().__init__(sim, network, name)
         self.peers = list(peers)
+        #: Every peer but ourselves, in ``peers`` order — the fan-out list.
+        self.other_peers = [p for p in self.peers if p != name]
         self.majority = len(self.peers) // 2 + 1
         self.election_timeout = election_timeout
         if state_machine_factory is None:
@@ -181,7 +183,6 @@ class RaftNode(Node):
         self._client_of = {}  # log index -> (client, request_id)
         self._election_timer = None
         self._heartbeat_timer = None
-        self.apply_results = {}
         self._applied_requests = {}  # request_id -> result (dedup cache)
 
     # -- helpers -----------------------------------------------------------
@@ -253,16 +254,11 @@ class RaftNode(Node):
         self.elections_started += 1
         if self.network.metrics is not None:
             self.network.metrics.mark_phase("raft", "election", self.sim.now)
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(
-                    peer,
-                    RequestVote(
-                        self.current_term,
-                        self.last_log_index(),
-                        self.last_log_term(),
-                    ),
-                )
+        self.multicast(
+            self.other_peers,
+            RequestVote(self.current_term, self.last_log_index(),
+                        self.last_log_term()),
+        )
         self._arm_election_timer()
 
     def handle_requestvote(self, msg, src):
@@ -320,12 +316,18 @@ class RaftNode(Node):
             self.send(src, RaftClientReply(msg.request_id,
                                            self._applied_requests[msg.request_id]))
             return
-        if any(entry.request_id == msg.request_id for entry in self.log):
+        # Everything at or below last_applied is in _applied_requests
+        # (checked above), so only the un-applied suffix can still match.
+        first = self.last_applied + 1
+        in_flight = [
+            index
+            for index, entry in enumerate(self.log[first - self.log_base:], first)
+            if entry.request_id == msg.request_id
+        ]
+        if in_flight:
             # Already appended, still committing: remember who to answer.
-            for position, entry in enumerate(self.log):
-                if entry.request_id == msg.request_id:
-                    self._client_of[self.log_base + position] = \
-                        (src, msg.request_id)
+            for index in in_flight:
+                self._client_of[index] = (src, msg.request_id)
             return
         index = self.last_log_index() + 1
         self.log.append(LogEntry(self.current_term, msg.command,
@@ -340,9 +342,8 @@ class RaftNode(Node):
     def _broadcast_append(self):
         if self.role is not Role.LEADER:
             return
-        for peer in self.peers:
-            if peer != self.name:
-                self._send_append(peer)
+        for peer in self.other_peers:
+            self._send_append(peer)
 
     def _send_append(self, peer):
         nxt = self.next_index.get(peer, self.last_log_index() + 1)
@@ -425,29 +426,27 @@ class RaftNode(Node):
     def _advance_commit(self):
         """Commit the highest index replicated on a majority whose entry
         is from the current term."""
-        for index in range(self.last_log_index(), self.commit_index, -1):
-            if self._term_at(index) != self.current_term:
-                break
-            count = sum(1 for m in self.match_index.values() if m >= index)
-            if count >= self.majority:
-                self.commit_index = index
-                entry = self._entry(index)
-                if entry.request_id is not None:
-                    self.trace_local("commit", index=index,
-                                     term=self.current_term,
-                                     req=entry.request_id)
-                else:
-                    self.trace_local("commit", index=index,
-                                     term=self.current_term)
-                self._apply_ready()
-                break
+        # The majority-th largest match index is replicated on a majority.
+        matches = sorted(self.match_index.values())
+        index = min(matches[len(matches) - self.majority],
+                    self.last_log_index())
+        if index <= self.commit_index or \
+                self._term_at(index) != self.current_term:
+            return
+        self.commit_index = index
+        entry = self._entry(index)
+        if entry.request_id is not None:
+            self.trace_local("commit", index=index, term=self.current_term,
+                             req=entry.request_id)
+        else:
+            self.trace_local("commit", index=index, term=self.current_term)
+        self._apply_ready()
 
     def _apply_ready(self):
         while self.last_applied < self.commit_index:
             self.last_applied += 1
             entry = self._entry(self.last_applied)
             if entry.command == NOOP:
-                self.apply_results[self.last_applied] = None
                 continue
             result = self.state_machine.apply(entry.command)
             if entry.request_id is not None:
@@ -456,7 +455,6 @@ class RaftNode(Node):
             else:
                 self.trace_local("apply", index=self.last_applied,
                                  op=entry.command)
-            self.apply_results[self.last_applied] = result
             if entry.request_id is not None:
                 self._applied_requests[entry.request_id] = result
             client = self._client_of.pop(self.last_applied, None)

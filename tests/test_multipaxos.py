@@ -1,7 +1,15 @@
 """Tests for Multi-Paxos: the replicated log, the phase-1 amortisation,
 leader failover, and client semantics."""
 
-from repro.protocols.multipaxos import run_multipaxos
+from repro.core import Node
+from repro.protocols.multipaxos import (
+    ClientRequest,
+    Heartbeat,
+    MPPrepareAck,
+    MultiPaxosReplica,
+    MultiPaxosResult,
+    run_multipaxos,
+)
 from repro.smr import KVStateMachine, check_log_consistency
 
 
@@ -105,3 +113,66 @@ class TestCustomStateMachine:
         # assert wiring produced KV machines.
         assert all(isinstance(r.state_machine, KVStateMachine)
                    for r in result.replicas)
+
+
+class TestDeposedLeader:
+    def test_deposed_leader_cannot_overwrite_committed_slot(self, cluster):
+        """Partition-heal: the old leader hears the new leader's MPAccept
+        before any heartbeat.  Adopting that ballot must depose it — else
+        it proposes its stale next_index under the new leader's ballot
+        and the followers overwrite a slot they already applied."""
+        names = ["r0", "r1", "r2"]
+        replicas = cluster.add_nodes(MultiPaxosReplica, names, names)
+        old, others = replicas[0], replicas[1:]
+        client = cluster.add_node(Node, "c")  # replies go unread
+        cluster.start_all()
+
+        def submit(replica, request_id):
+            client.send(replica.name, ClientRequest("op-" + request_id,
+                                                    request_id))
+
+        def everywhere(request_id, group):
+            return lambda: all(request_id in r._applied_requests
+                               for r in group)
+
+        cluster.run_until(lambda: old.is_leader, until=50.0)
+        submit(old, "a")
+        cluster.run_until(everywhere("a", replicas), until=100.0)
+
+        cluster.network.partitions.split(["r0"], ["r1", "r2", "c"])
+        cluster.run_until(lambda: any(r.is_leader for r in others),
+                          until=200.0)
+        new = next(r for r in others if r.is_leader)
+        submit(new, "b")
+        cluster.run_until(everywhere("b", others), until=300.0)
+        assert old.is_leader and "b" not in old._applied_requests
+
+        # Heal, but let only phase-2 traffic through to the old leader.
+        cluster.network.add_interceptor(
+            lambda src, dst, msg: not (
+                dst == "r0" and msg.mtype in ("heartbeat", "mpcommit")))
+        cluster.network.partitions.heal()
+        submit(new, "c")
+        cluster.run_until(lambda: old.ballot_num == new.ballot_num,
+                          until=400.0)
+        assert not old.is_leader
+        submit(old, "stale")
+        cluster.sim.run_for(30.0)
+
+        assert not any("stale" in r._applied_requests for r in replicas)
+        result = MultiPaxosResult(replicas, [client], 0, cluster.now)
+        assert result.logs_consistent()
+        histories = [r.state_machine.history for r in others]
+        assert histories[0] == histories[1] == ["op-a", "op-b", "op-c"]
+
+    def test_superseded_candidate_does_not_take_over(self, cluster):
+        """A late phase-1 ack for a ballot we abandoned must not make us
+        leader under the ballot of the replica that superseded it."""
+        names = ["r0", "r1", "r2"]
+        candidate = cluster.add_nodes(MultiPaxosReplica, names, names)[1]
+        candidate._start_prepare()
+        own = candidate.ballot_num
+        candidate.handle_heartbeat(Heartbeat(own.successor("r2"), -1), "r2")
+        candidate.handle_mpprepareack(MPPrepareAck(own, (), -1), "r0")
+        assert not candidate.is_leader
+        assert candidate.ballot_num.pid == "r2"

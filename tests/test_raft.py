@@ -1,5 +1,9 @@
 """Tests for Raft: elections, log replication/repair, commit rules."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import Cluster
 from repro.protocols.raft import LogEntry, RaftNode, Role, run_raft
 from repro.trace import assert_unique_leader_per_view
 
@@ -174,3 +178,36 @@ class TestLogCompaction:
                           commands_per_client=10)
         assert all(node.snapshots_taken == 0 for node in result.nodes)
         assert all(node.log_base == 0 for node in result.nodes)
+
+
+class TestAdvanceCommit:
+    """The leader's commit rule against its definition, entry by entry."""
+
+    @staticmethod
+    def _by_definition(node):
+        for index in range(node.last_log_index(), node.commit_index, -1):
+            if node._term_at(index) != node.current_term:
+                break
+            if sum(m >= index for m in node.match_index.values()) \
+                    >= node.majority:
+                return index
+        return node.commit_index
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([3, 4, 5]),
+           terms=st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    def test_matches_the_per_index_count(self, data, n, terms):
+        names = ["n%d" % i for i in range(n)]
+        node = Cluster(seed=0).add_nodes(RaftNode, names, names)[0]
+        terms = sorted(terms)
+        node.log = [LogEntry(term, "cmd-%d" % i) for i, term in enumerate(terms)]
+        node.current_term = data.draw(st.sampled_from([terms[-1], terms[-1] + 1]))
+        last = node.last_log_index()
+        node.commit_index = node.last_applied = data.draw(st.integers(-1, last))
+        node.state_machine.history = [None] * (node.last_applied + 1)
+        node.match_index = {name: data.draw(st.integers(-1, last + 1))
+                            for name in names}
+        node.match_index[node.name] = last
+        expected = self._by_definition(node)
+        node._advance_commit()
+        assert node.commit_index == node.last_applied == expected
