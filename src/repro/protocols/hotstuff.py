@@ -86,6 +86,19 @@ class HsReply(Message):
     result: object
 
 
+def _record_vote(votes, key, partial):
+    """File ``partial`` under ``votes[key]`` by signer and return that
+    ``{signer: partial}`` dict — or ``None`` for a replayed vote, which
+    must neither count towards the quorum nor reach ``combine`` as one of
+    its k shares (a Byzantine resend, or chained vote recovery re-sending
+    to a leader that already holds the vote)."""
+    partials = votes.setdefault(key, {})
+    if partial.signer in partials:
+        return None
+    partials[partial.signer] = partial
+    return partials
+
+
 class BasicHotStuffReplica(Node):
     """One replica of basic (non-pipelined) HotStuff.
 
@@ -116,7 +129,7 @@ class BasicHotStuffReplica(Node):
         self._queue = []  # pending client requests
         self._current = None  # (node_hash, operation, client)
         self._phase_index = 0
-        self._votes = {}  # (phase, node_hash) -> [partials]
+        self._votes = {}  # (phase, node_hash) -> {signer: partial}
         self._busy = False
 
     @property
@@ -190,14 +203,14 @@ class BasicHotStuffReplica(Node):
             return
         if msg.node_hash != self._current[0]:
             return
-        key = (msg.phase, msg.node_hash)
-        partials = self._votes.setdefault(key, [])
-        partials.append(msg.partial)
-        if len(partials) < self.quorum:
+        partials = _record_vote(self._votes, (msg.phase, msg.node_hash),
+                                msg.partial)
+        if partials is None or len(partials) < self.quorum:
             return
         if msg.phase != BASIC_PHASES[self._phase_index]:
             return  # stale extra votes
-        qc = self.scheme.combine(partials, msg.view, msg.phase, msg.node_hash)
+        qc = self.scheme.combine(partials.values(), msg.view, msg.phase,
+                                 msg.node_hash)
         self._phase_index += 1
         self._broadcast_phase(justify=qc)
 
@@ -279,15 +292,20 @@ class Block:
 
     @cached_property
     def hash(self):
-        # Blocks are immutable, and chain walks (_extends, _commit_chain,
-        # _next_command) touch .hash thousands of times per run — cache
-        # the digest per instance.  cached_property writes straight into
+        # Blocks are immutable, and chain walks (_extends, _commit_chain)
+        # touch .hash thousands of times per run — cache the digest per
+        # instance.  cached_property writes straight into
         # __dict__, which frozen dataclasses allow.
         return sha256_hex(self.view, self.parent, self.command,
                           self.justify_view)
 
 
 GENESIS = Block(0, "", "genesis", -1, None)
+
+
+#: The chain entry (see ``ChainedHotStuffReplica._chain_entries``) of
+#: genesis, and of a walk that ends at a block this replica does not hold.
+_EMPTY_CHAIN = (0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -325,13 +343,29 @@ class ChainedHotStuffReplica(Node):
         self.quorum = 2 * f + 1
         self.scheme = scheme
         self.commands = list(commands)  # shared command queue (replicated)
+        #: Commands are numbered: one in the queue by its first index
+        #: there (the queue is fixed from here on), any other, as blocks
+        #: carrying it turn up, from ``len(commands)`` upwards.
+        self._queue_index = {}
+        for index, command in enumerate(self.commands):
+            self._queue_index.setdefault(command, index)
+        self._foreign_ids = {}  # command -> its number - len(commands)
         self.view = 1
         self.blocks = {GENESIS.hash: GENESIS}
+        #: block hash -> ``(distinct, first_free, beyond)`` for the chain
+        #: that ends there: how many distinct commands it carries, the
+        #: number of the first queue command it does not carry (all lower
+        #: numbers it does; ``len(commands)`` if none is left), and a
+        #: bitmask whose bit ``i`` says command ``first_free + i`` is on
+        #: it.  Kept only for a chain that reaches genesis: ``blocks`` is
+        #: append-only and a hash pins its whole ancestry, so such an
+        #: entry never goes stale.
+        self._chain_entries = {GENESIS.hash: _EMPTY_CHAIN}
         self.high_qc = (0, GENESIS.hash, None)  # (view, block_hash, qc)
         self.locked = (0, GENESIS.hash)
         self.decided = []  # commands in decided order
         self._decided_set = set()  # the same commands, for membership
-        self._votes = {}  # (view, block_hash) -> [partials]
+        self._votes = {}  # (view, block_hash) -> {signer: partial}
         self._proposed_views = set()
         self._last_voted = None  # (view, block_hash) of our latest vote
         self.view_timeout = view_timeout
@@ -372,15 +406,57 @@ class ChainedHotStuffReplica(Node):
 
     def _next_command(self):
         """First queued command not already on the chain we extend."""
-        on_chain = set()
-        current = self.blocks.get(self.high_qc[1])
-        while current is not None and current.hash != GENESIS.hash:
-            on_chain.add(current.command)
-            current = self.blocks.get(current.parent)
-        for command in self.commands:
-            if command not in on_chain:
-                return command
-        return "noop-%d" % len(on_chain)
+        distinct, first_free, _beyond = self._chain_entry(self.high_qc[1])
+        if first_free < len(self.commands):
+            return self.commands[first_free]
+        return "noop-%d" % distinct
+
+    def _chain_entry(self, block_hash):
+        """The ``_chain_entries`` entry of the chain ending at
+        ``block_hash``, extended from the nearest ancestor that has one.
+
+        A walk back that ends at a parent this replica does not hold sees
+        a truncated chain: it starts from the empty entry and records
+        nothing, since the parent may still arrive.
+        """
+        entries = self._chain_entries
+        passed = []
+        entry = entries.get(block_hash)
+        while entry is None:
+            block = self.blocks.get(block_hash)
+            if block is None:
+                break
+            passed.append(block)
+            block_hash = block.parent
+            entry = entries.get(block_hash)
+        reaches_genesis = entry is not None
+        distinct, first_free, beyond = entry if reaches_genesis else _EMPTY_CHAIN
+        commands, queue_index = self.commands, self._queue_index
+        foreign_ids, n = self._foreign_ids, len(self.commands)
+        for block in reversed(passed):
+            number = queue_index.get(block.command)
+            if number is None:
+                number = n + foreign_ids.setdefault(block.command,
+                                                    len(foreign_ids))
+            offset = number - first_free
+            if offset >= 0 and not beyond >> offset & 1:  # new to the chain
+                distinct += 1
+                if number == first_free < n:
+                    # The first free command itself: move past it and past
+                    # what follows that the chain carries already, or that
+                    # repeats an earlier queue entry.
+                    first_free += 1
+                    beyond >>= 1
+                    while first_free < n and (
+                            beyond & 1
+                            or queue_index[commands[first_free]] < first_free):
+                        first_free += 1
+                        beyond >>= 1
+                else:
+                    beyond |= 1 << offset
+            if reaches_genesis:
+                entries[block.hash] = (distinct, first_free, beyond)
+        return distinct, first_free, beyond
 
     def _propose(self):
         if self.view in self._proposed_views or self.crashed:
@@ -392,7 +468,7 @@ class ChainedHotStuffReplica(Node):
         if metrics is not None:
             metrics.mark_phase("hotstuff-chained", "propose", self.sim.now)
             label = "hotstuff:%s" % (block.command,)
-            if block.command in self.commands and not metrics.request_open(label):
+            if block.command in self._queue_index and not metrics.request_open(label):
                 # Span opens when a command first enters a proposed block;
                 # a re-proposal after a failed view keeps the original.
                 metrics.start_request(label, self.sim.now)
@@ -444,12 +520,13 @@ class ChainedHotStuffReplica(Node):
         return False
 
     def handle_genericvote(self, msg, src):
-        key = (msg.view, msg.block_hash)
-        partials = self._votes.setdefault(key, [])
-        partials.append(msg.partial)
-        if len(partials) != self.quorum:
+        partials = _record_vote(self._votes, (msg.view, msg.block_hash),
+                                msg.partial)
+        # The QC forms once, when the 2f+1-th distinct signer arrives;
+        # later votes for the block change nothing.
+        if partials is None or len(partials) != self.quorum:
             return
-        qc = self.scheme.combine(partials, msg.view, msg.block_hash)
+        qc = self.scheme.combine(partials.values(), msg.view, msg.block_hash)
         self._update_high_qc(msg.view, msg.block_hash, qc)
         self.view = max(self.view, msg.view + 1)
         self._arm_timeout()

@@ -204,7 +204,11 @@ class PbftReplica(Node):
         self._seen_digests = {}  # digest -> seq (dedup at every replica)
         self._last_reply = {}  # (client, timestamp) -> PbftReply cache
         self._checkpoint_votes = {}  # seq -> {replica: digest}
-        self._own_checkpoints = {}  # seq -> digest
+        #: (digest of the latest checkpoint taken, how many entries of
+        #: ``executed_requests`` it covers): the next checkpoint hashes
+        #: this digest plus the operations executed since, never the
+        #: prefix again.
+        self._last_checkpoint = ("", 0)
         self._view_changes = {}  # new_view -> {sender: ViewChange}
         self._view_change_timer = None
         self._pending_requests = {}  # digest -> PbftRequest (awaiting order)
@@ -294,8 +298,16 @@ class PbftReplica(Node):
         self._record_prepare(msg.seq, msg.digest, self.name)
         self.multicast(self.other_peers, prepare)
 
+    def _slot(self, seq):
+        # Not ``setdefault``: that builds a _SlotState on every call and
+        # drops it on all but the first per sequence number.
+        slot = self.slots.get(seq)
+        if slot is None:
+            slot = self.slots[seq] = _SlotState()
+        return slot
+
     def _accept_pre_prepare(self, msg):
-        slot = self.slots.setdefault(msg.seq, _SlotState())
+        slot = self._slot(msg.seq)
         slot.digest = msg.digest
         slot.request = msg.request
         slot.pre_prepared = True
@@ -327,7 +339,7 @@ class PbftReplica(Node):
         self._record_prepare(msg.seq, msg.digest, src)
 
     def _record_prepare(self, seq, digest, sender):
-        slot = self.slots.setdefault(seq, _SlotState())
+        slot = self._slot(seq)
         if slot.digest is not None and slot.digest != digest:
             return  # prepare for a conflicting digest: ignore
         slot.prepares.add(sender)
@@ -355,7 +367,7 @@ class PbftReplica(Node):
         self._record_commit(msg.seq, msg.digest, src)
 
     def _record_commit(self, seq, digest, sender):
-        slot = self.slots.setdefault(seq, _SlotState())
+        slot = self._slot(seq)
         if slot.digest is not None and slot.digest != digest:
             return
         slot.commits.add(sender)
@@ -401,8 +413,14 @@ class PbftReplica(Node):
     # -- checkpoints / garbage collection ------------------------------------
 
     def _take_checkpoint(self, seq):
-        digest = sha256_hex([op for _seq, op in self.executed_requests])
-        self._own_checkpoints[seq] = digest
+        # A hash chain over checkpoint-to-checkpoint segments (the shape
+        # of Zyzzyva's ``history``): two replicas hold the same digest
+        # iff their executed prefixes agree, and the work per checkpoint
+        # is one interval's worth of operations however long the log is.
+        previous, offset = self._last_checkpoint
+        digest = sha256_hex(
+            previous, [op for _seq, op in self.executed_requests[offset:]])
+        self._last_checkpoint = (digest, len(self.executed_requests))
         self._record_checkpoint_vote(seq, digest, self.name)
         message = Checkpoint(seq, digest)
         self.multicast(self.other_peers, message)

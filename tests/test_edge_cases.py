@@ -76,6 +76,81 @@ class TestHotStuffChainWalk:
         assert collector.high_qc[0] == 1  # QC formed at exactly 2f+1
 
 
+class TestHotStuffDuplicateVotes:
+    """A replayed vote is not a second voter: it neither raises out of
+    ``combine`` nor keeps the quorum from ever being seen."""
+
+    @staticmethod
+    def _count_combines(scheme, monkeypatch):
+        combined = []
+        combine = scheme.combine
+
+        def counting(partials, *values):
+            qc = combine(partials, *values)
+            combined.append(values)
+            return qc
+
+        monkeypatch.setattr(scheme, "combine", counting)
+        return combined
+
+    def test_chained_qc_forms_once_despite_a_replayed_vote(self, cluster,
+                                                           monkeypatch):
+        from repro.crypto import ThresholdScheme
+        from repro.protocols.hotstuff import (ChainedHotStuffReplica, GENESIS,
+                                              GenericVote)
+        names = ["r%d" % i for i in range(4)]
+        scheme = ThresholdScheme(3, names)
+        replicas = cluster.add_nodes(ChainedHotStuffReplica, names, names,
+                                     1, scheme, ["c"])
+        combined = self._count_combines(scheme, monkeypatch)
+        collector = replicas[2]  # leader of view 2 collects view-1 votes
+
+        def vote(voter):
+            partial = scheme.sign_share(voter, 1, GENESIS.hash)
+            collector.handle_genericvote(
+                GenericVote(1, GENESIS.hash, partial), voter)
+
+        vote("r0")
+        vote("r0")
+        vote("r1")
+        assert collector.high_qc[0] == 0  # two distinct signers so far
+        vote("r3")
+        assert collector.high_qc[0] == 1
+        vote("r2")
+        vote("r1")
+        assert combined == [(1, GENESIS.hash)]
+        assert collector.high_qc[2].signers == {"r0", "r1", "r3"}
+
+    def test_basic_qc_forms_once_despite_a_replayed_vote(self, cluster,
+                                                         monkeypatch):
+        from repro.crypto import ThresholdScheme
+        from repro.protocols.hotstuff import (BasicHotStuffReplica, HsRequest,
+                                              HsVote)
+        names = ["r%d" % i for i in range(4)]
+        scheme = ThresholdScheme(3, names)
+        replicas = cluster.add_nodes(BasicHotStuffReplica, names, names,
+                                     1, scheme)
+        combined = self._count_combines(scheme, monkeypatch)
+        leader = replicas[0]
+        leader.handle_hsrequest(HsRequest("op", "c0"), "c0")  # votes itself
+        node_hash = leader._current[0]
+
+        def vote(voter):
+            partial = scheme.sign_share(voter, 0, "prepare", node_hash)
+            leader.handle_hsvote(HsVote(0, "prepare", node_hash, partial),
+                                 voter)
+
+        vote("r0")  # the leader's own vote, replayed
+        vote("r1")
+        assert leader._phase_index == 0 and combined == []
+        vote("r2")
+        assert leader._phase_index == 1
+        vote("r1")
+        vote("r3")
+        assert leader._phase_index == 1
+        assert combined == [(0, "prepare", node_hash)]
+
+
 class TestSeeMoReFaults:
     def test_mode1_tolerates_public_crash(self, make_cluster):
         from repro.protocols.seemore import run_seemore
