@@ -1,147 +1,32 @@
 """The grand tour: every protocol in the tutorial, one run each.
 
 Prints the comparison table the tutorial builds up protocol by protocol
-— each row measured live from a run on the simulator, side by side with
-the paper's property box.
+— each row measured live from the protocol's scenario (the same table
+row ``repro run`` and ``repro check`` execute), side by side with the
+paper's property box.
 
 Run:  python examples/protocol_tour.py
 """
 
-from repro.analysis import claim_for, render_table
+from repro.analysis import render_table
 from repro.core import Cluster
-from repro.net import SynchronousModel
-
-
-def measure(label, runner, claim_name):
-    cluster = Cluster(seed=1)
-    outcome = runner(cluster)
-    claim = claim_for(claim_name)
-    return {
-        "protocol": label,
-        "paper nodes": claim.nodes,
-        "paper phases": claim.phases,
-        "paper msgs": claim.complexity,
-        "measured msgs": cluster.metrics.messages_total,
-        "outcome": outcome,
-    }
+from repro.scenarios import SCENARIOS
 
 
 def main():
     rows = []
-
-    def paxos(cluster):
-        from repro.protocols.paxos import run_basic_paxos
-        return "decided %r" % run_basic_paxos(cluster, proposals=("X",)).value
-    rows.append(measure("paxos", paxos, "paxos"))
-
-    def multipaxos(cluster):
-        from repro.protocols.multipaxos import run_multipaxos
-        result = run_multipaxos(cluster, commands_per_client=5)
-        return "5 commands, consistent=%s" % result.logs_consistent()
-    rows.append(measure("multi-paxos", multipaxos, "multi-paxos"))
-
-    def fast_paxos(cluster):
-        from repro.protocols.fast_paxos import run_fast_paxos
-        result = run_fast_paxos(cluster, values=("X",))
-        return "decided in %.1f delays" % result.learn_delay()
-    rows.append(measure("fast-paxos", fast_paxos, "fast-paxos"))
-
-    def raft(cluster):
-        from repro.protocols.raft import run_raft
-        result = run_raft(cluster, commands_per_client=5)
-        return "5 commands, consistent=%s" % result.logs_consistent()
-    rows.append(measure("raft", raft, "raft"))
-
-    def twopc(cluster):
-        from repro.protocols.commit import run_commit
-        result = run_commit(cluster, protocol="2pc")
-        return result.outcomes()[0].value
-    rows.append(measure("2pc", twopc, "2pc"))
-
-    def threepc(cluster):
-        from repro.protocols.commit import run_commit
-        result = run_commit(cluster, protocol="3pc", crash_after="votes")
-        return "coordinator died; %s, blocked=%d" % (
-            result.outcomes()[0].value, len(result.blocked_cohorts()))
-    rows.append(measure("3pc", threepc, "3pc"))
-
-    def psl(cluster):
-        from repro.protocols.interactive_consistency import (
-            run_interactive_consistency)
-        cluster.network.delivery = SynchronousModel(0.5)
-        result = run_interactive_consistency(cluster, n=4, faulty=(2,))
-        return "vector %s" % (result.honest_results()[0],)
-    rows.append(measure("interactive-consistency", psl,
-                        "interactive-consistency"))
-
-    def pbft(cluster):
-        from repro.protocols.pbft import run_pbft
-        result = run_pbft(cluster, operations_per_client=3)
-        return "3 ops, consistent=%s" % result.logs_consistent()
-    rows.append(measure("pbft", pbft, "pbft"))
-
-    def zyzzyva(cluster):
-        from repro.protocols.zyzzyva import run_zyzzyva
-        result = run_zyzzyva(cluster, operations=3)
-        ones, twos = result.case_counts()
-        return "case1=%d case2=%d" % (ones, twos)
-    rows.append(measure("zyzzyva", zyzzyva, "zyzzyva"))
-
-    def hotstuff(cluster):
-        from repro.protocols.hotstuff import run_chained_hotstuff
-        result = run_chained_hotstuff(cluster, commands=5)
-        return "pipelined 5 blocks"
-    rows.append(measure("hotstuff", hotstuff, "hotstuff"))
-
-    def minbft(cluster):
-        from repro.protocols.minbft import run_minbft
-        result = run_minbft(cluster, operations=3)
-        return "3 ops on 2f+1=3 replicas"
-    rows.append(measure("minbft", minbft, "minbft"))
-
-    def cheapbft(cluster):
-        from repro.protocols.cheapbft import run_cheapbft
-        result = run_cheapbft(cluster, operations=3)
-        return "f+1=2 actives, mode=%s" % result.modes()[0]
-    rows.append(measure("cheapbft", cheapbft, "cheapbft"))
-
-    def upright(cluster):
-        from repro.protocols.upright import run_upright
-        result = run_upright(cluster, m=1, c=1, operations=2)
-        return "n=6, quorum=4"
-    rows.append(measure("upright", upright, "upright"))
-
-    def seemore(cluster):
-        from repro.protocols.seemore import run_seemore
-        result = run_seemore(cluster, mode=1, operations=2)
-        return "mode 1 (trusted primary)"
-    rows.append(measure("seemore", seemore, "seemore"))
-
-    def xft(cluster):
-        from repro.protocols.xft import run_xft
-        result = run_xft(cluster, operations=3)
-        return "sync group of f+1"
-    rows.append(measure("xft", xft, "xft"))
-
-    def benor(cluster):
-        from repro.protocols.benor import run_benor
-        result = run_benor(cluster, n=5, f=1)
-        return "decided %r in <=%d rounds" % (
-            result.decided_values()[0], result.max_round())
-    rows.append(measure("ben-or", benor, "ben-or"))
-
-    def tendermint(cluster):
-        from repro.protocols.tendermint import run_tendermint
-        result = run_tendermint(cluster, f=1, heights=3)
-        return "3 blocks, chains agree=%s" % result.chains_consistent()
-    rows.append(measure("tendermint", tendermint, "tendermint"))
-
-    def chandra_toueg(cluster):
-        from repro.protocols.chandra_toueg import run_chandra_toueg
-        result = run_chandra_toueg(cluster, n=5, f=2)
-        return "decided %r via the oracle" % result.decided_values()[0]
-    rows.append(measure("chandra-toueg", chandra_toueg, "chandra-toueg"))
-
+    for name, scenario in SCENARIOS.items():
+        cluster = Cluster(seed=1)
+        outcome = scenario.run(cluster)
+        claim = scenario.claim()
+        rows.append({
+            "protocol": name,
+            "paper nodes": claim.nodes,
+            "paper phases": claim.phases,
+            "paper msgs": claim.complexity,
+            "measured msgs": cluster.metrics.messages_total,
+            "outcome": outcome,
+        })
     print(render_table(
         rows, title="40 years of consensus — every protocol, one live run"
     ))

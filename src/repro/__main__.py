@@ -23,8 +23,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import claim_for, comparison_table, render_table
+from .analysis import comparison_table, render_table
 from .core import Cluster
+from .scenarios import SCENARIOS
 
 
 def cmd_list(_args):
@@ -81,203 +82,137 @@ def cmd_table(_args):
     return 0
 
 
-_RUNNERS = {}
-
-
-def _runner(name):
-    def register(fn):
-        _RUNNERS[name] = fn
-        return fn
-    return register
-
-
-@_runner("paxos")
-def _run_paxos(cluster):
-    from .protocols.paxos import run_basic_paxos
-    result = run_basic_paxos(cluster, n_acceptors=5, proposals=("X", "Y"),
-                             stagger=1.0)
-    return "decided %r after %d proposer round(s)" % (result.value,
-                                                      result.rounds)
-
-
-@_runner("multi-paxos")
-def _run_multipaxos(cluster):
-    from .protocols.multipaxos import run_multipaxos
-    result = run_multipaxos(cluster, n_replicas=5, commands_per_client=5)
-    return "5 commands replicated; consistent=%s" % result.logs_consistent()
-
-
-@_runner("raft")
-def _run_raft(cluster):
-    from .protocols.raft import run_raft
-    result = run_raft(cluster, n_nodes=5, commands_per_client=5,
-                      crash_leader_at=20.0)
-    return "5 commands through a leader crash; consistent=%s" % \
-        result.logs_consistent()
-
-
-@_runner("pbft")
-def _run_pbft(cluster):
-    from .protocols.pbft import EquivocatingPrimary, run_pbft
-    result = run_pbft(cluster, f=1, operations_per_client=3,
-                      primary_class=EquivocatingPrimary)
-    return "3 ops despite an equivocating primary; consistent=%s" % \
-        result.logs_consistent()
-
-
-@_runner("hotstuff")
-def _run_hotstuff(cluster):
-    from .protocols.hotstuff import run_chained_hotstuff
-    result = run_chained_hotstuff(cluster, commands=6)
-    return "6 commands pipelined; prefix-consistent=%s" % \
-        result.logs_consistent()
-
-
-@_runner("tendermint")
-def _run_tendermint(cluster):
-    from .protocols.tendermint import run_tendermint
-    result = run_tendermint(cluster, heights=4)
-    return "4 blocks; chains agree=%s" % result.chains_consistent()
-
-
-@_runner("ben-or")
-def _run_benor(cluster):
-    from .protocols.benor import run_benor
-    result = run_benor(cluster, n=5, f=1, crash_indices=(4,))
-    return "decided %r in %d round(s) despite a crash" % (
-        result.decided_values()[0], result.max_round())
-
-
-@_runner("chandra-toueg")
-def _run_ct(cluster):
-    from .protocols.chandra_toueg import run_chandra_toueg
-    result = run_chandra_toueg(cluster, n=5, f=2, crash_indices=(1,))
-    return "decided %r via the failure-detector oracle" % \
-        result.decided_values()[0]
-
-
-@_runner("shards")
-def _run_shards(cluster):
-    from .shard import ShardedCluster
-    sharded = ShardedCluster(n_shards=2, replicas=3, partitioning="range",
-                             key_space=16, cluster=cluster)
-    a, b = sharded.key(2), sharded.key(10)  # one key on each shard
-    sharded.put(a, 100)
-    sharded.put(b, 10)
-    outcome = sharded.transfer(a, b, 30)  # cross-shard: the full 2PC path
-    stats = sharded.stats()
-    return ("2 shards x 3 replicas: cross-shard transfer %s; "
-            "%d commits (%d fast-path), %d replicated decision(s)"
-            % (outcome, stats["commits"], stats["fast_commits"],
-               stats["decisions_replicated"]))
-
-
-def _run_parallel_fleet(spec):
-    """Run one partitioned fleet; returns ``(run, None)`` or
-    ``(None, error-message)`` for the exit-1 path."""
-    from .parallel import WorkerFailure, run_parallel_shards
-    try:
-        return run_parallel_shards(spec), None
-    except WorkerFailure as exc:
-        return None, str(exc)
-
-
-def _reject_non_shards_workers(args):
-    """``--workers`` partitions the sharded fleet; other protocols have
-    no domain decomposition to partition."""
-    if args.protocol != "shards":
-        print("--workers applies to the sharded fleet only "
-              "(use protocol 'shards')")
+def _known(protocol, choices):
+    """True when ``protocol`` is one of ``choices``; otherwise prints the
+    one-line usage error (the caller picks the exit code)."""
+    if protocol in choices:
         return True
+    print("unknown protocol %r; choices: %s"
+          % (protocol, ", ".join(choices)))
     return False
 
 
-def _print_parallel_workload(run):
-    from .parallel import merged_workload
-    for index, segment in enumerate(merged_workload(run), 1):
-        print("workload %d: %d/%d committed (%d cross-shard, %d fast-path)"
-              " in %.1f virtual time"
-              % (index, segment["committed"], segment["txns"],
-                 segment["cross_shard"], segment["fast_commits"],
-                 segment["virtual_time"]))
+def _export(path, write, payload, counted=None):
+    """Write one ``--json``/``--jsonl``/``--prom``/``--chrome`` artifact
+    if its flag was given.  False (after a one-line ``cannot write``)
+    when the path is unwritable; ``counted`` says what the writer's
+    return value counts, e.g. ``"%d events"``."""
+    if not path:
+        return True
+    try:
+        count = write(payload, path)
+    except OSError as exc:
+        print("cannot write %s: %s" % (path, exc))
+        return False
+    note = " (%s)" % (counted % count) if counted else ""
+    print("wrote %s%s" % (path, note))
+    return True
+
+
+def _run_fleet(scenario="shards", banner=None, **fields):
+    """One fleet run partitioned over worker processes (``--workers``).
+
+    Returns ``(run, 0)``, or ``(None, exit code)`` after printing why:
+    2 when ``scenario`` is not the fleet or the engine rejects the spec
+    (``--workers 0``), 1 when a worker failed.  ``banner`` is printed,
+    with the spec's epoch length, once the spec is accepted and before
+    the run starts.
+    """
+    from .parallel import FleetSpec, WorkerFailure, run_parallel_shards
+    if scenario != "shards":
+        # Other protocols have no domain decomposition to partition.
+        print("--workers applies to the sharded fleet only "
+              "(use protocol 'shards')")
+        return None, 2
+    try:
+        spec = FleetSpec(**fields)
+    except ValueError as exc:
+        print(exc)
+        return None, 2
+    if banner:
+        print(banner % spec.epoch)
+    try:
+        return run_parallel_shards(spec), 0
+    except WorkerFailure as exc:
+        print("PARALLEL RUN FAILED: %s" % exc)
+        return None, 1
+
+
+def _workload_line(index, segment):
+    return ("workload %d: %d/%d committed (%d cross-shard, %d fast-path)"
+            " in %.1f virtual time"
+            % (index, segment["committed"], segment["txns"],
+               segment["cross_shard"], segment["fast_commits"],
+               segment["virtual_time"]))
+
+
+def _observe(args, **observers):
+    """One demo run of ``args.protocol`` under the given observers, for
+    run/trace/stats/spans.
+
+    ``--workers`` (``run`` has none) only selects where the artifacts
+    come from: a sequential :class:`Cluster`, or the partitioned fleet's
+    merged per-worker outputs.  Returns ``(observed, 0)`` — a namespace
+    of ``trace``, ``registry``, ``snapshot`` (the collector's), ``now``,
+    ``nodes``, the run's ``summary`` lines and the ``suffix`` for the
+    command's footer line — or ``(None, exit code)`` after printing why.
+    """
+    from types import SimpleNamespace
+    if getattr(args, "workers", None) is None:
+        if not _known(args.protocol, SCENARIOS):
+            return None, 1
+        scenario = SCENARIOS[args.protocol]
+        cluster = Cluster(seed=args.seed, **observers)
+        summary = scenario.demo(cluster)
+        return SimpleNamespace(
+            trace=cluster.trace, registry=cluster.telemetry,
+            snapshot=cluster.metrics.snapshot(), now=cluster.now,
+            nodes=cluster.network.node_names,
+            summary=["%s: %s" % (scenario.demo_label, summary)],
+            suffix=""), 0
+    from . import parallel
+    run, code = _run_fleet(args.protocol, seed=args.seed,
+                           workers=args.workers, **observers)
+    if run is None:
+        return None, code
+    return SimpleNamespace(
+        trace=parallel.merge_trace(run),
+        registry=parallel.merge_registry(run),
+        snapshot=parallel.merged_summary(run), now=run.virtual_time,
+        nodes=run.spec.fleet_names() + ["driver"],
+        summary=[_workload_line(index, segment) for index, segment
+                 in enumerate(parallel.merged_workload(run), 1)],
+        suffix=" | %d worker(s), %d epochs" % (run.workers, run.epochs)), 0
 
 
 def cmd_run(args):
-    runner = _RUNNERS.get(args.protocol)
-    if runner is None:
-        print("unknown or non-runnable protocol %r; choices: %s"
-              % (args.protocol, ", ".join(sorted(_RUNNERS))))
-        return 1
-    cluster = Cluster(seed=args.seed)
-    summary = runner(cluster)
-    try:
-        claim = claim_for(args.protocol)
-        box = "nodes=%s phases=%s msgs=%s" % (claim.nodes, claim.phases,
-                                              claim.complexity)
-    except KeyError:
-        box = "-"
-    print("%s: %s" % (args.protocol, summary))
-    print("paper box: %s | measured messages: %d | virtual time: %.1f"
-          % (box, cluster.metrics.messages_total, cluster.now))
+    observed, code = _observe(args)
+    if observed is None:
+        return code
+    claim = SCENARIOS[args.protocol].claim()
+    print("\n".join(observed.summary))
+    print("paper box: nodes=%s phases=%s msgs=%s | measured messages: %d "
+          "| virtual time: %.1f"
+          % (claim.nodes, claim.phases, claim.complexity,
+             observed.snapshot["messages_total"], observed.now))
     return 0
 
 
 def cmd_trace(args):
     from .trace import render_flow, write_jsonl
-    if args.workers is not None:
-        return _cmd_trace_parallel(args)
-    runner = _RUNNERS.get(args.protocol)
-    if runner is None:
-        print("unknown or non-runnable protocol %r; choices: %s"
-              % (args.protocol, ", ".join(sorted(_RUNNERS))))
+    observed, code = _observe(args, trace=True)
+    if observed is None:
+        return code
+    trace = observed.trace
+    if not _export(args.jsonl, write_jsonl, trace, "%d events"):
         return 1
-    cluster = Cluster(seed=args.seed, trace=True)
-    summary = runner(cluster)
-    trace = cluster.trace
-    if args.jsonl:
-        try:
-            count = write_jsonl(trace, args.jsonl)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.jsonl, exc))
-            return 1
-        print("wrote %s (%d events)" % (args.jsonl, count))
-    print(render_flow(trace, nodes=cluster.network.node_names,
-                      max_rows=args.limit,
+    print(render_flow(trace, nodes=observed.nodes, max_rows=args.limit,
                       include_delivers=args.delivers,
                       include_timers=args.timers))
-    print("%s: %s" % (args.protocol, summary))
-    print("trace: %d events | messages: %d | virtual time: %.1f"
-          % (len(trace), cluster.metrics.messages_total, cluster.now))
-    return 0
-
-
-def _cmd_trace_parallel(args):
-    from .parallel import FleetSpec, merge_trace, merged_summary
-    from .trace import render_flow, write_jsonl
-    if _reject_non_shards_workers(args):
-        return 2
-    spec = FleetSpec(seed=args.seed, workers=args.workers, trace=True)
-    run, error = _run_parallel_fleet(spec)
-    if error is not None:
-        print("PARALLEL RUN FAILED: %s" % error)
-        return 1
-    trace = merge_trace(run)
-    if args.jsonl:
-        try:
-            count = write_jsonl(trace, args.jsonl)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.jsonl, exc))
-            return 1
-        print("wrote %s (%d events)" % (args.jsonl, count))
-    print(render_flow(trace, nodes=spec.fleet_names() + ["driver"],
-                      max_rows=args.limit,
-                      include_delivers=args.delivers,
-                      include_timers=args.timers))
-    _print_parallel_workload(run)
-    print("trace: %d events | messages: %d | virtual time: %.1f"
-          " | %d worker(s), %d epochs"
-          % (len(trace), merged_summary(run)["messages_total"],
-             run.virtual_time, run.workers, run.epochs))
+    print("\n".join(observed.summary))
+    print("trace: %d events | messages: %d | virtual time: %.1f%s"
+          % (len(trace), observed.snapshot["messages_total"],
+             observed.now, observed.suffix))
     return 0
 
 
@@ -288,126 +223,75 @@ def cmd_stats(args):
         write_prometheus,
         write_report,
     )
-    if args.workers is not None:
-        return _cmd_stats_parallel(args)
-    runner = _RUNNERS.get(args.protocol)
-    if runner is None:
-        print("unknown or non-runnable protocol %r; choices: %s"
-              % (args.protocol, ", ".join(sorted(_RUNNERS))))
+    observed, code = _observe(args, telemetry=True)
+    if observed is None:
+        return code
+    registry = observed.registry
+    report = run_report(registry, protocol=args.protocol, seed=args.seed,
+                        virtual_time=observed.now)
+    report["summary"] = observed.snapshot
+    if not (_export(args.json, write_report, report, "%d series")
+            and _export(args.prom, write_prometheus, registry,
+                        "%d series")):
         return 1
-    cluster = Cluster(seed=args.seed, telemetry=True)
-    summary = runner(cluster)
-    registry = cluster.telemetry
-    report = run_report(registry, cluster.metrics, protocol=args.protocol,
-                        seed=args.seed, virtual_time=cluster.now)
-    if args.json:
-        try:
-            count = write_report(report, args.json)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.json, exc))
-            return 1
-        print("wrote %s (%d series)" % (args.json, count))
-    if args.prom:
-        try:
-            count = write_prometheus(registry, args.prom)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.prom, exc))
-            return 1
-        print("wrote %s (%d series)" % (args.prom, count))
     print(render_summary(registry, title="%s (seed %d)" % (args.protocol,
                                                            args.seed)))
     print()
-    print("%s: %s" % (args.protocol, summary))
-    print("telemetry: %d series | messages: %d | virtual time: %.1f"
-          % (len(registry), cluster.metrics.messages_total, cluster.now))
-    return 0
-
-
-def _cmd_stats_parallel(args):
-    from .parallel import (
-        FleetSpec,
-        build_stats_report,
-        merge_registry,
-        merged_summary,
-    )
-    from .telemetry import render_summary, write_prometheus, write_report
-    if _reject_non_shards_workers(args):
-        return 2
-    spec = FleetSpec(seed=args.seed, workers=args.workers, telemetry=True)
-    run, error = _run_parallel_fleet(spec)
-    if error is not None:
-        print("PARALLEL RUN FAILED: %s" % error)
-        return 1
-    registry = merge_registry(run)
-    report = build_stats_report(run)
-    if args.json:
-        try:
-            count = write_report(report, args.json)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.json, exc))
-            return 1
-        print("wrote %s (%d series)" % (args.json, count))
-    if args.prom:
-        try:
-            count = write_prometheus(registry, args.prom)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.prom, exc))
-            return 1
-        print("wrote %s (%d series)" % (args.prom, count))
-    print(render_summary(registry, title="shards (seed %d)" % args.seed))
-    print()
-    _print_parallel_workload(run)
-    print("telemetry: %d series | messages: %d | virtual time: %.1f"
-          " | %d worker(s), %d epochs"
-          % (len(registry), merged_summary(run)["messages_total"],
-             run.virtual_time, run.workers, run.epochs))
+    print("\n".join(observed.summary))
+    print("telemetry: %d series | messages: %d | virtual time: %.1f%s"
+          % (len(registry), observed.snapshot["messages_total"],
+             observed.now, observed.suffix))
     return 0
 
 
 def cmd_check(args):
-    from .monitor import (
-        check_protocols,
-        fleet_checks,
-        render_report,
-        run_check,
-        supported_faults,
-        write_report,
-    )
+    from .monitor import render_report, run_check, write_report
+    if args.all and args.json:
+        # Every report would overwrite the one before it.
+        print("--all writes one report per protocol; --json PATH holds "
+              "one (check a single protocol, or drop --json)")
+        return 2
     if args.workers is not None:
-        return _cmd_check_parallel(args)
-    checkable = check_protocols() + fleet_checks()
+        if args.all:
+            print("--workers checks the sharded fleet only; drop --all")
+            return 2
+        if args.faults is not None:
+            print("--workers does not support --faults "
+                  "(fault scenarios are sequential-only)")
+            return 2
     if args.all:
-        protocols = checkable
+        protocols = list(SCENARIOS)
     elif args.protocol is None:
         print("usage: repro check <protocol> [--seed N] [--faults KIND] "
               "[--json PATH]  (or --all); protocols: %s"
-              % ", ".join(checkable))
+              % ", ".join(SCENARIOS))
         return 2
-    elif args.protocol not in checkable:
-        print("unknown protocol %r; choices: %s"
-              % (args.protocol, ", ".join(checkable)))
+    elif not _known(args.protocol, SCENARIOS):
         return 2
     else:
         protocols = [args.protocol]
     if args.faults is not None:
         unsupported = [p for p in protocols
-                       if args.faults not in supported_faults(p)]
+                       if args.faults not in SCENARIOS[p].faults]
+        for protocol in unsupported:
+            print("%s does not support --faults %s (supported: %s)"
+                  % (protocol, args.faults,
+                     ", ".join(SCENARIOS[protocol].faults) or "none"))
         if unsupported:
-            for protocol in unsupported:
-                print("%s does not support --faults %s (supported: %s)"
-                      % (protocol, args.faults,
-                         ", ".join(supported_faults(protocol)) or "none"))
             return 2
     failed = False
     for index, protocol in enumerate(protocols):
-        report = run_check(protocol, seed=args.seed, faults=args.faults)
-        if args.json:
-            try:
-                write_report(report, args.json)
-            except OSError as exc:
-                print("cannot write %s: %s" % (args.json, exc))
-                return 2
-            print("wrote %s" % args.json)
+        if args.workers is None:
+            report = run_check(protocol, seed=args.seed, faults=args.faults)
+        else:
+            run, code = _run_fleet(protocol, seed=args.seed,
+                                   workers=args.workers, monitors=True)
+            if run is None:
+                return code
+            from .parallel import build_check_report
+            report = build_check_report(run)
+        if not _export(args.json, write_report, report):
+            return 2
         if index:
             print()
         print(render_report(report))
@@ -415,37 +299,7 @@ def cmd_check(args):
     return 1 if failed else 0
 
 
-def _cmd_check_parallel(args):
-    from .monitor import render_report, write_report
-    from .parallel import FleetSpec, build_check_report
-    if args.all:
-        print("--workers checks the sharded fleet only; drop --all")
-        return 2
-    if args.faults is not None:
-        print("--workers does not support --faults "
-              "(fault scenarios are sequential-only)")
-        return 2
-    if _reject_non_shards_workers(args):
-        return 2
-    spec = FleetSpec(seed=args.seed, workers=args.workers, monitors=True)
-    run, error = _run_parallel_fleet(spec)
-    if error is not None:
-        print("PARALLEL RUN FAILED: %s" % error)
-        return 1
-    report = build_check_report(run)
-    if args.json:
-        try:
-            write_report(report, args.json)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.json, exc))
-            return 2
-        print("wrote %s" % args.json)
-    print(render_report(report))
-    return 0 if report["ok"] else 1
-
-
-def _emit_spans(args, trace, protocol, virtual_time, footer):
-    """Shared spans output path for sequential and parallel runs."""
+def cmd_spans(args):
     from .obs import (
         SpanBuilder,
         render_spans_summary,
@@ -455,24 +309,22 @@ def _emit_spans(args, trace, protocol, virtual_time, footer):
         write_chrome,
     )
     from .telemetry import write_report
-    spans = SpanBuilder(trace).build()
-    report = spans_report(spans, protocol=protocol, seed=args.seed,
-                          virtual_time=virtual_time, window=args.window,
+    observed, code = _observe(args, trace=True)
+    if observed is None:
+        return code
+    spans = SpanBuilder(observed.trace).build()
+    report = spans_report(spans, protocol=args.protocol, seed=args.seed,
+                          virtual_time=observed.now, window=args.window,
                           slo=args.slo)
-    if args.json:
-        try:
-            write_report(report, args.json)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.json, exc))
-            return 1
-        print("wrote %s (%d span(s))" % (args.json, len(spans)))
-    if args.chrome:
-        try:
-            count = write_chrome(to_chrome(spans, protocol), args.chrome)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.chrome, exc))
-            return 1
-        print("wrote %s (%d trace event(s))" % (args.chrome, count))
+
+    def write_spans(report, path):
+        write_report(report, path)
+        return len(spans)
+    if not (_export(args.json, write_spans, report, "%d span(s)")
+            and _export(args.chrome, write_chrome,
+                        to_chrome(spans, args.protocol),
+                        "%d trace event(s)")):
+        return 1
     if args.req is not None:
         wanted = [s for s in spans if s.req == args.req]
         if not wanted:
@@ -489,56 +341,10 @@ def _emit_spans(args, trace, protocol, virtual_time, footer):
             print()
             print("slowest completed request:")
             print("\n".join(render_waterfall(slowest)))
-    print(footer)
+    print("\n".join(observed.summary))
+    print("spans: %d trace events | virtual time: %.1f%s"
+          % (len(observed.trace), observed.now, observed.suffix))
     return 0
-
-
-def cmd_spans(args):
-    if args.workers is not None:
-        return _cmd_spans_parallel(args)
-    runner = _RUNNERS.get(args.protocol)
-    if runner is None:
-        print("unknown or non-runnable protocol %r; choices: %s"
-              % (args.protocol, ", ".join(sorted(_RUNNERS))))
-        return 1
-    cluster = Cluster(seed=args.seed, trace=True)
-    summary = runner(cluster)
-    footer = ("%s: %s\nspans: %d trace events | virtual time: %.1f"
-              % (args.protocol, summary, len(cluster.trace), cluster.now))
-    return _emit_spans(args, cluster.trace, args.protocol, cluster.now,
-                       footer)
-
-
-def _cmd_spans_parallel(args):
-    from .parallel import FleetSpec, merge_trace
-    if _reject_non_shards_workers(args):
-        return 2
-    spec = FleetSpec(seed=args.seed, workers=args.workers, trace=True)
-    run, error = _run_parallel_fleet(spec)
-    if error is not None:
-        print("PARALLEL RUN FAILED: %s" % error)
-        return 1
-    trace = merge_trace(run)
-    footer = ("spans: %d trace events | virtual time: %.1f"
-              " | %d worker(s), %d epochs"
-              % (len(trace), run.virtual_time, run.workers, run.epochs))
-    return _emit_spans(args, trace, "shards", run.virtual_time, footer)
-
-
-#: Scenario scale (n, f) per runnable protocol, for ``profile
-#: --monitors``: the battery needs the cluster size the runner actually
-#: drives.  Protocols absent here attach their own monitors (shards) or
-#: have no spec battery.
-_MONITOR_SCALES = {
-    "paxos": (5, 2),
-    "multi-paxos": (5, 2),
-    "raft": (5, 2),
-    "pbft": (4, 1),
-    "hotstuff": (4, 1),
-    "tendermint": (4, 1),
-    "ben-or": (5, 1),
-    "chandra-toueg": (5, 2),
-}
 
 
 def cmd_profile(args):
@@ -551,25 +357,18 @@ def cmd_profile(args):
     import cProfile
     import pstats
 
-    runner = _RUNNERS.get(args.protocol)
-    if runner is None:
-        print("unknown or non-runnable protocol %r; choices: %s"
-              % (args.protocol, ", ".join(sorted(_RUNNERS))))
+    if not _known(args.protocol, SCENARIOS):
         return 1
+    scenario = SCENARIOS[args.protocol]
     cluster = Cluster(seed=args.seed, telemetry=args.telemetry,
                       monitors=args.monitors)
-    if args.monitors:
-        scale = _MONITOR_SCALES.get(args.protocol)
-        if scale is not None:
-            cluster.attach_monitors(args.protocol, *scale)
-        # Protocols not in the map (shards) attach their own battery.
     profiler = cProfile.Profile()
     profiler.enable()
-    summary = runner(cluster)
+    summary = scenario.demo(cluster)
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(args.top)
-    print("%s: %s" % (args.protocol, summary))
+    print("%s: %s" % (scenario.demo_label, summary))
     line = ("profiled: %d events | %d messages | virtual time: %.1f"
             % (cluster.sim.events_processed,
                cluster.metrics.messages_total, cluster.now))
@@ -616,57 +415,6 @@ def cmd_mine(args):
     return 0
 
 
-def _cmd_shards_parallel(args):
-    from .parallel import (
-        FleetSpec,
-        build_check_report,
-        merged_consistency,
-        merged_stats,
-    )
-    if args.split or args.crash_shard:
-        print("--workers does not support --split/--crash-shard "
-              "(reconfiguration and fault scenarios are sequential-only)")
-        return 2
-    try:
-        spec = FleetSpec(
-            seed=args.seed, n_shards=args.shards, replicas=args.replicas,
-            protocol=args.protocol, partitioning=args.partitioning,
-            key_space=args.keys, txns=args.txns, cross_ratio=args.cross,
-            workers=args.workers, monitors=args.monitors)
-    except ValueError as exc:
-        print(exc)
-        return 2
-    print("fleet: %d shards x %d replicas = %d nodes (%s, %s-partitioned,"
-          " seed %d) | %d worker(s), epoch %.1f"
-          % (args.shards, args.replicas, args.shards * args.replicas,
-             args.protocol, args.partitioning, args.seed, args.workers,
-             spec.epoch))
-    run, error = _run_parallel_fleet(spec)
-    if error is not None:
-        print("PARALLEL RUN FAILED: %s" % error)
-        return 1
-    _print_parallel_workload(run)
-    consistent = all(merged_consistency(run).values())
-    print("per-shard consistency: %s" % consistent)
-    failed = not consistent
-    if args.monitors:
-        report = build_check_report(run)
-        anomalies = report["anomalies"]
-        print("monitors: %d anomaly(ies)" % len(anomalies))
-        for anomaly in anomalies[:10]:
-            print("  [%s] %s" % (anomaly["monitor"], anomaly["message"]))
-        failed = failed or bool(anomalies)
-    stats = merged_stats(run)
-    print("totals: %d commits (%d fast-path, %d replicated decisions), "
-          "%d aborts, %d conflicts, %d reroutes"
-          % (stats["commits"], stats["fast_commits"],
-             stats["decisions_replicated"], stats["aborts"],
-             stats["conflicts"], stats["reroutes"]))
-    print("parallel: %d epochs | %d events | virtual time: %.1f"
-          % (run.epochs, run.total_events, run.virtual_time))
-    return 1 if failed else 0
-
-
 def _parse_seeds(text):
     """``A..B`` (inclusive), ``N``, or ``N,M,...`` -> list of ints, or
     None when the text does not parse."""
@@ -688,9 +436,7 @@ def _parse_seeds(text):
 
 def cmd_sweep(args):
     from .parallel import sweep
-    if args.protocol not in _RUNNERS:
-        print("unknown or non-runnable protocol %r; choices: %s"
-              % (args.protocol, ", ".join(sorted(_RUNNERS))))
+    if not _known(args.protocol, SCENARIOS):
         return 1
     seeds = _parse_seeds(args.seeds)
     if seeds is None:
@@ -703,7 +449,7 @@ def cmd_sweep(args):
               % (row["seed"], row["summary"], row["messages"],
                  row["virtual_time"]))
     print("swept %d seed(s) of %s with %d worker(s)"
-          % (len(rows), args.protocol, args.workers))
+          % (len(rows), SCENARIOS[args.protocol].demo_label, args.workers))
     return 0
 
 
@@ -743,9 +489,7 @@ def cmd_loadtest(args):
         run_sweep,
     )
     from .telemetry import write_report
-    if args.protocol not in PROTOCOLS:
-        print("unknown protocol %r; choices: %s"
-              % (args.protocol, ", ".join(sorted(PROTOCOLS))))
+    if not _known(args.protocol, sorted(PROTOCOLS)):
         return 2
     if args.rate is not None and args.sweep is not None:
         print("--rate and --sweep are mutually exclusive")
@@ -759,7 +503,8 @@ def cmd_loadtest(args):
             return 2
     try:
         spec = LoadSpec(
-            protocol=args.protocol, rate=args.rate or 1.0,
+            protocol=args.protocol,
+            rate=1.0 if args.rate is None else args.rate,
             duration=args.duration, seed=args.seed, arrivals=args.arrivals,
             skew=args.skew, storm=args.storm, slo=args.slo,
             injectors=args.injectors, monitors=args.monitors)
@@ -783,22 +528,67 @@ def cmd_loadtest(args):
         failed = bool(accounting.get("slo", {}).get("violations"))
         failed = failed or not report.get("monitors", {"ok": True})["ok"]
         failed = failed or report.get("consistent") is False
-    if args.json:
-        try:
-            write_report(report, args.json)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.json, exc))
-            return 2
-        print("wrote %s" % args.json)
+    if not _export(args.json, write_report, report):
+        return 2
     print(rendered)
+    return 1 if failed else 0
+
+
+def _fleet_verdict(consistent, stats, anomalies=None):
+    """Print a fleet run's closing lines; True when the run failed.
+    ``anomalies`` are ``Anomaly.to_dict()`` dicts, or None when the run
+    was not monitored."""
+    print("per-shard consistency: %s" % consistent)
+    if anomalies is not None:
+        print("monitors: %d anomaly(ies)" % len(anomalies))
+        for anomaly in anomalies[:10]:
+            print("  [%s] %s" % (anomaly["monitor"], anomaly["message"]))
+    print("totals: %d commits (%d fast-path, %d replicated decisions), "
+          "%d aborts, %d conflicts, %d reroutes"
+          % (stats["commits"], stats["fast_commits"],
+             stats["decisions_replicated"], stats["aborts"],
+             stats["conflicts"], stats["reroutes"]))
+    return not consistent or bool(anomalies)
+
+
+def _cmd_shards_parallel(args, banner):
+    from .parallel import (
+        build_check_report,
+        merged_consistency,
+        merged_stats,
+        merged_workload,
+    )
+    if args.split or args.crash_shard:
+        print("--workers does not support --split/--crash-shard "
+              "(reconfiguration and fault scenarios are sequential-only)")
+        return 2
+    run, code = _run_fleet(
+        banner=banner + " | %d worker(s), epoch %%.1f" % args.workers,
+        seed=args.seed, n_shards=args.shards, replicas=args.replicas,
+        protocol=args.protocol, partitioning=args.partitioning,
+        key_space=args.keys, txns=args.txns, cross_ratio=args.cross,
+        workers=args.workers, monitors=args.monitors)
+    if run is None:
+        return code
+    for index, segment in enumerate(merged_workload(run), 1):
+        print(_workload_line(index, segment))
+    failed = _fleet_verdict(
+        all(merged_consistency(run).values()), merged_stats(run),
+        build_check_report(run)["anomalies"] if args.monitors else None)
+    print("parallel: %d epochs | %d events | virtual time: %.1f"
+          % (run.epochs, run.total_events, run.virtual_time))
     return 1 if failed else 0
 
 
 def cmd_shards(args):
     from .core.exceptions import LivenessFailure
     from .shard import ShardedCluster
+    banner = ("fleet: %d shards x %d replicas = %d nodes (%s, %s-partitioned,"
+              " seed %d)" % (args.shards, args.replicas,
+                             args.shards * args.replicas, args.protocol,
+                             args.partitioning, args.seed))
     if args.workers is not None:
-        return _cmd_shards_parallel(args)
+        return _cmd_shards_parallel(args, banner)
     try:
         sharded = ShardedCluster(
             n_shards=args.shards, replicas=args.replicas, seed=args.seed,
@@ -810,18 +600,12 @@ def cmd_shards(args):
     if args.split and args.partitioning != "range":
         print("--split needs --partitioning range (hash maps cannot split)")
         return 2
-    print("fleet: %d shards x %d replicas = %d nodes (%s, %s-partitioned,"
-          " seed %d)" % (args.shards, args.replicas,
-                         args.shards * args.replicas, args.protocol,
-                         args.partitioning, args.seed))
+    print(banner)
     failed = False
     try:
         first = sharded.run_workload(txns=max(args.txns // 2, 1),
                                      cross_ratio=args.cross)
-        print("workload 1: %d/%d committed (%d cross-shard, %d fast-path)"
-              " in %.1f virtual time"
-              % (first["committed"], first["txns"], first["cross_shard"],
-                 first["fast_commits"], first["virtual_time"]))
+        print(_workload_line(1, first))
         if args.split:
             split = sharded.split_shard("s0")
             print("live split: s0 -> %s at %r, %d keys moved, %.1f virtual"
@@ -830,10 +614,7 @@ def cmd_shards(args):
                      split["duration"], sharded.shard_map.epoch))
         second = sharded.run_workload(txns=max(args.txns - args.txns // 2, 1),
                                       cross_ratio=args.cross)
-        print("workload 2: %d/%d committed (%d cross-shard, %d fast-path)"
-              " in %.1f virtual time"
-              % (second["committed"], second["txns"], second["cross_shard"],
-                 second["fast_commits"], second["virtual_time"]))
+        print(_workload_line(2, second))
     except LivenessFailure as exc:
         print("LIVENESS FAILURE: %s" % exc)
         return 1
@@ -859,24 +640,13 @@ def cmd_shards(args):
         print("crashed shard %s mid-2PC: transaction %s (%d timeout "
               "abort(s)); surviving shards still serve"
               % (victim, txn.outcome, sharded.coordinator.timeout_aborts))
-        failed = failed or txn.outcome != "aborted"
+        failed = txn.outcome != "aborted"
     sharded.settle()
-    consistent = sharded.check_consistency()
-    print("per-shard consistency: %s" % consistent)
-    failed = failed or not consistent
+    anomalies = None
     if args.monitors:
-        sharded.monitors.finish()
-        anomalies = sharded.monitors.anomalies
-        print("monitors: %d anomaly(ies)" % len(anomalies))
-        for anomaly in anomalies[:10]:
-            print("  %s" % (anomaly,))
-        failed = failed or bool(anomalies)
-    stats = sharded.stats()
-    print("totals: %d commits (%d fast-path, %d replicated decisions), "
-          "%d aborts, %d conflicts, %d reroutes"
-          % (stats["commits"], stats["fast_commits"],
-             stats["decisions_replicated"], stats["aborts"],
-             stats["conflicts"], stats["reroutes"]))
+        anomalies = [a.to_dict() for a in sharded.monitors.finish()]
+    failed = _fleet_verdict(sharded.check_consistency(), sharded.stats(),
+                            anomalies) or failed
     return 1 if failed else 0
 
 
@@ -897,13 +667,11 @@ def main(argv=None):
         help="run one protocol (see 'trace' for a causal message-flow "
              "recording of the same run)")
     run_parser.add_argument("protocol", help="e.g. paxos, pbft, tendermint")
-    run_parser.add_argument("--seed", type=int, default=0)
     trace_parser = sub.add_parser(
         "trace",
         help="run one protocol with causal tracing and render the "
              "message flow as an ASCII space-time diagram")
     trace_parser.add_argument("protocol", help="e.g. paxos, pbft, hotstuff")
-    trace_parser.add_argument("--seed", type=int, default=0)
     trace_parser.add_argument("--jsonl", metavar="PATH", default=None,
                               help="also export the trace as JSONL")
     trace_parser.add_argument("--limit", type=int, default=80,
@@ -918,7 +686,6 @@ def main(argv=None):
              "and latency histograms (optionally exporting a deterministic "
              "JSON run report and a Prometheus text exposition)")
     stats_parser.add_argument("protocol", help="e.g. paxos, pbft, hotstuff")
-    stats_parser.add_argument("--seed", type=int, default=0)
     stats_parser.add_argument("--json", metavar="PATH", default=None,
                               help="also export the JSON run report "
                                    "(same-seed byte-identical)")
@@ -934,7 +701,6 @@ def main(argv=None):
     check_parser.add_argument("--all", action="store_true",
                               help="check every table protocol with a "
                                    "driver")
-    check_parser.add_argument("--seed", type=int, default=0)
     check_parser.add_argument("--faults", default=None, metavar="KIND",
                               help="inject a fault (per protocol: "
                                    "equivocate, silent, crash, byzantine)")
@@ -949,7 +715,6 @@ def main(argv=None):
              "and a chrome://tracing export)")
     spans_parser.add_argument("protocol",
                               help="e.g. multi-paxos, raft, shards")
-    spans_parser.add_argument("--seed", type=int, default=0)
     spans_parser.add_argument("--req", metavar="ID", default=None,
                               help="render one request's ASCII waterfall "
                                    "(e.g. c0-0, or a txn id)")
@@ -974,7 +739,6 @@ def main(argv=None):
              "call sites (a map of where time goes; wall-clock A/B runs "
              "are the benchmark)")
     profile_parser.add_argument("protocol", help="e.g. paxos, pbft, hotstuff")
-    profile_parser.add_argument("--seed", type=int, default=0)
     profile_parser.add_argument("--top", type=int, default=25,
                                 help="rows of profile output (default 25)")
     profile_parser.add_argument("--telemetry", action="store_true",
@@ -988,11 +752,9 @@ def main(argv=None):
     kv_parser.add_argument("--protocol", default="multi-paxos",
                            choices=("multi-paxos", "raft", "pbft"))
     kv_parser.add_argument("--replicas", type=int, default=3)
-    kv_parser.add_argument("--seed", type=int, default=0)
     mine_parser = sub.add_parser("mine", help="PoW mining-network demo")
     mine_parser.add_argument("--interval", type=float, default=30.0)
     mine_parser.add_argument("--duration", type=float, default=5000.0)
-    mine_parser.add_argument("--seed", type=int, default=0)
     shards_parser = sub.add_parser(
         "shards",
         help="sharded fleet demo: N consensus groups behind one keyspace, "
@@ -1013,7 +775,6 @@ def main(argv=None):
     shards_parser.add_argument("--cross", type=float, default=0.4,
                                help="cross-shard transaction ratio "
                                     "(default 0.4)")
-    shards_parser.add_argument("--seed", type=int, default=0)
     shards_parser.add_argument("--split", action="store_true",
                                help="live-split shard s0 between the two "
                                     "workload halves (range only)")
@@ -1053,7 +814,6 @@ def main(argv=None):
     load_parser.add_argument("--duration", type=float, default=200.0,
                              help="load window in virtual time units "
                                   "(default 200)")
-    load_parser.add_argument("--seed", type=int, default=0)
     load_parser.add_argument("--arrivals", default="poisson",
                              choices=("poisson", "diurnal"),
                              help="arrival process (default poisson)")
@@ -1093,6 +853,10 @@ def main(argv=None):
                                    "N, or N,M,... (default 0..3)")
     sweep_parser.add_argument("--workers", type=int, default=1, metavar="K",
                               help="parallel worker processes (default 1)")
+    for seeded in (run_parser, trace_parser, stats_parser, check_parser,
+                   spans_parser, profile_parser, kv_parser, mine_parser,
+                   shards_parser, load_parser):
+        seeded.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     handler = {
         "list": cmd_list,

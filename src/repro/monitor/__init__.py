@@ -35,11 +35,9 @@ from .base import (
 )
 from .conformance import (
     check_protocols,
-    fleet_checks,
     render_report,
     report_to_json,
     run_check,
-    supported_faults,
     write_report,
 )
 from .library import (
@@ -86,8 +84,6 @@ __all__ = [
     "build_monitors",
     "run_check",
     "check_protocols",
-    "fleet_checks",
-    "supported_faults",
     "render_report",
     "report_to_json",
     "write_report",

@@ -13,446 +13,160 @@ byte-identical and golden-testable.  The ``repro check`` CLI prints the
 ASCII rendering and exits 0 (clean), 1 (anomalies), or 2 (usage).
 """
 
-import json
-
-from ..analysis.claims import claim_for
 from ..core.cluster import Cluster
-from ..ioutil import ensure_parent
+from ..scenarios import SCENARIOS
+# One canonical serialization for every report kind; re-exported here.
+from ..telemetry.report import report_to_json, write_report  # noqa: F401
 
 #: Schema tag for the JSON conformance report.
 SCHEMA = "repro.monitor.conformance/1"
 
-_DRIVERS = {}
-_FAULTS = {}
-
-
-def _driver(name, faults=()):
-    def register(fn):
-        _DRIVERS[name] = fn
-        _FAULTS[name] = tuple(faults)
-        return fn
-    return register
-
 
 def check_protocols():
-    """Protocols ``run_check`` can drive, in paper-table order."""
-    from ..analysis.claims import PAPER_TABLE
-    return [claim.protocol for claim in PAPER_TABLE
-            if claim.protocol in _DRIVERS]
-
-
-#: Fleet-level checks: drivers that monitor a *composition* (a sharded
-#: fleet of consensus groups) rather than one paper-table protocol.
-#: They have no paper property box; their claims are synthesized from
-#: the composition's construction (see ``_FLEET_CLAIMS``).
-def fleet_checks():
-    """Fleet compositions ``run_check`` can drive, sorted."""
-    return sorted(name for name in _DRIVERS if name in _FLEET_CLAIMS)
-
-
-def supported_faults(protocol):
-    return _FAULTS.get(protocol, ())
-
-
-# -- per-protocol drivers ----------------------------------------------------
-#
-# Each driver attaches the protocol's monitor battery, runs one fixed
-# scenario (with an optional injected fault), and returns
-# (n, f, summary).  Scenarios are small — a check is a smoke-scale run,
-# not a benchmark.
-
-@_driver("paxos", faults=("crash",))
-def _check_paxos(cluster, faults):
-    from ..protocols.paxos import RandomizedBackoff, run_basic_paxos
-    n, f = 5, 2
-    cluster.attach_monitors("paxos", n, f)
-    result = run_basic_paxos(
-        cluster, n_acceptors=n, proposals=("X", "Y"),
-        retry=RandomizedBackoff(), stagger=1.0,
-        crash_acceptors=(4,) if faults == "crash" else ())
-    return n, f, "decided %r in %d proposer round(s)" % (result.value,
-                                                         result.rounds)
-
-
-@_driver("multi-paxos", faults=("crash",))
-def _check_multipaxos(cluster, faults):
-    from ..protocols.multipaxos import run_multipaxos
-    n, f = 5, 2
-    cluster.attach_monitors("multi-paxos", n, f)
-    result = run_multipaxos(
-        cluster, n_replicas=n, commands_per_client=5,
-        crash_leader_at=25.0 if faults == "crash" else None)
-    return n, f, "5 commands; logs consistent=%s" % result.logs_consistent()
-
-
-@_driver("raft", faults=("crash",))
-def _check_raft(cluster, faults):
-    from ..protocols.raft import run_raft
-    n, f = 5, 2
-    cluster.attach_monitors("raft", n, f)
-    result = run_raft(
-        cluster, n_nodes=n, commands_per_client=5,
-        crash_leader_at=20.0 if faults == "crash" else None)
-    return n, f, "5 commands; logs consistent=%s" % result.logs_consistent()
-
-
-@_driver("fast-paxos")
-def _check_fast_paxos(cluster, faults):
-    from ..protocols.fast_paxos import run_fast_paxos
-    n, f = 4, 1
-    cluster.attach_monitors("fast-paxos", n, f)
-    result = run_fast_paxos(cluster, f=f, values=("X",))
-    return n, f, "decided %r (collision=%s)" % (result.decided,
-                                                result.collision)
-
-
-@_driver("flexible-paxos")
-def _check_flexible_paxos(cluster, faults):
-    from ..protocols.flexible_paxos import run_flexible_paxos
-    n, f = 6, 2
-    cluster.attach_monitors("flexible-paxos", n, f)
-    result = run_flexible_paxos(cluster, n_acceptors=n, q1=4, q2=3,
-                                proposals=("X",))
-    return n, f, "decided %r with |Q1|=4 |Q2|=3" % result.value
-
-
-@_driver("2pc")
-def _check_2pc(cluster, faults):
-    from ..protocols.commit import run_commit
-    cluster.attach_monitors("2pc", 4, 0)
-    result = run_commit(cluster, protocol="2pc", n_cohorts=3)
-    return 4, 0, "atomic=%s" % result.atomic()
-
-
-@_driver("3pc")
-def _check_3pc(cluster, faults):
-    from ..protocols.commit import run_commit
-    cluster.attach_monitors("3pc", 4, 0)
-    result = run_commit(cluster, protocol="3pc", n_cohorts=3)
-    return 4, 0, "atomic=%s" % result.atomic()
-
-
-@_driver("pbft", faults=("equivocate", "silent", "crash"))
-def _check_pbft(cluster, faults):
-    from ..protocols.pbft import (
-        EquivocatingPrimary,
-        SilentPrimary,
-        run_pbft,
-    )
-    n, f = 4, 1
-    cluster.attach_monitors("pbft", n, f)
-    kwargs = {}
-    if faults == "equivocate":
-        kwargs["primary_class"] = EquivocatingPrimary
-    elif faults == "silent":
-        kwargs["primary_class"] = SilentPrimary
-    elif faults == "crash":
-        kwargs["crash_primary_at"] = 5.0
-    result = run_pbft(cluster, f=f, operations_per_client=3, **kwargs)
-    return n, f, "3 ops; logs consistent=%s" % result.logs_consistent()
-
-
-@_driver("zyzzyva")
-def _check_zyzzyva(cluster, faults):
-    from ..protocols.zyzzyva import run_zyzzyva
-    n, f = 4, 1
-    cluster.attach_monitors("zyzzyva", n, f)
-    result = run_zyzzyva(cluster, f=f, operations=3)
-    fast, slow = result.case_counts()
-    return n, f, "3 ops (%d fast-path, %d slow-path)" % (fast, slow)
-
-
-@_driver("hotstuff")
-def _check_hotstuff(cluster, faults):
-    from ..protocols.hotstuff import run_chained_hotstuff
-    n, f = 4, 1
-    cluster.attach_monitors("hotstuff", n, f)
-    result = run_chained_hotstuff(cluster, f=f, commands=6)
-    return n, f, "6 commands; prefix consistent=%s" % \
-        result.logs_consistent()
-
-
-@_driver("minbft")
-def _check_minbft(cluster, faults):
-    from ..protocols.minbft import run_minbft
-    n, f = 3, 1
-    cluster.attach_monitors("minbft", n, f)
-    result = run_minbft(cluster, f=f, operations=3)
-    return n, f, "3 ops; logs consistent=%s" % result.logs_consistent()
-
-
-@_driver("cheapbft")
-def _check_cheapbft(cluster, faults):
-    from ..protocols.cheapbft import run_cheapbft
-    n, f = 3, 1
-    cluster.attach_monitors("cheapbft", n, f)
-    result = run_cheapbft(cluster, f=f, operations=3)
-    return n, f, "3 ops; logs consistent=%s" % result.logs_consistent()
-
-
-@_driver("upright")
-def _check_upright(cluster, faults):
-    from ..protocols.upright import run_upright
-    n, f = 6, 2  # 3m+2c+1 with m=1, c=1; tolerates m+c faults
-    cluster.attach_monitors("upright", n, f)
-    result = run_upright(cluster, m=1, c=1, operations=3)
-    return n, f, "3 ops; logs consistent=%s" % result.logs_consistent()
-
-
-@_driver("seemore")
-def _check_seemore(cluster, faults):
-    from ..protocols.seemore import run_seemore
-    n, f = 6, 2  # 3m+2c+1 with m=1, c=1
-    cluster.attach_monitors("seemore", n, f)
-    result = run_seemore(cluster, mode=3, m=1, c=1, operations=3)
-    return n, f, "3 ops (mode 3); logs consistent=%s" % \
-        result.logs_consistent()
-
-
-@_driver("xft")
-def _check_xft(cluster, faults):
-    from ..protocols.xft import run_xft
-    n, f = 3, 1
-    cluster.attach_monitors("xft", n, f)
-    result = run_xft(cluster, f=f, operations=3)
-    return n, f, "3 ops; logs consistent=%s" % result.logs_consistent()
-
-
-@_driver("ben-or", faults=("crash",))
-def _check_benor(cluster, faults):
-    from ..protocols.benor import run_benor
-    n, f = 5, 1
-    cluster.attach_monitors("ben-or", n, f)
-    result = run_benor(cluster, n=n, f=f,
-                       crash_indices=(4,) if faults == "crash" else ())
-    return n, f, "agreement=%s in <=%s round(s)" % (result.agreement(),
-                                                    result.max_round())
-
-
-@_driver("interactive-consistency", faults=("byzantine",))
-def _check_ic(cluster, faults):
-    from ..protocols.interactive_consistency import (
-        run_interactive_consistency,
-    )
-    n, f = 4, 1
-    cluster.attach_monitors("interactive-consistency", n, f)
-    result = run_interactive_consistency(
-        cluster, n=n, faulty=(2,) if faults == "byzantine" else ())
-    return n, f, "vector agreement=%s" % result.agreement()
-
-
-@_driver("pow")
-def _check_pow(cluster, faults):
-    from ..blockchain import run_mining_network
-    n, f = 4, 0
-    cluster.attach_monitors("pow", n, f)
-    result = run_mining_network(
-        cluster, hashrates=(600.0, 200.0, 100.0, 100.0),
-        target_block_time=30.0, duration=2000.0)
-    height, abandoned, rate = result.fork_stats()
-    return n, f, "height=%d abandoned=%d fork-rate=%.1f%%" % (
-        height, abandoned, 100 * rate)
-
-
-@_driver("tendermint", faults=("silent",))
-def _check_tendermint(cluster, faults):
-    from ..protocols.tendermint import run_tendermint
-    n, f = 4, 1
-    cluster.attach_monitors("tendermint", n, f)
-    result = run_tendermint(
-        cluster, f=f, heights=4,
-        silent_indices=(0,) if faults == "silent" else ())
-    return n, f, "4 blocks; chains consistent=%s" % \
-        result.chains_consistent()
-
-
-@_driver("shards", faults=("crash",))
-def _check_shards(cluster, faults):
-    from ..shard import ShardedCluster
-    sharded = ShardedCluster(n_shards=2, replicas=3, partitioning="range",
-                             key_space=16, cluster=cluster)
-    first = sharded.run_workload(txns=6, cross_ratio=0.5)
-    if faults == "crash":
-        sharded.crash_follower("s1")
-    second = sharded.run_workload(txns=6, cross_ratio=0.5)
-    sharded.settle()
-    committed = first["committed"] + second["committed"]
-    total = first["txns"] + second["txns"]
-    cross = first["cross_shard"] + second["cross_shard"]
-    n = 2 * 3  # two groups of three replicas
-    f = 1      # per group: (replicas - 1) // 2
-    return n, f, ("%d/%d committed (%d cross-shard); per-shard "
-                  "consistent=%s" % (committed, total, cross,
-                                     sharded.check_consistency()))
-
-
-@_driver("chandra-toueg", faults=("crash",))
-def _check_ct(cluster, faults):
-    from ..protocols.chandra_toueg import run_chandra_toueg
-    n, f = 5, 2
-    cluster.attach_monitors("chandra-toueg", n, f)
-    result = run_chandra_toueg(
-        cluster, n=n, f=f,
-        crash_indices=(1,) if faults == "crash" else ())
-    return n, f, "agreement=%s" % result.agreement()
-
-
-# -- the check itself --------------------------------------------------------
+    """Paper-table protocols ``run_check`` can drive, in table order
+    (fleet compositions such as ``shards`` are checkable too, but have
+    no table row)."""
+    return [name for name, scenario in SCENARIOS.items()
+            if scenario.fleet_claim is None]
 
 
 def run_check(protocol, seed=0, faults=None):
     """One monitored conformance run; returns the report dict.
 
     Raises ``KeyError`` for an unknown protocol and ``ValueError`` for a
-    fault kind the protocol's driver does not support.
+    fault kind the protocol's scenario does not list.
     """
-    driver = _DRIVERS[protocol]
-    if faults is not None and faults not in _FAULTS[protocol]:
-        supported = ", ".join(_FAULTS[protocol]) or "none"
-        raise ValueError("protocol %r supports fault kinds: %s"
-                         % (protocol, supported))
+    scenario = SCENARIOS[protocol]
     cluster = Cluster(seed=seed, monitors=True)
-    n, f, summary = driver(cluster, faults)
-    anomalies = cluster.monitors.finish()
-    return _build_report(protocol, seed, faults, cluster, n, f, summary,
-                         anomalies)
-
-
-def _monitor_named(hub, name):
-    for monitor in hub.monitors:
-        if monitor.name == name:
-            return monitor
-    return None
-
-
-#: Synthesized property boxes for fleet compositions: no paper table row
-#: exists, so the claim records what the composition is built from.
-_FLEET_CLAIMS = {
-    "shards": {
-        "failure_model": "crash (per group)",
-        "nodes": "G x (2f+1)",
-        "phases": "2PC over per-group consensus",
-        "complexity": "O(G*n) per cross-shard txn",
-    },
-}
-
-
-def _monitor_entry(monitor):
-    entry = {
-        "monitor": monitor.name,
-        "category": monitor.category,
-        "status": "tripped" if monitor.anomalies else "ok",
-        "anomalies": len(monitor.anomalies),
+    summary = scenario.run(cluster, faults)
+    cluster.monitors.finish()
+    measured = {
+        "nodes": scenario.n,
+        "f": scenario.f,
+        "messages_total": cluster.metrics.messages_total,
+        "events": len(cluster.trace),
+        "virtual_time": cluster.now,
     }
-    if monitor.group is not None:
-        # Only scoped (fleet) monitors grow the key — single-protocol
-        # reports stay byte-identical to their goldens.
-        entry["group"] = monitor.group
-    return entry
+    return _build_report(protocol, seed, faults, summary, measured,
+                         [monitor_data(monitor)
+                          for monitor in cluster.monitors.monitors])
 
 
-def _group_sections(hub):
+def monitor_data(monitor):
+    """Everything a report needs from one finished monitor, as plain
+    picklable data — also what a fleet worker ships to the merge."""
+    data = {
+        "name": monitor.name,
+        "category": monitor.category,
+        "group": monitor.group,
+        "anomalies": [anomaly.to_dict() for anomaly in monitor.anomalies],
+        "decisions": getattr(monitor, "decisions", None),
+    }
+    if monitor.name == "phase-conformance":
+        data["phases"] = monitor.observed_phases()
+    elif monitor.name == "complexity-envelope":
+        data["mean_cost"] = monitor.mean_cost()
+        data["bound"] = monitor.bound
+    return data
+
+
+def _named(monitors, name):
+    return [data for data in monitors if data["name"] == name]
+
+
+def _monitor_entry(data):
+    return {
+        "monitor": data["name"],
+        "category": data["category"],
+        "status": "tripped" if data["anomalies"] else "ok",
+        "anomalies": len(data["anomalies"]),
+    }
+
+
+def _group_sections(monitors):
     """Per-group report sections for a fleet check: each scoped group's
     monitor battery, decision count and anomaly tally, sorted by group
     id.  Empty for single-protocol checks (no scoped monitors)."""
     by_group = {}
-    for monitor in hub.monitors:
-        if monitor.group is not None:
-            by_group.setdefault(monitor.group, []).append(monitor)
+    for data in monitors:
+        if data["group"] is not None:
+            by_group.setdefault(data["group"], []).append(data)
     sections = []
     for gid in sorted(by_group):
-        monitors = by_group[gid]
+        battery = sorted(by_group[gid], key=lambda data: data["name"])
+        tally = sum(len(data["anomalies"]) for data in battery)
         section = {
             "group": gid,
-            "monitors": [
-                {
-                    "monitor": monitor.name,
-                    "category": monitor.category,
-                    "status": "tripped" if monitor.anomalies else "ok",
-                    "anomalies": len(monitor.anomalies),
-                }
-                for monitor in sorted(monitors, key=lambda m: m.name)
-            ],
-            "anomalies": sum(len(m.anomalies) for m in monitors),
-            "ok": not any(m.anomalies for m in monitors),
+            "monitors": [_monitor_entry(data) for data in battery],
+            "anomalies": tally,
+            "ok": not tally,
         }
-        for monitor in monitors:
-            if monitor.name == "agreement":
-                section["decisions"] = monitor.decisions
+        for data in _named(battery, "agreement"):
+            section["decisions"] = data["decisions"]
         sections.append(section)
     return sections
 
 
-def _build_report(protocol, seed, faults, cluster, n, f, summary,
-                  anomalies):
-    try:
-        claim = claim_for(protocol)
-        claim_box = {
-            "failure_model": claim.failure_model,
-            "nodes": claim.nodes,
-            "phases": claim.phases,
-            "complexity": claim.complexity,
-        }
-    except KeyError:
-        claim_box = dict(_FLEET_CLAIMS[protocol])
-    hub = cluster.monitors
-    measured = {
-        "nodes": n,
-        "f": f,
-        "messages_total": cluster.metrics.messages_total,
-        "events": len(cluster.trace),
-        "virtual_time": round(float(cluster.now), 9),
-    }
-    agreement = _monitor_named(hub, "agreement")
-    if agreement is not None:
+def _build_report(protocol, seed, faults, summary, measured, monitors):
+    """Assemble the report from plain data: ``measured`` holds the run's
+    headline numbers (nodes, f, messages_total, events, virtual_time)
+    and ``monitors`` one :func:`monitor_data` dict per monitor, in hub
+    order — from a live hub or shipped by fleet workers alike."""
+    measured = dict(measured,
+                    virtual_time=round(float(measured["virtual_time"]), 9))
+    agreement = _named(monitors, "agreement")
+    if agreement:
         # Fleet checks carry one scoped agreement monitor per group;
         # the headline count is the fleet-wide total.
-        measured["decisions"] = sum(m.decisions for m in hub.monitors
-                                    if m.name == "agreement")
-    phase = _monitor_named(hub, "phase-conformance")
-    if phase is not None:
-        measured["phases"] = phase.observed_phases()
-    envelope = _monitor_named(hub, "complexity-envelope")
-    if envelope is not None:
-        mean = envelope.mean_cost()
+        measured["decisions"] = sum(data["decisions"] for data in agreement)
+    phase = _named(monitors, "phase-conformance")
+    if phase:
+        measured["phases"] = phase[0]["phases"]
+    envelope = _named(monitors, "complexity-envelope")
+    if envelope:
+        mean = envelope[0]["mean_cost"]
         measured["messages_per_decision"] = \
             None if mean is None else round(mean, 3)
-        measured["complexity_bound"] = round(envelope.bound, 3)
+        measured["complexity_bound"] = round(envelope[0]["bound"], 3)
+    entries = []
+    for data in sorted(monitors,
+                       key=lambda data: (data["name"], data["group"] or "")):
+        entry = _monitor_entry(data)
+        if data["group"] is not None:
+            # Only scoped (fleet) monitors grow the key — single-protocol
+            # reports stay byte-identical to their goldens.
+            entry["group"] = data["group"]
+        entries.append(entry)
+    anomalies = [anomaly for data in monitors
+                 for anomaly in data["anomalies"]]
+    # The hub's order: by offending trace event, end-of-run findings
+    # (seq -1) last.
+    anomalies.sort(key=lambda a: (a["seq"] if a["seq"] >= 0 else 1 << 60,
+                                  a["monitor"], a["message"]))
+    claim = SCENARIOS[protocol].claim()
     report = {
         "schema": SCHEMA,
         "protocol": protocol,
         "seed": seed,
         "faults": faults or "none",
         "summary": summary,
-        "claim": claim_box,
+        "claim": {
+            "failure_model": claim.failure_model,
+            "nodes": claim.nodes,
+            "phases": claim.phases,
+            "complexity": claim.complexity,
+        },
         "measured": measured,
-        "monitors": [
-            _monitor_entry(monitor)
-            for monitor in sorted(hub.monitors,
-                                  key=lambda m: (m.name, m.group or ""))
-        ],
-        "anomalies": [anomaly.to_dict() for anomaly in anomalies],
+        "monitors": entries,
+        "anomalies": anomalies,
         "ok": not anomalies,
     }
-    groups = _group_sections(hub)
+    groups = _group_sections(monitors)
     if groups:
         # Only fleet checks grow the key, so single-protocol reports
         # (and their goldens) stay byte-identical.
         report["groups"] = groups
     return report
-
-
-def report_to_json(report):
-    """Canonical byte-stable serialization (same recipe as telemetry
-    run reports): sorted keys, compact separators, trailing newline."""
-    return json.dumps(report, sort_keys=True,
-                      separators=(",", ":")) + "\n"
-
-
-def write_report(report, path):
-    with open(ensure_parent(path), "w") as handle:
-        handle.write(report_to_json(report))
-    return len(report["monitors"])
 
 
 def render_report(report):

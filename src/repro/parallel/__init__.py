@@ -17,7 +17,6 @@ argument and the merge semantics.
 from .engine import FAIL_ENV, RunResult, WorkerFailure, run_parallel_shards
 from .merge import (
     build_check_report,
-    build_stats_report,
     merge_registry,
     merge_trace,
     merged_consistency,
@@ -38,7 +37,6 @@ __all__ = [
     "WorkerFailure",
     "assign_domains",
     "build_check_report",
-    "build_stats_report",
     "domain_of",
     "merge_registry",
     "merge_trace",

@@ -15,8 +15,8 @@ counts.  Three merges make that true:
 * **telemetry** — fleet runs record only counters (the one
   interleaving-dependent histogram lane is suppressed by
   ``ParallelCollector``), and counter sums are order-free.  A fresh
-  registry is rebuilt from every worker's series and rendered through
-  the stock ``run_report``.
+  registry is rebuilt from every worker's series; the CLI renders it
+  through the stock ``run_report``.
 * **conformance** — monitor batteries are group-scoped, so each
   verdict is computed entirely on the worker hosting its group; the
   merge just reassembles the report through the stock builder with the
@@ -24,17 +24,17 @@ counts.  Three merges make that true:
 """
 
 from collections import Counter
-from types import SimpleNamespace
 
+from ..monitor.conformance import _build_report
+from ..scenarios import fleet_summary
 from ..telemetry.registry import MetricsRegistry
-from ..telemetry.report import run_report
 from ..trace.events import (DELIVER, DROP, PHASE, REQUEST, SEND,
                             TraceEvent)
 from ..trace.trace import Trace
 
 __all__ = [
     "merge_trace", "merge_registry", "merged_summary", "merged_stats",
-    "build_stats_report", "build_check_report", "merged_workload",
+    "build_check_report", "merged_workload",
     "merged_consistency",
 ]
 
@@ -134,23 +134,6 @@ def merged_summary(run):
     }
 
 
-class _SummaryShim:
-    """Quacks like a collector for ``run_report(collector=...)``."""
-
-    def __init__(self, snapshot):
-        self._snapshot = snapshot
-
-    def snapshot(self):
-        return self._snapshot
-
-
-def build_stats_report(run):
-    """The standard telemetry run-report for a parallel run."""
-    return run_report(merge_registry(run), _SummaryShim(merged_summary(run)),
-                      protocol="shards", seed=run.spec.seed,
-                      virtual_time=run.virtual_time)
-
-
 # -- workload / stats --------------------------------------------------------
 
 def merged_workload(run):
@@ -183,13 +166,7 @@ def merged_stats(run):
         "replicas": spec.replicas,
         "partitioning": spec.partitioning,
         "epoch": 0,
-        "commits": coordinator["commits"],
-        "aborts": coordinator["aborts"],
-        "fast_commits": coordinator["fast_commits"],
-        "decisions_replicated": coordinator["decisions_replicated"],
-        "timeout_aborts": coordinator["timeout_aborts"],
-        "conflicts": coordinator["conflicts"],
-        "reroutes": coordinator["reroutes"],
+        **coordinator,
         "splits_done": 0,
         "per_shard": {gid: per_shard[gid] for gid in sorted(per_shard)},
     }
@@ -197,30 +174,6 @@ def merged_stats(run):
 
 
 # -- conformance -------------------------------------------------------------
-
-class _FakeAnomaly:
-    """An anomaly rebuilt from its shipped dict form."""
-
-    __slots__ = ("_dict",)
-
-    def __init__(self, data):
-        self._dict = data
-
-    @property
-    def seq(self):
-        return self._dict["seq"]
-
-    @property
-    def monitor(self):
-        return self._dict["monitor"]
-
-    @property
-    def message(self):
-        return self._dict["message"]
-
-    def to_dict(self):
-        return self._dict
-
 
 def build_check_report(run):
     """The standard conformance report for a parallel run.
@@ -230,37 +183,16 @@ def build_check_report(run):
     worker's events); this reassembles them through the stock report
     builder with fleet-wide headline numbers.
     """
-    from ..monitor.conformance import _build_report
     spec = run.spec
-    monitors = []
-    anomalies = []
-    for res in run.results:
-        for entry in res.get("monitors", ()):
-            fakes = [_FakeAnomaly(a) for a in entry["anomalies"]]
-            anomalies.extend(fakes)
-            monitors.append(SimpleNamespace(
-                name=entry["name"], category=entry["category"],
-                group=entry["group"], anomalies=fakes,
-                decisions=entry["decisions"]))
-    monitors.sort(key=lambda m: (m.group or "", m.name))
-    anomalies.sort(key=lambda a: (a.seq if a.seq >= 0 else 1 << 60,
-                                  a.monitor, a.message))
-    workload = merged_workload(run)
-    committed = sum(seg["committed"] for seg in workload)
-    txns = sum(seg["txns"] for seg in workload)
-    cross = sum(seg["cross_shard"] for seg in workload)
-    consistent = all(merged_consistency(run).values())
-    total_events = sum(len(res.get("trace", ())) for res in run.results)
-    pseudo_cluster = SimpleNamespace(
-        monitors=SimpleNamespace(monitors=monitors),
-        metrics=SimpleNamespace(messages_total=
-                                merged_summary(run)["messages_total"]),
-        trace=range(total_events),
-        now=run.virtual_time,
-    )
-    summary = "%d/%d committed (%d cross-shard); per-shard consistent=%s" \
-        % (committed, txns, cross, consistent)
+    measured = {
+        "nodes": spec.n_shards * spec.replicas,
+        "f": (spec.replicas - 1) // 2,
+        "messages_total": merged_summary(run)["messages_total"],
+        "events": sum(len(res.get("trace", ())) for res in run.results),
+        "virtual_time": run.virtual_time,
+    }
+    summary = fleet_summary(merged_workload(run),
+                            all(merged_consistency(run).values()))
     return _build_report(
-        "shards", spec.seed, None, pseudo_cluster,
-        spec.n_shards * spec.replicas, (spec.replicas - 1) // 2,
-        summary, anomalies)
+        "shards", spec.seed, None, summary, measured,
+        [data for res in run.results for data in res.get("monitors", ())])

@@ -11,6 +11,9 @@ one.
 
 import multiprocessing
 
+from ..core import Cluster
+from ..scenarios import SCENARIOS
+
 __all__ = ["ParallelRunner", "run_seed", "sweep"]
 
 
@@ -39,10 +42,8 @@ def run_seed(task):
     """One sequential run of ``(protocol, seed)``; returns a plain dict
     (top-level so the multiprocessing pool can import it by name)."""
     protocol, seed = task
-    from ..__main__ import _RUNNERS
-    from ..core import Cluster
     cluster = Cluster(seed=seed)
-    summary = _RUNNERS[protocol](cluster)
+    summary = SCENARIOS[protocol].demo(cluster)
     return {
         "seed": seed,
         "summary": summary,

@@ -16,15 +16,16 @@ boundaries that do not depend on the worker count.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..shard.cluster import KEY_WIDTH
-from ..shard.keyspace import HashPartitioner, RangePartitioner, ShardMap
+from ..shard.layout import (
+    build_shard_map,
+    draw_transfer,
+    protocol_for,
+    settle_time,
+)
 
-__all__ = [
-    "FleetSpec", "domain_of", "CTL_DOMAIN",
-    "build_shard_map", "build_plan", "key_name",
-]
+__all__ = ["FleetSpec", "domain_of", "CTL_DOMAIN", "build_plan"]
 
 #: Domain id of the control tier (transaction coordinator + workload
 #: driver).  Node names without a ``gid/`` prefix route here.
@@ -36,11 +37,6 @@ def domain_of(name):
     (``"s3/r1"`` -> ``"s3"``), or the control tier for ungrouped names."""
     head, sep, _ = name.partition("/")
     return head if sep else CTL_DOMAIN
-
-
-def key_name(i):
-    """The ``i``-th generated key (mirrors ``ShardedCluster.key``)."""
-    return "k%0*d" % (KEY_WIDTH, i)
 
 
 @dataclass(frozen=True)
@@ -97,19 +93,20 @@ class FleetSpec:
         return ["s%d" % i for i in range(self.n_shards)]
 
     def protocol_for(self, index):
-        if self.protocol == "mixed":
-            return "multi-paxos" if index % 2 == 0 else "raft"
-        return self.protocol
-
-    def uses_raft(self):
-        return any(self.protocol_for(i) == "raft"
-                   for i in range(self.n_shards))
+        return protocol_for(self.protocol, index)
 
     @property
     def settle(self):
-        """Virtual time for leader elections before traffic starts
-        (mirrors ``ShardedCluster.__init__``)."""
-        return 25.0 if self.uses_raft() else 10.0
+        """Virtual time for leader elections before traffic starts."""
+        return settle_time([self.protocol_for(i)
+                            for i in range(self.n_shards)])
+
+    def shard_map(self):
+        """The static routing table.  Parallel runs never split shards,
+        so it stays valid for the whole run and every worker can hold
+        its own copy."""
+        return build_shard_map(self.n_shards, self.partitioning,
+                               self.key_space)
 
     def members_of(self, gid):
         return tuple("%s/r%d" % (gid, i) for i in range(self.replicas))
@@ -127,42 +124,6 @@ class FleetSpec:
         return [CTL_DOMAIN] + self.shard_ids()
 
 
-def build_shard_map(spec):
-    """The static routing table (mirrors ``ShardedCluster._build_map``).
-
-    Parallel runs never split shards, so the map built here stays valid
-    for the whole run and every worker can hold its own copy.
-    """
-    if spec.partitioning == "hash":
-        return ShardMap(HashPartitioner(spec.n_shards))
-    if spec.partitioning == "range":
-        boundaries = [key_name(i * spec.key_space // spec.n_shards)
-                      for i in range(1, spec.n_shards)]
-        return ShardMap(RangePartitioner(boundaries))
-    raise ValueError("unknown partitioning %r "
-                     "(choices: hash, range)" % (spec.partitioning,))
-
-
-def _random_transfer(rng, shard_map, spec):
-    """One transfer draw, byte-for-byte the order of
-    ``ShardedCluster._random_transfer``."""
-    src = key_name(rng.randrange(spec.key_space))
-    dst = src
-    want_cross = rng.random() < spec.cross_ratio
-    for _ in range(64):
-        candidate = key_name(rng.randrange(spec.key_space))
-        if candidate == src:
-            continue
-        crosses = shard_map.shard_of(candidate) != shard_map.shard_of(src)
-        if crosses == want_cross:
-            dst = candidate
-            break
-        if dst == src:
-            dst = candidate  # fallback: any distinct key
-    delta = rng.randrange(1, spec.amount + 1)
-    return (src, dst, delta)
-
-
 def build_plan(spec):
     """The full workload as waves of ``(txid, src, dst, delta)`` tuples.
 
@@ -172,7 +133,7 @@ def build_plan(spec):
     does.  Transaction ids continue across segments (one
     coordinator-side counter).
     """
-    shard_map = build_shard_map(spec)
+    shard_map = spec.shard_map()
     segments = []
     txid = 0
     for seg_txns in (max(spec.txns // 2, 1),
@@ -184,7 +145,9 @@ def build_plan(spec):
             wave = []
             for _ in range(min(spec.batch, remaining)):
                 remaining -= 1
-                src, dst, delta = _random_transfer(rng, shard_map, spec)
+                src, dst, delta = draw_transfer(
+                    rng, shard_map, spec.key_space, spec.cross_ratio,
+                    spec.amount)
                 wave.append(("tx%d" % txid, src, dst, delta))
                 txid += 1
             waves.append(wave)

@@ -29,12 +29,14 @@ from ..core.cluster import Cluster
 from ..core.exceptions import LivenessFailure
 from ..dtxn.coordinator import Transaction
 from ..metrics.collector import MetricsCollector
+from ..monitor.conformance import monitor_data
 from ..shard.group import PROTOCOL_ADAPTERS, ShardGroup
+from ..shard.layout import transfer_update
 from ..shard.txn import ShardTxnCoordinator
 from ..sim.process import Process
 from ..trace.events import DELIVER, DROP, SEND
 from .gateway import FleetNetwork
-from .spec import CTL_DOMAIN, build_plan, build_shard_map, domain_of
+from .spec import CTL_DOMAIN, build_plan, domain_of
 
 __all__ = ["FleetWorker", "ParallelCollector", "WorkerCluster"]
 
@@ -104,13 +106,6 @@ class _GroupStub:
         return self._request_cls(command, request_id)
 
 
-def _make_update(src, dst, delta):
-    def update(reads, src=src, dst=dst, delta=delta):
-        return {src: (reads[src] or 0) - delta,
-                dst: (reads[dst] or 0) + delta}
-    return update
-
-
 class _WorkloadDriver(Process):
     """Replays the precomputed transfer plan against the coordinator.
 
@@ -163,7 +158,8 @@ class _WorkloadDriver(Process):
         self._wave_index += 1
         wave = []
         for txid, src, dst, delta in plan_wave:
-            txn = Transaction(txid, (src, dst), _make_update(src, dst, delta))
+            txn = Transaction(txid, (src, dst),
+                              transfer_update(src, dst, delta))
             self.coordinator.submit(txn)
             wave.append(txn)
         self._wave = wave
@@ -227,7 +223,7 @@ class FleetWorker:
         self.coordinator = None
         self.driver = None
         if CTL_DOMAIN in local:
-            shard_map = build_shard_map(spec)
+            shard_map = spec.shard_map()
             stubs = [
                 _GroupStub(gid, spec.members_of(gid),
                            PROTOCOL_ADAPTERS[spec.protocol_for(index)][1])
@@ -288,7 +284,8 @@ class FleetWorker:
             "summary": cluster.metrics.snapshot(),
             "consistency": {gid: group.check_consistency()
                             for gid, group in sorted(self.groups.items())},
-            "per_shard": self._per_shard(),
+            "per_shard": {gid: group.stats()
+                          for gid, group in sorted(self.groups.items())},
         }
         if cluster.telemetry is not None:
             payload["series"] = [
@@ -300,46 +297,14 @@ class FleetWorker:
             payload["trace"] = self._trace_rows()
         if spec.monitors:
             cluster.monitors.finish()
-            payload["monitors"] = [
-                {
-                    "name": monitor.name,
-                    "category": monitor.category,
-                    "group": monitor.group,
-                    "anomalies": [a.to_dict() for a in monitor.anomalies],
-                    "decisions": getattr(monitor, "decisions", None),
-                }
-                for monitor in cluster.monitors.monitors
-            ]
+            payload["monitors"] = [monitor_data(monitor)
+                                   for monitor in cluster.monitors.monitors]
         if self.coordinator is not None:
-            c = self.coordinator
-            payload["coordinator"] = {
-                "commits": c.commits,
-                "aborts": c.aborts,
-                "fast_commits": c.fast_commits,
-                "decisions_replicated": c.decisions_replicated,
-                "timeout_aborts": c.timeout_aborts,
-                "conflicts": c.conflicts_seen,
-                "reroutes": c.reroutes,
-            }
+            payload["coordinator"] = self.coordinator.stats()
         if self.driver is not None:
             payload["workload"] = list(self.driver.summaries)
             payload["driver_done_at"] = self.driver.done_at
         return payload
-
-    def _per_shard(self):
-        per_shard = {}
-        for gid, group in sorted(self.groups.items()):
-            machines = group.machines(live_only=True) or \
-                group.machines(live_only=False)
-            best = max(machines, key=lambda sm: sm.ops_applied)
-            per_shard[gid] = {
-                "protocol": group.protocol,
-                "ops_applied": best.ops_applied,
-                "commits": best.commits,
-                "fast_applies": best.fast_applies,
-                "keys": len(best.data),
-            }
-        return per_shard
 
     def _trace_rows(self):
         """Worker-local trace rows with cross-worker message identity.

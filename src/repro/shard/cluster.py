@@ -28,13 +28,16 @@ from ..core.exceptions import LivenessFailure
 from ..dtxn.coordinator import Transaction
 from ..monitor import NULL_HUB
 from .group import ShardGroup
-from .keyspace import HashPartitioner, RangePartitioner, ShardMap
+from .layout import (
+    build_shard_map,
+    draw_transfer,
+    key_name,
+    protocol_for,
+    settle_time,
+    transfer_update,
+)
 from .rebalance import SplitOrchestrator
 from .txn import ShardTxnCoordinator
-
-#: Width of generated key names — fixed so lexicographic order equals
-#: numeric order, which is what makes range partitioning intuitive.
-KEY_WIDTH = 6
 
 
 class ShardedCluster:
@@ -76,7 +79,7 @@ class ShardedCluster:
         self.partitioning = partitioning
         self.key_space = key_space
         self.op_timeout = op_timeout
-        self.shard_map = self._build_map(n_shards, partitioning, key_space)
+        self.shard_map = build_shard_map(n_shards, partitioning, key_space)
         self.shard_groups = {}
         self._shard_counter = 0
         for _ in range(n_shards):
@@ -88,34 +91,17 @@ class ShardedCluster:
             SplitOrchestrator, "rebalancer", self)
         self._txid_counter = 0
         self.cluster.start_all()
-        # Let every group's leader election finish before serving (Raft
-        # elections are timeout-driven, so mixed fleets need longer).
-        settle = 25.0 if self._uses_raft() else 10.0
-        self.cluster.sim.run_for(settle)
+        self.cluster.sim.run_for(settle_time(
+            [group.protocol for group in self.shard_groups.values()]))
 
     # -- construction helpers -----------------------------------------------
-
-    def _build_map(self, n_shards, partitioning, key_space):
-        if partitioning == "hash":
-            return ShardMap(HashPartitioner(n_shards))
-        if partitioning == "range":
-            boundaries = [self.key(i * key_space // n_shards)
-                          for i in range(1, n_shards)]
-            return ShardMap(RangePartitioner(boundaries))
-        raise ValueError("unknown partitioning %r "
-                         "(choices: hash, range)" % (partitioning,))
-
-    def _protocol_for(self, index):
-        if self.protocol == "mixed":
-            return "multi-paxos" if index % 2 == 0 else "raft"
-        return self.protocol
 
     def _build_shard(self):
         index = self._shard_counter
         self._shard_counter += 1
         gid = "s%d" % index
         group = ShardGroup(self.cluster, gid, self.n_replicas,
-                           protocol=self._protocol_for(index))
+                           protocol=protocol_for(self.protocol, index))
         self.shard_groups[gid] = group
         if self.cluster.monitors is not NULL_HUB:
             group.attach_monitors(f=(self.n_replicas - 1) // 2)
@@ -131,15 +117,11 @@ class ShardedCluster:
         self.coordinator.add_group(group)
         return group.gid
 
-    def _uses_raft(self):
-        return any(group.protocol == "raft"
-                   for group in self.shard_groups.values())
-
     # -- keyspace -----------------------------------------------------------
 
     def key(self, i):
         """The ``i``-th generated key (zero-padded, order-preserving)."""
-        return "k%0*d" % (KEY_WIDTH, i)
+        return key_name(i)
 
     def shard_of(self, key):
         return self.shard_map.shard_of(key)
@@ -173,14 +155,11 @@ class ShardedCluster:
         return self.run_transaction((key,), lambda reads: {}).result[key]
 
     def transfer(self, src, dst, amount):
-        def update(reads):
-            return {src: (reads[src] or 0) - amount,
-                    dst: (reads[dst] or 0) + amount}
-
         def overdraft(reads):
             return (reads[src] or 0) < amount
 
-        return self.run_transaction((src, dst), update,
+        return self.run_transaction((src, dst),
+                                    transfer_update(src, dst, amount),
                                     abort_if=overdraft).outcome
 
     def total_of(self, keys):
@@ -238,26 +217,9 @@ class ShardedCluster:
         }
 
     def _random_transfer(self, rng, cross_ratio, amount):
-        src = self.key(rng.randrange(self.key_space))
-        dst = src
-        want_cross = rng.random() < cross_ratio
-        for _ in range(64):
-            candidate = self.key(rng.randrange(self.key_space))
-            if candidate == src:
-                continue
-            crosses = self.shard_of(candidate) != self.shard_of(src)
-            if crosses == want_cross:
-                dst = candidate
-                break
-            if dst == src:
-                dst = candidate  # fallback: any distinct key
-        delta = rng.randrange(1, amount + 1)
-
-        def update(reads, src=src, dst=dst, delta=delta):
-            return {src: (reads[src] or 0) - delta,
-                    dst: (reads[dst] or 0) + delta}
-
-        return self.submit((src, dst), update)
+        src, dst, delta = draw_transfer(rng, self.shard_map, self.key_space,
+                                        cross_ratio, amount)
+        return self.submit((src, dst), transfer_update(src, dst, delta))
 
     # -- splits -------------------------------------------------------------
 
@@ -303,33 +265,15 @@ class ShardedCluster:
 
     def stats(self):
         """Deterministic run summary (same seed ⇒ same dict)."""
-        coordinator = self.coordinator
-        per_shard = {}
-        for gid, group in sorted(self.shard_groups.items()):
-            machines = group.machines(live_only=True) or \
-                group.machines(live_only=False)
-            best = max(machines, key=lambda sm: sm.ops_applied)
-            per_shard[gid] = {
-                "protocol": group.protocol,
-                "ops_applied": best.ops_applied,
-                "commits": best.commits,
-                "fast_applies": best.fast_applies,
-                "keys": len(best.data),
-            }
         return {
             "shards": len(self.shard_groups),
             "replicas": self.n_replicas,
             "partitioning": self.partitioning,
             "epoch": self.shard_map.epoch,
-            "commits": coordinator.commits,
-            "aborts": coordinator.aborts,
-            "fast_commits": coordinator.fast_commits,
-            "decisions_replicated": coordinator.decisions_replicated,
-            "timeout_aborts": coordinator.timeout_aborts,
-            "conflicts": coordinator.conflicts_seen,
-            "reroutes": coordinator.reroutes,
+            **self.coordinator.stats(),
             "splits_done": self.rebalancer.splits_done,
-            "per_shard": per_shard,
+            "per_shard": {gid: group.stats() for gid, group
+                          in sorted(self.shard_groups.items())},
         }
 
     # -- passthroughs -------------------------------------------------------

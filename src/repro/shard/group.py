@@ -115,6 +115,20 @@ class ShardGroup:
         return [replica.state_machine for replica in self.replicas
                 if not (live_only and replica.crashed)]
 
+    def stats(self):
+        """Deterministic progress summary, read off the most advanced
+        replica (live ones first)."""
+        machines = self.machines(live_only=True) or \
+            self.machines(live_only=False)
+        best = max(machines, key=lambda sm: sm.ops_applied)
+        return {
+            "protocol": self.protocol,
+            "ops_applied": best.ops_applied,
+            "commits": best.commits,
+            "fast_applies": best.fast_applies,
+            "keys": len(best.data),
+        }
+
     def committed_logs(self):
         return [replica.committed_log() for replica in self.replicas]
 

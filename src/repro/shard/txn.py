@@ -57,6 +57,18 @@ class ShardTxnCoordinator(TxnCoordinator):
         self.decisions_replicated = 0
         self.reroutes = 0
 
+    def stats(self):
+        """The coordinator's outcome counters, as a plain dict."""
+        return {
+            "commits": self.commits,
+            "aborts": self.aborts,
+            "fast_commits": self.fast_commits,
+            "decisions_replicated": self.decisions_replicated,
+            "timeout_aborts": self.timeout_aborts,
+            "conflicts": self.conflicts_seen,
+            "reroutes": self.reroutes,
+        }
+
     def add_group(self, group):
         """Register a shard group created after construction (splits)."""
         self.groups[group.gid] = list(group.members)

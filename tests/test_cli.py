@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.scenarios import SCENARIOS
 
 
 class TestCli:
@@ -11,9 +12,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "paxos" in out and "tendermint" in out
 
-    @pytest.mark.parametrize("protocol", ["paxos", "raft", "pbft",
-                                          "tendermint", "ben-or",
-                                          "chandra-toueg", "hotstuff"])
+    @pytest.mark.parametrize("protocol", list(SCENARIOS))
     def test_run_each_protocol(self, protocol, capsys):
         assert main(["run", protocol, "--seed", "1"]) == 0
         out = capsys.readouterr().out
