@@ -1,0 +1,83 @@
+"""Alternated parent/change pairs of one benchmark workload.
+
+    python3 benchmarks/paired.py PARENT_DIR CHANGE_DIR --workload W
+                                 [--pairs 10] [--seed S] [--seconds T]
+
+Runs ``benchmarks/e2e/run.py --workload W --trace 0`` in the two
+checkouts alternately (the side that goes first flips every pair, so a
+noisy neighbour or a warming cache lands on both), then prints, per
+end-to-end metric, each side's median and quartiles, how many pairs the
+change won (ties count for neither) and whether every run produced the
+same ``vt_digest`` — the rule of the choosing-metrics guide, section 8.
+"""
+
+import argparse
+import json
+import pathlib
+import re
+import statistics
+import subprocess
+import sys
+
+
+def run_once(checkout, workload, seed, seconds):
+    """``(metrics, vt_digest)`` of one driver-style run in ``checkout``."""
+    done = subprocess.run(
+        [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
+    reply = json.loads(done.stdout.splitlines()[-1])
+    if not reply["correct"] or reply["failed"]:
+        raise SystemExit("%s: run incorrect or failed operations: %s"
+                         % (checkout, done.stdout.splitlines()[-1]))
+    digest = re.search(r"vt_digest=(\w+)", done.stdout).group(1)
+    return {name: entry["value"]
+            for name, entry in reply["metrics"].items()}, digest
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4) \
+        if len(values) > 1 else values * 3
+    return "%.4g [%.4g, %.4g]" % (median, q1, q3)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_dir")
+    parser.add_argument("change_dir")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    args = parser.parse_args(argv)
+    spec = json.loads((pathlib.Path(args.change_dir)
+                       / "BENCHMARK.json").read_text())
+    sides = {"parent": args.parent_dir, "change": args.change_dir}
+    runs = {side: [] for side in sides}
+    digests = set()
+    for pair in range(args.pairs):
+        for side in sorted(sides, reverse=bool(pair % 2)):
+            metrics, digest = run_once(sides[side], args.workload,
+                                       args.seed, args.seconds)
+            runs[side].append(metrics)
+            digests.add(digest)
+        print("pair %d: wall_s parent %.4f change %.4f"
+              % (pair + 1, runs["parent"][-1]["wall_s"],
+                 runs["change"][-1]["wall_s"]), flush=True)
+    print("\n%s seed %d, %d pairs; median [q1, q3]"
+          % (args.workload, args.seed, args.pairs))
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        parent = [run[name] for run in runs["parent"]]
+        change = [run[name] for run in runs["change"]]
+        sign = 1 if metric["better"] == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        print("  %-18s parent %-28s change %-28s change wins %d/%d"
+              % (name, summary(parent), summary(change), wins, args.pairs))
+    print("  vt_digest %s" % ("identical on every run" if len(digests) == 1
+                              else "DIFFERS: %s" % sorted(digests)))
+    return 0 if len(digests) == 1 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

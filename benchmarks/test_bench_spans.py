@@ -1,22 +1,24 @@
-"""E27 — span-derivation overhead: what the lazy span layer costs.
+"""E27 — span-derivation overhead: what ``repro spans`` waits for.
 
 The span layer (``src/repro/obs/``) is pure post-processing: nothing
 runs on the hot path, so a traced run that never asks for spans pays
 exactly the tracer's ring-buffer appends and nothing more.  This
-experiment measures the other half of that cost model — deriving the
-full span report (grouping, critical paths, attribution, time-series)
-from an already-recorded trace, relative to the traced run itself:
+experiment prices the other half — everything between the end of the
+run and the span report, from a *cold* trace (nothing inflated, no
+clock column yet), relative to the traced run itself:
 
 * **run ms** — wall-clock of the traced workload alone;
-* **mater ms** — wall-clock of the trace's lazy materialization
-  (tuples -> events + clocks), the price any trace query pays and
-  which ``repro trace`` already charged before this layer existed;
 * **derive ms** — wall-clock of ``SpanBuilder(trace).build()`` plus
-  ``spans_report`` over the materialized trace — what the span layer
-  *adds*;
-* **overhead x** — ``(run + derive) / run``; the gated headline.  The
-  perf gate caps ``*_overhead_x`` keys, so a derivation pass that stops
-  being a cheap single sweep over the trace fails CI.
+  ``spans_report``, reading the tracer's ring in place: one scan of the
+  raw rows, a TraceEvent built only for the request-carrying anchors;
+* **overhead x** — ``(run + derive) / run``; the gated headline, with
+  nothing left outside the ratio.  The perf gate caps ``*_overhead_x``
+  keys, so a derivation pass that goes back to inflating every row
+  fails CI;
+* **export ms** — wall-clock of inflating *every* row and serialising
+  it (``to_jsonl``), from an equally cold trace of a second same-seed
+  run: what ``repro trace --jsonl``, the one reader that does need all
+  the objects, pays instead.
 
 Wall-clock rates are machine-dependent and recorded, not asserted; the
 gate compares the *ratio*, which largely cancels machine speed.
@@ -31,6 +33,7 @@ from repro.analysis import render_table
 from repro.core import Cluster
 from repro.obs import SpanBuilder, spans_report
 from repro.shard import ShardedCluster
+from repro.trace import to_jsonl
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -63,7 +66,8 @@ CONFIGS = [
 
 
 def measure(driver):
-    """Best-of-ROUNDS traced run + span derivation, timed separately."""
+    """Best-of-ROUNDS traced run + cold span derivation; the export of a
+    second, equally cold same-seed trace is timed beside it."""
     best = None
     for _ in range(ROUNDS):
         cluster = Cluster(seed=SEED, trace=True)
@@ -71,19 +75,22 @@ def measure(driver):
         driver(cluster)
         run_wall = time.perf_counter() - start
         start = time.perf_counter()
-        events = cluster.trace.events  # force lazy materialization
-        mater_wall = time.perf_counter() - start
-        start = time.perf_counter()
         spans = SpanBuilder(cluster.trace).build()
         report_doc = spans_report(spans, protocol="bench", seed=SEED)
         derive_wall = time.perf_counter() - start
         assert report_doc["summary"]["completed"] > 0
+        twin = Cluster(seed=SEED, trace=True)
+        driver(twin)
+        start = time.perf_counter()
+        exported = to_jsonl(twin.trace)
+        export_wall = time.perf_counter() - start
+        assert exported.count("\n") == len(cluster.trace)
         sample = {
-            "events": len(events),
+            "events": len(cluster.trace),
             "spans": len(spans),
             "run": run_wall,
-            "mater": mater_wall,
             "derive": derive_wall,
+            "export": export_wall,
         }
         if best is None or sample["run"] + sample["derive"] \
                 < best["run"] + best["derive"]:
@@ -102,22 +109,25 @@ def test_span_derivation_overhead(benchmark, report, bench_snapshot):
                 "events": sample["events"],
                 "spans": sample["spans"],
                 "run ms": round(sample["run"] * 1e3, 1),
-                "mater ms": round(sample["mater"] * 1e3, 1),
                 "derive ms": round(sample["derive"] * 1e3, 1),
                 "overhead x": round(overhead, 2),
+                "export ms": round(sample["export"] * 1e3, 1),
             })
         return rows
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     text = render_table(
-        rows, title="E27 — span-derivation overhead (lazy, post-run)")
+        rows, title="E27 — span-derivation overhead (cold trace, post-run)")
     text += ("\nbest-of-%d wall-clock per configuration, seed %d.  "
-             "mater = the trace's lazy\nmaterialization (any query "
-             "pays it); derive = SpanBuilder.build() +\nspans_report "
-             "on top; overhead x = (run + derive) / run.  Derivation "
-             "runs\nonly when asked (CLI ``spans``), so the hot path "
-             "pays the tracer's\nring-buffer appends and nothing else."
+             "derive = SpanBuilder.build() +\nspans_report from a cold "
+             "trace, reading the tracer's ring in place; overhead x =\n"
+             "(run + derive) / run is everything a reader of ``repro "
+             "spans`` (or ``check``)\nwaits for beyond the run.  export "
+             "= inflating every row + to_jsonl: only\n``repro trace "
+             "--jsonl`` and the flow renderer pay it.  A run that asks "
+             "for\nneither pays the tracer's ring-buffer appends and "
+             "nothing else."
              % (ROUNDS, SEED))
     report("E27_span_overhead", text)
 
@@ -127,6 +137,7 @@ def test_span_derivation_overhead(benchmark, report, bench_snapshot):
         snapshot["%s_trace_events" % key] = row["events"]
         snapshot["%s_derive_ms" % key] = row["derive ms"]
         snapshot["%s_overhead_x" % key] = row["overhead x"]
+        snapshot["%s_export_ms" % key] = row["export ms"]
     bench_snapshot("E27_span_overhead", quick=QUICK, **snapshot)
 
     for row in rows:

@@ -212,16 +212,20 @@ EXPERIMENT_NOTES = {
             "normalized rate whose decay is barrier + imbalance overhead, and\n"
             "wall time for transparency. The CI perf gate holds both rate\n"
             "families to the recorded trajectory."),
-    "E27": ("Span-derivation overhead: the lazy span layer's price (extension)",
+    "E27": ("Span-derivation overhead: what `repro spans` waits for (extension)",
             "Not a paper figure: src/repro/obs/ derives per-request spans with\n"
             "critical-path latency attribution purely from the recorded trace,\n"
-            "after the run. This experiment prices that laziness: run wall vs\n"
-            "trace materialization (which any trace query pays) vs the span\n"
-            "derivation proper, with overhead x = (run + derive) / run measured\n"
-            "at ~1.2x and capped by the CI perf gate at 2.5x. A hot path that\n"
-            "never asks for spans pays only the tracer's ring-buffer appends -\n"
-            "span analysis is free until queried, like every observability\n"
-            "layer in this repo."),
+            "after the run, reading the tracer's ring in place (one scan of the\n"
+            "raw rows; a TraceEvent is built only for request-carrying anchors).\n"
+            "overhead x = (run + derive) / run is timed from a cold trace, so it\n"
+            "is everything a reader of `repro spans` or `repro check` waits for\n"
+            "beyond the run; the CI perf gate caps it at 2.5x. Until PR 21 the\n"
+            "headline left out a 'mater ms' column - inflating every row first -\n"
+            "which put the true ratio at 1.82x / 1.85x on this machine, not the\n"
+            "advertised 1.2x. export ms is that full inflation plus to_jsonl:\n"
+            "only `repro trace --jsonl` and the flow renderer, the readers that\n"
+            "do need every object, pay it. A hot path that asks for neither\n"
+            "pays only the tracer's ring-buffer appends."),
     "E28": ("Saturation knees: offered load vs tail latency (extension)",
             "Not a paper figure: the open-loop load engine (src/repro/load/)\n"
             "sweeps Poisson offered load against each protocol over\n"

@@ -46,16 +46,17 @@ def render_context(trace, node, seq, window=CONTEXT_WINDOW):
     if not events:
         return ()
     # Translate the global seq into a window index: a ring-buffered
-    # trace may have evicted its prefix, so events[0].seq can be > 0.
-    base = events[0].seq
-    index = seq - base
+    # trace may have evicted its prefix, so its base_seq can be > 0.
+    index = seq - trace.base_seq
     if index < 0 or index >= len(events):
         index = len(events) - 1
+    # Filter on the raw rows (node, peer); only picked rows are inflated.
+    rows = trace.rows()
     picked = []
     while index >= 0 and len(picked) < window:
-        event = events[index]
-        if not node or event.node == node or event.peer == node:
-            picked.append(event)
+        row = rows[index]
+        if not node or row[2] == node or row[3] == node:
+            picked.append(events[index])
         index -= 1
     picked.reverse()
     lines = []

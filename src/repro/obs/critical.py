@@ -25,8 +25,6 @@ rounds map to ``lock`` / ``2pc-prepare`` / ``2pc-decide`` /
 ``2pc-commit`` (``apply`` for the single-shard fast path).
 """
 
-from bisect import bisect_left
-
 from ..trace.events import DELIVER, LOCAL, SEND
 
 #: Segment attributed to an edge ending at a milestone with this label.
@@ -67,40 +65,33 @@ def classify(prev, event):
 def critical_path(events, end):
     """The backward-chained anchor path ending at ``end``.
 
-    ``events`` are the span's anchors in recording (``seq``) order;
-    the returned list runs start -> end.
+    ``events`` are the span's anchors in recording (``seq``) order and
+    ``end`` is one of them; the returned list runs start -> end.
     """
     sends = {}
-    by_node = {}
+    before = {}  # seq -> the latest earlier anchor on the same node
+    latest = {}
     for event in events:
         if event.kind == SEND and event.msg_id >= 0 \
                 and event.msg_id not in sends:
             sends[event.msg_id] = event
-        if event.node:
-            by_node.setdefault(event.node, []).append(event)
-    node_seqs = {node: [e.seq for e in series]
-                 for node, series in by_node.items()}
-
-    def predecessor(event):
-        if event.kind == DELIVER:
-            send = sends.get(event.msg_id)
-            if send is not None and send.seq < event.seq:
-                return send
-        series = by_node.get(event.node)
-        if not series:
-            return None
-        position = bisect_left(node_seqs[event.node], event.seq)
-        if position > 0:
-            return series[position - 1]
-        return None
+        node = event.node
+        if node:
+            before[event.seq] = latest.get(node)
+            latest[node] = event
 
     chain = [end]
     current = end
-    while True:
-        earlier = predecessor(current)
+    while current is not None:
+        earlier = None
+        if current.kind == DELIVER:
+            send = sends.get(current.msg_id)
+            if send is not None and send.seq < current.seq:
+                earlier = send
         if earlier is None:
-            break
-        chain.append(earlier)
+            earlier = before.get(current.seq)
+        if earlier is not None:
+            chain.append(earlier)
         current = earlier
     chain.reverse()
     return chain

@@ -18,6 +18,7 @@ span data, so same-seed exports are byte-identical.
 """
 
 import json
+from collections import deque
 
 from ..ioutil import ensure_parent
 
@@ -51,10 +52,10 @@ def to_chrome(spans, protocol=""):
     for name in nodes:
         events.append({"ph": "M", "pid": 1, "tid": tid_of[name],
                        "name": "thread_name", "args": {"name": name}})
-    stack = list(spans)
-    while stack:
-        span = stack.pop(0)
-        stack.extend(span.children)
+    queue = deque(spans)
+    while queue:
+        span = queue.popleft()
+        queue.extend(span.children)
         if span.start is None or span.latency is None:
             continue
         events.append({

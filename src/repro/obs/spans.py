@@ -28,6 +28,7 @@ artifact behind ``python -m repro spans``.
 
 from ..telemetry.instruments import Histogram, _finite
 from ..trace.events import DELIVER, LOCAL, SEND
+from ..trace.tracer import row_get
 from .critical import attribute
 
 #: Schema tag for the JSON spans report.
@@ -61,17 +62,9 @@ def parse_request_id(rid):
     return None, None
 
 
-def request_of(event):
-    """The request id ``event`` participates in, or ``None``.
-
-    Milestones carry ``req=``; message events carry the message's
-    ``request_id`` field (client requests, replies, redirects).
-    """
-    if event.kind == LOCAL:
-        return event.get("req")
-    if event.kind == SEND or event.kind == DELIVER:
-        return event.get("request_id")
-    return None
+#: The detail key holding a row's request id, by kind: messages expose
+#: their ``request_id`` field, milestones carry an explicit ``req=``.
+REQUEST_KEYS = {SEND: "request_id", DELIVER: "request_id", LOCAL: "req"}
 
 
 class Span:
@@ -126,11 +119,11 @@ class Span:
 class SpanBuilder:
     """Folds a :class:`~repro.trace.trace.Trace` into root spans.
 
-    One pass over the trace buckets the req-carrying anchors; a second
-    pass resolves each bucket into a :class:`Span`, parents rounds under
-    their transaction, and runs the critical-path attribution.  The
-    result is sorted by first-anchor order, so it is as deterministic
-    as the trace itself.
+    One pass over the trace's raw rows buckets the req-carrying anchors
+    (the only rows an event is built for); a second pass resolves each
+    bucket into a :class:`Span`, parents rounds under their transaction,
+    and runs the critical-path attribution.  The result is sorted by
+    first-anchor order, so it is as deterministic as the trace itself.
     """
 
     def __init__(self, trace):
@@ -140,15 +133,17 @@ class SpanBuilder:
         """Derive and return the list of root :class:`Span` objects."""
         buckets = {}
         order = []
-        for event in self.trace.events:
-            rid = request_of(event)
+        events = self.trace.events
+        for index, row in enumerate(self.trace.rows()):
+            key = REQUEST_KEYS.get(row[0])
+            rid = row_get(row, key) if key is not None else None
             if rid is None:
                 continue
             bucket = buckets.get(rid)
             if bucket is None:
                 bucket = buckets[rid] = []
                 order.append(rid)
-            bucket.append(event)
+            bucket.append(events[index])
 
         spans = {}
         roots = []
@@ -295,7 +290,8 @@ def spans_report(spans, protocol="", seed=None, virtual_time=None,
         "timeseries": build_timeseries(spans, window=window, slo=slo),
     }
     if slo is not None:
-        report["slo"] = slo_summary(spans, slo, budget=slo_budget)
+        report["slo"] = slo_summary(spans, slo, budget=slo_budget,
+                                    rows=report["timeseries"])
     return report
 
 

@@ -68,21 +68,26 @@ def build_timeseries(spans, window=DEFAULT_WINDOW, slo=None):
     return rows
 
 
-def slo_summary(spans, threshold, budget=0.01, window=DEFAULT_WINDOW):
+def slo_summary(spans, threshold, budget=0.01, window=DEFAULT_WINDOW,
+                rows=None):
     """Whole-run SLO verdict for the completed root spans.
 
     ``threshold`` is the latency objective in virtual-time units;
     ``budget`` the allowed violation fraction.  Burn rate is the
     violation fraction divided by the budget — above 1.0 the error
-    budget is being consumed faster than it regenerates.
+    budget is being consumed faster than it regenerates.  ``rows`` are
+    the :func:`build_timeseries` rows for this ``threshold`` when the
+    caller already holds them (the worst window is read off those, so
+    it is a window the report prints); otherwise built at ``window``.
     """
     completed = [span for span in spans if span.completed]
     violations = sum(1 for span in completed if span.latency > threshold)
     total = len(completed)
     fraction = (violations / total) if total else 0.0
-    worst = 0.0
-    for row in build_timeseries(spans, window=window, slo=threshold):
-        worst = max(worst, row["violation_fraction"] / budget)
+    if rows is None:
+        rows = build_timeseries(spans, window=window, slo=threshold)
+    worst = max((row["violation_fraction"] / budget for row in rows),
+                default=0.0)
     return {
         "threshold": _finite(float(threshold)),
         "budget": _finite(float(budget)),

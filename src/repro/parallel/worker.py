@@ -35,6 +35,7 @@ from ..shard.layout import transfer_update
 from ..shard.txn import ShardTxnCoordinator
 from ..sim.process import Process
 from ..trace.events import DELIVER, DROP, SEND
+from ..trace.tracer import row_detail
 from .gateway import FleetNetwork
 from .spec import CTL_DOMAIN, build_plan, domain_of
 
@@ -320,10 +321,10 @@ class FleetWorker:
         recv_refs = network.cross_recv_refs
         widx = self.widx
         rows = []
-        for index, event in enumerate(self.cluster.trace.events):
-            msg_id = event.msg_id
+        for index, row in enumerate(self.cluster.trace.rows()):
+            kind, time, node, peer, mtype, msg_id, _payload = row
             ref = None
-            if event.kind in (SEND, DELIVER, DROP) and msg_id != -1:
+            if kind in (SEND, DELIVER, DROP) and msg_id != -1:
                 link = send_refs.get(msg_id)
                 if link is None:
                     link = recv_refs.get(msg_id)
@@ -331,6 +332,6 @@ class FleetWorker:
                     ref = ("x",) + link
                 elif msg_id >= 0:
                     ref = ("l", widx, msg_id)
-            rows.append((event.kind, event.time, event.node, event.peer,
-                         event.mtype, event.detail, ref, index))
+            rows.append((kind, time, node, peer, mtype, row_detail(row),
+                         ref, index))
         return rows

@@ -12,7 +12,9 @@ class Timer:
 
     Timers silently stop firing while their owner is crashed; a restarted
     process must re-arm its own timers, matching how a real process loses
-    its in-memory timer wheel on failure.
+    its in-memory timer wheel on failure.  The owner holds a timer only
+    while it can still fire: a one-shot timer leaves ``_timers`` when it
+    fires, any timer when it is cancelled.
     """
 
     def __init__(self, process, delay, callback, args, repeat=False):
@@ -29,12 +31,18 @@ class Timer:
         self._event = self._process.sim.schedule(self._delay, self._fire)
 
     def _fire(self):
-        if self._cancelled or self._process.crashed:
+        process = self._process
+        if not self._repeat or process.crashed:
+            # Its last firing: leave the owner, and drop the event (whose
+            # callback is this timer) so refcounting alone frees both.
+            process._timers.pop(self, None)
+            self._event = None
+        if self._cancelled or process.crashed:
             return
-        sim = self._process.sim
+        sim = process.sim
         tracer = sim.tracer
         if tracer is not None:
-            tracer.on_timer(self._process.name)
+            tracer.on_timer(process.name)
         if sim.telemetry is not None:
             sim._tm_timers_fired.inc()
         if self._repeat:
@@ -48,8 +56,10 @@ class Timer:
             if sim.telemetry is not None:
                 sim._tm_timers_cancelled.inc()
         self._cancelled = True
+        self._process._timers.pop(self, None)
         if self._event is not None:
             self._event.cancel()
+            self._event = None
 
     @property
     def active(self):
@@ -76,7 +86,10 @@ class Process:
         #: sequence does not depend on which worker hosts it.
         self.rng = sim.rng
         self.crashed = False
-        self._timers = []
+        #: Timers that can still fire, in arming order (an
+        #: insertion-ordered dict used as a set: O(1) removal, and
+        #: ``crash()`` cancels in a deterministic order).
+        self._timers = {}
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -98,9 +111,7 @@ class Process:
     def crash(self):
         """Fail-stop this process: timers die, future messages are dropped."""
         self.crashed = True
-        for timer in self._timers:
-            timer.cancel()
-        self._timers = []
+        self.cancel_timers()
         self.on_crash()
 
     def on_crash(self):
@@ -125,20 +136,19 @@ class Process:
     def set_timer(self, delay, callback, *args):
         """Arm a one-shot timer firing ``delay`` virtual time units from now."""
         timer = Timer(self, delay, callback, args, repeat=False)
-        self._timers.append(timer)
+        self._timers[timer] = None
         return timer
 
     def set_periodic_timer(self, interval, callback, *args):
         """Arm a repeating timer firing every ``interval`` time units."""
         timer = Timer(self, interval, callback, args, repeat=True)
-        self._timers.append(timer)
+        self._timers[timer] = None
         return timer
 
     def cancel_timers(self):
         """Cancel every timer owned by this process."""
-        for timer in self._timers:
+        for timer in list(self._timers):
             timer.cancel()
-        self._timers = []
 
     def __repr__(self):
         state = "crashed" if self.crashed else "up"

@@ -23,7 +23,8 @@ families of checks:
   current E24/E27 entries must stay at or below ``max_overhead``
   (default 2.5x): monitoring must remain a streaming pass (not a
   re-simulation), and span derivation (E27) a cheap post-run sweep
-  over the trace — measured at ~1.2x, gated with the same headroom.
+  over the tracer's ring — measured from a cold trace at ~1.3-1.4x,
+  gated with the same headroom.
   Ring recording alone costs ~1.4x in pure Python and the measured
   batteries land at ~1.4x (multi-paxos) to ~1.9x (pbft, whose quorum
   certificates make it ack-heavy), so the cap gates regressions back

@@ -8,7 +8,7 @@ determined by the simulation, so a same-seed run reproduces the exact
 event list byte for byte.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Event kinds, in the order the layers emit them.
 SEND = "send"          #: message handed to the transport (may still drop)
@@ -22,9 +22,9 @@ REQUEST = "request"    #: request-span boundary (start/end of one request)
 KINDS = (SEND, DELIVER, DROP, TIMER, PHASE, LOCAL, REQUEST)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded event.
+class TraceEvent(NamedTuple):
+    """One recorded event (a named tuple: building one is a single
+    allocation, which is what exporters and monitors pay per row).
 
     Attributes
     ----------

@@ -37,10 +37,10 @@ def render_flow(trace, nodes=None, col_width=10, max_rows=None,
         Also draw message arrivals / timer firings (off by default —
         sends plus milestones already show the flow shape).
     """
-    events = list(trace)
     if nodes is None:
+        trace = list(trace)  # two passes: the column order comes first
         seen = []
-        for event in events:
+        for event in trace:
             if event.node and event.node not in seen:
                 seen.append(event.node)
         nodes = seen
@@ -58,7 +58,7 @@ def render_flow(trace, nodes=None, col_width=10, max_rows=None,
 
     rows = 0
     skipped = 0
-    for event in events:
+    for event in trace:
         if max_rows is not None and rows >= max_rows:
             skipped += 1
             continue

@@ -15,22 +15,38 @@ from .events import DELIVER, LOCAL, REQUEST, SEND
 class Trace:
     """An ordered collection of :class:`~repro.trace.events.TraceEvent`.
 
-    Plain traces hold an eager event list; the tracer's live view
-    (:class:`~repro.trace.tracer._LiveTrace`) overrides :attr:`events`
-    to materialize lazily from the recording ring.  Everything here
-    works through that property, so both kinds answer the same queries.
+    Plain traces hold an eager event list; the tracer's live trace
+    (:class:`~repro.trace.tracer._LiveTrace`) overrides :attr:`events`,
+    :meth:`rows` and :attr:`base_seq` to read the recording ring in
+    place.  Everything here works through those three, so both kinds
+    answer the same queries.
     """
+
+    _vc = None
+    _vc_len = -1
 
     def __init__(self, events=None):
         self._events = list(events) if events else []
-        self._vc = None
-        self._vc_len = -1
 
     # -- collection protocol ----------------------------------------------
 
     @property
     def events(self):
         return self._events
+
+    def rows(self):
+        """The raw rows ``(kind, time, node, peer, mtype, msg_id,
+        payload)``, index-aligned with :attr:`events`, for readers that
+        scan before they inflate.  ``payload`` is the detail pairs, or
+        (live send/deliver rows) the message itself."""
+        return [(e.kind, e.time, e.node, e.peer, e.mtype, e.msg_id, e.detail)
+                for e in self._events]
+
+    @property
+    def base_seq(self):
+        """``seq`` of the first held event (a bounded ring evicts its
+        prefix, so it can be > 0)."""
+        return self._events[0].seq if self._events else 0
 
     def append(self, event):
         self._events.append(event)

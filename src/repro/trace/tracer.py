@@ -10,27 +10,30 @@ contract.
 The record path is deliberately skeletal — the near-free-when-enabled
 half of the contract.  Each hook appends one compact tuple to a ring
 buffer (a plain list by default, a bounded ``deque`` when ``capacity``
-is set) and returns; :class:`~repro.trace.events.TraceEvent` objects,
-``detail`` string pairs and Lamport clocks are *materialized lazily*,
-only when the trace is queried, exported or rendered into an anomaly's
-causal context.  Message events store the message object itself and
-extract its detail fields on materialization through a per-class plan
-compiled on first sight (mirroring ``Message._size_plan``), so the hot
-path never probes attributes.
+is set) and returns.  The ring is also the query format: the live
+trace's ``events`` is a view that inflates a
+:class:`~repro.trace.events.TraceEvent` (``detail`` string pairs,
+Lamport clock) per row *read*, never per row recorded, and scanning
+readers (spans, parallel shipping) take :meth:`Trace.rows` and inflate
+nothing.  Message rows store the message object itself and extract its
+detail fields through a per-class plan compiled on first sight
+(mirroring ``Message._size_plan``), so the hot path never probes
+attributes.
 
 Streaming sinks (the monitor hub) register *typed* interest via
 :meth:`Tracer.subscribe`: a per-event-kind (and optionally per-mtype)
 subscription table means an event with no interested sink costs only
 the tuple append, and a TraceEvent is constructed at most once per
 event no matter how many sinks match.  Streamed events carry
-``lamport=0`` — clock materialization stays lazy even with sinks on
+``lamport=0`` — clocks stay a read-time product even with sinks on
 (no streaming consumer in the library reads clocks online; causal
-context is rendered from the materialized trace).  Nothing here touches
+context is rendered from the trace view).  Nothing here touches
 the simulator's RNG or schedules events, so enabling tracing cannot
 perturb a run.
 """
 
 from collections import deque
+from collections.abc import Sequence
 
 from .events import (
     DELIVER,
@@ -96,25 +99,131 @@ def _compile_row(entries):
                       for mtype, sinks in by_mtype.items()}
 
 
-class _LiveTrace(Trace):
-    """A :class:`Trace` view over a tracer's ring buffer.
+def row_detail(row):
+    """``detail`` pairs of a raw row (live send/deliver rows hold the
+    message itself, every other row its pairs)."""
+    payload = row[6]
+    return payload if payload.__class__ is tuple \
+        else _message_detail(payload)
 
-    ``events`` materializes lazily (and, for an unbounded tracer,
-    incrementally) from the recorded tuples; until then the trace holds
-    no TraceEvent objects at all.  ``len()`` and every query inherit
-    from :class:`Trace` and operate on the materialized window.
+
+def row_get(row, key):
+    """``event.get(key)`` answered from the raw row, no event built."""
+    payload = row[6]
+    if payload.__class__ is tuple:
+        for k, v in payload:
+            if k == key:
+                return v
+        return None
+    value = getattr(payload, key, None) if key in DETAIL_ATTRS else None
+    return None if value is None else str(value)
+
+
+class _RingView(Sequence):
+    """Read-only sequence of :class:`TraceEvent` over a tracer's ring.
+
+    Holds no event: ``len`` is the ring's, and indexing, slicing and
+    iteration inflate exactly the rows they touch.  Only Lamport clocks
+    depend on earlier rows, so they live in an integer column extended
+    incrementally (a bounded ring replays it from the window start) by
+    the eager recorder's rules: send/timer/local/drop tick the acting
+    node, deliver runs the receive rule against its send, phase/request
+    marks carry 0.
     """
 
     def __init__(self, tracer):
-        super().__init__()
         self._tracer = tracer
+        self._lamports = []
+        self._clocks = {}
+        self._sends = {}
+        self._stamp = 0
+
+    def _clocked(self):
+        """The Lamport column, brought up to the newest recorded row."""
+        tracer = self._tracer
+        lamports, clocks, sends = self._lamports, self._clocks, self._sends
+        if self._stamp == tracer._total:
+            return lamports
+        records = tracer._records
+        if tracer.capacity:
+            lamports.clear()
+            clocks.clear()
+            sends.clear()
+        else:
+            records = records[len(lamports):]
+        append = lamports.append
+        clock_of, sent_at = clocks.get, sends.pop
+        for row in records:
+            kind = row[0]
+            if kind is PHASE or kind is REQUEST:
+                append(0)
+                continue
+            node = row[2]
+            lamport = clock_of(node, 0)
+            if kind is DELIVER:
+                sent = sent_at(row[5], 0)
+                if sent > lamport:
+                    lamport = sent
+            lamport = clocks[node] = lamport + 1
+            if kind is SEND:
+                sends[row[5]] = lamport
+            append(lamport)
+        self._stamp = tracer._total
+        return lamports
+
+    def __len__(self):
+        return len(self._tracer._records)
+
+    def __getitem__(self, index):
+        tracer = self._tracer
+        records = tracer._records
+        if index.__class__ is slice:
+            return [self[i] for i in range(*index.indices(len(records)))]
+        row = records[index]
+        if index < 0:
+            index += len(records)
+        kind, time, node, peer, mtype, msg_id, _payload = row
+        return TraceEvent(tracer._total - len(records) + index, time, kind,
+                          node, self._clocked()[index], peer, mtype, msg_id,
+                          row_detail(row))
+
+    def __iter__(self):
+        records = self._tracer._records
+        seq = self._tracer._total - len(records)
+        for row, lamport in zip(records, self._clocked()):
+            kind, time, node, peer, mtype, msg_id, _payload = row
+            yield TraceEvent(seq, time, kind, node, lamport, peer, mtype,
+                             msg_id, row_detail(row))
+            seq += 1
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) \
+            and all(a == b for a, b in zip(self, other))
+
+
+class _LiveTrace(Trace):
+    """The tracer's own :class:`Trace`: holds no TraceEvent, every
+    inherited query reads the ring through the three overrides below."""
+
+    def __init__(self, tracer):
+        self._tracer = tracer
+        self._view = _RingView(tracer)
 
     @property
     def events(self):
-        tracer = self._tracer
-        if tracer._mat_count != tracer._total:
-            tracer._materialize_into(self)
-        return self._events
+        return self._view
+
+    def rows(self):
+        return self._tracer._records
+
+    @property
+    def base_seq(self):
+        return self._tracer._total - len(self._tracer._records)
+
+    def append(self, event):
+        raise TypeError("a live trace is written by its tracer's hooks only")
 
 
 class Tracer:
@@ -161,10 +270,6 @@ class Tracer:
         self._send_raw = None
         self._deliver_raw = None
         self._counters = ()
-        # -- lazy-materialization replay state --
-        self._mat_count = 0
-        self._mat_clocks = {}
-        self._mat_send = {}
 
     # -- subscriptions -------------------------------------------------------
 
@@ -224,58 +329,9 @@ class Tracer:
         return fn
 
     def last_event(self):
-        """The most recently recorded event, materialized (or ``None``)."""
+        """The most recently recorded event, inflated (or ``None``)."""
         events = self.trace.events
         return events[-1] if events else None
-
-    # -- lazy materialization ------------------------------------------------
-
-    def _materialize_into(self, trace):
-        """Turn recorded tuples into TraceEvents on ``trace``.
-
-        Unbounded tracers materialize incrementally (already-built
-        events are reused); bounded ones rebuild the current window,
-        replaying clocks from the window start.  The Lamport rules here
-        are exactly the rules the old eager recorder applied per event
-        (send/timer/local/drop tick the acting node; deliver runs the
-        receive rule against the matching send), so a lazily
-        materialized trace is byte-identical to an eagerly recorded one.
-        """
-        records = self._records
-        events = trace._events
-        if self.capacity:
-            events.clear()
-            clocks, send_clock = {}, {}
-            seq = self._total - len(records)
-        else:
-            clocks, send_clock = self._mat_clocks, self._mat_send
-            seq = self._mat_count
-            if seq:
-                records = records[seq:]
-        append = events.append
-        for rec in records:
-            kind, time, node, peer, mtype, msg_id, payload = rec
-            if kind is SEND:
-                lamport = clocks.get(node, 0) + 1
-                clocks[node] = lamport
-                send_clock[msg_id] = lamport
-                detail = _message_detail(payload)
-            elif kind is DELIVER:
-                lamport = max(clocks.get(node, 0),
-                              send_clock.pop(msg_id, 0)) + 1
-                clocks[node] = lamport
-                detail = _message_detail(payload)
-            elif kind is PHASE or kind is REQUEST:
-                lamport = 0
-                detail = payload
-            else:  # TIMER, LOCAL, DROP: a local tick on the acting node
-                lamport = clocks.get(node, 0) + 1
-                clocks[node] = lamport
-                detail = payload
-            append(TraceEvent(seq, time, kind, node, lamport, peer, mtype,
-                              msg_id, detail))
-            seq += 1
-        self._mat_count = self._total
 
     # -- streaming dispatch (the rare-event kinds share this helper; the
     #    per-message hooks inline it, they run millions of times) -----------

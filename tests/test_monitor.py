@@ -33,7 +33,8 @@ from repro.monitor import (
     spec_for,
 )
 from repro.monitor.base import render_context
-from repro.trace import DELIVER, LOCAL, PHASE, TraceEvent, canonical_detail
+from repro.trace import (DELIVER, LOCAL, PHASE, Trace, TraceEvent,
+                         canonical_detail)
 
 
 def ev(number, kind, node, mtype, peer="", **detail):
@@ -316,12 +317,11 @@ class TestHubAndNullTwins:
         assert NULL_HUB.extend([]) is NULL_HUB
 
     def test_render_context_filters_by_node(self):
-        cluster = Cluster(seed=0, trace=True)
-        tracer = cluster.tracer
-        tracer.trace.append(ev(0, DELIVER, "a", "ack", peer="b"))
-        tracer.trace.append(ev(1, LOCAL, "c", "decide"))
-        tracer.trace.append(ev(2, LOCAL, "a", "decide"))
-        lines = render_context(tracer.trace, "a", 2, window=5)
+        # A plain Trace: a live one is written by its tracer's hooks only.
+        trace = Trace([ev(0, DELIVER, "a", "ack", peer="b"),
+                       ev(1, LOCAL, "c", "decide"),
+                       ev(2, LOCAL, "a", "decide")])
+        lines = render_context(trace, "a", 2, window=5)
         assert len(lines) == 2  # c's milestone filtered out
         assert "deliver" in lines[0] and "<-b" in lines[0]
 

@@ -242,6 +242,57 @@ class TestProcess:
         assert fired == []
         assert proc.crashed
 
+    def test_fired_and_cancelled_timers_leave_their_owner(self):
+        """An election timer re-armed on every heartbeat must not pile
+        up: the owner holds only timers that can still fire."""
+        sim = Simulator()
+        fired = []
+        proc = Process(sim, "p")
+        timer = proc.set_timer(1.0, fired.append, "first")
+        for cycle in range(10_000):
+            timer.cancel()
+            timer = proc.set_timer(1.0, fired.append, cycle)
+            assert len(proc._timers) <= 1
+        sim.run()
+        assert fired == [9_999] and not proc._timers
+        beat = proc.set_periodic_timer(1.0, fired.append, "beat")
+        sim.run(until=sim.now + 3.5)
+        assert list(proc._timers) == [beat]  # periodic: still armed
+        beat.cancel()
+        assert not proc._timers
+
+    def test_spent_timers_are_freed_by_refcount_alone(self):
+        """A timer and its queue event reference each other (the event's
+        callback is the timer's bound method); the link is cut when the
+        timer is spent, so no cyclic-GC pass is needed to free them."""
+        import gc
+        import weakref
+        sim = Simulator()
+        proc = Process(sim, "p")
+        gc.collect()
+        gc.disable()
+        try:
+            fired = weakref.ref(proc.set_timer(1.0, int))
+            cancelled = proc.set_timer(2.0, int)
+            cancelled.cancel()
+            cancelled = weakref.ref(cancelled)
+            sim.run()
+            assert fired() is None and cancelled() is None
+        finally:
+            gc.enable()
+
+    def test_crashed_process_drops_timers_and_none_fires_later(self):
+        sim = Simulator()
+        fired = []
+        proc = Process(sim, "p")
+        proc.set_timer(5.0, fired.append, "one-shot")
+        proc.set_periodic_timer(2.0, fired.append, "periodic")
+        sim.schedule(1.0, proc.crash)
+        # Armed while down (a handler racing the crash): dies unfired.
+        sim.schedule(1.5, proc.set_timer, 1.0, fired.append, "while down")
+        sim.run(until=20.0)
+        assert fired == [] and not proc._timers
+
     def test_periodic_timer_repeats(self):
         sim = Simulator()
         fired = []

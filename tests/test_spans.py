@@ -193,6 +193,24 @@ class TestTimeseriesAndSlo:
         assert lax["compliance"] == 1.0
         assert lax["worst_window_burn_rate"] == 0.0
 
+    @pytest.mark.parametrize("window", [1.0, 5.0, 20.0, 100.0])
+    def test_worst_window_is_one_of_the_reported_windows(self, window):
+        """The SLO block's worst window is read off the time-series rows
+        the same report carries (it used to be rebuilt at the default
+        width, so ``--window 5`` printed a 100x window under a "worst
+        window 20x" line), and can never burn slower than the run."""
+        cluster = Cluster(seed=0, trace=True)
+        run_multipaxos(cluster, n_replicas=3, n_clients=2,
+                       commands_per_client=10)
+        spans = SpanBuilder(cluster.trace).build()
+        report = spans_report(spans, window=window, slo=5.0)
+        slo = report["slo"]
+        assert 0 < slo["violations"] < slo["requests"]
+        assert slo["worst_window_burn_rate"] == pytest.approx(max(
+            row["violation_fraction"] for row in report["timeseries"])
+            / slo["budget"])
+        assert slo["worst_window_burn_rate"] >= slo["burn_rate"]
+
     def test_report_includes_slo_block_only_when_asked(self):
         spans = _spans_multipaxos()
         plain = spans_report(spans, protocol="multi-paxos", seed=0)
