@@ -37,12 +37,16 @@ def measure_all():
     cluster = Cluster(seed=1, delivery=delivery())
     from repro.protocols.raft import run_raft
     result = run_raft(cluster, n_nodes=3, commands_per_client=5)
-    rows.append(_row("raft", 3, result.messages, None, "crash"))
+    latencies = result.clients[0].latencies
+    rows.append(_row("raft", 3, result.messages,
+                     sum(latencies) / len(latencies), "crash"))
 
     cluster = Cluster(seed=1, delivery=delivery())
     from repro.protocols.xft import run_xft
     result = run_xft(cluster, f=1, operations=5)
-    rows.append(_row("xft", 3, result.messages, None,
+    latencies = result.clients[0].latencies
+    rows.append(_row("xft", 3, result.messages,
+                     sum(latencies) / len(latencies),
                      "crash + non-crash (no anarchy)"))
 
     cluster = Cluster(seed=1, delivery=delivery())

@@ -141,7 +141,11 @@ EXPERIMENT_NOTES = {
             "(MinBFT/CheapBFT) buys Byzantine coverage at crash-like prices; full\n"
             "BFT pays 3f+1 replicas, with Zyzzyva's speculation cheapest in\n"
             "latency, PBFT quadratic in messages, and HotStuff trading latency\n"
-            "(7 phases) for linearity."),
+            "(7 phases) for linearity. Latency is the closed-loop client's:\n"
+            "first transmission to completion, so the crash rows' means\n"
+            "include the first command's wait through the initial leader\n"
+            "election (redirect chases and retries), which the BFT rows,\n"
+            "starting with a primary in place, do not have."),
     "E23": ("Simulator throughput (harness)",
             "Not a paper figure: wall-clock events/sec and messages/sec the\n"
             "simulation substrate sustains with telemetry enabled, across\n"

@@ -28,6 +28,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
+from ..core.client import next_target
 from ..core.node import Node
 from ..protocols.multipaxos import ClientRequest
 
@@ -67,7 +68,63 @@ class Transaction:
     on_finish: object = None
 
 
-class TxnCoordinator(Node):
+class GroupRequester(Node):
+    """Replicates commands on consensus groups, wherever each group's
+    leader currently is: send to the member last known to lead, follow
+    redirects, move on to the next member on silence.  Every request
+    carries a caller-chosen id and a ``tag`` handed back with the result
+    — the transaction coordinator and the shard-split orchestrator are
+    both this plus a state machine over the results.
+
+    Subclasses provide ``members_of(gid)`` (replica names in ring
+    order), ``make_request(gid, command, request_id)`` (the request
+    message in whatever protocol that group speaks) and
+    ``on_result(tag, gid, command, result)`` (the first reply)."""
+
+    RETRY_TIMEOUT = 15.0
+
+    def __init__(self, sim, network, name):
+        super().__init__(sim, network, name)
+        self.leader_hint = {}  # gid -> member currently addressed
+        self._pending = {}  # request_id -> (gid, command, tag)
+
+    def _request(self, request_id, gid, command, tag):
+        self._pending[request_id] = (gid, command, tag)
+        target = self.leader_hint.setdefault(gid, self.members_of(gid)[0])
+        self.send(target, self.make_request(gid, command, request_id))
+        # Retry against another replica if the leader is slow/dead.
+        self.set_timer(self.RETRY_TIMEOUT, self._retry, request_id)
+
+    def _retry(self, request_id):
+        entry = self._pending.get(request_id)
+        if entry is None:
+            return
+        gid, command, _tag = entry
+        self.leader_hint[gid] = next_target(self.members_of(gid),
+                                            self.leader_hint[gid])
+        self.send(self.leader_hint[gid],
+                  self.make_request(gid, command, request_id))
+        self.set_timer(self.RETRY_TIMEOUT, self._retry, request_id)
+
+    def handle_redirect(self, msg, src):
+        entry = self._pending.get(msg.request_id)
+        if entry is None:
+            return
+        gid, command, _tag = entry
+        if msg.leader_hint and msg.leader_hint in self.members_of(gid):
+            self.leader_hint[gid] = msg.leader_hint
+        self.send(self.leader_hint[gid],
+                  self.make_request(gid, command, msg.request_id))
+
+    def handle_clientreply(self, msg, src):
+        entry = self._pending.pop(msg.request_id, None)
+        if entry is None:
+            return  # duplicate reply
+        gid, command, tag = entry
+        self.on_result(tag, gid, command, msg.result)
+
+
+class TxnCoordinator(GroupRequester):
     """Client-side transaction driver over partition groups.
 
     Parameters
@@ -95,10 +152,12 @@ class TxnCoordinator(Node):
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.participant_timeout = participant_timeout
-        self.leader_hint = {gid: names[0] for gid, names in self.groups.items()}
+        # Eager, not on first request: a timeout abort addresses groups
+        # this coordinator may never have sent a tracked request to.
+        self.leader_hint.update(
+            (gid, names[0]) for gid, names in self.groups.items())
         self._txns = {}
         self._request_seq = itertools.count()
-        self._pending = {}  # request_id -> (txid, group_id, kind)
         self._round = {}  # txid -> {"kind", "waiting": set, "replies": dict}
         self._round_timer = {}  # txid -> stall-deadline Timer
         self.conflicts_seen = 0
@@ -106,10 +165,12 @@ class TxnCoordinator(Node):
         self.aborts = 0
         self.timeout_aborts = 0
 
+    def members_of(self, gid):
+        return self.groups[gid]
+
     def make_request(self, gid, command, request_id):
-        """The client-request message replicating ``command`` on group
-        ``gid``.  Subclasses override this (per group) to speak to
-        non-Multi-Paxos groups."""
+        """Multi-Paxos groups; subclasses override this (per group) to
+        speak to others."""
         return ClientRequest(command, request_id)
 
     # -- public -----------------------------------------------------------------
@@ -155,33 +216,15 @@ class TxnCoordinator(Node):
                          attempt=txn.attempts)
         self._arm_round_timer(txn)
         for gid, command in commands.items():
-            self._send_command(txn.txid, gid, kind, command)
-
-    def _send_command(self, txid, gid, kind, command):
-        request_id = "%s-%s-%d" % (txid, kind, next(self._request_seq))
-        self._pending[request_id] = (txid, gid, kind, command)
-        self.send(self.leader_hint[gid],
-                  self.make_request(gid, command, request_id))
-        # Retry against another replica if the leader is slow/dead.
-        self.set_timer(15.0, self._retry, request_id)
-
-    def _retry(self, request_id):
-        entry = self._pending.get(request_id)
-        if entry is None:
-            return
-        txid, gid, kind, command = entry
-        names = self.groups[gid]
-        current = self.leader_hint[gid]
-        self.leader_hint[gid] = names[(names.index(current) + 1) % len(names)]
-        self.send(self.leader_hint[gid],
-                  self.make_request(gid, command, request_id))
-        self.set_timer(15.0, self._retry, request_id)
+            request_id = "%s-%s-%d" % (txn.txid, kind,
+                                       next(self._request_seq))
+            self._request(request_id, gid, command, (txn.txid, kind))
 
     def _cancel_pending(self, txid):
         """Forget every outstanding request of ``txid`` (their retry
         timers die on the next firing)."""
-        stale = [rid for rid, entry in self._pending.items()
-                 if entry[0] == txid]
+        stale = [rid for rid, (_gid, _command, tag) in self._pending.items()
+                 if tag[0] == txid]
         for rid in stale:
             del self._pending[rid]
 
@@ -222,25 +265,12 @@ class TxnCoordinator(Node):
                                         request_id))
         self._finish(txn, "aborted")
 
-    def handle_redirect(self, msg, src):
-        entry = self._pending.get(msg.request_id)
-        if entry is None:
-            return
-        txid, gid, kind, command = entry
-        if msg.leader_hint and msg.leader_hint in self.groups[gid]:
-            self.leader_hint[gid] = msg.leader_hint
-        self.send(self.leader_hint[gid],
-                  self.make_request(gid, command, msg.request_id))
-
-    def handle_clientreply(self, msg, src):
-        entry = self._pending.pop(msg.request_id, None)
-        if entry is None:
-            return  # duplicate reply
-        txid, gid, kind, _command = entry
+    def on_result(self, tag, gid, command, result):
+        txid, kind = tag
         round_ = self._round.get(txid)
         if round_ is None or round_["kind"] != kind:
             return  # stale round (e.g. reply after an abort began)
-        round_["replies"][gid] = msg.result
+        round_["replies"][gid] = result
         round_["waiting"].discard(gid)
         if not round_["waiting"]:
             self.trace_local("txn_round_done", req=txid, kind=kind)

@@ -24,24 +24,28 @@ worker count, since every point is an independent same-seed run) and
 locates the knee with :func:`~repro.load.slo.detect_knee`.
 """
 
+from ..core.client import agreed, next_target
 from ..core.cluster import Cluster
 from ..core.node import Node
 from ..net.delivery import QueuedDelayModel
 from ..parallel.runner import ParallelRunner
 from ..parallel.streams import named_stream
+from ..scenarios import SCENARIOS, client_row
 from ..sim.process import Process
 from ..telemetry.instruments import _finite
 from .arrivals import DiurnalArrivals, HotKeyStorm, PoissonArrivals
 from .slo import LatencyAccountant, detect_knee
 from .workloads import OpMix, ZipfKeys
 
-#: Protocols the engine can drive, with (replicas, f) scenario scale.
-PROTOCOLS = {
-    "multi-paxos": (3, 1),
-    "raft": (3, 1),
-    "pbft": (4, 1),
-    "shards": (None, None),  # scale comes from LoadSpec.shards/replicas
-}
+#: Protocols the engine can drive: every ``SCENARIOS`` row that names a
+#: client protocol, plus the fleet compositions (driven through their
+#: coordinator; scale comes from ``LoadSpec.shards``/``replicas``).
+PROTOCOLS = tuple(name for name, scenario in SCENARIOS.items()
+                  if scenario.client is not None
+                  or scenario.fleet_claim is not None)
+
+#: Faults every single-group load fleet is sized to tolerate.
+_FLEET_F = 1
 
 #: Ring-buffer bound for the tracer under monitors: monitors stream
 #: events live, so verdicts never depend on retention — the bound only
@@ -130,29 +134,26 @@ def _arrival_process(spec, per_injector_rate):
     return PoissonArrivals(per_injector_rate)
 
 
-class InjectorBase(Node):
-    """One injector node: carries a slice of the aggregate open-loop
-    stream and accounts every request it originates.
+class InjectorBase:
+    """What every injector is, mixed into a simulated process: a slice
+    of the aggregate open-loop stream, and the accounting of every
+    request it originates.
 
     The arrival chain is timer-driven: each firing schedules the next
     draw from the injector's private arrival process, so the schedule
     never depends on service behaviour — the open-loop contract.
+    Subclasses implement ``_inject(intended)``, recording the request in
+    :attr:`outstanding`, and call :meth:`_complete` when it is answered.
     """
 
-    def __init__(self, sim, network, name, targets, spec, accountant,
-                 mix, load_start):
-        super().__init__(sim, network, name)
-        self.targets = list(targets)
+    def _open_stream(self, spec, accountant, load_start):
         self.spec = spec
         self.accountant = accountant
-        self.mix = mix
-        self.rng = named_stream(spec.seed, "loadtest", name)
+        self.rng = named_stream(spec.seed, "loadtest", self.name)
         process = _arrival_process(spec, spec.rate / spec.injectors)
         self._times = process.times(self.rng, spec.duration,
                                     start=load_start)
         self.outstanding = {}  # request key -> intended arrival time
-        self.resends = {}
-        self._seq = 0
 
     def on_start(self):
         self._schedule_next()
@@ -168,26 +169,10 @@ class InjectorBase(Node):
         self._inject(intended)
         self._schedule_next()
 
-    def _inject(self, intended):
-        raise NotImplementedError
-
     def _complete(self, request_key):
         intended = self.outstanding.pop(request_key, None)
-        if intended is None:
-            return False
-        self.resends.pop(request_key, None)
-        self.accountant.complete(intended, self.sim.now)
-        return True
-
-    def _may_resend(self, request_key):
-        """Redirect-chasing budget: a request past the cap stops being
-        resent (and will be accounted abandoned), so an election storm
-        cannot amplify offered load unboundedly."""
-        count = self.resends.get(request_key, 0)
-        if count >= self.spec.resend_cap:
-            return False
-        self.resends[request_key] = count + 1
-        return True
+        if intended is not None:
+            self.accountant.complete(intended, self.sim.now)
 
     def abandon_outstanding(self):
         """End-of-run accounting for requests that never completed."""
@@ -196,128 +181,100 @@ class InjectorBase(Node):
         self.outstanding.clear()
 
 
-class PaxosInjector(InjectorBase):
-    """Open-loop injector speaking the Multi-Paxos client protocol."""
+class OpenLoopInjector(InjectorBase, Node):
+    """Open-loop injector speaking any
+    :class:`~repro.core.client.ClientProtocol` row.
+
+    Requests go to the replica last known to lead: a redirect moves the
+    target, and where replies carry the view its primary is followed.
+    A reply counts once ``row.need`` replicas agree on the result.  Rows
+    that retransmit to everyone (backups relay to the primary or force
+    a view change) re-send an unanswered request every
+    ``retry_timeout``.  Redirect chases and retransmissions share one
+    budget per request — past ``spec.resend_cap`` it is left to be
+    accounted abandoned — so an election storm cannot amplify offered
+    load unboundedly.  Per-request state lives exactly as long as the
+    request is outstanding."""
 
     def __init__(self, sim, network, name, targets, spec, accountant,
-                 mix, load_start):
-        super().__init__(sim, network, name, targets, spec, accountant,
-                         mix, load_start)
+                 mix, load_start, row, f):
+        super().__init__(sim, network, name)
+        self._open_stream(spec, accountant, load_start)
+        self.targets = list(targets)
+        self.mix = mix
+        self.row = row
         self.target = self.targets[0]
-        self.commands = {}  # request id -> command, for redirect resends
-
-    def _request(self, request_id, command):
-        from ..protocols.multipaxos import ClientRequest
-        return ClientRequest(command, request_id)
+        self.view = 0
+        self._need = row.need(len(self.targets), f)
+        self._seq = 0
+        self._requests = {}  # ident -> request message, for resends
+        self._replies = {}   # ident -> {replica: result}, while matching
+        self.resends = {}    # ident -> resends so far
 
     def _inject(self, intended):
-        request_id = "%s-%d" % (self.name, self._seq)
+        row = self.row
+        seq = self._seq
         self._seq += 1
         command = self.mix.sample(self.rng)
-        self.outstanding[request_id] = intended
-        self.commands[request_id] = command
-        self.send(self.target, self._request(request_id, command))
+        ident = row.ident(self.name, seq, command)
+        request = row.request(ident, command, self.name)
+        self.outstanding[ident] = intended
+        self._requests[ident] = request
+        self.send(self.target, request)
+        if row.retry == "multicast":
+            self.set_timer(row.retry_timeout, self._retransmit, ident)
 
-    def handle_clientreply(self, msg, src):
-        self.commands.pop(msg.request_id, None)
-        self._complete(msg.request_id)
+    def _may_resend(self, ident):
+        count = self.resends.get(ident, 0)
+        if count >= self.spec.resend_cap:
+            return False
+        self.resends[ident] = count + 1
+        return True
 
-    def handle_redirect(self, msg, src):
-        if msg.request_id not in self.outstanding:
+    def _retransmit(self, ident):
+        if ident not in self.outstanding or not self._may_resend(ident):
             return
-        if msg.leader_hint and msg.leader_hint != src:
-            self.target = msg.leader_hint
-        else:
-            index = self.targets.index(self.target)
-            self.target = self.targets[(index + 1) % len(self.targets)]
-        if self._may_resend(msg.request_id):
-            self.send(self.target,
-                      self._request(msg.request_id,
-                                    self.commands[msg.request_id]))
+        self.multicast(self.targets, self._requests[ident])
+        self.set_timer(self.row.retry_timeout, self._retransmit, ident)
 
+    def on_unhandled(self, message, src):
+        # A row's mtypes are data, so they cannot be ``handle_<mtype>``.
+        if message.mtype == self.row.reply:
+            self.on_reply(message, src)
+        elif message.mtype == self.row.redirect:
+            self.on_redirect(message, src)
 
-class RaftInjector(PaxosInjector):
-    """Same shape as :class:`PaxosInjector`, speaking Raft's client
-    message types."""
-
-    def _request(self, request_id, command):
-        from ..protocols.raft import RaftClientRequest
-        return RaftClientRequest(command, request_id)
-
-    def handle_raftclientreply(self, msg, src):
-        self._complete(msg.request_id)
-
-    def handle_raftredirect(self, msg, src):
-        self.handle_redirect(msg, src)
-
-
-class PbftInjector(InjectorBase):
-    """Open-loop injector speaking the PBFT client protocol.
-
-    PBFT identifies a request by ``(client, timestamp)``; per-injector
-    sequence numbers as timestamps are globally unique because every
-    reply carries the client name and replicas answer the requesting
-    client only.  A reply is accepted once ``f + 1`` replicas agree on
-    the result.  Replies also carry the view, so the injector tracks
-    the current primary; a request unanswered for ``RETRY`` time units
-    is retransmitted to *all* replicas (the standard PBFT client
-    liveness path — backups relay to the primary or force a view
-    change), bounded by the resend cap."""
-
-    #: Client retransmit interval, matching PbftClient's default.
-    RETRY = 30.0
-
-    def __init__(self, sim, network, name, targets, spec, accountant,
-                 mix, load_start, f):
-        super().__init__(sim, network, name, targets, spec, accountant,
-                         mix, load_start)
-        self.f = f
-        self.view = 0
-        self._replies = {}   # timestamp -> {replica: result}
-        self._requests = {}  # timestamp -> PbftRequest, for retransmits
-
-    @property
-    def _primary(self):
-        return self.targets[self.view % len(self.targets)]
-
-    def _inject(self, intended):
-        from ..protocols.pbft import PbftRequest
-        timestamp = float(self._seq)
-        self._seq += 1
-        operation = self.mix.sample(self.rng)
-        request = PbftRequest(operation, timestamp, self.name, None)
-        self.outstanding[timestamp] = intended
-        self._replies[timestamp] = {}
-        self._requests[timestamp] = request
-        self.send(self._primary, request)
-        self.set_timer(self.RETRY, self._retransmit, timestamp)
-
-    def _retransmit(self, timestamp):
-        if timestamp not in self.outstanding:
+    def on_redirect(self, msg, src):
+        ident = self.row.key(msg)
+        if ident not in self.outstanding:
             return
-        if not self._may_resend(timestamp):
+        self.target = next_target(self.targets, self.target,
+                                  msg.leader_hint, src)
+        if self._may_resend(ident):
+            self.send(self.target, self._requests[ident])
+
+    def on_reply(self, msg, src):
+        row = self.row
+        if row.view is not None:
+            view = row.view(msg)
+            if view > self.view:
+                self.view = view
+                self.target = self.targets[view % len(self.targets)]
+        ident = row.key(msg)
+        if ident not in self.outstanding:
             return
-        self.multicast(self.targets, self._requests[timestamp])
-        self.set_timer(self.RETRY, self._retransmit, timestamp)
-
-    def handle_pbftreply(self, msg, src):
-        if msg.view > self.view:
-            self.view = msg.view
-        replies = self._replies.get(msg.timestamp)
-        if replies is None:
-            return
-        replies[src] = msg.result
-        matching = {}
-        for result in replies.values():
-            key = repr(result)
-            matching[key] = matching.get(key, 0) + 1
-        if max(matching.values()) >= self.f + 1:
-            del self._replies[msg.timestamp]
-            self._requests.pop(msg.timestamp, None)
-            self._complete(msg.timestamp)
+        if self._need > 1:
+            replies = self._replies.setdefault(ident, {})
+            replies[src] = msg.result
+            if not agreed(replies, self._need):
+                return
+            del self._replies[ident]
+        del self._requests[ident]
+        self.resends.pop(ident, None)
+        self._complete(ident)
 
 
-class ShardTxnInjector(Process):
+class ShardTxnInjector(InjectorBase, Process):
     """Open-loop transaction injector for the sharded fleet.
 
     Not a network node: transactions enter through the fleet's
@@ -330,24 +287,9 @@ class ShardTxnInjector(Process):
     def __init__(self, sim, name, sharded, spec, accountant, keys,
                  load_start):
         super().__init__(sim, name)
+        self._open_stream(spec, accountant, load_start)
         self.sharded = sharded
-        self.spec = spec
-        self.accountant = accountant
         self.keys = keys
-        self.rng = named_stream(spec.seed, "loadtest", name)
-        process = _arrival_process(spec, spec.rate / spec.injectors)
-        self._times = process.times(self.rng, spec.duration,
-                                    start=load_start)
-        self.outstanding = {}  # txid -> intended arrival time
-
-    def on_start(self):
-        self._schedule_next()
-
-    def _schedule_next(self):
-        arrival = next(self._times, None)
-        if arrival is None:
-            return
-        self.set_timer(max(0.0, arrival - self.sim.now), self._fire, arrival)
 
     def _pick_keys(self):
         sharded = self.sharded
@@ -366,8 +308,7 @@ class ShardTxnInjector(Process):
                 dst = candidate  # fallback: any distinct key
         return src, dst
 
-    def _fire(self, intended):
-        self.accountant.arrive(intended)
+    def _inject(self, intended):
         src, dst = self._pick_keys()
         if src == dst:
             # Degenerate single-key touch (tiny keyspaces only).
@@ -378,39 +319,7 @@ class ShardTxnInjector(Process):
                         dst: (reads[dst] or 0) + 1}
             txn = self.sharded.submit((src, dst), update)
         self.outstanding[txn.txid] = intended
-        txn.on_finish = self._on_finish
-        self._schedule_next()
-
-    def _on_finish(self, txn):
-        intended = self.outstanding.pop(txn.txid, None)
-        if intended is not None:
-            self.accountant.complete(intended, self.sim.now)
-
-    def abandon_outstanding(self):
-        for txid in sorted(self.outstanding):
-            self.accountant.abandon(self.outstanding[txid])
-        self.outstanding.clear()
-
-
-def _build_core_fleet(cluster, spec):
-    """Replica fleet + injector class for the non-sharded protocols."""
-    if spec.protocol == "multi-paxos":
-        from ..protocols.multipaxos import MultiPaxosReplica
-        names = ["r%d" % i for i in range(3)]
-        cluster.add_nodes(MultiPaxosReplica, names, names)
-        return names, PaxosInjector, (), 10.0
-    if spec.protocol == "raft":
-        from ..protocols.raft import RaftNode
-        names = ["n%d" % i for i in range(3)]
-        cluster.add_nodes(RaftNode, names, names)
-        return names, RaftInjector, (), 30.0
-    if spec.protocol == "pbft":
-        from ..protocols.pbft import PbftReplica
-        f = 1
-        names = ["r%d" % i for i in range(3 * f + 1)]
-        cluster.add_nodes(PbftReplica, names, names, f)
-        return names, PbftInjector, (f,), 10.0
-    raise ValueError("not a core protocol: %r" % (spec.protocol,))
+        txn.on_finish = lambda txn: self._complete(txn.txid)
 
 
 def _key_sampler(spec, sim, n_keys, load_start):
@@ -424,94 +333,74 @@ def _key_sampler(spec, sim, n_keys, load_start):
     return keys
 
 
-def _monitor_block(hub):
-    anomalies = hub.finish()
-    return {"monitors": len(hub.monitors),
-            "anomalies": len(anomalies),
-            "ok": not anomalies}
-
-
 def run_loadtest(spec):
     """Drive one offered-load point; returns a deterministic report.
 
     Same spec ⇒ byte-identical report: every number is derived from
     virtual time and seeded draws, never the wall clock."""
+    from ..monitor import NULL_HUB
     accountant = LatencyAccountant(window=spec.window, slo=spec.slo)
-    delivery = QueuedDelayModel(service=spec.service)
-    if spec.protocol == "shards":
-        report, hub = _run_shards_point(spec, delivery, accountant)
-    else:
-        report, hub = _run_core_point(spec, delivery, accountant)
-    if hub is not None:
-        report["monitors"] = _monitor_block(hub)
+    cluster = Cluster(seed=spec.seed,
+                      delivery=QueuedDelayModel(service=spec.service),
+                      monitors=spec.monitors,
+                      trace_capacity=_TRACE_CAPACITY if spec.monitors
+                      else None)
+    build = _shards_fleet if SCENARIOS[spec.protocol].client is None \
+        else _core_fleet
+    load_start, injectors, sharded = build(cluster, spec, accountant)
+    for injector in injectors:
+        injector.start()
+    cluster.run(until=load_start + spec.duration)
+    cluster.run_until(
+        lambda: not any(injector.outstanding for injector in injectors),
+        until=load_start + spec.duration + spec.drain)
+    for injector in injectors:
+        injector.abandon_outstanding()
+    report = _point_report(spec, accountant, cluster.metrics)
+    if sharded is not None:
+        report["consistent"] = sharded.check_consistency()
+    if cluster.monitors is not NULL_HUB:
+        anomalies = cluster.monitors.finish()
+        report["monitors"] = {"monitors": len(cluster.monitors.monitors),
+                              "anomalies": len(anomalies),
+                              "ok": not anomalies}
     return report
 
 
-def _run_core_point(spec, delivery, accountant):
-    from ..monitor import NULL_HUB
-    cluster = Cluster(seed=spec.seed, delivery=delivery,
-                      monitors=spec.monitors,
-                      trace_capacity=_TRACE_CAPACITY if spec.monitors
-                      else None)
-    names, injector_class, extra, settle = _build_core_fleet(cluster, spec)
+def _core_fleet(cluster, spec, accountant):
+    """One replica group of the row's protocol, settled, and its
+    injectors: ``(load start, injectors, None)``."""
+    row = client_row(spec.protocol)
+    names = ["r%d" % i for i in range(row.nodes_per_fault * _FLEET_F + 1)]
+    cluster.add_nodes(row.replica, names,
+                      *row.replica_args(names, _FLEET_F))
     if spec.monitors:
-        cluster.attach_monitors(spec.protocol, len(names),
-                                (len(names) - 1) // 3
-                                if spec.protocol == "pbft"
-                                else (len(names) - 1) // 2)
+        cluster.attach_monitors(spec.protocol, len(names), _FLEET_F)
     cluster.start_all()
-    cluster.sim.run_for(settle)
+    cluster.sim.run_for(row.settle)
     load_start = cluster.now
     keys = _key_sampler(spec, cluster.sim, spec.n_keys, load_start)
-    injectors = []
-    for index in range(spec.injectors):
-        mix = OpMix(keys, spec.reads, spec.writes, spec.increments)
-        injector = cluster.add_node(
-            injector_class, "inj%d" % index, names, spec, accountant,
-            mix, load_start, *extra)
-        injectors.append(injector)
-        injector.start()
-    cluster.run(until=load_start + spec.duration)
-    deadline = load_start + spec.duration + spec.drain
-    cluster.run_until(
-        lambda: not any(injector.outstanding for injector in injectors),
-        until=deadline)
-    for injector in injectors:
-        injector.abandon_outstanding()
-    hub = cluster.monitors if cluster.monitors is not NULL_HUB else None
-    return _point_report(spec, accountant, cluster.metrics), hub
+    return load_start, [
+        cluster.add_node(
+            OpenLoopInjector, "inj%d" % index, names, spec, accountant,
+            OpMix(keys, spec.reads, spec.writes, spec.increments),
+            load_start, row, _FLEET_F)
+        for index in range(spec.injectors)], None
 
 
-def _run_shards_point(spec, delivery, accountant):
-    from ..monitor import NULL_HUB
+def _shards_fleet(cluster, spec, accountant):
+    """A sharded fleet and its transaction injectors: ``(load start,
+    injectors, fleet)``."""
     from ..shard import ShardedCluster
-    cluster = Cluster(seed=spec.seed, delivery=delivery,
-                      monitors=spec.monitors,
-                      trace_capacity=_TRACE_CAPACITY if spec.monitors
-                      else None)
     sharded = ShardedCluster(
         n_shards=spec.shards, replicas=spec.replicas, seed=spec.seed,
         partitioning="hash", key_space=spec.key_space, cluster=cluster)
     load_start = sharded.now
     keys = _key_sampler(spec, cluster.sim, spec.key_space, load_start)
-    injectors = []
-    for index in range(spec.injectors):
-        injector = ShardTxnInjector(
-            cluster.sim, "inj%d" % index, sharded, spec, accountant,
-            keys, load_start)
-        injectors.append(injector)
-        injector.start()
-    cluster.run(until=load_start + spec.duration)
-    deadline = load_start + spec.duration + spec.drain
-    cluster.run_until(
-        lambda: not any(injector.outstanding for injector in injectors),
-        until=deadline)
-    for injector in injectors:
-        injector.abandon_outstanding()
-    report = _point_report(spec, accountant, cluster.metrics)
-    report["consistent"] = sharded.check_consistency()
-    hub = cluster.monitors if cluster.monitors is not NULL_HUB else None
-    return report, hub
+    return load_start, [
+        ShardTxnInjector(cluster.sim, "inj%d" % index, sharded, spec,
+                         accountant, keys, load_start)
+        for index in range(spec.injectors)], sharded
 
 
 def _point_report(spec, accountant, metrics):

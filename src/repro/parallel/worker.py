@@ -30,7 +30,8 @@ from ..core.exceptions import LivenessFailure
 from ..dtxn.coordinator import Transaction
 from ..metrics.collector import MetricsCollector
 from ..monitor.conformance import monitor_data
-from ..shard.group import PROTOCOL_ADAPTERS, ShardGroup
+from ..scenarios import client_row
+from ..shard.group import ShardGroup
 from ..shard.layout import transfer_update
 from ..shard.txn import ShardTxnCoordinator
 from ..sim.process import Process
@@ -94,17 +95,17 @@ class WorkerCluster(Cluster):
 
 class _GroupStub:
     """The coordinator-facing face of a *remote* shard group: member
-    names and the protocol's client-request class — nothing else."""
+    names and the protocol's client-protocol row — nothing else."""
 
-    __slots__ = ("gid", "members", "_request_cls")
+    __slots__ = ("gid", "members", "_row")
 
-    def __init__(self, gid, members, request_cls):
+    def __init__(self, gid, members, row):
         self.gid = gid
         self.members = tuple(members)
-        self._request_cls = request_cls
+        self._row = row
 
     def request(self, command, request_id):
-        return self._request_cls(command, request_id)
+        return self._row.request(request_id, command)
 
 
 class _WorkloadDriver(Process):
@@ -227,7 +228,7 @@ class FleetWorker:
             shard_map = spec.shard_map()
             stubs = [
                 _GroupStub(gid, spec.members_of(gid),
-                           PROTOCOL_ADAPTERS[spec.protocol_for(index)][1])
+                           client_row(spec.protocol_for(index)))
                 for index, gid in enumerate(spec.shard_ids())
             ]
             self.coordinator = cluster.add_node(

@@ -22,6 +22,7 @@ f+1 senders versus MinBFT's with 2f+1.
 
 from dataclasses import dataclass
 
+from ..core.client import RunResult
 from ..core.registry import register_profile
 from ..core.taxonomy import (
     Awareness,
@@ -344,33 +345,16 @@ class CheapBftClient(MinBftClient):
         self.panics_sent += 1
         self.multicast(self.replicas, Panic("client-timeout"))
         # Resend the request so the post-switch protocol picks it up.
-        self.multicast(
-            self.replicas,
-            MinRequest(self.operations[self._next], float(self._next),
-                       self.name),
-        )
+        self.multicast(self.replicas, self._request())
         self._panic_timer = self.set_timer(self.panic_timeout, self._panic,
                                            self._next)
 
 
-@dataclass
-class CheapBftResult:
-    replicas: list
-    clients: list
-    messages: int
-    duration: float
+class CheapBftResult(RunResult):
+    """What :func:`run_cheapbft` returns."""
 
     def modes(self):
         return [r.mode for r in self.replicas]
-
-    def logs_consistent(self):
-        merged = {}
-        for replica in self.replicas:
-            for key, op in replica.executed:
-                if key in merged and merged[key] != op:
-                    return False
-                merged[key] = op
-        return True
 
 
 def run_cheapbft(cluster, f=1, operations=3, crash_active_at=None,
@@ -389,11 +373,4 @@ def run_cheapbft(cluster, f=1, operations=3, crash_active_at=None,
     )
     if crash_active_at is not None:
         cluster.sim.schedule(crash_active_at, replicas[f].crash)
-    cluster.start_all()
-    cluster.run_until(lambda: client.done, until=horizon)
-    return CheapBftResult(
-        replicas=replicas,
-        clients=[client],
-        messages=cluster.metrics.messages_total,
-        duration=cluster.now,
-    )
+    return CheapBftResult.drive(cluster, replicas, [client], horizon)

@@ -20,7 +20,9 @@ decides one block per view, which is the throughput claim E11 measures.
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
+from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
 from ..core.registry import register_profile
@@ -241,40 +243,25 @@ class BasicHotStuffReplica(Node):
                 self.sim.call_soon(self._maybe_start)
 
 
-class BasicHotStuffClient(Node):
+class BasicHotStuffClient(ClosedLoopClient):
     """Sends operations one at a time to the current leader (replica 0
     initially; replicas forward after rotation)."""
 
-    def __init__(self, sim, network, name, replicas, operations):
-        super().__init__(sim, network, name)
-        self.replicas = list(replicas)
-        self.operations = list(operations)
-        self.results = []
-        self.latencies = []
-        self._next = 0
-        self._sent_at = None
+    handle_hsreply = ClosedLoopClient.on_reply
 
-    def on_start(self):
-        self._send_next()
 
-    def _send_next(self):
-        if self.done:
-            return
-        self._sent_at = self.sim.now
-        self.send(self.replicas[self._next % len(self.replicas)],
-                  HsRequest(self.operations[self._next], self.name))
-
-    def handle_hsreply(self, msg, src):
-        if self.done or msg.operation != self.operations[self._next]:
-            return
-        self.results.append(msg.result)
-        self.latencies.append(self.sim.now - self._sent_at)
-        self._next += 1
-        self._send_next()
-
-    @property
-    def done(self):
-        return self._next >= len(self.operations)
+#: How a client talks to basic HotStuff: the leader rotates with every
+#: decision, and a reply names the operation it answers.
+CLIENT = BasicHotStuffClient.ROW = ClientProtocol(
+    name="hotstuff-basic",
+    ident=lambda client, seq, operation: operation,
+    request=lambda ident, operation, client=None, signer=None:
+        HsRequest(operation, client),
+    reply=HsReply.mtype,
+    key=attrgetter("operation"),
+    need=lambda n, f: 1,
+    rotates=True,
+)
 
 
 # -- chained / pipelined HotStuff ---------------------------------------------
@@ -582,26 +569,16 @@ class ChainedHotStuffReplica(Node):
 # -- drivers -----------------------------------------------------------------
 
 
-@dataclass
-class HotStuffResult:
-    replicas: list
-    clients: list
-    messages: int
-    duration: float
+class HotStuffResult(RunResult):
+    """What both HotStuff drivers return."""
 
     def decided_logs(self):
         return [r.decided_ops if hasattr(r, "decided_ops") else r.decided
                 for r in self.replicas]
 
-    def logs_consistent(self):
-        logs = self.decided_logs()
-        # Prefix consistency: any two logs agree on their common prefix.
-        for log_a in logs:
-            for log_b in logs:
-                for x, y in zip(log_a, log_b):
-                    if x != y:
-                        return False
-        return True
+    def logs(self):
+        # Positional logs: agreeing per position = per common prefix.
+        return [enumerate(log) for log in self.decided_logs()]
 
 
 def run_basic_hotstuff(cluster, f=1, operations=3, horizon=2000.0):
@@ -614,14 +591,7 @@ def run_basic_hotstuff(cluster, f=1, operations=3, horizon=2000.0):
         BasicHotStuffClient, "c0", names,
         ["op-%d" % i for i in range(operations)],
     )
-    cluster.start_all()
-    cluster.run_until(lambda: client.done, until=horizon)
-    return HotStuffResult(
-        replicas=replicas,
-        clients=[client],
-        messages=cluster.metrics.messages_total,
-        duration=cluster.now,
-    )
+    return HotStuffResult.drive(cluster, replicas, [client], horizon)
 
 
 def run_chained_hotstuff(cluster, f=1, commands=8, crash_leader_at=None,

@@ -19,7 +19,9 @@ waits for f+1 matching replies.
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 
+from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
 from ..core.registry import register_profile
@@ -231,82 +233,29 @@ class MinBftReplica(Node):
             self.send(prepare.request.client, reply)
 
 
-class MinBftClient(Node):
+class MinBftClient(ClosedLoopClient):
     """MinBFT client: f+1 matching replies complete a request."""
 
-    def __init__(self, sim, network, name, replicas, operations, f,
-                 retry_timeout=30.0):
-        super().__init__(sim, network, name)
-        self.replicas = list(replicas)
-        self.operations = list(operations)
-        self.f = f
-        self.retry_timeout = retry_timeout
-        self.results = []
-        self.latencies = []
-        self._next = 0
-        self._replies = {}
-        self._sent_at = None
-        self._timer = None
-
-    def on_start(self):
-        self._send_next()
-
-    def _send_next(self):
-        if self.done:
-            return
-        self._replies = {}
-        self._sent_at = self.sim.now
-        self.send(self.replicas[0],
-                  MinRequest(self.operations[self._next], float(self._next),
-                             self.name))
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer = self.set_timer(self.retry_timeout, self._retry)
-
-    def _retry(self):
-        if not self.done:
-            self.multicast(
-                self.replicas,
-                MinRequest(self.operations[self._next], float(self._next),
-                           self.name),
-            )
-            self._timer = self.set_timer(self.retry_timeout, self._retry)
-
-    def handle_minreply(self, msg, src):
-        if self.done or msg.timestamp != float(self._next):
-            return
-        self._replies[src] = msg.result
-        counts = {}
-        for result in self._replies.values():
-            counts[repr(result)] = counts.get(repr(result), 0) + 1
-        if max(counts.values()) >= self.f + 1:
-            self.results.append(msg.result)
-            self.latencies.append(self.sim.now - self._sent_at)
-            self._next += 1
-            if self._timer is not None:
-                self._timer.cancel()
-            self._send_next()
-
-    @property
-    def done(self):
-        return self._next >= len(self.operations)
+    handle_minreply = ClosedLoopClient.on_reply
 
 
-@dataclass
-class MinBftResult:
-    replicas: list
-    clients: list
-    messages: int
-    duration: float
+#: How a client talks to MinBFT: PBFT's rule (f + 1 matching replies,
+#: retransmit to all) on 2f+1 replicas.
+CLIENT = MinBftClient.ROW = ClientProtocol(
+    name="minbft",
+    ident=lambda client, seq, operation: float(seq),
+    request=lambda ident, operation, client=None, signer=None:
+        MinRequest(operation, ident, client),
+    reply=MinReply.mtype,
+    key=attrgetter("timestamp"),
+    need=lambda n, f: f + 1,
+    retry="multicast",
+    retry_timeout=30.0,
+)
 
-    def logs_consistent(self):
-        merged = {}
-        for replica in self.replicas:
-            for counter, op in replica.executed:
-                if counter in merged and merged[counter] != op:
-                    return False
-                merged[counter] = op
-        return True
+
+class MinBftResult(RunResult):
+    """What :func:`run_minbft` returns."""
 
 
 def run_minbft(cluster, f=1, operations=3, horizon=2000.0):
@@ -320,11 +269,4 @@ def run_minbft(cluster, f=1, operations=3, horizon=2000.0):
         MinBftClient, "c0", names,
         ["op-%d" % i for i in range(operations)], f,
     )
-    cluster.start_all()
-    cluster.run_until(lambda: client.done, until=horizon)
-    return MinBftResult(
-        replicas=replicas,
-        clients=[client],
-        messages=cluster.metrics.messages_total,
-        duration=cluster.now,
-    )
+    return MinBftResult.drive(cluster, replicas, [client], horizon)

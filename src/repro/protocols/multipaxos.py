@@ -20,8 +20,10 @@ explicit.
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ..core.ballot import Ballot
+from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.node import Node
 from ..core.quorums import MajorityQuorum
 from ..core.registry import register_profile
@@ -457,91 +459,43 @@ class ListStateMachine:
         self.history = list(snapshot)
 
 
-class MultiPaxosClient(Node):
+class MultiPaxosClient(ClosedLoopClient):
     """Closed-loop client: one outstanding command, follows redirects."""
 
-    def __init__(self, sim, network, name, replicas, commands, retry_timeout=8.0):
-        super().__init__(sim, network, name)
-        self.replicas = list(replicas)
-        self.commands = list(commands)
-        self.retry_timeout = retry_timeout
-        self.target = self.replicas[0]
-        self.results = []
-        self.sent_at = {}
-        self.latencies = []
-        self._next = 0
-        self._timer = None
+    handle_clientreply = ClosedLoopClient.on_reply
+    handle_redirect = ClosedLoopClient.on_redirect
 
-    def on_start(self):
-        self._send_next()
 
-    def _send_next(self):
-        if self._next >= len(self.commands):
-            return
-        request_id = "%s-%d" % (self.name, self._next)
-        self.sent_at[request_id] = self.sim.now
-        self.send(self.target, ClientRequest(self.commands[self._next], request_id))
-        self._arm_timer()
-
-    def _arm_timer(self):
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer = self.set_timer(self.retry_timeout, self._retry)
-
-    def _retry(self):
-        # Leader may have crashed: rotate target and resend.
-        index = self.replicas.index(self.target)
-        self.target = self.replicas[(index + 1) % len(self.replicas)]
-        self._send_next()
-
-    def handle_redirect(self, msg, src):
-        if msg.leader_hint and msg.leader_hint != src:
-            self.target = msg.leader_hint
-        else:
-            index = self.replicas.index(self.target)
-            self.target = self.replicas[(index + 1) % len(self.replicas)]
-        self._send_next()
-
-    def handle_clientreply(self, msg, src):
-        expected = "%s-%d" % (self.name, self._next)
-        if msg.request_id != expected:
-            return  # stale duplicate
-        self.results.append(msg.result)
-        self.latencies.append(self.sim.now - self.sent_at[msg.request_id])
-        self._next += 1
-        if self._timer is not None:
-            self._timer.cancel()
-        self._send_next()
-
-    @property
-    def done(self):
-        return self._next >= len(self.commands)
+#: How a client talks to a Multi-Paxos log (see :mod:`repro.core.client`).
+CLIENT = MultiPaxosClient.ROW = ClientProtocol(
+    name="multi-paxos",
+    ident=lambda client, seq, command: "%s-%d" % (client, seq),
+    request=lambda ident, command, client=None, signer=None:
+        ClientRequest(command, ident),
+    reply=ClientReply.mtype,
+    key=attrgetter("request_id"),
+    need=lambda n, f: 1,
+    nodes_per_fault=2,
+    replica=MultiPaxosReplica,
+    replica_args=lambda peers, f: (peers,),
+    is_leader=attrgetter("is_leader"),
+    client=MultiPaxosClient,
+    redirect=Redirect.mtype,
+    retry="rotate",
+    retry_timeout=8.0,
+)
 
 
 # -- driver -----------------------------------------------------------------
 
 
-@dataclass
-class MultiPaxosResult:
-    replicas: list
-    clients: list
-    messages: int
-    duration: float
+class MultiPaxosResult(RunResult):
+    """What :func:`run_multipaxos` returns."""
 
     def committed_logs(self):
         return [replica.committed_log() for replica in self.replicas]
 
-    def logs_consistent(self):
-        """No two replicas disagree on any committed index (prefix-
-        consistency: shorter logs must be prefixes of longer ones)."""
-        logs = self.committed_logs()
-        merged = {}
-        for log in logs:
-            for index, value in log:
-                if index in merged and merged[index] != value:
-                    return False
-                merged[index] = value
-        return True
+    logs = committed_logs
 
 
 def run_multipaxos(
@@ -572,11 +526,4 @@ def run_multipaxos(
     ]
     if crash_leader_at is not None:
         cluster.sim.schedule(crash_leader_at, replicas[0].crash)
-    cluster.start_all()
-    cluster.run_until(lambda: all(c.done for c in clients), until=horizon)
-    return MultiPaxosResult(
-        replicas=replicas,
-        clients=clients,
-        messages=cluster.metrics.messages_total,
-        duration=cluster.now,
-    )
+    return MultiPaxosResult.drive(cluster, replicas, clients, horizon)

@@ -29,7 +29,9 @@ the attack and the defence.
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 
+from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
 from ..core.registry import register_profile
@@ -651,100 +653,47 @@ class SilentPrimary(PbftReplica):
         self._seen_digests[digest] = self.next_seq  # swallow silently
 
 
-class PbftClient(Node):
+class PbftClient(ClosedLoopClient):
     """PBFT client: sends to the primary, accepts f+1 matching replies,
     broadcasts to all replicas on timeout (the standard liveness path)."""
 
-    def __init__(self, sim, network, name, replicas, operations, f,
-                 retry_timeout=30.0, signer=None):
-        super().__init__(sim, network, name)
-        self.replicas = list(replicas)
-        self.operations = list(operations)
-        self.f = f
-        self.retry_timeout = retry_timeout
-        self.signer = signer  # signs requests when the cluster verifies them
-        self.results = []
-        self.latencies = []
-        self._next = 0
-        self._replies = {}
-        self._sent_at = None
-        self._timer = None
-        self._broadcasted = False
+    handle_pbftreply = ClosedLoopClient.on_reply
 
-    def on_start(self):
-        self._send_next()
 
-    def _current_request(self):
-        # Timestamp doubles as the request identifier.
-        operation = self.operations[self._next]
-        timestamp = float(self._next)
-        signature = None
-        if self.signer is not None:
-            signature = self.signer.sign("pbft-request", operation, timestamp,
-                                         self.name)
-        return PbftRequest(operation, timestamp, self.name, signature)
+def _client_request(ident, operation, client=None, signer=None):
+    """The timestamp doubles as the request identifier; ``signer`` signs
+    when the cluster verifies client requests."""
+    signature = None
+    if signer is not None:
+        signature = signer.sign("pbft-request", operation, ident, client)
+    return PbftRequest(operation, ident, client, signature)
 
-    def _send_next(self):
-        if self.done:
-            return
-        self._replies = {}
-        self._sent_at = self.sim.now
-        self._broadcasted = False
-        metrics = self.network.metrics
-        if metrics is not None:
-            metrics.start_request("pbft:%s-%d" % (self.name, self._next),
-                                  self.sim.now)
-        self.send(self.replicas[0], self._current_request())
-        self._arm_timer()
 
-    def _arm_timer(self):
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer = self.set_timer(self.retry_timeout, self._retry)
-
-    def _retry(self):
-        if self.done:
-            return
-        # Retransmit to every replica; backups will force a view change
-        # if the primary is the problem.
-        self._broadcasted = True
-        self.multicast(self.replicas, self._current_request())
-        self._arm_timer()
-
-    def handle_pbftreply(self, msg, src):
-        if self.done or msg.timestamp != float(self._next):
-            return
-        self._replies[src] = msg.result
-        matching = {}
-        for result in self._replies.values():
-            key = repr(result)
-            matching[key] = matching.get(key, 0) + 1
-        if max(matching.values()) >= self.f + 1:
-            metrics = self.network.metrics
-            label = "pbft:%s-%d" % (self.name, self._next)
-            if metrics is not None and metrics.request_open(label):
-                metrics.finish_request(label, self.sim.now)
-            self.results.append(self._replies[src])
-            self.latencies.append(self.sim.now - self._sent_at)
-            self._next += 1
-            if self._timer is not None:
-                self._timer.cancel()
-            self._send_next()
-
-    @property
-    def done(self):
-        return self._next >= len(self.operations)
+#: How a client talks to PBFT (see :mod:`repro.core.client`).
+CLIENT = PbftClient.ROW = ClientProtocol(
+    name="pbft",
+    ident=lambda client, seq, operation: float(seq),
+    request=_client_request,
+    reply=PbftReply.mtype,
+    key=attrgetter("timestamp"),
+    need=lambda n, f: f + 1,
+    nodes_per_fault=3,
+    replica=PbftReplica,
+    replica_args=lambda peers, f: (peers, f),
+    is_leader=attrgetter("is_primary"),
+    client=PbftClient,
+    retry="multicast",
+    retry_timeout=30.0,
+    spans=True,
+    view=attrgetter("view"),
+)
 
 
 # -- driver -----------------------------------------------------------------
 
 
-@dataclass
-class PbftResult:
-    replicas: list
-    clients: list
-    messages: int
-    duration: float
+class PbftResult(RunResult):
+    """What :func:`run_pbft` returns."""
 
     def honest_replicas(self):
         return [
@@ -755,14 +704,7 @@ class PbftResult:
     def executed_logs(self):
         return [r.executed_requests for r in self.honest_replicas()]
 
-    def logs_consistent(self):
-        merged = {}
-        for log in self.executed_logs():
-            for seq, op in log:
-                if seq in merged and merged[seq] != op:
-                    return False
-                merged[seq] = op
-        return True
+    logs = executed_logs
 
 
 def run_pbft(
@@ -805,19 +747,4 @@ def run_pbft(
     ]
     if crash_primary_at is not None:
         cluster.sim.schedule(crash_primary_at, replicas[0].crash)
-    cluster.start_all()
-
-    def all_done():
-        # Checked after every event: a plain loop, no generator frame.
-        for client in clients:
-            if not client.done:
-                return False
-        return True
-
-    cluster.run_until(all_done, until=horizon)
-    return PbftResult(
-        replicas=replicas,
-        clients=clients,
-        messages=cluster.metrics.messages_total,
-        duration=cluster.now,
-    )
+    return PbftResult.drive(cluster, replicas, clients, horizon)

@@ -11,7 +11,9 @@ counting replicas, which commits all preceding entries transitively).
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
+from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.node import Node
 from ..core.registry import register_profile
 from ..core.taxonomy import (
@@ -521,74 +523,43 @@ class RaftNode(Node):
         ]
 
 
-class RaftClient(Node):
+class RaftClient(ClosedLoopClient):
     """Closed-loop Raft client following leader redirects."""
 
-    def __init__(self, sim, network, name, servers, commands, retry_timeout=10.0):
-        super().__init__(sim, network, name)
-        self.servers = list(servers)
-        self.commands = list(commands)
-        self.retry_timeout = retry_timeout
-        self.target = self.servers[0]
-        self.results = []
-        self._next = 0
-        self._timer = None
+    handle_raftclientreply = ClosedLoopClient.on_reply
+    handle_raftredirect = ClosedLoopClient.on_redirect
 
-    def on_start(self):
-        self._send_next()
 
-    def _send_next(self):
-        if self.done:
-            return
-        request_id = "%s-%d" % (self.name, self._next)
-        metrics = self.network.metrics
-        if metrics is not None and not metrics.request_open("raft:" + request_id):
-            # Span opens on first submission; redirects/retries keep it.
-            metrics.start_request("raft:" + request_id, self.sim.now)
-        self.send(self.target, RaftClientRequest(self.commands[self._next], request_id))
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer = self.set_timer(self.retry_timeout, self._rotate_and_retry)
-
-    def _rotate_and_retry(self):
-        index = self.servers.index(self.target)
-        self.target = self.servers[(index + 1) % len(self.servers)]
-        self._send_next()
-
-    def handle_raftredirect(self, msg, src):
-        if msg.leader_hint and msg.leader_hint in self.servers:
-            self.target = msg.leader_hint
-            self._send_next()
-        else:
-            self._rotate_and_retry()
-
-    def handle_raftclientreply(self, msg, src):
-        expected = "%s-%d" % (self.name, self._next)
-        if msg.request_id != expected:
-            return
-        metrics = self.network.metrics
-        if metrics is not None and metrics.request_open("raft:" + expected):
-            metrics.finish_request("raft:" + expected, self.sim.now)
-        self.results.append(msg.result)
-        self._next += 1
-        if self._timer is not None:
-            self._timer.cancel()
-        self._send_next()
-
-    @property
-    def done(self):
-        return self._next >= len(self.commands)
+#: How a client talks to a Raft log: Multi-Paxos's row with Raft's
+#: message classes — the two differ in leader election only.
+CLIENT = RaftClient.ROW = ClientProtocol(
+    name="raft",
+    ident=lambda client, seq, command: "%s-%d" % (client, seq),
+    request=lambda ident, command, client=None, signer=None:
+        RaftClientRequest(command, ident),
+    reply=RaftClientReply.mtype,
+    key=attrgetter("request_id"),
+    need=lambda n, f: 1,
+    nodes_per_fault=2,
+    replica=RaftNode,
+    replica_args=lambda peers, f: (peers,),
+    is_leader=lambda node: node.role is Role.LEADER,
+    client=RaftClient,
+    redirect=RaftRedirect.mtype,
+    retry="rotate",
+    retry_timeout=10.0,
+    spans=True,
+    settle=30.0,
+)
 
 
 # -- driver -----------------------------------------------------------------
 
 
-@dataclass
-class RaftResult:
-    nodes: list
-    clients: list
-    messages: int
-    duration: float
+class RaftResult(RunResult):
+    """What :func:`run_raft` returns; Raft calls its replicas nodes."""
+
+    nodes = property(attrgetter("replicas"))
 
     def leader(self):
         leaders = [n for n in self.nodes if n.role is Role.LEADER and not n.crashed]
@@ -597,14 +568,7 @@ class RaftResult:
     def committed_logs(self):
         return [n.committed_log() for n in self.nodes]
 
-    def logs_consistent(self):
-        merged = {}
-        for log in self.committed_logs():
-            for index, value in log:
-                if index in merged and merged[index] != value:
-                    return False
-                merged[index] = value
-        return True
+    logs = committed_logs
 
 
 def run_raft(
@@ -639,11 +603,4 @@ def run_raft(
                     node.crash()
                     return
         cluster.sim.schedule(crash_leader_at, crash_current_leader)
-    cluster.start_all()
-    cluster.run_until(lambda: all(c.done for c in clients), until=horizon)
-    return RaftResult(
-        nodes=nodes,
-        clients=clients,
-        messages=cluster.metrics.messages_total,
-        duration=cluster.now,
-    )
+    return RaftResult.drive(cluster, nodes, clients, horizon)

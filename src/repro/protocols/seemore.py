@@ -23,7 +23,9 @@ Experiment E13 measures phases / message counts / quorum sizes per mode.
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
+from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
 from ..core.quorums import hybrid_minimum_nodes
@@ -313,67 +315,32 @@ class SeeMoReReplica(Node):
         self.send(client, SmReply(self.name, timestamp, result))
 
 
-class SeeMoReClient(Node):
+class SeeMoReClient(ClosedLoopClient):
     """Waits for m+1 matching replies (one correct public node, or any
     trusted private node's worth of agreement)."""
 
     def __init__(self, sim, network, name, entry, operations, m):
-        super().__init__(sim, network, name)
-        self.entry = entry
-        self.operations = list(operations)
-        self.m = m
-        self.results = []
-        self.latencies = []
-        self._next = 0
-        self._replies = {}
-        self._sent_at = None
+        super().__init__(sim, network, name, [entry], operations, m)
 
-    def on_start(self):
-        self._send_next()
+    handle_smreply = ClosedLoopClient.on_reply
 
-    def _send_next(self):
-        if self.done:
-            return
-        self._replies = {}
-        self._sent_at = self.sim.now
-        self.send(self.entry,
-                  SmRequest(self.operations[self._next], float(self._next),
-                            self.name))
 
-    def handle_smreply(self, msg, src):
-        if self.done or msg.timestamp != float(self._next):
-            return
-        self._replies[src] = msg.result
-        counts = {}
-        for result in self._replies.values():
-            counts[repr(result)] = counts.get(repr(result), 0) + 1
-        if max(counts.values()) >= self.m + 1:
-            self.results.append(msg.result)
-            self.latencies.append(self.sim.now - self._sent_at)
-            self._next += 1
-            self._send_next()
-
-    @property
-    def done(self):
-        return self._next >= len(self.operations)
+#: How a client talks to SeeMoRe: one entry replica, m + 1 matching
+#: replies, no retransmission.
+CLIENT = SeeMoReClient.ROW = ClientProtocol(
+    name="seemore",
+    ident=lambda client, seq, operation: float(seq),
+    request=lambda ident, operation, client=None, signer=None:
+        SmRequest(operation, ident, client),
+    reply=SmReply.mtype,
+    key=attrgetter("timestamp"),
+    need=lambda n, m: m + 1,
+)
 
 
 @dataclass
-class SeeMoReResult:
-    replicas: list
-    clients: list
-    messages: int
-    duration: float
+class SeeMoReResult(RunResult):
     mode: Mode
-
-    def logs_consistent(self):
-        merged = {}
-        for replica in self.replicas:
-            for seq, op in replica.executed:
-                if seq in merged and merged[seq] != op:
-                    return False
-                merged[seq] = op
-        return True
 
 
 def run_seemore(cluster, mode=1, m=1, c=1, operations=3, horizon=2000.0):
@@ -395,12 +362,5 @@ def run_seemore(cluster, mode=1, m=1, c=1, operations=3, horizon=2000.0):
         SeeMoReClient, "c0", entry,
         ["op-%d" % i for i in range(operations)], m,
     )
-    cluster.start_all()
-    cluster.run_until(lambda: client.done, until=horizon)
-    return SeeMoReResult(
-        replicas=replicas,
-        clients=[client],
-        messages=cluster.metrics.messages_total,
-        duration=cluster.now,
-        mode=Mode(mode),
-    )
+    return SeeMoReResult.drive(cluster, replicas, [client], horizon,
+                               mode=Mode(mode))

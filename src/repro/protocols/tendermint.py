@@ -344,13 +344,9 @@ class TendermintResult:
                 if not v.crashed]
 
     def chains_consistent(self):
-        chains = self.chains()
-        for chain_a in chains:
-            for chain_b in chains:
-                for x, y in zip(chain_a, chain_b):
-                    if x != y:
-                        return False
-        return True
+        from ..smr.checker import check_log_consistency
+        return check_log_consistency(
+            enumerate(chain) for chain in self.chains())
 
     def min_height(self):
         return min(len(v.chain) for v in self.validators if not v.crashed)

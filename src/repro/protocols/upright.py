@@ -14,8 +14,7 @@ robustness; the quorum arithmetic — the reproducible claim — is
 identical).
 """
 
-from dataclasses import dataclass
-
+from ..core.client import RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.quorums import hybrid_minimum_nodes
 from ..core.registry import register_profile
@@ -71,24 +70,11 @@ class UpRightReplica(PbftReplica):
 # n = 3m+2c+1 >= 3m+1 that check always passes, so no override is needed.
 
 
-@dataclass
-class UpRightResult:
-    replicas: list
-    clients: list
-    messages: int
-    duration: float
+class UpRightResult(RunResult):
+    """What :func:`run_upright` returns."""
 
-    def executed_logs(self):
+    def logs(self):
         return [r.executed_requests for r in self.replicas if not r.crashed]
-
-    def logs_consistent(self):
-        merged = {}
-        for log in self.executed_logs():
-            for seq, op in log:
-                if seq in merged and merged[seq] != op:
-                    return False
-                merged[seq] = op
-        return True
 
 
 def run_upright(cluster, m=1, c=1, operations=3, crash_indices=(),
@@ -115,11 +101,4 @@ def run_upright(cluster, m=1, c=1, operations=3, crash_indices=(),
         cluster.network.add_interceptor(
             lambda src, dst, msg, _name=name: False if src == _name else None
         )
-    cluster.start_all()
-    cluster.run_until(lambda: client.done, until=horizon)
-    return UpRightResult(
-        replicas=replicas,
-        clients=[client],
-        messages=cluster.metrics.messages_total,
-        duration=cluster.now,
-    )
+    return UpRightResult.drive(cluster, replicas, [client], horizon)

@@ -24,7 +24,9 @@ once it turns true (Byzantine leader + partition).
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 
+from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
 from ..core.registry import register_profile
@@ -323,74 +325,33 @@ class ByzantineXftLeader(XftReplica):
                 self.send(peer, XViewChange(new_view, ()))
 
 
-class XftClient(Node):
+class XftClient(ClosedLoopClient):
     """Completes on a single reply from the synchronous group (all of
     whose members committed — the group is trusted as a unit in XFT's
     common case); the experiments inspect replica logs directly."""
 
-    def __init__(self, sim, network, name, replicas, operations,
-                 retry_timeout=40.0):
-        super().__init__(sim, network, name)
-        self.replicas = list(replicas)
-        self.operations = list(operations)
-        self.retry_timeout = retry_timeout
-        self.results = []
-        self._next = 0
-        self._timer = None
-
-    def on_start(self):
-        self._send_next()
-
-    def _send_next(self):
-        if self.done:
-            return
-        self.send(self.replicas[0],
-                  XRequest(self.operations[self._next], float(self._next),
-                           self.name))
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer = self.set_timer(self.retry_timeout, self._retry,
-                                     self._next)
-
-    def _retry(self, expected_next):
-        if self.done or self._next != expected_next:
-            return
-        # Broadcast so every replica forwards (and suspects a dead group).
-        self.multicast(
-            self.replicas,
-            XRequest(self.operations[self._next], float(self._next),
-                     self.name),
-        )
-        self._timer = self.set_timer(self.retry_timeout, self._retry,
-                                     self._next)
-
-    def handle_xreply(self, msg, src):
-        if self.done or msg.timestamp != float(self._next):
-            return
-        self.results.append(msg.result)
-        self._next += 1
-        self._send_next()
-
-    @property
-    def done(self):
-        return self._next >= len(self.operations)
+    handle_xreply = ClosedLoopClient.on_reply
 
 
-@dataclass
-class XftResult:
-    replicas: list
-    clients: list
-    messages: int
-    duration: float
+#: How a client talks to XPaxos: one reply completes; an unanswered
+#: request is broadcast so every replica forwards it (and suspects a
+#: dead group).
+CLIENT = XftClient.ROW = ClientProtocol(
+    name="xft",
+    ident=lambda client, seq, operation: float(seq),
+    request=lambda ident, operation, client=None, signer=None:
+        XRequest(operation, ident, client),
+    reply=XReply.mtype,
+    key=attrgetter("timestamp"),
+    need=lambda n, f: 1,
+    retry="multicast",
+    retry_timeout=40.0,
+    cancel_on_reply=False,
+)
 
-    def logs_consistent(self):
-        merged = {}
-        for replica in self.replicas:
-            for seq, op in replica.executed:
-                if seq in merged and merged[seq] != op:
-                    return False
-                merged[seq] = op
-        return True
+
+class XftResult(RunResult):
+    """What the XFT drivers return."""
 
 
 def run_xft(cluster, f=1, operations=3, crash_group_member_at=None,
@@ -406,14 +367,7 @@ def run_xft(cluster, f=1, operations=3, crash_group_member_at=None,
     )
     if crash_group_member_at is not None:
         cluster.sim.schedule(crash_group_member_at, replicas[1].crash)
-    cluster.start_all()
-    cluster.run_until(lambda: client.done, until=horizon)
-    return XftResult(
-        replicas=replicas,
-        clients=[client],
-        messages=cluster.metrics.messages_total,
-        duration=cluster.now,
-    )
+    return XftResult.drive(cluster, replicas, [client], horizon)
 
 
 class _Sink(Node):
@@ -447,10 +401,6 @@ def _xft_attack(cluster, partitioned, horizon=300.0):
     client = cluster.add_node(XftClient, "atk-client", ["r2"], [])
     client.retry_timeout = 1e9  # single shot
 
-    def inject_request():
-        client.operations = ["op-B"]
-        client._send_next()
-
     cluster.start_all()
     # Step 1: Byzantine leader commits A with r1 in view 0.
     cluster.sim.schedule(1.0, leader.commit_with, "r1", 0, "op-A")
@@ -462,7 +412,7 @@ def _xft_attack(cluster, partitioned, horizon=300.0):
     cluster.sim.schedule(22.0, r2._suspect)
     cluster.sim.schedule(22.5, leader.vote_for_view, 2)
     # Step 3: in view 2, group [r2, r0] serves a new request.
-    cluster.sim.schedule(30.0, inject_request)
+    cluster.sim.schedule(30.0, client.submit, "op-B")
     cluster.run(until=horizon)
     return XftResult(
         replicas=[leader] + honest,

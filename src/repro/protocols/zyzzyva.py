@@ -21,6 +21,7 @@ are the reproduced claims (E10).
 
 from dataclasses import dataclass
 
+from ..core.client import RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
 from ..core.registry import register_profile
@@ -318,26 +319,16 @@ class ZyzzyvaClient(Node):
 # -- driver -----------------------------------------------------------------
 
 
-@dataclass
-class ZyzzyvaResult:
-    replicas: list
-    clients: list
-    messages: int
-    duration: float
+class ZyzzyvaResult(RunResult):
+    """What :func:`run_zyzzyva` returns."""
 
     def case_counts(self):
         ones = sum(c.case1_completions for c in self.clients)
         twos = sum(c.case2_completions for c in self.clients)
         return ones, twos
 
-    def logs_consistent(self):
-        merged = {}
-        for replica in self.replicas:
-            for seq, op in replica.speculative_log:
-                if seq in merged and merged[seq] != op:
-                    return False
-                merged[seq] = op
-        return True
+    def logs(self):
+        return [r.speculative_log for r in self.replicas]
 
 
 def run_zyzzyva(cluster, f=1, operations=3, slow_replicas=(), horizon=2000.0):
@@ -353,11 +344,4 @@ def run_zyzzyva(cluster, f=1, operations=3, slow_replicas=(), horizon=2000.0):
         ZyzzyvaClient, "c0", names,
         ["op-%d" % j for j in range(operations)], f,
     )
-    cluster.start_all()
-    cluster.run_until(lambda: client.done, until=horizon)
-    return ZyzzyvaResult(
-        replicas=replicas,
-        clients=[client],
-        messages=cluster.metrics.messages_total,
-        duration=cluster.now,
-    )
+    return ZyzzyvaResult.drive(cluster, replicas, [client], horizon)

@@ -19,7 +19,7 @@ from importlib import import_module
 
 from .analysis.claims import PaperClaim, claim_for
 
-__all__ = ["SCENARIOS", "Scenario", "fleet_summary"]
+__all__ = ["SCENARIOS", "Scenario", "client_row", "fleet_summary"]
 
 
 def _load(path):
@@ -55,6 +55,10 @@ class Scenario:
     #: box synthesized from how the composition is built.  A fleet
     #: attaches per-group monitor batteries itself.
     fleet_claim: PaperClaim = None
+    #: ``"module:ROW"``: the :class:`~repro.core.client.ClientProtocol`
+    #: row, where fleets are built from it (``repro loadtest``,
+    #: ``ReplicatedKV``, shard groups).
+    client: str = None
 
     def run(self, cluster, faults=None):
         """Run the scenario on ``cluster`` with one fault kind (or none)
@@ -172,12 +176,14 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         "multi-paxos", "repro.protocols.multipaxos:run_multipaxos", 5, 2,
         _logs_consistent("5 commands"),
         {"n_replicas": 5, "commands_per_client": 5},
-        faults={"crash": {"crash_leader_at": 25.0}}),
+        faults={"crash": {"crash_leader_at": 25.0}},
+        client="repro.protocols.multipaxos:CLIENT"),
     Scenario(
         "raft", "repro.protocols.raft:run_raft", 5, 2,
         _logs_consistent("5 commands"),
         {"n_nodes": 5, "commands_per_client": 5},
-        faults={"crash": {"crash_leader_at": 20.0}}, demo_faults="crash"),
+        faults={"crash": {"crash_leader_at": 20.0}}, demo_faults="crash",
+        client="repro.protocols.raft:CLIENT"),
     Scenario(
         "fast-paxos", "repro.protocols.fast_paxos:run_fast_paxos", 4, 1,
         lambda r: "decided %r (collision=%s)" % (r.decided, r.collision),
@@ -200,7 +206,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         faults={"equivocate": _pbft_primary("EquivocatingPrimary"),
                 "silent": _pbft_primary("SilentPrimary"),
                 "crash": {"crash_primary_at": 5.0}},
-        demo_faults="equivocate"),
+        demo_faults="equivocate", client="repro.protocols.pbft:CLIENT"),
     Scenario(
         "zyzzyva", "repro.protocols.zyzzyva:run_zyzzyva", 4, 1,
         lambda r: "3 ops (%d fast-path, %d slow-path)" % r.case_counts(),
@@ -263,3 +269,14 @@ SCENARIOS = {scenario.name: scenario for scenario in (
             "shards", "crash (per group)", "G x (2f+1)",
             "2PC over per-group consensus", "O(G*n) per cross-shard txn")),
 )}
+
+
+def client_row(protocol):
+    """``protocol``'s :class:`~repro.core.client.ClientProtocol` row;
+    ``ValueError`` naming the choices when there is none."""
+    scenario = SCENARIOS.get(protocol)
+    if scenario is None or scenario.client is None:
+        raise ValueError("no client protocol for %r (choices: %s)" % (
+            protocol, ", ".join(name for name, row in SCENARIOS.items()
+                                if row.client is not None)))
+    return _load(scenario.client)

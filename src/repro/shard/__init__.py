@@ -10,7 +10,7 @@ protocol walk-through.
 """
 
 from .cluster import ShardedCluster
-from .group import PROTOCOL_ADAPTERS, ShardGroup
+from .group import ShardGroup
 from .keyspace import (
     HashPartitioner,
     RangePartitioner,
@@ -23,7 +23,6 @@ from .txn import ShardTxnCoordinator
 
 __all__ = [
     "HashPartitioner",
-    "PROTOCOL_ADAPTERS",
     "RangePartitioner",
     "ShardGroup",
     "ShardKVStateMachine",

@@ -10,18 +10,9 @@ returning to: *any* log-replication protocol underneath, same shard on
 top.
 """
 
-from ..protocols.multipaxos import ClientRequest, MultiPaxosReplica
-from ..protocols.raft import RaftClientRequest, RaftNode, Role
+from ..scenarios import client_row
 from ..smr import check_log_consistency, check_state_machines
 from .state import ShardKVStateMachine
-
-#: protocol name -> (replica factory, client-request class, is-leader).
-PROTOCOL_ADAPTERS = {
-    "multi-paxos": (MultiPaxosReplica, ClientRequest,
-                    lambda node: node.is_leader),
-    "raft": (RaftNode, RaftClientRequest,
-             lambda node: node.role is Role.LEADER),
-}
 
 
 class ShardGroup:
@@ -36,25 +27,26 @@ class ShardGroup:
     n_replicas:
         Replication factor (2f+1 for f crash faults).
     protocol:
-        ``"multi-paxos"`` or ``"raft"`` — see :data:`PROTOCOL_ADAPTERS`.
+        ``"multi-paxos"`` or ``"raft"`` — a ``SCENARIOS`` row whose
+        client protocol redirects to the leader, which is what the
+        transaction coordinator chases.
     """
 
     def __init__(self, cluster, gid, n_replicas, protocol="multi-paxos",
                  state_machine_factory=ShardKVStateMachine):
-        if protocol not in PROTOCOL_ADAPTERS:
-            raise ValueError("unknown shard protocol %r (choices: %s)"
-                             % (protocol,
-                                ", ".join(sorted(PROTOCOL_ADAPTERS))))
+        row = self._row = client_row(protocol)
+        if row.redirect is None:
+            raise ValueError("shard protocol %r has no leader redirect"
+                             % (protocol,))
         self.cluster = cluster
         self.gid = str(gid)
         self.protocol = protocol
-        factory, self._request_cls, self._is_leader = \
-            PROTOCOL_ADAPTERS[protocol]
         self.group = cluster.group(self.gid)
         local_names = ["r%d" % i for i in range(n_replicas)]
         peers = [self.group.member(name) for name in local_names]
+        f = (n_replicas - 1) // row.nodes_per_fault
         self.replicas = self.group.add_nodes(
-            factory, local_names, peers,
+            row.replica, local_names, *row.replica_args(peers, f),
             state_machine_factory=state_machine_factory)
 
     # -- protocol surface ---------------------------------------------------
@@ -66,12 +58,12 @@ class ShardGroup:
 
     def request(self, command, request_id):
         """A client-request message replicating ``command`` here."""
-        return self._request_cls(command, request_id)
+        return self._row.request(request_id, command)
 
     def leader(self):
         """The live leader replica, or ``None`` mid-election."""
         for replica in self.replicas:
-            if not replica.crashed and self._is_leader(replica):
+            if not replica.crashed and self._row.is_leader(replica):
                 return replica
         return None
 
@@ -95,7 +87,7 @@ class ShardGroup:
 
     def crash_follower(self):
         for replica in self.replicas:
-            if not replica.crashed and not self._is_leader(replica):
+            if not replica.crashed and not self._row.is_leader(replica):
                 replica.crash()
                 return replica.name
         return None

@@ -26,25 +26,22 @@ minority of replica crashes at any point cannot lose migration state.
 
 import itertools
 
-from ..core.node import Node
+from ..dtxn.coordinator import GroupRequester
 
 
-class SplitOrchestrator(Node):
+class SplitOrchestrator(GroupRequester):
     """Drives shard splits for a :class:`~repro.shard.ShardedCluster`.
 
     One split runs at a time; :attr:`last_split` records the finished
     one (``sid``, ``new_sid``, ``at``, ``moved_keys``, ``duration``).
     """
 
-    RETRY_TIMEOUT = 15.0
     BUSY_BACKOFF = (2.0, 6.0)
 
     def __init__(self, sim, network, name, sharded):
         super().__init__(sim, network, name)
         self.sharded = sharded
         self._seq = itertools.count()
-        self._pending = {}  # request_id -> (stage, gid, command)
-        self._hint = {}  # gid -> replica currently addressed
         self.active = None
         self.last_split = None
         self.splits_done = 0
@@ -65,47 +62,23 @@ class SplitOrchestrator(Node):
         self._send(sid, ("shard_freeze", at, hi), "freeze")
         return self.active
 
-    # -- request plumbing (same medicine as the txn coordinator) ------------
+    # -- request plumbing (the txn coordinator's, see GroupRequester) --------
+
+    def members_of(self, gid):
+        return self.sharded.shard_groups[gid].members
+
+    def make_request(self, gid, command, request_id):
+        return self.sharded.shard_groups[gid].request(command, request_id)
 
     def _send(self, gid, command, stage):
-        request_id = "split-%s-%d" % (stage, next(self._seq))
-        self._pending[request_id] = (stage, gid, command)
-        group = self.sharded.shard_groups[gid]
-        target = self._hint.setdefault(gid, group.members[0])
-        self.send(target, group.request(command, request_id))
-        self.set_timer(self.RETRY_TIMEOUT, self._retry, request_id)
+        self._request("split-%s-%d" % (stage, next(self._seq)), gid,
+                      command, stage)
 
-    def _retry(self, request_id):
-        entry = self._pending.get(request_id)
-        if entry is None:
-            return
-        _stage, gid, command = entry
-        group = self.sharded.shard_groups[gid]
-        members = group.members
-        current = self._hint[gid]
-        self._hint[gid] = members[(members.index(current) + 1) % len(members)]
-        self.send(self._hint[gid], group.request(command, request_id))
-        self.set_timer(self.RETRY_TIMEOUT, self._retry, request_id)
-
-    def handle_redirect(self, msg, src):
-        entry = self._pending.get(msg.request_id)
-        if entry is None:
-            return
-        _stage, gid, command = entry
-        group = self.sharded.shard_groups[gid]
-        if msg.leader_hint and msg.leader_hint in group.members:
-            self._hint[gid] = msg.leader_hint
-        self.send(self._hint[gid], group.request(command, msg.request_id))
+    def on_result(self, stage, gid, command, result):
+        getattr(self, "_on_" + stage)(result, gid, command)
 
     def handle_raftredirect(self, msg, src):
         self.handle_redirect(msg, src)
-
-    def handle_clientreply(self, msg, src):
-        entry = self._pending.pop(msg.request_id, None)
-        if entry is None:
-            return  # duplicate reply
-        stage, gid, command = entry
-        getattr(self, "_on_" + stage)(msg.result, gid, command)
 
     def handle_raftclientreply(self, msg, src):
         self.handle_clientreply(msg, src)

@@ -18,11 +18,9 @@ through the discrete-event simulator until the reply arrives — i.e.
 """
 
 from ..core.cluster import Cluster
-from ..core.exceptions import LivenessFailure
+from ..scenarios import client_row
 from .checker import check_log_consistency, check_state_machines
 from .state_machine import KVStateMachine
-
-_PROTOCOLS = ("multi-paxos", "raft", "pbft")
 
 
 class ReplicatedKV:
@@ -34,7 +32,8 @@ class ReplicatedKV:
         Cluster size.  For PBFT this must be 3f+1; the largest tolerable
         f is derived automatically.
     protocol:
-        One of ``"multi-paxos"``, ``"raft"``, ``"pbft"``.
+        One of ``"multi-paxos"``, ``"raft"``, ``"pbft"`` — any
+        ``SCENARIOS`` row that names a client protocol.
     seed:
         Simulation seed (identical seeds replay identical histories).
     op_timeout:
@@ -44,74 +43,30 @@ class ReplicatedKV:
 
     def __init__(self, n_replicas=3, protocol="multi-paxos", seed=0,
                  delivery=None, op_timeout=2000.0):
-        if protocol not in _PROTOCOLS:
-            raise ValueError(
-                "protocol must be one of %s" % (_PROTOCOLS,)
-            )
+        row = self._row = client_row(protocol)
+        f = (n_replicas - 1) // row.nodes_per_fault
+        if f < 1 and row.need(n_replicas, 1) > 1:
+            # A client that cross-checks replies needs a cluster big
+            # enough to outvote one faulty replica.
+            raise ValueError("%s needs at least %d replicas"
+                             % (protocol, row.nodes_per_fault + 1))
         self.protocol = protocol
         self.cluster = Cluster(seed=seed, delivery=delivery)
         self.op_timeout = op_timeout
-        self._op_counter = 0
         names = ["kv%d" % i for i in range(n_replicas)]
-        if protocol == "multi-paxos":
-            from ..protocols.multipaxos import MultiPaxosReplica
-            self.replicas = self.cluster.add_nodes(
-                MultiPaxosReplica, names, names,
-                state_machine_factory=KVStateMachine,
-            )
-        elif protocol == "raft":
-            from ..protocols.raft import RaftNode
-            self.replicas = self.cluster.add_nodes(
-                RaftNode, names, names, state_machine_factory=KVStateMachine
-            )
-        else:
-            from ..protocols.pbft import PbftReplica
-            f = (n_replicas - 1) // 3
-            if f < 1:
-                raise ValueError("PBFT needs at least 4 replicas")
-            self.replicas = self.cluster.add_nodes(
-                PbftReplica, names, names, f,
-                state_machine_factory=KVStateMachine,
-            )
-            self._f = f
-        self._client = self._make_client(names)
+        self.replicas = self.cluster.add_nodes(
+            row.replica, names, *row.replica_args(names, f),
+            state_machine_factory=KVStateMachine)
+        self._client = self.cluster.add_node(row.client, "kvclient", names,
+                                             [], f)
         self.cluster.start_all()
-
-    def _make_client(self, names):
-        if self.protocol == "multi-paxos":
-            from ..protocols.multipaxos import MultiPaxosClient
-            return self.cluster.add_node(MultiPaxosClient, "kvclient", names, [])
-        if self.protocol == "raft":
-            from ..protocols.raft import RaftClient
-            return self.cluster.add_node(RaftClient, "kvclient", names, [])
-        from ..protocols.pbft import PbftClient
-        return self.cluster.add_node(PbftClient, "kvclient", names, [],
-                                     self._f)
 
     # -- synchronous operations ------------------------------------------------
 
     def execute(self, command):
         """Run one command through the replication protocol and return
         the state machine's result."""
-        client = self._client
-        done_before = len(client.results)
-        was_idle = client.done
-        queue = getattr(client, "operations", None)
-        if queue is None:
-            queue = client.commands
-        queue.append(tuple(command))
-        if was_idle:
-            client._send_next()
-        deadline = self.cluster.now + self.op_timeout
-        self.cluster.run_until(
-            lambda: len(client.results) > done_before, until=deadline
-        )
-        if len(client.results) <= done_before:
-            raise LivenessFailure(
-                "operation %r did not complete within %.0f time units"
-                % (command, self.op_timeout)
-            )
-        return client.results[-1]
+        return self._client.call(tuple(command), self.op_timeout)
 
     def put(self, key, value):
         """Replicated write; returns the previous value."""
@@ -145,14 +100,7 @@ class ReplicatedKV:
 
     def _current_leader(self):
         for replica in self.replicas:
-            if replica.crashed:
-                continue
-            if getattr(replica, "is_leader", False):
-                return replica
-            if getattr(replica, "is_primary", False):
-                return replica
-            role = getattr(replica, "role", None)
-            if role is not None and getattr(role, "value", None) == "leader":
+            if not replica.crashed and self._row.is_leader(replica):
                 return replica
         return None
 

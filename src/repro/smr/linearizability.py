@@ -105,24 +105,18 @@ def record_concurrent_history(cluster, replica_names, client_commands,
         def __init__(self, sim, network, name, replicas, commands):
             super().__init__(sim, network, name, replicas, commands)
             self.history = []
-            self._invoked_at = {}
-
-        def _send_next(self):
-            if not self.done:
-                # First transmission is the invocation; retries don't move it.
-                self._invoked_at.setdefault(self._next, self.sim.now)
-            super()._send_next()
 
         def handle_clientreply(self, msg, src):
-            before = self._next
+            index = self._next
+            # First transmission is the invocation; retries don't move it.
+            invoked_at = self._sent_at
             super().handle_clientreply(msg, src)
-            if self._next != before:
-                index = before
+            if self._next != index:
                 self.history.append(Operation(
                     client=self.name,
                     command=tuple(self.commands[index]),
                     result=self.results[index],
-                    invoked_at=self._invoked_at[index],
+                    invoked_at=invoked_at,
                     completed_at=self.sim.now,
                 ))
 

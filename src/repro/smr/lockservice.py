@@ -15,7 +15,6 @@ never from its local clock.
 
 
 from ..core.cluster import Cluster
-from ..core.exceptions import LivenessFailure
 from ..protocols.multipaxos import MultiPaxosClient, MultiPaxosReplica
 
 DEFAULT_LEASE = 30.0
@@ -111,18 +110,7 @@ class LockService:
     # -- command plumbing -----------------------------------------------------------
 
     def _execute(self, command):
-        client = self._client
-        done_before = len(client.results)
-        was_idle = client.done
-        client.commands.append(tuple(command))
-        if was_idle:
-            client._send_next()
-        deadline = self.cluster.now + self.op_timeout
-        self.cluster.run_until(lambda: len(client.results) > done_before,
-                               until=deadline)
-        if len(client.results) <= done_before:
-            raise LivenessFailure("lock op %r timed out" % (command,))
-        return client.results[-1]
+        return self._client.call(tuple(command), self.op_timeout)
 
     # -- public ------------------------------------------------------------------------
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from ..core.cluster import Cluster
 from ..protocols.multipaxos import MultiPaxosClient, MultiPaxosReplica
+from .checker import check_log_consistency
 
 
 @dataclass
@@ -48,11 +49,7 @@ class AtomicBroadcast:
 
     def broadcast(self, sender, message):
         """A-broadcast ``message`` from ``sender`` (asynchronous)."""
-        client = self.clients[sender]
-        was_idle = client.done
-        client.commands.append((sender, message))
-        if was_idle:
-            client._send_next()
+        self.clients[sender].submit((sender, message))
 
     def run_until_delivered(self, count, horizon=3000.0):
         self.cluster.run_until(
@@ -74,13 +71,8 @@ class AtomicBroadcast:
         return [self._delivery_sequence(r) for r in self.replicas]
 
     def total_order_holds(self):
-        sequences = self.delivered()
-        for seq_a in sequences:
-            for seq_b in sequences:
-                for x, y in zip(seq_a, seq_b):
-                    if x != y:
-                        return False
-        return True
+        return check_log_consistency(
+            enumerate(sequence) for sequence in self.delivered())
 
 
 def consensus_from_broadcast(proposals, n_replicas=3, seed=0, horizon=3000.0):
