@@ -23,15 +23,17 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import comparison_table, render_table
+from .analysis import PAPER_TABLE, render_table
 from .core import Cluster
 from .scenarios import SCENARIOS
 
 
 def cmd_list(_args):
-    import repro.protocols  # noqa: F401  (registers profiles)
-    rows = comparison_table()
-    print(render_table(rows, title="Implemented protocols"))
+    print(render_table(
+        [vars(claim) for claim in PAPER_TABLE],
+        columns=("protocol", "synchrony", "failure_model", "strategy",
+                 "awareness", "nodes", "phases", "complexity"),
+        title="Implemented protocols"))
     return 0
 
 

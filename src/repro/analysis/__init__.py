@@ -1,16 +1,14 @@
 """Paper claims, comparison tables, experiment reporting."""
 
-from .claims import LOWER_BOUNDS, PAPER_TABLE, PaperClaim, claim_for
+from .claims import PAPER_TABLE, PaperClaim, claim_for
 from .report import collect_results, generate_experiments_md
-from .tables import comparison_table, render_table
+from .tables import render_table
 
 __all__ = [
-    "LOWER_BOUNDS",
     "PAPER_TABLE",
     "PaperClaim",
     "claim_for",
     "collect_results",
-    "comparison_table",
     "generate_experiments_md",
     "render_table",
 ]

@@ -45,8 +45,3 @@ def _fmt(value):
         return "%.3f" % value
     return str(value)
 
-
-def comparison_table():
-    """The registered protocol property boxes as table rows (E1)."""
-    from ..core.registry import all_profiles
-    return [profile.as_row() for profile in all_profiles()]

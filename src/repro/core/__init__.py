@@ -1,4 +1,4 @@
-"""Core abstractions: ballots, quorums, taxonomy, C&C framework, nodes."""
+"""Core abstractions: ballots, quorums, C&C framework, nodes."""
 
 from .ballot import Ballot
 from .cluster import Cluster, ClusterGroup
@@ -29,11 +29,8 @@ from .quorums import (
     crash_minimum_nodes,
     hybrid_minimum_nodes,
 )
-from .registry import all_profiles, get_profile, profile_names, register_profile
-from .taxonomy import Awareness, FailureModel, ProtocolProfile, Strategy, Synchrony
 
 __all__ = [
-    "Awareness",
     "Ballot",
     "ByzantineQuorum",
     "CCDecomposition",
@@ -42,7 +39,6 @@ __all__ = [
     "Cluster",
     "ClusterGroup",
     "ConfigurationError",
-    "FailureModel",
     "FlexibleQuorum",
     "GridQuorum",
     "HybridQuorum",
@@ -52,18 +48,11 @@ __all__ = [
     "PAXOS_DECOMPOSITION",
     "PHASE_ORDER",
     "ProtocolError",
-    "ProtocolProfile",
     "QuorumSystem",
     "SafetyViolation",
-    "Strategy",
-    "Synchrony",
     "THREE_PC_DECOMPOSITION",
     "TWO_PC_DECOMPOSITION",
-    "all_profiles",
     "bft_minimum_nodes",
     "crash_minimum_nodes",
-    "get_profile",
     "hybrid_minimum_nodes",
-    "profile_names",
-    "register_profile",
 ]

@@ -3,8 +3,9 @@
 A :class:`MonitorSpec` says which monitors apply to a protocol and with
 which keys: where its decisions show up in the trace (milestone labels,
 slot/value detail keys), what certifies them, which message types are
-proposals that could equivocate, the claimed phase alphabet, and the
-complexity exponent from the paper's O(N)/O(N²) column.
+proposals that could equivocate, and the claimed phase alphabet.  The
+complexity envelope's exponent is not restated here: it is read off the
+O(N)/O(N²) column of the protocol's ``PAPER_TABLE`` row.
 
 Depth varies with instrumentation: the protocols the test suite drives
 hardest (paxos, multi-paxos, raft, pbft, hotstuff, tendermint, ben-or,
@@ -69,8 +70,8 @@ class MonitorSpec:
     #: Phases that taint a complexity window (default: the exceptional
     #: ones) — e.g. multi-paxos "prepare" is claimed but not steady-state.
     window_tainting_phases: tuple = None
-    #: 1 for O(N) claims, 2 for O(N²); None = no envelope monitor.
-    complexity_exponent: int = None
+    #: Slack on the complexity envelope every row with ``decide_labels``
+    #: gets; its exponent is the power of N in ``claim().complexity``.
     complexity_factor: float = 16.0
     stall_horizon_events: int = 4000
 
@@ -127,9 +128,11 @@ def _compile_battery(spec):
         plan.append((_FLEET_ONLY, lambda n, f: PhaseConformanceMonitor(
             protocols, expected, exceptional=exceptional,
             require_all=require_all)))
-    if spec.complexity_exponent is not None and spec.decide_labels:
+    if spec.decide_labels:
         decide = tuple(spec.decide_labels)
-        exponent, factor = spec.complexity_exponent, spec.complexity_factor
+        # KeyError at import for a claim that names no single order.
+        exponent = {"O(N)": 1, "O(N^2)": 2}[spec.claim().complexity]
+        factor = spec.complexity_factor
         slot_key = spec.slot_key
         tainting = spec.window_tainting_phases
         if tainting is None:
@@ -180,7 +183,6 @@ MONITOR_SPECS = _specs(
                       lambda n, f: n // 2 + 1, ("ballot",)),
         phase_protocols=("paxos",),
         expected_phases=("prepare", "accept", "decide"),
-        complexity_exponent=1,
     ),
     MonitorSpec(
         "multi-paxos",
@@ -191,7 +193,6 @@ MONITOR_SPECS = _specs(
         phase_protocols=("multi-paxos",),
         expected_phases=("prepare", "accept"),
         window_tainting_phases=("prepare",),
-        complexity_exponent=1,
     ),
     MonitorSpec(
         "raft",
@@ -202,7 +203,6 @@ MONITOR_SPECS = _specs(
         phase_protocols=("raft",),
         expected_phases=("election", "append"),
         window_tainting_phases=("election",),
-        complexity_exponent=1,
     ),
     MonitorSpec(
         "fast-paxos",
@@ -221,7 +221,6 @@ MONITOR_SPECS = _specs(
         cert=CertSpec("decide", "acceptedmsg", lambda n, f: 3, ("ballot",)),
         phase_protocols=("paxos",),
         expected_phases=("prepare", "accept", "decide"),
-        complexity_exponent=1,
     ),
     MonitorSpec(
         "2pc",
@@ -247,7 +246,6 @@ MONITOR_SPECS = _specs(
         phase_protocols=("pbft",),
         expected_phases=("pre-prepare", "prepare", "commit"),
         exceptional_phases=("view-change",),
-        complexity_exponent=2,
     ),
     MonitorSpec(
         "zyzzyva",
@@ -264,7 +262,6 @@ MONITOR_SPECS = _specs(
         expected_phases=("propose", "prepare", "pre-commit", "commit",
                          "decide"),
         require_all_phases=False,  # basic and chained mark disjoint sets
-        complexity_exponent=1,
     ),
     MonitorSpec(
         "minbft",
@@ -294,7 +291,6 @@ MONITOR_SPECS = _specs(
         "ben-or",
         decide_labels=("decide", "learn"),
         value_key="value",
-        complexity_exponent=2,
         complexity_factor=64.0,  # randomized: cost spans many rounds
         stall_horizon_events=20000,
     ),
@@ -309,13 +305,11 @@ MONITOR_SPECS = _specs(
         proposal_epoch_keys=("height", "round"),
         phase_protocols=("tendermint",),
         expected_phases=("propose", "prevote", "precommit"),
-        complexity_exponent=2,
     ),
     MonitorSpec(
         "chandra-toueg",
         decide_labels=("decide", "learn"),
         value_key="value",
-        complexity_exponent=1,
         complexity_factor=64.0,  # failure-detector heartbeats run freely
     ),
 )

@@ -12,49 +12,8 @@ Lamport), :mod:`pbft`, :mod:`zyzzyva`, :mod:`hotstuff`.
 Hybrid / trusted-component: :mod:`minbft`, :mod:`cheapbft`,
 :mod:`upright`, :mod:`seemore`, :mod:`xft`.
 
-Importing this package registers every protocol's property box
-(:class:`~repro.core.taxonomy.ProtocolProfile`) in the global registry,
-from which the analysis layer renders the comparison table.
+Nothing is imported eagerly: consumers name the module they need
+(``from repro.protocols import pbft``, a ``SCENARIOS`` entry string).
+Each protocol's property box lives in
+``repro.analysis.claims.PAPER_TABLE``, not in its module.
 """
-
-from . import (  # noqa: F401  (imported for profile registration)
-    benor,
-    chandra_toueg,
-    cheapbft,
-    commit,
-    fast_paxos,
-    flexible_paxos,
-    hotstuff,
-    interactive_consistency,
-    minbft,
-    multipaxos,
-    paxos,
-    pbft,
-    raft,
-    seemore,
-    tendermint,
-    upright,
-    xft,
-    zyzzyva,
-)
-
-__all__ = [
-    "benor",
-    "chandra_toueg",
-    "cheapbft",
-    "commit",
-    "fast_paxos",
-    "flexible_paxos",
-    "hotstuff",
-    "interactive_consistency",
-    "minbft",
-    "multipaxos",
-    "paxos",
-    "pbft",
-    "raft",
-    "seemore",
-    "tendermint",
-    "upright",
-    "xft",
-    "zyzzyva",
-]

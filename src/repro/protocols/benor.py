@@ -24,29 +24,7 @@ from dataclasses import dataclass
 
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..net.message import Message
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="ben-or",
-        synchrony=Synchrony.ASYNCHRONOUS,
-        failure_model=FailureModel.CRASH,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="2f+1",
-        phases=2,
-        complexity="O(N^2)",
-        notes="randomized; terminates with probability 1 (FLP circumvention)",
-    )
-)
 
 UNDECIDED = "?"
 

@@ -28,29 +28,7 @@ from dataclasses import dataclass
 
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..net.message import Message
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="chandra-toueg",
-        synchrony=Synchrony.ASYNCHRONOUS,
-        failure_model=FailureModel.CRASH,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="2f+1",
-        phases=4,
-        complexity="O(N)",
-        notes="consensus from the <>S failure-detector oracle",
-    )
-)
 
 
 @dataclass(frozen=True)

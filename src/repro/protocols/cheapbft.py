@@ -23,30 +23,8 @@ f+1 senders versus MinBFT's with 2f+1.
 from dataclasses import dataclass
 
 from ..core.client import RunResult
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..net.message import Message
 from .minbft import MinBftClient, MinBftReplica, MinRequest, MinReply
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="cheapbft",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.HYBRID,
-        strategy=Strategy.OPTIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="f+1 active / 2f+1",
-        phases=2,
-        complexity="O(N)",
-        notes="CheapTiny normal case; PANIC switches to MinBFT",
-    )
-)
 
 
 @dataclass(frozen=True)

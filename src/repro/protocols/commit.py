@@ -21,43 +21,7 @@ from dataclasses import dataclass
 
 from ..core.framework import CCPhase, CCTrace
 from ..core.node import Node
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..net.message import Message
-
-TWO_PC_PROFILE = register_profile(
-    ProtocolProfile(
-        name="2pc",
-        synchrony=Synchrony.SYNCHRONOUS,
-        failure_model=FailureModel.CRASH,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="n (all must vote)",
-        phases=2,
-        complexity="O(N)",
-        notes="blocks if the coordinator fails in the uncertainty window",
-    )
-)
-
-THREE_PC_PROFILE = register_profile(
-    ProtocolProfile(
-        name="3pc",
-        synchrony=Synchrony.SYNCHRONOUS,
-        failure_model=FailureModel.CRASH,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="n (all must vote)",
-        phases=3,
-        complexity="O(N)",
-        notes="non-blocking under single coordinator crash",
-    )
-)
 
 
 class TxState(enum.Enum):

@@ -20,29 +20,7 @@ Hence the property box: 1 **or** 3 phases.
 from dataclasses import dataclass
 
 from ..core.node import Node
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..net.message import Message
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="fast-paxos",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.CRASH,
-        strategy=Strategy.OPTIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="3f+1",
-        phases=1,
-        complexity="O(N)",
-        notes="2 message delays in fast rounds; 1 or 3 phases (collision)",
-    )
-)
 
 
 # -- messages ---------------------------------------------------------------

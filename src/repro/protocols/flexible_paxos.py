@@ -18,29 +18,7 @@ generalized quorum condition is exactly what carries safety.
 from dataclasses import dataclass
 
 from ..core.quorums import FlexibleQuorum, GridQuorum, QuorumSystem
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from .paxos import PaxosAcceptor, PaxosProposer, chosen_value, run_basic_paxos
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="flexible-paxos",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.CRASH,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="n with |Q1|+|Q2| > n",
-        phases=2,
-        complexity="O(N)",
-        notes="replication quorums may be arbitrarily small",
-    )
-)
 
 
 class UnsafeDisjointQuorum(QuorumSystem):

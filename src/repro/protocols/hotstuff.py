@@ -25,31 +25,9 @@ from operator import attrgetter
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..crypto.hashing import sha256_hex
 from ..crypto.threshold import ThresholdScheme
 from ..net.message import Message
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="hotstuff",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.BYZANTINE,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="3f+1",
-        phases=7,
-        complexity="O(N)",
-        notes="threshold-signature QCs; leader rotation; pipelining",
-    )
-)
 
 
 # -- basic (sequential) HotStuff ----------------------------------------------

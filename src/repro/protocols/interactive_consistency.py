@@ -22,31 +22,9 @@ n >= 3m+1 at several (n, m) points.
 from dataclasses import dataclass
 
 from ..core.node import Node
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..net.message import Message
 
 UNKNOWN = "UNKNOWN"
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="interactive-consistency",
-        synchrony=Synchrony.SYNCHRONOUS,
-        failure_model=FailureModel.BYZANTINE,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="3f+1",
-        phases=2,
-        complexity="O(N^2)",
-        notes="oral messages; vector exchange for f=1",
-    )
-)
 
 
 @dataclass(frozen=True)

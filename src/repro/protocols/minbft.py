@@ -24,30 +24,8 @@ from operator import attrgetter
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..crypto.usig import UsigLogChecker
 from ..net.message import Message
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="minbft",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.HYBRID,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="2f+1",
-        phases=2,
-        complexity="O(N)",
-        notes="trusted USIG counter removes equivocation",
-    )
-)
 
 
 @dataclass(frozen=True)

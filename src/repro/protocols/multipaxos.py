@@ -26,29 +26,7 @@ from ..core.ballot import Ballot
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.node import Node
 from ..core.quorums import MajorityQuorum
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..net.message import Message
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="multi-paxos",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.CRASH,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="2f+1",
-        phases=2,
-        complexity="O(N)",
-        notes="phase 1 amortised over the log; phase 2 per command",
-    )
-)
 
 
 # -- messages ---------------------------------------------------------------

@@ -34,30 +34,8 @@ from operator import attrgetter
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..crypto.hashing import sha256_hex
 from ..net.message import Message
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="pbft",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.BYZANTINE,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="3f+1",
-        phases=3,
-        complexity="O(N^2)",
-        notes="view change O(N^3); client waits for f+1 matching replies",
-    )
-)
 
 
 # -- messages ---------------------------------------------------------------

@@ -15,29 +15,7 @@ from operator import attrgetter
 
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.node import Node
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..net.message import Message
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="raft",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.CRASH,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="2f+1",
-        phases=2,
-        complexity="O(N)",
-        notes="strong leader; log divergence repaired by AppendEntries",
-    )
-)
 
 
 class Role(enum.Enum):

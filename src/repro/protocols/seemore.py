@@ -29,29 +29,7 @@ from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
 from ..core.quorums import hybrid_minimum_nodes
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..net.message import Message
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="seemore",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.HYBRID,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="3m+2c+1",
-        phases=2,
-        complexity="O(N)",
-        notes="three modes: 2 or 3 phases, O(N) or O(N^2)",
-    )
-)
 
 
 class Mode(enum.Enum):

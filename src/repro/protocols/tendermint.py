@@ -20,30 +20,8 @@ from dataclasses import dataclass
 
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..crypto.hashing import sha256_hex
 from ..net.message import Message
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="tendermint",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.BYZANTINE,
-        strategy=Strategy.PESSIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="3f+1",
-        phases=3,
-        complexity="O(N^2)",
-        notes="PBFT with per-round proposer rotation; decides a block chain",
-    )
-)
 
 NIL = "<nil>"
 

@@ -17,29 +17,7 @@ identical).
 from ..core.client import RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.quorums import hybrid_minimum_nodes
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from .pbft import PbftClient, PbftReplica
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="upright",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.HYBRID,
-        strategy=Strategy.OPTIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="3m+2c+1",
-        phases=3,
-        complexity="O(N^2)",
-        notes="quorum 2m+c+1, intersection m+1; interpolates Paxos<->PBFT",
-    )
-)
 
 
 class UpRightReplica(PbftReplica):

@@ -29,29 +29,7 @@ from operator import attrgetter
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..net.message import Message
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="xft",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.HYBRID,
-        strategy=Strategy.OPTIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="2f+1",
-        phases=2,
-        complexity="O(N)",
-        notes="safe unless in anarchy (m>0 and c+m+p > majority)",
-    )
-)
 
 
 def in_anarchy(n, crashed, byzantine, partitioned):

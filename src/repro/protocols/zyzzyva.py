@@ -24,30 +24,8 @@ from dataclasses import dataclass
 from ..core.client import RunResult
 from ..core.exceptions import ConfigurationError
 from ..core.node import Node
-from ..core.registry import register_profile
-from ..core.taxonomy import (
-    Awareness,
-    FailureModel,
-    ProtocolProfile,
-    Strategy,
-    Synchrony,
-)
 from ..crypto.hashing import sha256_hex
 from ..net.message import Message
-
-PROFILE = register_profile(
-    ProtocolProfile(
-        name="zyzzyva",
-        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
-        failure_model=FailureModel.BYZANTINE,
-        strategy=Strategy.OPTIMISTIC,
-        awareness=Awareness.KNOWN,
-        nodes_label="3f+1",
-        phases=1,
-        complexity="O(N)",
-        notes="speculative execution; commitment moved to the client",
-    )
-)
 
 
 # -- messages ---------------------------------------------------------------

@@ -6,8 +6,11 @@ needs "one small run of protocol X" — ``repro run/trace/stats/spans/
 profile/sweep``, ``repro check`` (:func:`repro.monitor.run_check`) and
 ``examples/protocol_tour.py`` — looks the protocol up in
 :data:`SCENARIOS` and calls :meth:`Scenario.run`.  Adding a protocol is
-one row here (plus its ``PAPER_TABLE`` claim and ``MONITOR_SPECS``
-entry).
+three rows keyed by its name: one here, its property box in
+``repro.analysis.claims.PAPER_TABLE`` (the only place the box is
+written) and its ``MONITOR_SPECS`` entry.  ``monitor/specs.py`` refuses
+to import when the last two name different protocols, and
+``tests/test_scenarios.py`` holds this table to the same list.
 
 Rows stay cheap to import: the protocol's entry point is a
 ``"module:function"`` string resolved on first use, so listing the
@@ -267,7 +270,8 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         demo_entry="repro.scenarios:shard_transfer_demo",
         fleet_claim=PaperClaim(
             "shards", "crash (per group)", "G x (2f+1)",
-            "2PC over per-group consensus", "O(G*n) per cross-shard txn")),
+            "2PC over per-group consensus", "O(G*n) per cross-shard txn",
+            "partially-synchronous", "pessimistic", "known")),
 )}
 
 

@@ -26,14 +26,6 @@ class Event:
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_queue")
 
-    def __init__(self, time, seq, callback, args, queue=None):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._queue = queue
-
     def cancel(self):
         """Prevent the callback from firing.  Safe to call repeatedly."""
         if not self.cancelled:
@@ -41,14 +33,6 @@ class Event:
             queue = self._queue
             if queue is not None:
                 queue._note_cancel()
-
-    def fire(self):
-        """Invoke the callback unless the event has been cancelled."""
-        if not self.cancelled:
-            self.callback(*self.args)
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"
@@ -81,9 +65,9 @@ class EventQueue:
     def push(self, time, callback, args=()):
         """Enqueue a callback at virtual time ``time`` and return the event."""
         seq = next(self._counter)
-        # Build the event without the __init__ call frame — push runs
-        # once per scheduled callback, i.e. millions of times per
-        # benchmark sweep.
+        # Event has no __init__: the slots are filled here, without a
+        # call frame — push runs once per scheduled callback, i.e.
+        # millions of times per benchmark sweep.
         event = Event.__new__(Event)
         event.time = time
         event.seq = seq
@@ -139,61 +123,6 @@ class EventQueue:
             event._queue = None
             return (entry[0], event.callback, event.args)
         return None
-
-    def pop_next(self, horizon=None):
-        """Remove and return the earliest live event at or before ``horizon``.
-
-        Like :meth:`pop_entry` but returns an :class:`Event` (transient
-        entries are wrapped in a fresh one), for callers that want the
-        object API.  ``None`` when the queue holds no live event or the
-        next live event lies beyond ``horizon``.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if len(entry) == 4:
-                if horizon is not None and entry[0] > horizon:
-                    return None
-                heapq.heappop(heap)
-                self._live -= 1
-                return Event(entry[0], entry[1], entry[2], entry[3])
-            event = entry[2]
-            if event.cancelled:
-                heapq.heappop(heap)
-                continue
-            if horizon is not None and entry[0] > horizon:
-                return None
-            heapq.heappop(heap)
-            self._live -= 1
-            event._queue = None
-            return event
-        return None
-
-    def pop(self):
-        """Remove and return the earliest pending event.
-
-        Cancelled events are discarded lazily here; returns ``None`` when
-        the queue holds nothing but cancelled events (or is empty).
-        """
-        return self.pop_next()
-
-    def peek_time(self):
-        """Return the timestamp of the next live event, or ``None``."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if len(entry) == 4 or not entry[2].cancelled:
-                return entry[0]
-            heapq.heappop(heap)
-        return None
-
-    def clear(self):
-        """Drop every pending event."""
-        for entry in self._heap:
-            if len(entry) == 3:
-                entry[2]._queue = None
-        self._heap.clear()
-        self._live = 0
 
     # -- internal ----------------------------------------------------------
 

@@ -142,9 +142,8 @@ class Simulator:
             while True:
                 if self._stop_requested:
                     break
-                # One scan instead of the old peek_time()/pop() pair:
-                # cancelled events are discarded once, and a live event
-                # beyond the horizon stays queued.
+                # One scan: cancelled events are discarded once, and a
+                # live event beyond the horizon stays queued.
                 entry = pop_entry(until)
                 if entry is None:
                     if until is not None and len(queue):
@@ -156,8 +155,7 @@ class Simulator:
                     raise EventLimitExceeded(max_events)
                 try:
                     # pop_entry never returns a cancelled event, so the
-                    # Event.fire() guard (and call frame) would be pure
-                    # overhead here.
+                    # callback is called bare: no guard, no extra frame.
                     entry[1](*entry[2])
                 except SimulationFinished:
                     break

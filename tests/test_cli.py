@@ -1,9 +1,26 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import main
+from repro.analysis import PAPER_TABLE
 from repro.scenarios import SCENARIOS
+
+
+def _list_rows(capsys):
+    """``repro list`` parsed into ``{protocol: {column: cell}}``."""
+    assert main(["list"]) == 0
+    _title, header, _rule, *lines = capsys.readouterr().out.splitlines()
+    columns = [cell.strip() for cell in header.split(" | ")]
+    rows = [dict(zip(columns, (cell.strip() for cell in line.split(" | "))))
+            for line in lines]
+    assert len(rows) == len({row["protocol"] for row in rows})
+    return {row["protocol"]: row for row in rows}
 
 
 class TestCli:
@@ -11,6 +28,36 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "paxos" in out and "tendermint" in out
+
+    def test_list_is_one_row_per_paper_table_row(self, capsys):
+        rows = _list_rows(capsys)
+        assert list(rows) == [claim.protocol for claim in PAPER_TABLE]
+        assert "pow" in rows
+
+    @pytest.mark.parametrize("protocol",
+                             [claim.protocol for claim in PAPER_TABLE])
+    def test_list_agrees_with_check_paper_box(self, protocol, capsys):
+        row = _list_rows(capsys)[protocol]
+        assert main(["check", protocol, "--seed", "0"]) == 0
+        box = re.search(r"paper box:\s+model=(.*) nodes=(.*) phases=(.*) "
+                        r"complexity=(.*)", capsys.readouterr().out)
+        assert box.groups() == (row["failure_model"], row["nodes"],
+                                row["phases"], row["complexity"])
+
+    def test_list_imports_no_protocol_module(self):
+        probe = ("import runpy, sys\n"
+                 "sys.argv = ['repro', 'list']\n"
+                 "try:\n"
+                 "    runpy.run_module('repro', run_name='__main__')\n"
+                 "except SystemExit as exit:\n"
+                 "    assert not exit.code, exit.code\n"
+                 "print(sorted(name for name in sys.modules\n"
+                 "             if name.startswith('repro.protocols')))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", probe], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                sys.path)})
+        assert done.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("protocol", list(SCENARIOS))
     def test_run_each_protocol(self, protocol, capsys):

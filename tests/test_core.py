@@ -1,4 +1,4 @@
-"""Unit tests for core abstractions: ballots, quorums, taxonomy, C&C."""
+"""Unit tests for core abstractions: ballots, quorums, property box, C&C."""
 
 import pytest
 
@@ -18,8 +18,7 @@ from repro.core import (
     crash_minimum_nodes,
     hybrid_minimum_nodes,
 )
-from repro.core.registry import all_profiles, get_profile
-from repro.core.taxonomy import FailureModel
+from repro.analysis.claims import PAPER_TABLE, PaperClaim, claim_for
 
 
 class TestBallot:
@@ -191,9 +190,10 @@ class TestCCFramework:
 
 
 class TestRegistry:
+    """``PAPER_TABLE`` is the registry: one property box per protocol."""
+
     def test_all_protocols_registered(self):
-        import repro.protocols  # noqa: F401
-        names = {p.name for p in all_profiles()}
+        names = {claim.protocol for claim in PAPER_TABLE}
         expected = {
             "paxos", "multi-paxos", "fast-paxos", "flexible-paxos", "raft",
             "2pc", "3pc", "pbft", "zyzzyva", "hotstuff", "minbft",
@@ -201,16 +201,20 @@ class TestRegistry:
             "interactive-consistency",
         }
         assert expected <= names
+        assert len(names) == len(PAPER_TABLE)
 
     def test_profile_rows_complete(self):
-        import repro.protocols  # noqa: F401
-        for profile in all_profiles():
-            row = profile.as_row()
-            assert row["protocol"] and row["nodes"] and row["complexity"]
+        for claim in PAPER_TABLE:
+            assert claim.protocol and claim.nodes and claim.phases
+            assert claim.complexity.startswith("O(")
 
     def test_byzantine_protocols_need_3f_plus_1(self):
-        import repro.protocols  # noqa: F401
         for name in ("pbft", "zyzzyva", "hotstuff"):
-            profile = get_profile(name)
-            assert profile.failure_model is FailureModel.BYZANTINE
-            assert profile.nodes_label == "3f+1"
+            claim = claim_for(name)
+            assert claim.failure_model == "byzantine"
+            assert claim.nodes == "3f+1"
+
+    def test_aspect_vocabularies_are_checked(self):
+        with pytest.raises(ValueError, match="synchrony"):
+            PaperClaim("x", "crash", "2f+1", "2", "O(N)",
+                       "eventually", "pessimistic", "known")

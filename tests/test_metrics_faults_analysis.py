@@ -3,13 +3,7 @@ the analysis layer."""
 
 import pytest
 
-from repro.analysis import (
-    LOWER_BOUNDS,
-    PAPER_TABLE,
-    claim_for,
-    comparison_table,
-    render_table,
-)
+from repro.analysis import PAPER_TABLE, claim_for, render_table
 from repro.faults import FaultPlan
 from repro.metrics import MetricsCollector, classify_order, fit_order
 from repro.net import Message
@@ -175,16 +169,6 @@ class TestAnalysis:
         with pytest.raises(KeyError):
             claim_for("nonexistent")
 
-    def test_nodes_of_f_formulas(self):
-        assert claim_for("paxos").nodes_of_f(2) == 5
-        assert claim_for("pbft").nodes_of_f(2) == 7
-        assert claim_for("minbft").nodes_of_f(2) == 5
-
-    def test_lower_bounds(self):
-        assert LOWER_BOUNDS["byzantine_agreement_nodes"](1) == 4
-        assert LOWER_BOUNDS["hybrid_nodes"](1, 1) == 6
-        assert LOWER_BOUNDS["bft_quorum_intersection"](2) == 3
-
     def test_render_table(self):
         rows = [{"a": 1, "b": "x"}, {"a": 22, "b": None}]
         text = render_table(rows, title="T")
@@ -193,7 +177,9 @@ class TestAnalysis:
     def test_render_empty(self):
         assert render_table([]) == "(no rows)"
 
-    def test_comparison_table_nonempty(self):
-        import repro.protocols  # noqa: F401
-        rows = comparison_table()
-        assert len(rows) >= 15
+    def test_comparison_table_nonempty(self, capsys):
+        from repro.__main__ import main
+        assert main(["list"]) == 0
+        _title, header, _rule, *rows = capsys.readouterr().out.splitlines()
+        assert header.split()[0] == "protocol" and "complexity" in header
+        assert len(rows) == len(PAPER_TABLE) >= 15

@@ -8,6 +8,10 @@ or not), and ``run_check`` end to end — clean runs pass, an
 equivocating primary is caught and named with causal context.
 """
 
+import json
+import pathlib
+import re
+
 import pytest
 
 from repro.analysis.claims import PAPER_TABLE, claim_for
@@ -22,6 +26,7 @@ from repro.monitor import (
     LivenessWatchdog,
     MonitorHub,
     MONITOR_SPECS,
+    MonitorSpec,
     PhaseConformanceMonitor,
     QuorumCertificateMonitor,
     SAFETY,
@@ -33,6 +38,7 @@ from repro.monitor import (
     spec_for,
 )
 from repro.monitor.base import render_context
+from repro.scenarios import SCENARIOS
 from repro.trace import (DELIVER, LOCAL, PHASE, Trace, TraceEvent,
                          canonical_detail)
 
@@ -340,6 +346,30 @@ class TestSpecs:
     def test_unknown_protocol_raises(self):
         with pytest.raises(KeyError):
             spec_for("nopeos")
+
+    def test_one_box_feeds_envelope_and_conformance_golden(self):
+        """The O(N)/O(N^2) column is written once, in ``PAPER_TABLE``:
+        every envelope monitor's exponent is that column's power, and
+        the claim a conformance report embeds is the table row."""
+        assert "complexity_exponent" not in MonitorSpec.__dataclass_fields__
+        enveloped = set()
+        for name, scenario in SCENARIOS.items():
+            if scenario.fleet_claim is not None:
+                continue
+            claim = scenario.claim()
+            assert claim is claim_for(name)
+            for monitor in build_monitors(MONITOR_SPECS[name],
+                                          scenario.n, scenario.f):
+                if isinstance(monitor, ComplexityEnvelopeMonitor):
+                    power = re.fullmatch(r"O\(N(?:\^(\d))?\)",
+                                         claim.complexity).group(1)
+                    assert monitor.exponent == int(power or 1), name
+                    enveloped.add(name)
+        assert {"paxos", "pbft", "hotstuff", "ben-or"} <= enveloped
+        golden = json.loads((pathlib.Path(__file__).parent / "golden"
+                             / "pbft_seed0.conformance.json").read_text())
+        pbft = vars(claim_for("pbft"))
+        assert golden["claim"] == {key: pbft[key] for key in golden["claim"]}
 
 
 class TestClusterWiring:

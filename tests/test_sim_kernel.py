@@ -11,6 +11,13 @@ from repro.sim import (
 )
 
 
+def _drain(queue):
+    """Pop every live entry and call it, as the simulator loop does."""
+    while (entry := queue.pop_entry()) is not None:
+        _time, callback, args = entry
+        callback(*args)
+
+
 class TestEventQueue:
     def test_pops_in_time_order(self):
         queue = EventQueue()
@@ -18,11 +25,7 @@ class TestEventQueue:
         queue.push(2.0, seen.append, (2,))
         queue.push(1.0, seen.append, (1,))
         queue.push(3.0, seen.append, (3,))
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            event.fire()
+        _drain(queue)
         assert seen == [1, 2, 3]
 
     def test_same_time_fifo(self):
@@ -30,8 +33,7 @@ class TestEventQueue:
         seen = []
         for i in range(5):
             queue.push(1.0, seen.append, (i,))
-        while (event := queue.pop()) is not None:
-            event.fire()
+        _drain(queue)
         assert seen == [0, 1, 2, 3, 4]
 
     def test_cancelled_events_skipped(self):
@@ -40,22 +42,16 @@ class TestEventQueue:
         event = queue.push(1.0, seen.append, (1,))
         queue.push(2.0, seen.append, (2,))
         event.cancel()
-        while (evt := queue.pop()) is not None:
-            evt.fire()
+        _drain(queue)
         assert seen == [2]
 
     def test_peek_time_skips_cancelled(self):
+        # The next entry's time is the earliest *live* one.
         queue = EventQueue()
         first = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         first.cancel()
-        assert queue.peek_time() == 2.0
-
-    def test_clear(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.clear()
-        assert queue.pop() is None
+        assert queue.pop_entry()[0] == 2.0
 
     def test_len_counts_live_events_only(self):
         queue = EventQueue()
@@ -66,28 +62,29 @@ class TestEventQueue:
         assert len(queue) == 1
         gone.cancel()  # repeated cancel must not double-decrement
         assert len(queue) == 1
-        queue.pop()
+        queue.pop_entry()
         assert len(queue) == 0
         keep.cancel()  # cancel after pop: no longer queued, no effect
         assert len(queue) == 0
+        assert queue.pop_entry() is None  # only the corpse is left
 
     def test_pop_next_horizon_leaves_future_events_queued(self):
         queue = EventQueue()
         queue.push(1.0, lambda: None)
         queue.push(10.0, lambda: None)
-        assert queue.pop_next(5.0).time == 1.0
+        assert queue.pop_entry(5.0)[0] == 1.0
         # The 10.0 event is beyond the horizon: not popped, still live.
-        assert queue.pop_next(5.0) is None
+        assert queue.pop_entry(5.0) is None
         assert len(queue) == 1
-        assert queue.pop_next().time == 10.0
+        assert queue.pop_entry()[0] == 10.0
 
     def test_pop_next_discards_cancelled_before_horizon_check(self):
         queue = EventQueue()
         stale = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
+        live = queue.push(2.0, lambda: None)
         stale.cancel()
-        event = queue.pop_next(5.0)
-        assert event.time == 2.0 and not event.cancelled
+        assert queue.pop_entry(5.0) == (2.0, live.callback, ())
+        assert len(queue._heap) == 0  # the corpse went with the scan
 
     def test_compaction_drops_cancelled_majority(self):
         queue = EventQueue()
@@ -100,7 +97,7 @@ class TestEventQueue:
         assert len(queue._heap) <= 2 * len(queue)
         assert len(queue._heap) < 200
         assert len(queue) == 50
-        popped = [queue.pop().time for _ in range(50)]
+        popped = [queue.pop_entry()[0] for _ in range(50)]
         assert popped == [float(i) for i in range(150, 200)]
 
     def test_no_compaction_below_min_heap_size(self):
