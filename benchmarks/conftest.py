@@ -4,10 +4,14 @@ Each benchmark regenerates one of the paper's figures/tables: it runs
 the workload, renders the measured rows next to the paper's claim via
 :func:`repro.analysis.render_table`, writes them to
 ``benchmarks/results/<experiment>.txt`` (the artifact EXPERIMENTS.md is
-assembled from), asserts the claim's *shape*, and emits its headline
-numbers (message totals, phase counts, fitted complexity exponents,
-latencies) into ``BENCH_consensus.json`` at the repository root — the
-machine-readable perf trajectory future PRs regress against.
+assembled from) and asserts the claim's *shape*.  Paper-shape benches
+also emit their headline numbers (message totals, phase counts, fitted
+complexity exponents, virtual-time latencies and knees) into
+``BENCH_consensus.json`` at the repository root.  That file holds
+deterministic shapes only: a full ``pytest benchmarks`` run reproduces
+it byte for byte, and CI fails on any ``git diff`` of it, so a
+wall-clock number (events/s, ms, overhead ratios) belongs in the
+results table, never in the snapshot.
 """
 
 import pathlib

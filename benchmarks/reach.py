@@ -5,11 +5,11 @@
 Runs the product surface (every ``repro`` subcommand over every
 ``SCENARIOS`` row and fault kind, ``check --all``, ``shards``/``kv``/
 ``mine``/``loadtest`` variants, the examples, the E-series benches from
-a temporary copy, the perf gate's self-test, ``benchmarks/e2e``
-``--smoke`` and selfcheck) and then ``tests/``, each under a call
-recorder, and prints every function entered by tests only or by nothing
-as ``file  qualname  lines  who``.  A candidate is not a verdict: a
-tests-only function is often a legitimate oracle.
+a temporary copy, ``benchmarks/e2e`` ``--smoke`` and selfcheck) and
+then ``tests/``, each under a call recorder, and prints every function
+entered by tests only or by nothing as ``file  qualname  lines  who``.
+A candidate is not a verdict: a tests-only function is often a
+legitimate oracle.
 
 The recorder is ``sys.settrace`` (call events only), not ``setprofile``:
 pytest-benchmark sets ``sys.setprofile(None)`` around every timed call
@@ -126,8 +126,6 @@ def main():
             *(([str(path)], scratch)
               for path in sorted((ROOT / "examples").glob("*.py"))),
             ([*pytest, "--benchmark-disable", "benchmarks"], scratch),
-            (["-m", "repro.telemetry.perfgate", "--self-test",
-              "BENCH_consensus.json"], scratch),
             (["benchmarks/e2e/run.py", "--smoke"], ROOT),
             ([*pytest, "benchmarks/e2e/test_selfcheck.py"], ROOT)])
         tests = record("tests", scratch, [([*pytest, "tests"], ROOT)])

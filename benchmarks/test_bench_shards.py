@@ -16,8 +16,10 @@ records what the architecture buys and costs:
 * the wall-clock events/sec the simulator sustains hosting the fleet —
   the harness-health number for this subsystem.
 
-Wall-clock rates are machine-dependent and recorded, not asserted;
-the structural assertions are that every workload transaction completes
+Wall-clock rates are machine-dependent: they are shown in
+``benchmarks/results/``, never asserted, and kept out of
+``BENCH_consensus.json``, which holds the deterministic columns only.
+The structural assertions are that every workload transaction completes
 (no hangs) and per-shard replicas stay consistent.
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI smoke mode (three small
@@ -93,10 +95,9 @@ def test_shard_scaling(benchmark, report, bench_snapshot):
              "recorded, not asserted." % (SEED, CROSS_RATIO))
     report("E25_sharding", text)
 
-    snapshot = {"quick": QUICK}
+    snapshot = {}
     for row in rows:
         key = "fleet_%s" % row["fleet"].replace("x", "_")
         snapshot["%s_committed_per_vtime" % key] = row["commits/vtime"]
-        snapshot["%s_events_per_sec" % key] = row["events/s"]
         snapshot["%s_fast_path" % key] = row["fast-path"]
     bench_snapshot("E25_sharding", **snapshot)

@@ -11,17 +11,18 @@ clock column yet), relative to the traced run itself:
 * **derive ms** — wall-clock of ``SpanBuilder(trace).build()`` plus
   ``spans_report``, reading the tracer's ring in place: one scan of the
   raw rows, a TraceEvent built only for the request-carrying anchors;
-* **overhead x** — ``(run + derive) / run``; the gated headline, with
-  nothing left outside the ratio.  The perf gate caps ``*_overhead_x``
-  keys, so a derivation pass that goes back to inflating every row
-  fails CI;
+* **overhead x** — ``(run + derive) / run``; the asserted headline,
+  with nothing left outside the ratio.  It must stay under 2.5x, so a
+  derivation pass that goes back to inflating every row fails;
 * **export ms** — wall-clock of inflating *every* row and serialising
   it (``to_jsonl``), from an equally cold trace of a second same-seed
   run: what ``repro trace --jsonl``, the one reader that does need all
   the objects, pays instead.
 
-Wall-clock rates are machine-dependent and recorded, not asserted; the
-gate compares the *ratio*, which largely cancels machine speed.
+Wall-clock times are machine-dependent and shown in
+``benchmarks/results/`` only; the assertion is on the *ratio*, which
+largely cancels machine speed.  ``BENCH_consensus.json`` gets the
+deterministic trace sizes, nothing timed.
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI smoke mode.
 """
@@ -131,14 +132,9 @@ def test_span_derivation_overhead(benchmark, report, bench_snapshot):
              % (ROUNDS, SEED))
     report("E27_span_overhead", text)
 
-    snapshot = {}
-    for row in rows:
-        key = row["protocol"].replace("-", "")
-        snapshot["%s_trace_events" % key] = row["events"]
-        snapshot["%s_derive_ms" % key] = row["derive ms"]
-        snapshot["%s_overhead_x" % key] = row["overhead x"]
-        snapshot["%s_export_ms" % key] = row["export ms"]
-    bench_snapshot("E27_span_overhead", quick=QUICK, **snapshot)
+    bench_snapshot("E27_span_overhead", **{
+        "%s_trace_events" % row["protocol"].replace("-", ""): row["events"]
+        for row in rows})
 
     for row in rows:
         assert row["events"] > 0 and row["spans"] > 0

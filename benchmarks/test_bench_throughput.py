@@ -3,21 +3,23 @@
 Unlike E1–E22, this experiment measures the *harness*, not the paper:
 how many simulated events and messages per wall-clock second the
 substrate sustains with telemetry enabled, across protocols and cluster
-sizes.  It exists so perf regressions in the hot paths (event loop,
-send path, telemetry handles) show up in ``BENCH_consensus.json``'s
-trajectory instead of silently doubling CI time.
+sizes.  Its rows land in ``benchmarks/results/`` (and so in
+EXPERIMENTS.md) only: ``BENCH_consensus.json`` holds deterministic
+shapes, and a wall-clock rate would differ on every run.  Wall-clock
+claims are made with ``benchmarks/paired.py`` against the parent tree.
 
 E24 measures the conformance monitors the same way: one protocol run
 with monitors off (the default — no tracer, no per-event work) versus
 on (tracer + the full monitor battery).  The off rate is the number the
 suite's perf work defends; the on/off ratio is the price of a verdict.
 
-Wall-clock numbers are machine-dependent, so the assertions are
-structural (work completed, counts positive) — the measured rates are
-recorded, not gated.
+Wall-clock numbers are machine-dependent, so E23's assertions are
+structural (work completed, counts positive).  E24 asserts one ratio,
+which largely cancels machine speed: monitors-on must stay under 2.5x
+monitors-off.
 
 Set ``REPRO_BENCH_QUICK=1`` to run a single small configuration per
-protocol with one timing round — the CI smoke mode.
+protocol — the CI smoke mode.
 """
 
 import os
@@ -30,7 +32,10 @@ QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 #: Timing repetitions per configuration; the best (least-interrupted)
 #: round is reported, the standard defence against scheduler noise.
-ROUNDS = 1 if QUICK else 3
+#: Quick mode keeps all three: the first monitored run in a process pays
+#: the monitors' first use, which on its millisecond workloads alone
+#: reads as a 4-5x overhead.
+ROUNDS = 3
 
 SEED = 7
 
@@ -84,7 +89,7 @@ def measure(driver, size):
     return best
 
 
-def test_throughput(benchmark, report, bench_snapshot):
+def test_throughput(benchmark, report):
     def run_all():
         rows = []
         for protocol, size_label, sizes, driver in CONFIGS:
@@ -113,14 +118,6 @@ def test_throughput(benchmark, report, bench_snapshot):
              "its per-event cost is crypto-bound where multi-paxos\n"
              "moves plain messages." % (ROUNDS, SEED))
     report("E23_throughput", text)
-
-    snapshot = {}
-    for row in rows:
-        key = "%s_%s" % (row["protocol"].replace("-", ""),
-                         row["scale"].replace("=", ""))
-        snapshot["%s_events_per_sec" % key] = row["events/s"]
-        snapshot["%s_msgs_per_sec" % key] = row["msgs/s"]
-    bench_snapshot("E23_throughput", quick=QUICK, **snapshot)
 
     # Structural assertions only: every configuration did real work and
     # produced finite, positive rates.
@@ -181,7 +178,7 @@ MONITOR_CONFIGS = [
 ]
 
 
-def test_monitor_overhead(benchmark, report, bench_snapshot):
+def test_monitor_overhead(benchmark, report):
     def run_all():
         rows = []
         for protocol, size, driver in MONITOR_CONFIGS:
@@ -206,16 +203,11 @@ def test_monitor_overhead(benchmark, report, bench_snapshot):
              % (ROUNDS, SEED))
     report("E24_monitor_overhead", text)
 
-    snapshot = {}
-    for row in rows:
-        key = row["protocol"].replace("-", "")
-        snapshot["%s_off_events_per_sec" % key] = row["off events/s"]
-        snapshot["%s_on_events_per_sec" % key] = row["on events/s"]
-        snapshot["%s_overhead_x" % key] = row["overhead x"]
-    bench_snapshot("E24_monitor_overhead", quick=QUICK, **snapshot)
-
     for row in rows:
         assert row["off events/s"] > 0 and row["on events/s"] > 0
-        # Monitoring costs something but must stay the same order of
-        # magnitude — it is a streaming pass, not a re-simulation.
-        assert row["overhead x"] < 10.0
+        # Monitoring is a streaming pass, not a re-simulation: ring
+        # recording alone costs ~1.4x in pure Python and the batteries
+        # measure ~1.2-1.8x (multi-paxos) and ~1.7-2.1x (ack-heavy pbft),
+        # so the cap catches a slide back toward the 3.4x-class overheads
+        # the subscription rebuild removed.
+        assert row["overhead x"] < 2.5, row

@@ -193,8 +193,9 @@ EXPERIMENT_NOTES = {
             "compiled into mtype-indexed tables, so pbft's ack-heavy deliver\n"
             "stream routes each event with one dict probe instead of testing\n"
             "every monitor's filter. Ring recording alone costs ~1.4x in pure\n"
-            "Python, which floors the ratio; the CI perf gate\n"
-            "(repro.telemetry.perfgate) caps it at 2.5x."),
+            "Python, which floors the ratio; the bench fails at 2.5x or more.\n"
+            "The rates are wall-clock, so they live in this table only, not in\n"
+            "BENCH_consensus.json."),
     "E25": ("Sharded fleet scaling (extension)",
             "The modern-deployment shape: many consensus groups behind one\n"
             "keyspace. A ShardedCluster scales from 2x3 to 48x5 = 240 simulated\n"
@@ -214,8 +215,9 @@ EXPERIMENT_NOTES = {
             "only the speed half: events/sec over the critical path (per epoch,\n"
             "the slowest worker's CPU plus the merge CPU), the per-worker\n"
             "normalized rate whose decay is barrier + imbalance overhead, and\n"
-            "wall time for transparency. The CI perf gate holds both rate\n"
-            "families to the recorded trajectory."),
+            "wall time for transparency. Every rate is CPU or wall time, so\n"
+            "it lives in this table only, not in BENCH_consensus.json; the\n"
+            "bench asserts the 3x critical-path floor at 8 workers."),
     "E27": ("Span-derivation overhead: what `repro spans` waits for (extension)",
             "Not a paper figure: src/repro/obs/ derives per-request spans with\n"
             "critical-path latency attribution purely from the recorded trace,\n"
@@ -223,7 +225,7 @@ EXPERIMENT_NOTES = {
             "raw rows; a TraceEvent is built only for request-carrying anchors).\n"
             "overhead x = (run + derive) / run is timed from a cold trace, so it\n"
             "is everything a reader of `repro spans` or `repro check` waits for\n"
-            "beyond the run; the CI perf gate caps it at 2.5x. Until PR 21 the\n"
+            "beyond the run; the bench fails at 2.5x or more. An earlier\n"
             "headline left out a 'mater ms' column - inflating every row first -\n"
             "which put the true ratio at 1.82x / 1.85x on this machine, not the\n"
             "advertised 1.2x. export ms is that full inflation plus to_jsonl:\n"

@@ -69,10 +69,6 @@ class ClusterGroup:
         for node in self.nodes:
             node.start()
 
-    def crashed_fraction(self):
-        crashed = sum(1 for node in self.nodes if node.crashed)
-        return crashed / len(self.nodes) if self.nodes else 0.0
-
     def __repr__(self):
         return "ClusterGroup(%r, %d nodes)" % (self.gid, len(self.nodes))
 

@@ -59,9 +59,6 @@ class CCDecomposition:
         """Implemented phases in canonical order."""
         return [p for p in PHASE_ORDER if p in self.phases]
 
-    def describe(self, phase):
-        return self.phases.get(phase)
-
 
 @dataclass
 class CCTrace:

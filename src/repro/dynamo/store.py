@@ -109,16 +109,6 @@ class EventualKV:
     def crash_replica(self, index):
         self.replicas[index].crash()
 
-    def replica_views(self, key):
-        """Each replica's local LWW value for ``key`` (None if absent) —
-        the divergence/convergence probe."""
-        views = []
-        for replica in self.replicas:
-            versions = replica.store.get(key, ())
-            resolved = last_writer_wins(versions)
-            views.append(resolved.value if resolved else None)
-        return views
-
     def converged(self, key):
         """Do all live replicas in the key's preference list agree?"""
         names = set(self.coordinator.preference_list(key))

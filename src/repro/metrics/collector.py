@@ -104,23 +104,13 @@ class MetricsCollector:
         """The ``[count, bytes]`` accumulation slot for one link+mtype.
 
         The transport resolves this once per (message class, src, dst)
-        and then increments the two cells directly on every send — the
-        batched fast lane that replaces per-message
-        :meth:`record_message` calls.
+        and then increments the two cells directly on every send.
         """
         key = (src, dst, mtype)
         slot = self._slots.get(key)
         if slot is None:
             slot = self._slots[key] = [0, 0]
         return slot
-
-    def record_message(self, src, dst, message, size=None):
-        """Count one sent message.  ``size`` lets the transport share a
-        single ``size_estimate()`` between the collector and the
-        telemetry byte counters instead of costing the fields twice."""
-        slot = self.slot_for(src, dst, message.mtype)
-        slot[0] += 1
-        slot[1] += size if size is not None else message.size_estimate()
 
     def _flush(self):
         """Fold pending slot deltas into the aggregate counters."""

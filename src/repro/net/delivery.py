@@ -26,9 +26,6 @@ class DeliveryModel:
         """Return the transit delay for a message, or :data:`DROP`."""
         raise NotImplementedError
 
-    def describe(self):
-        return type(self).__name__
-
 
 class SynchronousModel(DeliveryModel):
     """Known delay bound: every message arrives in exactly ``step`` time.

@@ -55,11 +55,10 @@ class Network:
         self.partitions = PartitionManager()
         self._nodes = {}
         self._interceptors = []
-        # Membership tuples handed out by :attr:`node_names`/:attr:`nodes`,
-        # rebuilt on :meth:`register` — protocol loops read them per
-        # broadcast, so they must not allocate per access.
+        # Membership tuple handed out by :attr:`node_names`, rebuilt on
+        # :meth:`register` — protocol loops read it per broadcast, so it
+        # must not allocate per access.
         self._names_cache = None
-        self._nodes_cache = None
         # Unified per-link fast-path cache, keyed (message class, src,
         # dst): each entry is ``(slot, handles)`` — the collector's
         # [count, bytes] accumulation slot and the pre-resolved telemetry
@@ -78,7 +77,6 @@ class Network:
             raise ValueError("duplicate node name %r" % (node.name,))
         self._nodes[node.name] = node
         self._names_cache = None
-        self._nodes_cache = None
 
     def node(self, name):
         """Look up a registered node by name."""
@@ -92,15 +90,6 @@ class Network:
         if names is None:
             names = self._names_cache = tuple(self._nodes)
         return names
-
-    @property
-    def nodes(self):
-        """Registered node objects, in registration order (immutable
-        tuple, cached between registrations)."""
-        nodes = self._nodes_cache
-        if nodes is None:
-            nodes = self._nodes_cache = tuple(self._nodes.values())
-        return nodes
 
     # -- interception ------------------------------------------------------
 

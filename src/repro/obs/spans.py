@@ -215,13 +215,6 @@ class SpanBuilder:
         span.end = events[-1]
 
 
-def _walk(spans):
-    for span in spans:
-        yield span
-        for child in span.children:
-            yield child
-
-
 def span_to_dict(span, with_children=True):
     """Plain-dict form of one span for the JSON report."""
     entry = {

@@ -16,7 +16,9 @@ fast, and is it regressing":
 * :func:`render_summary` — the ASCII report behind
   ``python -m repro stats``.
 * :func:`update_bench_snapshot` — the consolidated
-  ``BENCH_consensus.json`` writer the benchmark suite feeds.
+  ``BENCH_consensus.json`` writer the benchmark suite feeds with
+  deterministic shapes only (no wall-clock rows), so the committed file
+  is reproduced byte for byte and gated by ``git diff``.
 
 Enable per cluster with ``Cluster(telemetry=True)``; the registry then
 hangs off ``cluster.telemetry`` and the substrate (network, simulator

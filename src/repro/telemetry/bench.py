@@ -1,12 +1,14 @@
 """Consolidated benchmark snapshot: ``BENCH_consensus.json``.
 
-Every ``benchmarks/test_bench_*.py`` emits its headline numbers —
-message totals, phase counts, fitted complexity exponents, mean
-latencies — through :func:`update_bench_snapshot` into one JSON file at
-the repository root.  Each bench owns one entry keyed by its experiment
-id, and entries merge (read–update–write) so a partial benchmark run
-refreshes only its own rows.  Sorted keys and rounded floats keep the
-file diff-friendly: the perf trajectory future PRs regress against.
+Every paper-shape ``benchmarks/test_bench_*.py`` emits its headline
+numbers — message totals, phase counts, fitted complexity exponents,
+virtual-time latencies and knees — through :func:`update_bench_snapshot`
+into one JSON file at the repository root.  Each bench owns one entry
+keyed by its experiment id, and entries merge (read–update–write) so a
+partial benchmark run refreshes only its own rows.  The snapshot holds
+deterministic shapes only — nothing measured in wall-clock time — so a
+full benchmark run reproduces it byte for byte and ``git diff`` is its
+gate; sorted keys and rounded floats keep that diff readable.
 """
 
 import json
@@ -34,16 +36,24 @@ def _clean(value):
 
 
 def load_bench_snapshot(path):
-    """The existing benches dict at ``path`` ({} when absent/corrupt)."""
+    """The existing benches dict at ``path`` ({} when the file is absent).
+
+    A file that is present but unparseable, or whose ``benches`` is not
+    a dict, raises ``ValueError`` naming ``path``: merging into it would
+    overwrite every other bench's entry.
+    """
     path = pathlib.Path(path)
     if not path.is_file():
         return {}
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, OSError):
-        return {}
-    benches = data.get("benches")
-    return benches if isinstance(benches, dict) else {}
+    except ValueError as exc:
+        raise ValueError("%s is not a bench snapshot: %s" % (path, exc)) \
+            from exc
+    benches = data.get("benches") if isinstance(data, dict) else None
+    if not isinstance(benches, dict):
+        raise ValueError("%s has no 'benches' dict" % path)
+    return benches
 
 
 def update_bench_snapshot(path, bench_id, payload):

@@ -95,22 +95,6 @@ class Trace:
     def locals(self, label=None):
         return self.filter(kind=LOCAL, mtype=label)
 
-    def nodes(self):
-        """Node names in first-appearance order."""
-        seen = []
-        for event in self.events:
-            if event.node and event.node not in seen:
-                seen.append(event.node)
-        return seen
-
-    def mtypes(self):
-        """Message types seen on sends, in first-appearance order."""
-        seen = []
-        for event in self.events:
-            if event.kind == SEND and event.mtype not in seen:
-                seen.append(event.mtype)
-        return seen
-
     # -- spans -------------------------------------------------------------
 
     def span(self, label):
@@ -195,5 +179,5 @@ class Trace:
         return Trace([e for e in self.events if self.happens_before(e, event)])
 
     def __repr__(self):
-        return "Trace(%d events, %d nodes)" % (len(self.events),
-                                               len(self.nodes()))
+        return "Trace(%d events, %d nodes)" % (
+            len(self.events), len({e.node for e in self.events if e.node}))

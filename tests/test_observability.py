@@ -1,7 +1,6 @@
 """Tests for the observability hot path rebuilt around subscriptions:
 ring-buffer capture with lazy materialization, typed sink dispatch on
-the tracer, batched collector flushes, monitor finish idempotency, and
-the CI perf gate's pure evaluation function."""
+the tracer, batched collector flushes and monitor finish idempotency."""
 
 from repro.core import Cluster
 from repro.metrics.collector import MetricsCollector
@@ -9,7 +8,6 @@ from repro.monitor import MonitorHub
 from repro.monitor.library import AgreementMonitor, LivenessWatchdog
 from repro.protocols.paxos import run_basic_paxos
 from repro.protocols.pbft import run_pbft
-from repro.telemetry.perfgate import evaluate_gate
 from repro.trace import DELIVER, LOCAL, SEND, to_jsonl
 
 
@@ -213,68 +211,3 @@ class TestFinishSemantics:
         assert len(watchdog) == 1
         assert list(again) == list(anomalies)  # no double-record
 
-
-class TestPerfGate:
-    BASELINE = {
-        "E23_throughput": {
-            "pbft_f1_events_per_sec": 100_000,
-            "pbft_f1_msgs_per_sec": 90_000,
-            "quick": False,
-        },
-        "E24_monitor_overhead": {
-            "pbft_off_events_per_sec": 100_000,
-            "pbft_on_events_per_sec": 60_000,
-            "pbft_overhead_x": 1.7,
-            "quick": False,
-        },
-    }
-
-    def test_identical_snapshots_pass(self):
-        assert evaluate_gate(self.BASELINE, self.BASELINE) == []
-
-    def test_injected_25_percent_regression_fails(self):
-        regressed = {
-            exp: {k: (v * 0.75 if isinstance(v, (int, float))
-                      and not isinstance(v, bool)
-                      and k.endswith("_per_sec") else v)
-                  for k, v in entry.items()}
-            for exp, entry in self.BASELINE.items()
-        }
-        failures = evaluate_gate(self.BASELINE, regressed)
-        assert failures, "a 25% regression must trip the 20% gate"
-        assert any("regressed" in failure for failure in failures)
-
-    def test_small_wobble_within_tolerance_passes(self):
-        wobbled = {
-            exp: {k: (v * 0.9 if isinstance(v, (int, float))
-                      and not isinstance(v, bool)
-                      and k.endswith("_per_sec") else v)
-                  for k, v in entry.items()}
-            for exp, entry in self.BASELINE.items()
-        }
-        assert evaluate_gate(self.BASELINE, wobbled) == []
-
-    def test_overhead_above_cap_fails(self):
-        bloated = {
-            "E24_monitor_overhead":
-                dict(self.BASELINE["E24_monitor_overhead"],
-                     pbft_overhead_x=3.4),
-        }
-        failures = evaluate_gate(self.BASELINE, bloated)
-        assert any("overhead" in failure.lower() or "cap" in failure
-                   for failure in failures)
-
-    def test_quick_vs_full_rates_not_compared(self):
-        """Quick-mode workloads are smaller, so their rates are a
-        different measurement; only the overhead ratios gate."""
-        quick = {
-            exp: dict(entry, quick=True,
-                      **{k: v * 0.5 for k, v in entry.items()
-                         if k.endswith("_per_sec")})
-            for exp, entry in self.BASELINE.items()
-        }
-        assert evaluate_gate(self.BASELINE, quick) == []
-
-    def test_missing_keys_are_skipped_not_failed(self):
-        assert evaluate_gate(self.BASELINE, {}) == []
-        assert evaluate_gate({}, self.BASELINE) == []

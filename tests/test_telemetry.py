@@ -3,6 +3,7 @@ exposition/report/render outputs, substrate instrumentation, and the
 zero-cost / zero-perturbation contract."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.metrics import MetricsCollector
 from repro.net import SynchronousModel, protocol_of
 from repro.protocols.paxos import FixedBackoff, run_basic_paxos
 from repro.telemetry import (
+    BENCH_FILENAME,
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
     Counter,
@@ -239,6 +241,42 @@ class TestBenchSnapshot:
         first = path.read_bytes()
         update_bench_snapshot(path, "E2_paxos", {"messages": 12})
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("text", [
+        '{\n<<<<<<< HEAD\n  "benches": {"E2_paxos": {"messages": 12}}\n'
+        '=======\n  "benches": {"E2_paxos": {"messages": 13}}\n'
+        '>>>>>>> other\n}\n',
+        '{"benches": [], "schema": "repro.telemetry.bench_snapshot/1"}\n',
+    ], ids=["conflict-marker", "benches-not-a-dict"])
+    def test_unreadable_snapshot_raises_and_keeps_its_bytes(self, tmp_path,
+                                                            text):
+        path = tmp_path / "BENCH.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="BENCH.json"):
+            update_bench_snapshot(path, "E1_table", {"protocols": 8})
+        assert path.read_text() == text
+
+    def test_committed_snapshot_holds_paper_shapes_only(self):
+        """Wall-clock rows would make the committed snapshot differ on
+        every run, and CI's ``git diff --exit-code`` gate would trip."""
+        path = pathlib.Path(__file__).parents[1] / BENCH_FILENAME
+        benches = json.loads(path.read_text())["benches"]
+        for harness in ("E23_throughput", "E24_monitor_overhead",
+                        "E26_parallel_scaling"):
+            assert harness not in benches
+
+        def keys(node):
+            for key, value in node.items():
+                yield key
+                if isinstance(value, dict):
+                    yield from keys(value)
+
+        for experiment, entry in benches.items():
+            for key in keys(entry):
+                assert not key.endswith(("_per_sec", "_ms", "_overhead_x")), \
+                    (experiment, key)
+                assert not key.startswith("speedup"), (experiment, key)
+                assert key != "quick", experiment
 
 
 def _run_paxos(telemetry):
