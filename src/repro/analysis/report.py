@@ -204,7 +204,28 @@ EXPERIMENT_NOTES = {
             "with a replicated commit decision (Gray & Lamport). Commit density\n"
             "(committed transactions per unit of simulated time - dimensionless,\n"
             "not wall TPS) stays workload-bound - not node-count-bound - as the\n"
-            "fleet grows, which is the scaling argument for sharding itself."),
+            "fleet grows, which is the scaling argument for sharding itself.\n"
+            "\n"
+            "Wall-clock outlier, refuted: the 4x3 row's 55.6k events/s (against\n"
+            "92-127k for every other shape) is not a property of the shape.\n"
+            "Per event, its work sits between its neighbours on every count:\n"
+            "heartbeat deliveries 0.23 / 0.33 / 0.41 per event at 2x3 / 4x3 /\n"
+            "8x3 (0.68 at 48x5), timer pushes 0.63 / 0.71 / 0.78 (0.92), heap\n"
+            "compactions 0.003 / 0.007 / 0.008 (0.001). Re-timed alone on a\n"
+            "2-core VM, three times each, 4x3 reads 131-142k events/s. Each\n"
+            "row is one unrepeated timing of a 25-80 ms run inside the whole\n"
+            "bench session, and one full (generation-2) garbage collection costs\n"
+            "8-35 ms there: a session run with a GC callback caught one in the\n"
+            "16x3 row (23.6 ms; 146k events/s against 205k at 16x5) while 4x3\n"
+            "read 157k. The 4x3 row above is ~45 ms over its usual 27-32 ms -\n"
+            "one such pause or a neighbour's burst, landing on whichever row is\n"
+            "running. What does cost a fleet per event is timer churn: a\n"
+            "follower resets its election timer on every heartbeat. Since the\n"
+            "reset moves the queued firing instead of cancelling it and pushing\n"
+            "a new one (Timer.restart, same bytes), timer pushes fall to 0.19-\n"
+            "0.31 per event, compactions to <= 0.0008, and gen-0 collections on\n"
+            "48x5 from ~260 to 31 per run, because a reset allocates no Timer\n"
+            "and no Event. Re-timed alone: 4x3 169-188k, 48x5 277-299k events/s."),
     "E26": ("Parallel-scaling: fleet events/sec vs workers (extension)",
             "Not a paper figure: the conservative parallel engine\n"
             "(src/repro/parallel/) runs one sharded fleet partitioned across\n"

@@ -207,9 +207,10 @@ class ClosedLoopClient(Node):
     def _arm_timer(self):
         if self.ROW.retry is None:
             return
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer = self.set_timer(self.retry_timeout, self._on_timeout)
+        if self._timer is None:
+            self._timer = self.set_timer(self.retry_timeout, self._on_timeout)
+        else:
+            self._timer.restart(self.retry_timeout)
 
     def _on_timeout(self):
         if self.done:

@@ -7,7 +7,9 @@ dispatch) and a rough ``size_estimate`` (used for byte accounting).
 Both are served from per-class caches: ``mtype`` is stamped onto each
 subclass at class-definition time, and the field plan behind
 ``size_estimate`` is computed once per class on first use — the send
-path never re-derives either per message.
+path never re-derives either per message.  So is the price of every
+field class whose size does not depend on the value (``Ballot`` and
+other opaque objects).
 """
 
 from dataclasses import dataclass, fields
@@ -55,16 +57,19 @@ class Message:
                 plan = lambda msg: ()  # noqa: E731
             cls._size_plan = plan
         total = 16  # header
-        scalar_sizes = _SCALAR_SIZES
+        class_sizes = _CLASS_SIZES
         for value in plan(self):
             value_cls = value.__class__
-            size = scalar_sizes.get(value_cls)
+            size = class_sizes.get(value_cls)
             if size is not None:
                 total += size
             elif value_cls is str or value_cls is bytes:
                 total += len(value)
             else:
-                total += _field_size(value)
+                size = _field_size(value)
+                if not isinstance(value, _SIZED_BY_VALUE):
+                    class_sizes[value_cls] = size
+                total += size
         return total
 
 
@@ -89,16 +94,22 @@ def protocol_of(message):
     return protocol
 
 
-#: Exact-type size shortcut for the overwhelmingly common field types —
-#: one dict hit instead of an ``isinstance`` ladder.  Exact-type lookup
-#: keeps ``bool`` (a subclass of ``int``) on its own entry; subclasses of
-#: these types fall through to :func:`_field_size`.
-_SCALAR_SIZES = {
+#: Exact-type size shortcut — one dict hit instead of an ``isinstance``
+#: ladder.  Seeded with the common scalars (exact-type lookup keeps
+#: ``bool``, a subclass of ``int``, on its own entry) and extended on
+#: first sight with every other field class whose size depends on the
+#: class alone (``int``/``float`` subclasses, opaque objects such as a
+#: ``Ballot``).
+_CLASS_SIZES = {
     type(None): 1,
     bool: 1,
     int: 8,
     float: 8,
 }
+
+#: Field classes :func:`_field_size` prices by their contents, never
+#: memoised in :data:`_CLASS_SIZES` (subclasses included).
+_SIZED_BY_VALUE = (str, bytes, list, tuple, set, frozenset, dict)
 
 
 def _field_size(value):

@@ -345,9 +345,11 @@ class ChainedHotStuffReplica(Node):
         self._arm_timeout()
 
     def _arm_timeout(self):
-        if self._timeout_timer is not None:
-            self._timeout_timer.cancel()
-        self._timeout_timer = self.set_timer(self.view_timeout, self._on_timeout)
+        if self._timeout_timer is None:
+            self._timeout_timer = self.set_timer(self.view_timeout,
+                                                 self._on_timeout)
+        else:
+            self._timeout_timer.restart(self.view_timeout)
 
     def _on_timeout(self):
         # Pacemaker fallback: advance the view and, if leader, propose on

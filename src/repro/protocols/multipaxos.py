@@ -190,12 +190,13 @@ class MultiPaxosReplica(Node):
     # -- leader election (phase 1 / view change) ---------------------------
 
     def _arm_election_timer(self):
-        if self._election_timer is not None:
-            self._election_timer.cancel()
         jitter = self.rng.uniform(0.0, self.election_timeout)
-        self._election_timer = self.set_timer(
-            self.election_timeout + jitter, self._start_prepare
-        )
+        if self._election_timer is None:
+            self._election_timer = self.set_timer(
+                self.election_timeout + jitter, self._start_prepare
+            )
+        else:
+            self._election_timer.restart(self.election_timeout + jitter)
 
     def _start_prepare(self):
         if self.crashed:

@@ -231,10 +231,11 @@ class PaxosProposer(Node):
         self._arm_retry()
 
     def _arm_retry(self):
-        if self._retry_timer is not None:
-            self._retry_timer.cancel()
         delay = self.retry.next_delay(self.sim.rng)
-        self._retry_timer = self.set_timer(delay, self._new_round)
+        if self._retry_timer is None:
+            self._retry_timer = self.set_timer(delay, self._new_round)
+        else:
+            self._retry_timer.restart(delay)
 
     # -- phase 1 -----------------------------------------------------------
 

@@ -203,12 +203,14 @@ class RaftNode(Node):
         self._arm_election_timer()
 
     def _arm_election_timer(self):
-        if self._election_timer is not None:
-            self._election_timer.cancel()
         timeout = self.election_timeout + self.rng.uniform(
             0.0, self.election_timeout
         )
-        self._election_timer = self.set_timer(timeout, self._start_election)
+        if self._election_timer is None:
+            self._election_timer = self.set_timer(timeout,
+                                                  self._start_election)
+        else:
+            self._election_timer.restart(timeout)
 
     def _step_down(self, term, leader_hint=None):
         if term > self.current_term:

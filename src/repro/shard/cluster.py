@@ -40,6 +40,21 @@ from .rebalance import SplitOrchestrator
 from .txn import ShardTxnCoordinator
 
 
+def _all_finished(txns):
+    """A ``stop_when`` predicate: true once every one of ``txns`` has an
+    outcome.  An outcome is set once and never cleared, so a cursor
+    skips finished transactions for good instead of re-scanning them
+    after every event."""
+    cursor = 0
+
+    def finished():
+        nonlocal cursor
+        while cursor < len(txns) and txns[cursor].outcome is not None:
+            cursor += 1
+        return cursor == len(txns)
+    return finished
+
+
 class ShardedCluster:
     """A sharded, replicated, transactional deployment.
 
@@ -192,9 +207,7 @@ class ShardedCluster:
                 remaining -= 1
                 wave.append(self._random_transfer(rng, cross_ratio, amount))
             deadline = self.now + self.op_timeout
-            self.cluster.run_until(
-                lambda: all(txn.outcome is not None for txn in wave),
-                until=deadline)
+            self.cluster.run_until(_all_finished(wave), until=deadline)
             hung = [txn.txid for txn in wave if txn.outcome is None]
             if hung:
                 raise LivenessFailure("workload transactions hung: %s"

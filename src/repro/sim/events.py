@@ -7,9 +7,20 @@ fully deterministic for a given seed.
 
 The queue tracks its *live* (non-cancelled) event count so callers can
 ask how much real work is pending without scanning, and it compacts the
-heap whenever cancelled entries outnumber live ones — retransmit-timer
-churn in Raft/PBFT otherwise bloats the heap with corpses that every
-push and pop then has to sift past.
+heap whenever dead entries outnumber live ones — retransmit-timer churn
+in Raft/PBFT otherwise bloats the heap with corpses that every push and
+pop then has to sift past.
+
+A pending event can also be *rescheduled* (:meth:`EventQueue.reschedule`,
+what :meth:`repro.sim.process.Timer.restart` uses to reset an election
+timer on every heartbeat).  The event takes a fresh ``(time, seq)`` from
+the same counter a new push would have, so it fires exactly where a
+cancelled-and-pushed replacement would.  Moving it later is O(1): only
+the event's fields change, and its heap entry — now early — is a
+*deferral* that :meth:`EventQueue.pop_entry` re-pushes at the stored
+time when it surfaces.  Moving it earlier pushes a fresh entry; the
+superseded one is an *orphan* that pop and compaction drop like a
+cancelled event.  Neither hop counts as a processed event.
 """
 
 import heapq
@@ -21,10 +32,13 @@ class Event:
 
     Events are created through :meth:`repro.sim.Simulator.schedule`; user
     code holds them only to :meth:`cancel` them (e.g. to stop a retransmit
-    timer once an ack arrives).
+    timer once an ack arrives).  ``time``/``seq`` say when the event
+    fires; ``_heap_time``/``_heap_seq`` are the key of the one heap entry
+    that stands for it, which is at or before that.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_queue")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_queue",
+                 "_heap_time", "_heap_seq")
 
     def cancel(self):
         """Prevent the callback from firing.  Safe to call repeatedly."""
@@ -46,8 +60,8 @@ class EventQueue:
     Heap entries are ``(time, seq, event)`` tuples so ordering is decided
     by C-level tuple comparison — the heap never calls back into Python
     to compare two events.  ``len(queue)`` is the number of *live*
-    events; cancelled entries stay in the heap until popped past or
-    compacted away, but never count.
+    events; cancelled and orphaned entries stay in the heap until popped
+    past or compacted away, but never count.
     """
 
     #: Heap size below which cancellation never triggers compaction —
@@ -69,8 +83,8 @@ class EventQueue:
         # call frame — push runs once per scheduled callback, i.e.
         # millions of times per benchmark sweep.
         event = Event.__new__(Event)
-        event.time = time
-        event.seq = seq
+        event.time = event._heap_time = time
+        event.seq = event._heap_seq = seq
         event.callback = callback
         event.args = args
         event.cancelled = False
@@ -94,14 +108,33 @@ class EventQueue:
                                     args))
         self._live += 1
 
+    def reschedule(self, event, time):
+        """Move the pending, uncancelled ``event`` to virtual time ``time``.
+
+        Equivalent to cancelling it and pushing the same callback anew:
+        the event takes the next sequence number, so it fires in exactly
+        that replacement's place.  A later time is stored on the event
+        only; an earlier one pushes a fresh heap entry and orphans the
+        old one.
+        """
+        seq = next(self._counter)
+        event.time = time
+        event.seq = seq
+        if time < event._heap_time:
+            event._heap_time = time
+            event._heap_seq = seq
+            heapq.heappush(self._heap, (time, seq, event))
+            self._compact_if_dead()
+
     def pop_entry(self, horizon=None):
         """Remove and return ``(time, callback, args)`` of the earliest
         live entry at or before ``horizon``, or ``None``.
 
-        The event loop's hot-path scan: cancelled events are discarded
-        as they surface, transient entries are returned without any
-        unwrap cost, and a live entry beyond ``horizon`` stays queued
-        (check ``len(queue)`` to distinguish empty from beyond-horizon).
+        The event loop's hot-path scan: cancelled events and orphans are
+        discarded as they surface, a deferred event is re-queued at its
+        stored time, transient entries are returned without any unwrap
+        cost, and a live entry beyond ``horizon`` stays queued (check
+        ``len(queue)`` to distinguish empty from beyond-horizon).
         """
         heap = self._heap
         while heap:
@@ -118,6 +151,17 @@ class EventQueue:
                 continue
             if horizon is not None and entry[0] > horizon:
                 return None
+            seq = entry[1]
+            if seq != event.seq:
+                if seq == event._heap_seq:
+                    # A deferral: the event was moved later while this
+                    # entry waited.  Re-queue it at its stored time.
+                    event._heap_time = event.time
+                    event._heap_seq = event.seq
+                    heapq.heapreplace(heap, (event.time, event.seq, event))
+                else:
+                    heapq.heappop(heap)  # an orphan
+                continue
             heapq.heappop(heap)
             self._live -= 1
             event._queue = None
@@ -128,12 +172,18 @@ class EventQueue:
 
     def _note_cancel(self):
         """Bookkeeping hook called by :meth:`Event.cancel` while the event
-        is still heaped: keep the live count honest and compact once the
-        cancelled majority makes heap operations pay for dead weight."""
+        is still heaped: keep the live count honest."""
         self._live -= 1
+        self._compact_if_dead()
+
+    def _compact_if_dead(self):
+        """Rebuild the heap without its dead entries (cancelled events
+        and orphans) once they are the majority and heap operations pay
+        for dead weight."""
         heap = self._heap
         if len(heap) >= self.COMPACT_MIN and 2 * self._live < len(heap):
             live = [entry for entry in heap
-                    if len(entry) == 4 or not entry[2].cancelled]
+                    if len(entry) == 4 or (not entry[2].cancelled
+                                           and entry[1] == entry[2]._heap_seq)]
             heapq.heapify(live)
             self._heap = live

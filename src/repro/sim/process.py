@@ -6,6 +6,8 @@ started once at simulation setup.  Subclasses override :meth:`on_start`
 and whatever message handlers their transport dispatches to.
 """
 
+from .errors import ClockError
+
 
 class Timer:
     """Handle to a (possibly repeating) scheduled callback on a process.
@@ -14,7 +16,7 @@ class Timer:
     process must re-arm its own timers, matching how a real process loses
     its in-memory timer wheel on failure.  The owner holds a timer only
     while it can still fire: a one-shot timer leaves ``_timers`` when it
-    fires, any timer when it is cancelled.
+    fires, any timer when it is cancelled.  :meth:`restart` puts it back.
     """
 
     def __init__(self, process, delay, callback, args, repeat=False):
@@ -61,9 +63,37 @@ class Timer:
             self._event.cancel()
             self._event = None
 
+    def restart(self, delay):
+        """Re-arm to fire ``delay`` from now, whatever state the timer is in.
+
+        Exactly ``cancel()`` followed by arming a fresh timer with the
+        same callback and arguments — the same firing time and sequence
+        number, the same ``sim_timers_cancelled_total`` count, the same
+        place in the owner's arming order — except that a pending firing
+        is moved in the event queue instead of being cancelled and
+        pushed again, which for a reset to a later time is O(1).
+        """
+        if delay < 0:
+            raise ClockError("cannot schedule in the past (delay=%r)" % (delay,))
+        process = self._process
+        sim = process.sim
+        if not self._cancelled and sim.telemetry is not None:
+            sim._tm_timers_cancelled.inc()
+        self._cancelled = False
+        timers = process._timers
+        timers.pop(self, None)
+        timers[self] = None
+        self._delay = delay
+        event = self._event
+        if event is None:
+            self._arm()
+        else:
+            sim._queue.reschedule(event, sim._now + delay)
+
     @property
     def active(self):
-        return not self._cancelled
+        """True exactly while the timer can still fire."""
+        return self._event is not None
 
 
 class Process:

@@ -238,6 +238,36 @@ class TestMessageSizing:
         message = Ping("hello")
         assert message.size_estimate() == message.size_estimate()
 
+    def test_memoised_field_classes_price_as_the_ladder_does(self):
+        # A field class is memoised only when its size cannot depend on
+        # the value: subclasses of str and of containers are re-priced.
+        from collections import namedtuple
+
+        class Opaque:
+            pass
+
+        class Count(int):
+            pass
+
+        class Name(str):
+            pass
+
+        Pair = namedtuple("Pair", "a b")
+
+        @dataclass(frozen=True)
+        class Mixed(Message):
+            opaque: object
+            count: object
+            name: object
+            pair: object
+
+        for _ in range(2):
+            assert Mixed(Opaque(), Count(3), Name("ab"),
+                         Pair(1, 2)).size_estimate() == 16 + 32 + 8 + 2 + 20
+            assert Mixed(Opaque(), Count(3), Name("abcd"),
+                         Pair("xyz", None)).size_estimate() == \
+                16 + 32 + 8 + 4 + 8
+
 
 class TestDispatchCache:
     def test_handler_resolved_once_per_class(self):

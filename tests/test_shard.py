@@ -46,6 +46,19 @@ class TestFleet:
             assert leader is not None
             assert leader.name.startswith(group.gid + "/")
 
+    def test_wave_predicate_is_true_once_every_outcome_is_in(self):
+        from types import SimpleNamespace
+
+        from repro.shard.cluster import _all_finished
+        wave = [SimpleNamespace(outcome=None) for _ in range(3)]
+        finished = _all_finished(wave)
+        for txn, outcome in zip((wave[2], wave[0]), ("committed", "aborted")):
+            txn.outcome = outcome
+            assert not finished()  # out of order: the cursor must wait
+        wave[1].outcome = "committed"
+        assert finished() and finished()
+        assert _all_finished([])()
+
 
 class TestFastPath:
     def test_single_shard_txn_skips_2pc(self):

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel: events, clock, processes."""
 
+import random
+
 import pytest
 
 from repro.sim import (
@@ -9,6 +11,7 @@ from repro.sim import (
     Process,
     Simulator,
 )
+from repro.telemetry import MetricsRegistry
 
 
 def _drain(queue):
@@ -99,6 +102,29 @@ class TestEventQueue:
         assert len(queue) == 50
         popped = [queue.pop_entry()[0] for _ in range(50)]
         assert popped == [float(i) for i in range(150, 200)]
+
+    def test_reschedule_later_defers_earlier_orphans(self):
+        queue = EventQueue()
+        seen = []
+        a = queue.push(1.0, seen.append, ("a",))
+        b = queue.push(2.0, seen.append, ("b",))
+        queue.reschedule(a, 3.0)  # later: stored on the event only
+        assert len(queue._heap) == 2 and len(queue) == 2
+        queue.reschedule(b, 0.5)  # earlier: a fresh entry, an orphan
+        assert len(queue._heap) == 3 and len(queue) == 2
+        _drain(queue)
+        assert seen == ["b", "a"]
+        assert not queue._heap  # deferral and orphan went with the scan
+
+    def test_reschedule_to_the_same_time_goes_behind_later_pushes(self):
+        # It takes a fresh sequence number, as a cancel + push would.
+        queue = EventQueue()
+        seen = []
+        a = queue.push(1.0, seen.append, ("a",))
+        queue.push(1.0, seen.append, ("b",))
+        queue.reschedule(a, 1.0)
+        _drain(queue)
+        assert seen == ["b", "a"]
 
     def test_no_compaction_below_min_heap_size(self):
         queue = EventQueue()
@@ -307,6 +333,27 @@ class TestProcess:
         sim.run()
         assert fired == [] and not timer.active
 
+    def test_active_means_the_timer_can_still_fire(self):
+        sim = Simulator()
+        fired = []
+        proc = Process(sim, "p")
+        once = proc.set_timer(1.0, fired.append, "once")
+        assert once.active
+        sim.run()
+        assert fired == ["once"] and not once.active  # spent
+        once.restart(1.0)
+        assert once.active  # re-armed
+        sim.run()
+        assert fired == ["once"] * 2 and not once.active
+        beat = proc.set_periodic_timer(1.0, fired.append, "beat")
+        sim.run(until=sim.now + 3.5)
+        assert beat.active  # a repeating timer keeps firing
+        beat.cancel()
+        assert not beat.active
+        timers = [proc.set_timer(1.0, int), proc.set_periodic_timer(1.0, int)]
+        proc.crash()
+        assert not any(timer.active for timer in timers)
+
     def test_restart_hooks(self):
         sim = Simulator()
         log = []
@@ -334,3 +381,126 @@ class TestProcess:
         sim.run(until=6.0)
         # Only the pre-crash firings; restart does not resurrect timers.
         assert len(fired) == 2
+
+
+class _TimerBench:
+    """One simulator driven through a timer script.  ``restart`` picks
+    how a live slot is re-armed: ``Timer.restart``, or the idiom it
+    replaces, ``cancel()`` followed by a fresh ``set_timer``."""
+
+    SLOTS = 96
+
+    def __init__(self, restart):
+        self.restart = restart
+        self.sim = Simulator()
+        self.registry = MetricsRegistry()
+        self.sim.attach_telemetry(self.registry)
+        self.procs = [Process(self.sim, "p0"), Process(self.sim, "p1")]
+        self.timers = [None] * self.SLOTS
+        self.log = []
+        self.heaps_seen = [self.sim._queue._heap]
+
+    def arm(self, slot, delay):
+        timer = self.timers[slot]
+        if timer is not None and self.restart:
+            timer.restart(delay)
+            return
+        if timer is not None:
+            timer.cancel()
+        proc = self.procs[slot % 2]
+        self.timers[slot] = proc.set_timer(delay, self._fire, slot)
+
+    def _fire(self, slot):
+        self.log.append((self.sim.now, slot))
+        if slot % 5 == 0:  # re-arms itself as it fires, like an election
+            self.arm(slot, 0.25 * (1 + slot % 3))
+
+    def apply(self, op):
+        kind, target, amount = op
+        if kind == "arm":
+            self.arm(target, amount)
+        elif kind == "cancel":
+            if self.timers[target] is not None:
+                self.timers[target].cancel()
+        elif kind == "crash":
+            self.procs[target].crash()
+        elif kind == "recover":
+            self.procs[target].restart()
+        else:
+            self.sim.run(until=self.sim.now + amount)
+        if self.sim._queue._heap is not self.heaps_seen[-1]:
+            self.heaps_seen.append(self.sim._queue._heap)  # compacted
+
+    def counter(self, name):
+        return self.registry.counter(name).value
+
+
+def _timer_script(seed, length):
+    """Arm/restart (later, earlier, to the same time, after a firing or
+    a cancel), cancel, crash, recover and run-to-horizon steps on a
+    quarter-unit grid, so equal deadlines — and tie-breaks — are
+    common."""
+    rng = random.Random(seed)
+    deadline = [0.0] * _TimerBench.SLOTS
+    now = 0.0
+    for _ in range(length):
+        roll = rng.random()
+        slot = rng.randrange(_TimerBench.SLOTS)
+        if roll < 0.75:
+            if deadline[slot] < now:  # spent: a fresh deadline
+                delay = 0.25 * rng.randint(0, 160)
+            else:  # later, earlier or the same time
+                delay = max(0.0, deadline[slot] - now
+                            + 0.25 * rng.randint(-16, 16))
+            deadline[slot] = now + delay
+            yield ("arm", slot, delay)
+        elif roll < 0.85:
+            yield ("cancel", slot, None)
+        elif roll < 0.86:
+            yield ("crash", slot % 2, None)
+        elif roll < 0.88:
+            yield ("recover", slot % 2, None)
+        else:
+            step = 0.25 * rng.randint(0, 12)
+            now += step
+            yield ("run", None, step)
+
+
+class TestTimerRestart:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_restart_matches_cancel_then_set_timer(self, seed):
+        new, old = _TimerBench(restart=True), _TimerBench(restart=False)
+        for op in _timer_script(seed, 4000):
+            new.apply(op)
+            old.apply(op)
+            assert new.sim.pending_events == old.sim.pending_events, op
+        for bench in (new, old):
+            bench.apply(("run", None, 1000.0))
+        assert new.log == old.log and len(new.log) > 1000
+        assert new.sim.events_processed == old.sim.events_processed
+        for name in ("sim_timers_fired_total", "sim_timers_cancelled_total"):
+            assert new.counter(name) == old.counter(name) > 0
+        # Enough dead entries piled up for both queues to compact.
+        assert len(new.heaps_seen) > 1 and len(old.heaps_seen) > 1
+
+    def test_later_restarts_leave_the_heap_alone(self):
+        sim = Simulator()
+        timer = Process(sim, "p").set_timer(1.0, int)
+        for i in range(10_000):
+            timer.restart(2.0 + i)
+        assert len(sim._queue._heap) <= 2
+
+    def test_orphans_of_earlier_restarts_are_compacted(self):
+        sim = Simulator()
+        proc = Process(sim, "p")
+        timers = [proc.set_timer(1000.0, int) for _ in range(64)]
+        for step in range(1, 50):
+            for timer in timers:
+                timer.restart(1000.0 - step)
+        assert len(sim._queue._heap) <= 2 * len(timers)
+
+    def test_negative_delay_rejected(self):
+        sim = Simulator()
+        timer = Process(sim, "p").set_timer(1.0, int)
+        with pytest.raises(ClockError):
+            timer.restart(-1.0)
