@@ -4,9 +4,11 @@
 
 For every ``SCENARIOS`` row (read from CHANGE_DIR) x seed: ``trace
 --jsonl``, ``stats --json``, ``spans --json`` and ``check --json``
-(fault-free, then once per fault kind the row lists); plus ``loadtest
-<p> --json`` for the load protocols at one rate below and one beyond
-the knee and over one ``--sweep``.  Each command runs from both
+(fault-free, then once per fault kind the row lists); the printed
+output of the fleet and KV demos no row runs (:data:`STDOUT_RUNS`) at
+each seed; plus ``loadtest <p> --json`` for the load protocols at one
+rate below and one beyond the knee and over one ``--sweep``.  Each
+command runs from both
 checkouts (the two sides side by side, nothing else in parallel), the
 two files are compared, differing or missing ones are printed; exit 1
 if there are any.  This is the "same bytes" half of a refactoring PR's
@@ -27,16 +29,35 @@ import tempfile
 LOAD_RATES = {"multi-paxos": (4.0, 12.0), "raft": (3.0, 8.0),
               "pbft": (0.3, 1.0), "shards": (1.0, 6.0)}
 
+#: Runs compared by what they print, keyed by artifact stem: the
+#: ``shards`` row is Multi-Paxos only, so without these no artifact runs
+#: a Raft group inside a fleet, a live split or a whole-shard crash.
+STDOUT_RUNS = {
+    "shards_raft": ["shards", "--protocol", "raft"],
+    "shards_mixed_split": ["shards", "--protocol", "mixed", "--split"],
+    "shards_raft_crash-shard": ["shards", "--protocol", "raft",
+                                "--crash-shard"],
+    "kv_raft": ["kv", "--protocol", "raft"],
+}
 
-def _repro(tree, *argv):
+
+def _repro(tree, argv, path):
+    """Start ``repro argv`` from ``tree``, its artifact going to ``path``:
+    as the last argument, or as stdout for a ``.stdout`` artifact."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tree) / "src"))
-    return subprocess.Popen([sys.executable, "-m", "repro", *argv],
-                            env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
+    command = [sys.executable, "-m", "repro", *argv]
+    if path.suffix != ".stdout":
+        return subprocess.Popen([*command, str(path)], env=env,
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+    with open(path, "wb") as out:
+        return subprocess.Popen(command, env=env, stdout=out,
+                                stderr=subprocess.DEVNULL)
 
 
 def commands(change, seeds):
-    """``(artifact name, argv up to the output path)`` for every pair."""
+    """``(artifact name, argv up to the output path)`` for every pair; a
+    ``.stdout`` artifact's argv is complete."""
     listing = subprocess.run(
         [sys.executable, "-c", "import json; from repro.scenarios import "
          "SCENARIOS; print(json.dumps({n: list(s.faults) "
@@ -54,6 +75,9 @@ def commands(change, seeds):
             for kind in faults:
                 yield "%s.check-%s.json" % (stem, kind), \
                     ["check", *at, "--faults", kind, "--json"]
+    for stem, argv in STDOUT_RUNS.items():
+        for seed in seeds:
+            yield "%s_seed%s.stdout" % (stem, seed), [*argv, "--seed", seed]
     for name, rates in LOAD_RATES.items():
         base = ["loadtest", name, "--duration", "60"]
         for rate in rates:
@@ -76,7 +100,7 @@ def main(argv=None):
             side.mkdir()
         for artifact, command in commands(args.change, args.seeds.split(",")):
             total += 1
-            runs = [_repro(tree, *command, str(side / artifact))
+            runs = [_repro(tree, command, side / artifact)
                     for tree, side in zip((args.parent, args.change), sides)]
             for run in runs:
                 run.wait()

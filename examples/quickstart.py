@@ -2,8 +2,9 @@
 
 Spins up a 3-replica Multi-Paxos cluster on the discrete-event
 simulator, runs commands through real protocol traffic, crashes the
-leader mid-workload, and verifies that nothing was lost and no two
-replicas disagree.
+leader mid-workload and later restarts it (its log and ballot are
+durable, its leadership is not), and verifies that nothing was lost and
+no two replicas disagree.
 
 Run:  python examples/quickstart.py
 """
@@ -27,6 +28,10 @@ def main():
     print("\n== the cluster keeps serving ==")
     store.put("survived", True)
     print("survived =", store.get("survived"))
+
+    print("\n== the crashed replica restarts ==")
+    names = [replica.name for replica in store.replicas]
+    store.restart_replica(names.index(crashed))
     print("language =", store.get("language"), "(old data intact)")
 
     store.settle()

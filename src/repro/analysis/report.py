@@ -283,7 +283,8 @@ EXPERIMENT_NOTES = {
             "requests at the saturated leader, next_index stalls, and every\n"
             "AppendEntries re-ships the whole unacknowledged suffix, whose\n"
             "bytes are costed per message (1.3M fields sized for 12k messages).\n"
-            "Batching and pipelining (ROADMAP item 5) are what would move it."),
+            "Batching and pipelining (the ROADMAP's saturation-attribution\n"
+            "item) are what would move it."),
     "E20": ("Circumventing FLP (the oracle)",
             "Paper: 'adding oracle (failure detector)'. Measured: Chandra-Toueg\n"
             "rotating-coordinator consensus decides in 12/12 runs with a heartbeat\n"

@@ -4,7 +4,8 @@ Spans are bucketed into fixed-width *virtual-time* windows by their
 completion time; each window reuses :class:`~repro.telemetry.Histogram`
 for the latency distribution (p50/p90/p99/p999) and sums the critical
 path's segment durations — the "where did this minute's p99 go" view
-ROADMAP item 3 asks for.  Only completed spans enter the series:
+that explaining the system's own latency needs.  Only completed spans
+enter the series:
 abandoned requests have no defined latency.
 
 The SLO summary follows the burn-rate convention: with an error budget

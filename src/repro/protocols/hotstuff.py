@@ -101,7 +101,7 @@ class BasicHotStuffReplica(Node):
         self.view = 0
         self.decided_ops = []
         if state_machine_factory is None:
-            from .multipaxos import ListStateMachine
+            from .leader import ListStateMachine
             state_machine_factory = ListStateMachine
         self.state_machine = state_machine_factory()
 

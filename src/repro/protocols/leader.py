@@ -1,0 +1,249 @@
+"""One leader-replica core for Multi-Paxos and Raft.
+
+Howard & Mortier (*Paxos vs Raft*) find that the two protocols differ
+essentially only in leader election: Raft votes only for a candidate
+whose log is up to date, Paxos recovers the log in phase 1.
+:class:`LeaderReplica` is everything else, written once: the election
+timer, step-down, the heartbeat timer, the client request path with its
+retry dedup and the in-order apply loop; :func:`leader_row` builds the
+client row and :func:`run_leader_log` runs a cluster with clients.
+
+This is a protocol module, not a ``core`` one, because handler time is
+attributed to the package of the module that defines the handler, and
+:meth:`LeaderReplica.on_clientrequest` is both protocols' handler.
+"""
+
+import enum
+from operator import attrgetter
+
+from ..core.client import ClientProtocol, RunResult
+from ..core.node import Node
+
+
+class Role(enum.Enum):
+    """A replica's current role.  (Multi-Paxos runs phase 1 as a
+    follower: its candidacy is the ballot it is preparing.)"""
+
+    FOLLOWER = "follower"
+    CANDIDATE = "candidate"
+    LEADER = "leader"
+
+
+class ListStateMachine:
+    """Default state machine: append-only command history."""
+
+    def __init__(self):
+        self.history = []
+
+    def apply(self, command):
+        self.history.append(command)
+        return len(self.history) - 1
+
+    def snapshot(self):
+        return list(self.history)
+
+    def restore(self, snapshot, ops_applied=0):
+        self.history = list(snapshot)
+
+
+class LeaderReplica(Node):
+    """A replica of a leader-based replicated log.
+
+    Parameters
+    ----------
+    peers:
+        All replica names, this one included, in a fixed global order.
+    state_machine_factory:
+        Zero-arg callable building this replica's deterministic state
+        machine, which exposes ``apply(command) -> result``; ``None``
+        means :class:`ListStateMachine`.
+    election_timeout:
+        Leader silence after which a follower campaigns; each arm adds
+        uniform jitter in [0, timeout] against split votes and duels.
+
+    A subclass sets :attr:`REPLY` and :attr:`REDIRECT`, aliases
+    ``handle_<its request mtype>`` to :meth:`on_clientrequest`, and
+    provides its election — ``_start_election`` (calling
+    :meth:`_become_leader` on a win), ``_epoch`` (the ``lead``
+    milestone's detail), ``_take_over`` and ``_send_heartbeat`` — and
+    three operations on its log: ``_in_flight(request_id)`` (the index
+    after ``last_applied`` holding it, or ``None``),
+    ``_committed_entry(index)`` (``(command, request_id)``, ``()`` for a
+    no-op, ``None`` while uncommitted) and ``_append(command,
+    request_id)``, which returns the new entry's index.
+    """
+
+    HEARTBEAT_INTERVAL = 1.0
+    #: The protocol's client-reply and redirect message classes.
+    REPLY = REDIRECT = None
+
+    def __init__(self, sim, network, name, peers, state_machine_factory,
+                 election_timeout):
+        super().__init__(sim, network, name)
+        self.peers = list(peers)
+        #: Every peer but ourselves, in ``peers`` order — the fan-out list.
+        self.other_peers = [p for p in self.peers if p != name]
+        self.state_machine = (state_machine_factory or ListStateMachine)()
+        self.election_timeout = election_timeout
+        self.role = Role.FOLLOWER
+        self.leader_hint = None
+        self.commit_index = -1
+        self.last_applied = -1
+        self._client_of = {}  # log index -> (client, request_id)
+        self._applied_requests = {}  # request_id -> result (dedup cache)
+        self._election_timer = None
+        self._heartbeat_timer = None
+
+    @property
+    def is_leader(self):
+        return self.role is Role.LEADER
+
+    # -- lifecycle --------------------------------------------------------
+
+    def on_start(self):
+        self._arm_election_timer()
+
+    def on_crash(self):
+        self.role = Role.FOLLOWER
+
+    def on_restart(self):
+        # The log, the term or ballot and the dedup table are durable;
+        # leadership, and knowing who holds it, are not.
+        self.role = Role.FOLLOWER
+        self.leader_hint = None
+        self._arm_election_timer()
+
+    # -- leadership -------------------------------------------------------
+
+    def _arm_election_timer(self):
+        timeout = self.election_timeout + self.rng.uniform(
+            0.0, self.election_timeout)
+        if self._election_timer is None:
+            self._election_timer = self.set_timer(timeout,
+                                                  self._start_election)
+        else:
+            self._election_timer.restart(timeout)
+
+    def _step_down(self, leader_hint=None):
+        """Give up leadership or candidacy, stop heartbeating, note
+        ``leader_hint`` when given and wait for the leader."""
+        self.role = Role.FOLLOWER
+        if self._heartbeat_timer is not None:
+            self._heartbeat_timer.cancel()
+            self._heartbeat_timer = None
+        if leader_hint is not None:
+            self.leader_hint = leader_hint
+        self._arm_election_timer()
+
+    def _become_leader(self):
+        self.role = Role.LEADER
+        self.leader_hint = self.name
+        self.trace_local("lead", **self._epoch())
+        if self._election_timer is not None:
+            self._election_timer.cancel()
+        self._take_over()
+        self._heartbeat_timer = self.set_periodic_timer(
+            self.HEARTBEAT_INTERVAL, self._send_heartbeat)
+
+    # -- the client path --------------------------------------------------
+
+    def on_clientrequest(self, msg, src):
+        """Redirect a client that did not reach the leader; answer a
+        retry of an applied request from the dedup table; re-address the
+        reply of one still committing; append anything new."""
+        request_id = msg.request_id
+        if not self.is_leader:
+            self.send(src, self.REDIRECT(request_id, self.leader_hint or ""))
+            return
+        if request_id in self._applied_requests:
+            # Retry of a completed command: re-reply, never re-propose.
+            self.send(src, self.REPLY(request_id,
+                                      self._applied_requests[request_id]))
+            return
+        # Everything at or below last_applied is in _applied_requests
+        # (checked above), so only the un-applied tail can still hold it;
+        # if it does, the request is still committing.
+        index = self._in_flight(request_id)
+        if index is None:
+            index = self._append(msg.command, request_id)
+        self._client_of[index] = (src, request_id)
+
+    def _apply_ready(self):
+        """Apply committed entries strictly in log order — the slides'
+        'server waits for previous log entries to be applied' — keep
+        each request's result for retries, and answer a client waiting
+        on an entry only with the result of its own request."""
+        while True:
+            entry = self._committed_entry(self.last_applied + 1)
+            if entry is None:
+                return
+            self.last_applied = index = self.last_applied + 1
+            if not entry:
+                continue  # a leader's no-op: nothing to apply
+            command, request_id = entry
+            result = self.state_machine.apply(command)
+            if request_id is None:
+                self.trace_local("apply", index=index, op=command)
+            else:
+                self.trace_local("apply", index=index, op=command,
+                                 req=request_id)
+                self._applied_requests[request_id] = result
+            client = self._client_of.pop(index, None)
+            if client is not None and client[1] == request_id:
+                self.send(client[0], self.REPLY(request_id, result))
+
+
+def leader_row(name, replica, client, request, **options):
+    """Bind ``client`` to the :class:`ClientProtocol` row of the log
+    ``replica`` serves, and return it: a request carries
+    ``<client>-<seq>`` as its id, one reply completes it, a follower
+    redirects to the leader, and silence moves on to the next replica."""
+    client.ROW = ClientProtocol(
+        name=name,
+        ident=lambda client, seq, command: "%s-%d" % (client, seq),
+        request=lambda ident, command, client=None, signer=None:
+            request(command, ident),
+        reply=replica.REPLY.mtype,
+        key=attrgetter("request_id"),
+        need=lambda n, f: 1,
+        nodes_per_fault=2,
+        replica=replica,
+        replica_args=lambda peers, f: (peers,),
+        is_leader=attrgetter("is_leader"),
+        client=client,
+        redirect=replica.REDIRECT.mtype,
+        retry="rotate",
+        **options,
+    )
+    return client.ROW
+
+
+class LeaderResult(RunResult):
+    """What :func:`run_leader_log` returns."""
+
+    def committed_logs(self):
+        return [replica.committed_log() for replica in self.replicas]
+
+    logs = committed_logs
+
+
+def run_leader_log(result, cluster, client, prefix, n, n_clients,
+                   commands_per_client, crash_leader_at, horizon, **options):
+    """Drive ``n`` replicas named ``<prefix><i>`` (``client``'s row names
+    their class; ``options`` go to it) with ``n_clients`` closed-loop
+    ``client`` nodes, crash whoever leads at ``crash_leader_at``, and
+    return a ``result``, a :class:`LeaderResult`."""
+    names = ["%s%d" % (prefix, i) for i in range(n)]
+    replicas = cluster.add_nodes(client.ROW.replica, names, names, **options)
+    clients = [cluster.add_node(client, "c%d" % i, names,
+                                ["cmd-%d-%d" % (i, j)
+                                 for j in range(commands_per_client)])
+               for i in range(n_clients)]
+    if crash_leader_at is not None:
+        def crash_leader():
+            for replica in replicas:
+                if replica.is_leader:
+                    replica.crash()
+                    return
+        cluster.sim.schedule(crash_leader_at, crash_leader)
+    return result.drive(cluster, replicas, clients, horizon)

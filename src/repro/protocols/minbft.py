@@ -80,7 +80,7 @@ class MinBftReplica(Node):
         # the receiver must process each sender's stream gap-free.
         self._usig_inbox = {peer: {} for peer in self.peers if peer != name}
         if state_machine_factory is None:
-            from .multipaxos import ListStateMachine
+            from .leader import ListStateMachine
             state_machine_factory = ListStateMachine
         self.state_machine = state_machine_factory()
         self.executed = []  # (counter, operation)

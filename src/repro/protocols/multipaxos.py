@@ -20,13 +20,12 @@ explicit.
 """
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 from ..core.ballot import Ballot
-from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
-from ..core.node import Node
+from ..core.client import ClosedLoopClient
 from ..core.quorums import MajorityQuorum
 from ..net.message import Message
+from .leader import LeaderReplica, LeaderResult, leader_row, run_leader_log
 
 
 # -- messages ---------------------------------------------------------------
@@ -109,28 +108,22 @@ class _EntryState:
 @dataclass(frozen=True)
 class LogCommand:
     """A client command plus its request id, stored as the log value so
-    any future leader can deduplicate client retries."""
+    any future leader can deduplicate client retries.  Every value in a
+    Multi-Paxos log is one."""
 
     command: object
     request_id: str
 
 
-class MultiPaxosReplica(Node):
+class MultiPaxosReplica(LeaderReplica):
     """A Multi-Paxos server: acceptor + learner + (sometimes) leader.
 
-    Parameters
-    ----------
-    peers:
-        All replica names (including this one), in a fixed global order
-        that determines leadership succession.
-    state_machine_factory:
-        Zero-arg callable building this replica's deterministic state
-        machine; it must expose ``apply(command) -> result``.
-    election_timeout:
-        Silence interval after which a replica attempts takeover.
+    ``peers`` order determines leadership succession: the first replica
+    bootstraps as leader.  The other parameters are
+    :class:`~repro.protocols.leader.LeaderReplica`'s.
     """
 
-    HEARTBEAT_INTERVAL = 1.0
+    REPLY, REDIRECT = ClientReply, Redirect
 
     def __init__(
         self,
@@ -141,35 +134,17 @@ class MultiPaxosReplica(Node):
         state_machine_factory=None,
         election_timeout=5.0,
     ):
-        super().__init__(sim, network, name)
-        self.peers = list(peers)
-        #: Every peer but ourselves, in ``peers`` order — the fan-out
-        #: list phase 1, phase 2, commit and heartbeat multicast to.
-        self.other_peers = [p for p in self.peers if p != name]
+        super().__init__(sim, network, name, peers, state_machine_factory,
+                         election_timeout)
         self.quorums = MajorityQuorum(self.peers)
-        if state_machine_factory is None:
-            state_machine_factory = ListStateMachine
-        self.state_machine = state_machine_factory()
-        self.election_timeout = election_timeout
-
         self.ballot_num = Ballot.ZERO
         self.log = {}  # index -> _EntryState
-        self.commit_index = -1
-        self.applied_index = -1
-
-        self.is_leader = False
         self.leader_hint = self.peers[0]
         self.next_index = 0
         self._pending = {}  # index -> set of ack senders
-        self._client_of = {}  # index -> (client, request_id)
-        self._applied_requests = {}  # request_id -> result (dedup cache)
         self._prepare_acks = {}
         self._preparing = None
-        self._heartbeat_timer = None
-        self._election_timer = None
         self.view_changes = 0
-
-    # -- lifecycle --------------------------------------------------------
 
     def on_start(self):
         if self.name == self.peers[0]:
@@ -177,26 +152,9 @@ class MultiPaxosReplica(Node):
             # exactly once — afterwards only failures trigger phase 1.
             self._start_prepare()
         else:
-            self._arm_election_timer()
-
-    def on_crash(self):
-        self.is_leader = False
-
-    def on_restart(self):
-        # Ballot state and the log are durable; leadership is not.
-        self.is_leader = False
-        self._arm_election_timer()
+            super().on_start()
 
     # -- leader election (phase 1 / view change) ---------------------------
-
-    def _arm_election_timer(self):
-        jitter = self.rng.uniform(0.0, self.election_timeout)
-        if self._election_timer is None:
-            self._election_timer = self.set_timer(
-                self.election_timeout + jitter, self._start_prepare
-            )
-        else:
-            self._election_timer.restart(self.election_timeout + jitter)
 
     def _start_prepare(self):
         if self.crashed:
@@ -211,6 +169,8 @@ class MultiPaxosReplica(Node):
         self.multicast(self.other_peers, MPPrepare(self.ballot_num))
         self._arm_election_timer()
 
+    _start_election = _start_prepare
+
     def _own_accepted(self):
         return tuple(
             (index, entry.accept_num, entry.value)
@@ -218,17 +178,14 @@ class MultiPaxosReplica(Node):
         )
 
     def _follow(self, ballot, leader):
-        """Adopt ``ballot`` (at least ours) and follow ``leader``.  A
-        ballot owned by another replica deposes us: a leader, or a
-        candidate whose phase 1 it supersedes, that kept going would
-        propose its own ``next_index`` under the new owner's ballot and
-        could overwrite a slot that owner already committed."""
+        """Adopt ``ballot`` (at least ours) and follow ``leader``, the
+        replica that owns it or sent it.  Following deposes us: a leader,
+        or a candidate whose phase 1 the ballot supersedes, that kept
+        going would propose its own ``next_index`` under the new owner's
+        ballot and could overwrite a slot that owner already committed."""
         self.ballot_num = ballot
-        self.leader_hint = leader
-        if ballot.pid != self.name:
-            self.is_leader = False
-            self._preparing = None
-        self._arm_election_timer()
+        self._preparing = None
+        self._step_down(leader)
 
     def handle_mpprepare(self, msg, src):
         if msg.ballot >= self.ballot_num:
@@ -249,13 +206,11 @@ class MultiPaxosReplica(Node):
             return
         self._become_leader()
 
-    def _become_leader(self):
+    def _epoch(self):
+        return {"ballot": self.ballot_num}
+
+    def _take_over(self):
         self._preparing = None
-        self.is_leader = True
-        self.leader_hint = self.name
-        self.trace_local("lead", ballot=self.ballot_num)
-        if self._election_timer is not None:
-            self._election_timer.cancel()
         # Value discovery: adopt, per index, the value of the highest
         # accept ballot seen in the quorum, then re-propose uncommitted
         # entries under the new ballot.
@@ -285,13 +240,8 @@ class MultiPaxosReplica(Node):
         for index in sorted(best):
             if index > max_commit:
                 self._propose(index, best[index][1])
-        self._heartbeat_timer = self.set_periodic_timer(
-            self.HEARTBEAT_INTERVAL, self._send_heartbeat
-        )
 
     def _send_heartbeat(self):
-        if not self.is_leader:
-            return
         self.multicast(self.other_peers,
                        Heartbeat(self.ballot_num, self.commit_index))
 
@@ -302,36 +252,25 @@ class MultiPaxosReplica(Node):
 
     # -- normal mode (phase 2) ---------------------------------------------
 
-    def handle_clientrequest(self, msg, src):
-        if not self.is_leader:
-            self.send(src, Redirect(msg.request_id, self.leader_hint))
-            return
-        if msg.request_id in self._applied_requests:
-            # Retry of a completed command: re-reply, never re-propose.
-            self.send(src, ClientReply(msg.request_id,
-                                       self._applied_requests[msg.request_id]))
-            return
-        # Everything at or below applied_index is in _applied_requests
-        # (checked above), so only the un-applied window can still match.
-        for index in range(self.applied_index + 1, self.next_index):
+    handle_clientrequest = LeaderReplica.on_clientrequest
+
+    def _in_flight(self, request_id):
+        for index in range(self.last_applied + 1, self.next_index):
             entry = self.log.get(index)
-            if entry is not None and isinstance(entry.value, LogCommand) \
-                    and entry.value.request_id == msg.request_id:
-                # Already in the log, still committing.
-                self._client_of[index] = (src, msg.request_id)
-                return
+            if entry is not None and entry.value.request_id == request_id:
+                return index
+        return None
+
+    def _append(self, command, request_id):
         index = self.next_index
         self.next_index += 1
-        self._client_of[index] = (src, msg.request_id)
-        self._propose(index, LogCommand(msg.command, msg.request_id))
+        self._propose(index, LogCommand(command, request_id))
+        return index
 
     def _propose(self, index, value):
         if self.network.metrics is not None:
             self.network.metrics.mark_phase("multi-paxos", "accept", self.sim.now)
-        if isinstance(value, LogCommand):
-            self.trace_local("propose", index=index, req=value.request_id)
-        else:
-            self.trace_local("propose", index=index)
+        self.trace_local("propose", index=index, req=value.request_id)
         self.log[index] = _EntryState(self.ballot_num, value)
         self._pending[index] = {self.name}
         self.multicast(self.other_peers,
@@ -354,11 +293,7 @@ class MultiPaxosReplica(Node):
             return
         del self._pending[msg.index]
         value = self.log[msg.index].value
-        if isinstance(value, LogCommand):
-            self.trace_local("commit", index=msg.index,
-                             req=value.request_id)
-        else:
-            self.trace_local("commit", index=msg.index)
+        self.trace_local("commit", index=msg.index, req=value.request_id)
         self._commit(msg.index)
         self.multicast(self.other_peers,
                        MPCommit(self.ballot_num, msg.index, value))
@@ -378,36 +313,20 @@ class MultiPaxosReplica(Node):
         self._apply_ready()
 
     def _advance_commit(self, commit_index):
-        for index in range(self.applied_index + 1, commit_index + 1):
+        if commit_index <= self.last_applied:
+            return  # the usual heartbeat: nothing new to commit or apply
+        for index in range(self.last_applied + 1, commit_index + 1):
             entry = self.log.get(index)
             if entry is not None:
                 entry.committed = True
         self.commit_index = max(self.commit_index, commit_index)
         self._apply_ready()
 
-    def _apply_ready(self):
-        """Apply committed entries strictly in order — the slides' step 3:
-        'server waits for previous log entries to be applied'."""
-        while True:
-            nxt = self.applied_index + 1
-            entry = self.log.get(nxt)
-            if entry is None or not entry.committed:
-                return
-            value = entry.value
-            command = value.command if isinstance(value, LogCommand) else value
-            result = self.state_machine.apply(command)
-            self.applied_index = nxt
-            if isinstance(value, LogCommand):
-                self.trace_local("apply", index=nxt, op=command,
-                                 req=value.request_id)
-            else:
-                self.trace_local("apply", index=nxt, op=command)
-            if isinstance(value, LogCommand):
-                self._applied_requests[value.request_id] = result
-            client = self._client_of.pop(nxt, None)
-            if client is not None:
-                dst, request_id = client
-                self.send(dst, ClientReply(request_id, result))
+    def _committed_entry(self, index):
+        entry = self.log.get(index)
+        if entry is None or not entry.committed:
+            return None
+        return entry.value.command, entry.value.request_id
 
     # -- introspection ------------------------------------------------------
 
@@ -421,23 +340,6 @@ class MultiPaxosReplica(Node):
         ]
 
 
-class ListStateMachine:
-    """Default state machine: append-only command history."""
-
-    def __init__(self):
-        self.history = []
-
-    def apply(self, command):
-        self.history.append(command)
-        return len(self.history) - 1
-
-    def snapshot(self):
-        return list(self.history)
-
-    def restore(self, snapshot, ops_applied=0):
-        self.history = list(snapshot)
-
-
 class MultiPaxosClient(ClosedLoopClient):
     """Closed-loop client: one outstanding command, follows redirects."""
 
@@ -446,35 +348,15 @@ class MultiPaxosClient(ClosedLoopClient):
 
 
 #: How a client talks to a Multi-Paxos log (see :mod:`repro.core.client`).
-CLIENT = MultiPaxosClient.ROW = ClientProtocol(
-    name="multi-paxos",
-    ident=lambda client, seq, command: "%s-%d" % (client, seq),
-    request=lambda ident, command, client=None, signer=None:
-        ClientRequest(command, ident),
-    reply=ClientReply.mtype,
-    key=attrgetter("request_id"),
-    need=lambda n, f: 1,
-    nodes_per_fault=2,
-    replica=MultiPaxosReplica,
-    replica_args=lambda peers, f: (peers,),
-    is_leader=attrgetter("is_leader"),
-    client=MultiPaxosClient,
-    redirect=Redirect.mtype,
-    retry="rotate",
-    retry_timeout=8.0,
-)
+CLIENT = leader_row("multi-paxos", MultiPaxosReplica, MultiPaxosClient,
+                    ClientRequest, retry_timeout=8.0)
 
 
 # -- driver -----------------------------------------------------------------
 
 
-class MultiPaxosResult(RunResult):
+class MultiPaxosResult(LeaderResult):
     """What :func:`run_multipaxos` returns."""
-
-    def committed_logs(self):
-        return [replica.committed_log() for replica in self.replicas]
-
-    logs = committed_logs
 
 
 def run_multipaxos(
@@ -487,22 +369,7 @@ def run_multipaxos(
     state_machine_factory=None,
 ):
     """Drive a Multi-Paxos cluster with closed-loop clients."""
-    replica_names = ["r%d" % i for i in range(n_replicas)]
-    replicas = cluster.add_nodes(
-        MultiPaxosReplica,
-        replica_names,
-        replica_names,
-        state_machine_factory=state_machine_factory,
-    )
-    clients = [
-        cluster.add_node(
-            MultiPaxosClient,
-            "c%d" % i,
-            replica_names,
-            ["cmd-%d-%d" % (i, j) for j in range(commands_per_client)],
-        )
-        for i in range(n_clients)
-    ]
-    if crash_leader_at is not None:
-        cluster.sim.schedule(crash_leader_at, replicas[0].crash)
-    return MultiPaxosResult.drive(cluster, replicas, clients, horizon)
+    return run_leader_log(
+        MultiPaxosResult, cluster, MultiPaxosClient, "r", n_replicas,
+        n_clients, commands_per_client, crash_leader_at, horizon,
+        state_machine_factory=state_machine_factory)

@@ -170,7 +170,7 @@ class PbftReplica(Node):
         #: list the hot phase loops multicast to.
         self.other_peers = [p for p in self.peers if p != name]
         if state_machine_factory is None:
-            from .multipaxos import ListStateMachine
+            from .leader import ListStateMachine
             state_machine_factory = ListStateMachine
         self.state_machine = state_machine_factory()
         self.checkpoint_interval = checkpoint_interval

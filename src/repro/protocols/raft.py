@@ -9,22 +9,13 @@ the commit rule (a leader only commits entries from its own term by
 counting replicas, which commits all preceding entries transitively).
 """
 
-import enum
 from dataclasses import dataclass
 from operator import attrgetter
 
-from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
-from ..core.node import Node
+from ..core.client import ClosedLoopClient
 from ..net.message import Message
-
-
-class Role(enum.Enum):
-    """A Raft server's current role."""
-
-    FOLLOWER = "follower"
-    CANDIDATE = "candidate"
-    LEADER = "leader"
-
+from .leader import (LeaderReplica, LeaderResult, Role, leader_row,
+                     run_leader_log)
 
 #: The no-op command every new leader appends in its own term.  Raft's
 #: commit rule only counts replicas for current-term entries, so without
@@ -108,34 +99,22 @@ class RaftRedirect(Message):
     leader_hint: str
 
 
-class RaftNode(Node):
+class RaftNode(LeaderReplica):
     """One Raft server.
 
-    Parameters
-    ----------
-    peers:
-        All server names including this one.
-    election_timeout:
-        Base timeout; each arm adds uniform jitter in [0, timeout] —
-        Raft's own livelock-avoidance mechanism (the same randomization
-        idea the tutorial presents for Paxos proposers).
+    Parameters are :class:`~repro.protocols.leader.LeaderReplica`'s,
+    plus ``snapshot_threshold``: applied entries the log keeps before
+    compacting them into a snapshot (``None``: never compact).
     """
 
-    HEARTBEAT_INTERVAL = 1.0
+    REPLY, REDIRECT = RaftClientReply, RaftRedirect
 
     def __init__(self, sim, network, name, peers,
                  state_machine_factory=None, election_timeout=6.0,
                  snapshot_threshold=None):
-        super().__init__(sim, network, name)
-        self.peers = list(peers)
-        #: Every peer but ourselves, in ``peers`` order — the fan-out list.
-        self.other_peers = [p for p in self.peers if p != name]
+        super().__init__(sim, network, name, peers, state_machine_factory,
+                         election_timeout)
         self.majority = len(self.peers) // 2 + 1
-        self.election_timeout = election_timeout
-        if state_machine_factory is None:
-            from .multipaxos import ListStateMachine
-            state_machine_factory = ListStateMachine
-        self.state_machine = state_machine_factory()
 
         # Persistent state
         self.current_term = 0
@@ -148,22 +127,12 @@ class RaftNode(Node):
         self.snapshot_threshold = snapshot_threshold
         self.snapshots_taken = 0
         self.snapshots_installed = 0
-
-        # Volatile state
-        self.role = Role.FOLLOWER
-        self.commit_index = -1
-        self.last_applied = -1
-        self.leader_hint = None
         self.elections_started = 0
 
         # Leader state
         self.next_index = {}
         self.match_index = {}
         self._votes = set()
-        self._client_of = {}  # log index -> (client, request_id)
-        self._election_timer = None
-        self._heartbeat_timer = None
-        self._applied_requests = {}  # request_id -> result (dedup cache)
 
     # -- helpers -----------------------------------------------------------
 
@@ -188,41 +157,11 @@ class RaftNode(Node):
             return None
         return self._entry(index).term
 
-    # -- lifecycle ----------------------------------------------------------
-
-    def on_start(self):
-        self._arm_election_timer()
-
-    def on_crash(self):
-        self.role = Role.FOLLOWER
-
-    def on_restart(self):
-        # current_term, voted_for and the log are persistent in Raft.
-        self.role = Role.FOLLOWER
-        self.leader_hint = None
-        self._arm_election_timer()
-
-    def _arm_election_timer(self):
-        timeout = self.election_timeout + self.rng.uniform(
-            0.0, self.election_timeout
-        )
-        if self._election_timer is None:
-            self._election_timer = self.set_timer(timeout,
-                                                  self._start_election)
-        else:
-            self._election_timer.restart(timeout)
-
-    def _step_down(self, term, leader_hint=None):
-        if term > self.current_term:
-            self.current_term = term
-            self.voted_for = None
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
-            self._heartbeat_timer = None
-        self.role = Role.FOLLOWER
-        if leader_hint is not None:
-            self.leader_hint = leader_hint
-        self._arm_election_timer()
+    def _adopt_term(self, term, leader_hint=None):
+        """A higher term deposes whatever we were."""
+        self.current_term = term
+        self.voted_for = None
+        self._step_down(leader_hint)
 
     # -- elections ----------------------------------------------------------
 
@@ -245,7 +184,7 @@ class RaftNode(Node):
 
     def handle_requestvote(self, msg, src):
         if msg.term > self.current_term:
-            self._step_down(msg.term)
+            self._adopt_term(msg.term)
         granted = False
         if msg.term == self.current_term and self.voted_for in (None, src):
             # Election restriction: grant only to candidates whose log is
@@ -262,7 +201,7 @@ class RaftNode(Node):
 
     def handle_votereply(self, msg, src):
         if msg.term > self.current_term:
-            self._step_down(msg.term)
+            self._adopt_term(msg.term)
             return
         if self.role is not Role.CANDIDATE or msg.term != self.current_term:
             return
@@ -271,61 +210,46 @@ class RaftNode(Node):
             if len(self._votes) >= self.majority:
                 self._become_leader()
 
-    def _become_leader(self):
-        self.role = Role.LEADER
-        self.leader_hint = self.name
-        self.trace_local("lead", term=self.current_term)
-        if self._election_timer is not None:
-            self._election_timer.cancel()
+    def _epoch(self):
+        return {"term": self.current_term}
+
+    def _take_over(self):
         # Commit-point no-op: anchors inherited entries under our term.
         self.log.append(LogEntry(self.current_term, NOOP))
         self.next_index = {p: self.last_log_index() + 1 for p in self.peers}
         self.match_index = {p: -1 for p in self.peers}
         self.match_index[self.name] = self.last_log_index()
         self._broadcast_append()
-        self._heartbeat_timer = self.set_periodic_timer(
-            self.HEARTBEAT_INTERVAL, self._broadcast_append
-        )
 
     # -- log replication ------------------------------------------------------
 
-    def handle_raftclientrequest(self, msg, src):
-        if self.role is not Role.LEADER:
-            self.send(src, RaftRedirect(msg.request_id, self.leader_hint or ""))
-            return
-        if msg.request_id in self._applied_requests:
-            # Retry of a completed command: re-reply, never re-execute.
-            self.send(src, RaftClientReply(msg.request_id,
-                                           self._applied_requests[msg.request_id]))
-            return
-        # Everything at or below last_applied is in _applied_requests
-        # (checked above), so only the un-applied suffix can still match.
+    handle_raftclientrequest = LeaderReplica.on_clientrequest
+
+    def _in_flight(self, request_id):
         first = self.last_applied + 1
-        in_flight = [
-            index
-            for index, entry in enumerate(self.log[first - self.log_base:], first)
-            if entry.request_id == msg.request_id
-        ]
-        if in_flight:
-            # Already appended, still committing: remember who to answer.
-            for index in in_flight:
-                self._client_of[index] = (src, msg.request_id)
-            return
+        for index, entry in enumerate(self.log[first - self.log_base:], first):
+            if entry.request_id == request_id:
+                return index
+        return None
+
+    def _append(self, command, request_id):
         index = self.last_log_index() + 1
-        self.log.append(LogEntry(self.current_term, msg.command,
-                                 msg.request_id))
+        self.log.append(LogEntry(self.current_term, command, request_id))
         self.match_index[self.name] = index
-        self._client_of[index] = (src, msg.request_id)
-        self.trace_local("propose", index=index, req=msg.request_id)
+        self.trace_local("propose", index=index, req=request_id)
         if self.network.metrics is not None:
             self.network.metrics.mark_phase("raft", "append", self.sim.now)
         self._broadcast_append()
+        return index
 
     def _broadcast_append(self):
         if self.role is not Role.LEADER:
             return
         for peer in self.other_peers:
             self._send_append(peer)
+
+    #: A Raft heartbeat is an AppendEntries.
+    _send_heartbeat = _broadcast_append
 
     def _send_append(self, peer):
         nxt = self.next_index.get(peer, self.last_log_index() + 1)
@@ -353,14 +277,14 @@ class RaftNode(Node):
 
     def handle_appendentries(self, msg, src):
         if msg.term > self.current_term:
-            self._step_down(msg.term, leader_hint=src)
+            self._adopt_term(msg.term, leader_hint=src)
         if msg.term < self.current_term:
             self.send(src, AppendReply(self.current_term, False, -1))
             return
         # Valid leader for our term.
         self.leader_hint = src
         if self.role is not Role.FOLLOWER:
-            self._step_down(msg.term, leader_hint=src)
+            self._step_down(leader_hint=src)
         self._arm_election_timer()
         # Log-matching check (a prefix inside our snapshot matches by
         # construction — it was committed before being compacted).
@@ -392,7 +316,7 @@ class RaftNode(Node):
 
     def handle_appendreply(self, msg, src):
         if msg.term > self.current_term:
-            self._step_down(msg.term)
+            self._adopt_term(msg.term)
             return
         if self.role is not Role.LEADER or msg.term != self.current_term:
             return
@@ -424,25 +348,16 @@ class RaftNode(Node):
             self.trace_local("commit", index=index, term=self.current_term)
         self._apply_ready()
 
+    def _committed_entry(self, index):
+        if index > self.commit_index:
+            return None
+        entry = self._entry(index)
+        if entry.command == NOOP:
+            return ()
+        return entry.command, entry.request_id
+
     def _apply_ready(self):
-        while self.last_applied < self.commit_index:
-            self.last_applied += 1
-            entry = self._entry(self.last_applied)
-            if entry.command == NOOP:
-                continue
-            result = self.state_machine.apply(entry.command)
-            if entry.request_id is not None:
-                self.trace_local("apply", index=self.last_applied,
-                                 op=entry.command, req=entry.request_id)
-            else:
-                self.trace_local("apply", index=self.last_applied,
-                                 op=entry.command)
-            if entry.request_id is not None:
-                self._applied_requests[entry.request_id] = result
-            client = self._client_of.pop(self.last_applied, None)
-            if client is not None and self.role is Role.LEADER:
-                dst, request_id = client
-                self.send(dst, RaftClientReply(request_id, result))
+        super()._apply_ready()
         self._maybe_compact()
 
     # -- log compaction -----------------------------------------------------
@@ -466,7 +381,7 @@ class RaftNode(Node):
 
     def handle_installsnapshot(self, msg, src):
         if msg.term > self.current_term:
-            self._step_down(msg.term, leader_hint=src)
+            self._adopt_term(msg.term, leader_hint=src)
         if msg.term < self.current_term:
             self.send(src, AppendReply(self.current_term, False, -1))
             return
@@ -512,31 +427,14 @@ class RaftClient(ClosedLoopClient):
 
 #: How a client talks to a Raft log: Multi-Paxos's row with Raft's
 #: message classes — the two differ in leader election only.
-CLIENT = RaftClient.ROW = ClientProtocol(
-    name="raft",
-    ident=lambda client, seq, command: "%s-%d" % (client, seq),
-    request=lambda ident, command, client=None, signer=None:
-        RaftClientRequest(command, ident),
-    reply=RaftClientReply.mtype,
-    key=attrgetter("request_id"),
-    need=lambda n, f: 1,
-    nodes_per_fault=2,
-    replica=RaftNode,
-    replica_args=lambda peers, f: (peers,),
-    is_leader=lambda node: node.role is Role.LEADER,
-    client=RaftClient,
-    redirect=RaftRedirect.mtype,
-    retry="rotate",
-    retry_timeout=10.0,
-    spans=True,
-    settle=30.0,
-)
+CLIENT = leader_row("raft", RaftNode, RaftClient, RaftClientRequest,
+                    retry_timeout=10.0, spans=True, settle=30.0)
 
 
 # -- driver -----------------------------------------------------------------
 
 
-class RaftResult(RunResult):
+class RaftResult(LeaderResult):
     """What :func:`run_raft` returns; Raft calls its replicas nodes."""
 
     nodes = property(attrgetter("replicas"))
@@ -544,11 +442,6 @@ class RaftResult(RunResult):
     def leader(self):
         leaders = [n for n in self.nodes if n.role is Role.LEADER and not n.crashed]
         return leaders[-1] if leaders else None
-
-    def committed_logs(self):
-        return [n.committed_log() for n in self.nodes]
-
-    logs = committed_logs
 
 
 def run_raft(
@@ -562,25 +455,8 @@ def run_raft(
     snapshot_threshold=None,
 ):
     """Drive a Raft cluster with closed-loop clients."""
-    names = ["n%d" % i for i in range(n_nodes)]
-    nodes = cluster.add_nodes(
-        RaftNode, names, names, state_machine_factory=state_machine_factory,
-        snapshot_threshold=snapshot_threshold,
-    )
-    clients = [
-        cluster.add_node(
-            RaftClient,
-            "c%d" % i,
-            names,
-            ["cmd-%d-%d" % (i, j) for j in range(commands_per_client)],
-        )
-        for i in range(n_clients)
-    ]
-    if crash_leader_at is not None:
-        def crash_current_leader():
-            for node in nodes:
-                if node.role is Role.LEADER and not node.crashed:
-                    node.crash()
-                    return
-        cluster.sim.schedule(crash_leader_at, crash_current_leader)
-    return RaftResult.drive(cluster, nodes, clients, horizon)
+    return run_leader_log(
+        RaftResult, cluster, RaftClient, "n", n_nodes, n_clients,
+        commands_per_client, crash_leader_at, horizon,
+        state_machine_factory=state_machine_factory,
+        snapshot_threshold=snapshot_threshold)

@@ -128,7 +128,7 @@ class SeeMoReReplica(Node):
                 len(self.proxies) < 3 * m + 1:
             raise ConfigurationError("decentralized modes need 3m+1 proxies")
         if state_machine_factory is None:
-            from .multipaxos import ListStateMachine
+            from .leader import ListStateMachine
             state_machine_factory = ListStateMachine
         self.state_machine = state_machine_factory()
 

@@ -110,7 +110,7 @@ class XftReplica(Node):
         self.f = f
         self.view = 0
         if state_machine_factory is None:
-            from .multipaxos import ListStateMachine
+            from .leader import ListStateMachine
             state_machine_factory = ListStateMachine
         self.state_machine = state_machine_factory()
         self.executed = []  # (seq, operation)

@@ -99,7 +99,7 @@ class ZyzzyvaReplica(Node):
         self._ordered = {}  # (client, timestamp) -> OrderReq (primary dedup)
         self._reply_cache = {}  # (client, timestamp) -> SpecReply
         if state_machine_factory is None:
-            from .multipaxos import ListStateMachine
+            from .leader import ListStateMachine
             state_machine_factory = ListStateMachine
         self.state_machine = state_machine_factory()
 

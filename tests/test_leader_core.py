@@ -1,0 +1,169 @@
+"""The leader-replica core Multi-Paxos and Raft share
+(``repro.protocols.leader``): one heartbeat timer per leadership, crash
+and restart, and what a deposed leader tells a client."""
+
+import copy
+
+import pytest
+
+from repro.core import Node
+from repro.protocols.multipaxos import ClientRequest, MultiPaxosReplica
+from repro.protocols.raft import RaftClientRequest, RaftNode
+
+NAMES = ["r0", "r1", "r2"]
+
+
+class _MultiPaxos:
+    replica = MultiPaxosReplica
+    request = ClientRequest
+    heartbeat = "heartbeat"
+
+    @staticmethod
+    def epoch(replica):
+        return replica.ballot_num
+
+    @staticmethod
+    def campaign(replica):
+        replica._start_prepare()
+
+
+class _Raft:
+    replica = RaftNode
+    request = RaftClientRequest
+    heartbeat = "appendentries"  # an idle Raft leader's heartbeat
+
+    @staticmethod
+    def epoch(replica):
+        return replica.current_term
+
+    @staticmethod
+    def campaign(replica):
+        replica._start_election()
+
+
+both = pytest.mark.parametrize("proto", [_MultiPaxos, _Raft],
+                               ids=["multi-paxos", "raft"])
+
+
+class _Sink(Node):
+    """A client that records the replies and redirects it is sent."""
+
+    def __init__(self, sim, network, name):
+        super().__init__(sim, network, name)
+        self.replies = []
+        self.redirects = []
+
+    def handle_clientreply(self, msg, src):
+        self.replies.append((msg.request_id, msg.result))
+
+    def handle_redirect(self, msg, src):
+        self.redirects.append((msg.request_id, msg.leader_hint))
+
+    handle_raftclientreply = handle_clientreply
+    handle_raftredirect = handle_redirect
+
+
+def _await(cluster, predicate, within=200.0):
+    cluster.run_until(predicate, until=cluster.now + within)
+    assert predicate()
+
+
+def _leader_of(cluster, replicas):
+    _await(cluster, lambda: any(r.is_leader for r in replicas))
+    return next(r for r in replicas if r.is_leader)
+
+
+def _deposed_while_alive(cluster, proto, request=None):
+    """Three replicas and clients c0, c1: the first leader is cut off,
+    with c0 only (which sends it ``request``, if any), while the other
+    two elect a new one; then the partition heals and the old leader,
+    never crashed, follows it.  Returns ``(replicas, old, new)``."""
+    replicas = cluster.add_nodes(proto.replica, NAMES, NAMES)
+    c0, _ = cluster.add_nodes(_Sink, ["c0", "c1"])
+    cluster.start_all()
+    old = _leader_of(cluster, replicas)
+    others = [r for r in replicas if r is not old]
+    cluster.network.partitions.split(
+        [old.name, "c0"], [r.name for r in others] + ["c1"])
+    if request is not None:
+        c0.send(old.name, request)
+    new = _leader_of(cluster, others)
+    assert old.is_leader  # cut off, it has heard of no one better
+    cluster.network.partitions.heal()
+    _await(cluster, lambda: not old.is_leader)
+    cluster.sim.run_for(10.0)  # the new leader catches the old one up
+    assert new.is_leader and not old.is_leader
+    return replicas, old, new
+
+
+@both
+def test_a_deposed_leader_holds_only_its_election_timer(cluster, proto):
+    _, old, _ = _deposed_while_alive(cluster, proto)
+    assert list(old._timers) == [old._election_timer]
+
+
+@both
+def test_re_elected_leader_heartbeats_once_per_peer_per_interval(cluster,
+                                                                 proto):
+    _, old, new = _deposed_while_alive(cluster, proto)
+    new.crash()
+    proto.campaign(old)
+    _await(cluster, lambda: old.is_leader, within=50.0)
+    sent = {}
+
+    def tap(src, dst, msg):
+        if src == old.name and msg.mtype == proto.heartbeat:
+            sent[dst] = sent.get(dst, 0) + 1
+
+    # Let log repair finish, and count off the interval's phase.
+    cluster.sim.run_for(5.5)
+    cluster.network.add_interceptor(tap)
+    cluster.sim.run_for(20.0)
+    assert sent == {peer: 20 for peer in old.other_peers}
+
+
+@both
+def test_crash_and_restart_keep_the_log_and_drop_leadership(cluster, proto):
+    replicas = cluster.add_nodes(proto.replica, NAMES, NAMES)
+    cluster.add_node(_Sink, "c0")
+    cluster.start_all()
+    leader = _leader_of(cluster, replicas)
+    leader.deliver(proto.request("op", "x"), "c0")
+    _await(cluster, lambda: all("x" in r._applied_requests for r in replicas))
+    durable = (copy.deepcopy(leader.log), proto.epoch(leader),
+               dict(leader._applied_requests))
+
+    leader.crash()
+    assert not leader.is_leader and not leader._timers
+    others = [r for r in replicas if r is not leader]
+    _leader_of(cluster, others)
+    leader.restart()
+    assert (leader.log, proto.epoch(leader), leader._applied_requests) \
+        == durable
+    assert not leader.is_leader and leader.leader_hint is None
+    assert list(leader._timers) == [leader._election_timer]
+    assert leader._election_timer.active
+
+
+@both
+def test_a_deposed_leader_redirects_to_the_new_leader(cluster, proto):
+    _, old, new = _deposed_while_alive(cluster, proto)
+    sink = cluster.node_named("c0")
+    old.deliver(proto.request("op", "y"), "c0")
+    cluster.sim.run_for(5.0)
+    assert sink.redirects == [("y", new.name)]
+
+
+@both
+def test_a_reused_slot_answers_only_its_own_request(cluster, proto):
+    """Cut off, the old leader takes x into a slot that, after the heal,
+    the new leader fills with y: applying y there must not acknowledge
+    x."""
+    replicas, _, new = _deposed_while_alive(
+        cluster, proto, proto.request("op-x", "x"))
+    c0, c1 = cluster.node_named("c0"), cluster.node_named("c1")
+    c1.send(new.name, proto.request("op-y", "y"))
+    _await(cluster, lambda: all("y" in r._applied_requests for r in replicas))
+    cluster.sim.run_for(10.0)
+    assert c1.replies == [("y", 0)] and c0.replies == []
+    assert all(r.state_machine.history == ["op-y"] for r in replicas)
