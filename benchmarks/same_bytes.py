@@ -31,13 +31,16 @@ LOAD_RATES = {"multi-paxos": (4.0, 12.0), "raft": (3.0, 8.0),
 
 #: Runs compared by what they print, keyed by artifact stem: the
 #: ``shards`` row is Multi-Paxos only, so without these no artifact runs
-#: a Raft group inside a fleet, a live split or a whole-shard crash.
+#: a Raft group inside a fleet, a live split or a whole-shard crash, and
+#: none runs PBFT under the KV demo (at 3f+1 replicas, f = 1 and 2).
 STDOUT_RUNS = {
     "shards_raft": ["shards", "--protocol", "raft"],
     "shards_mixed_split": ["shards", "--protocol", "mixed", "--split"],
     "shards_raft_crash-shard": ["shards", "--protocol", "raft",
                                 "--crash-shard"],
     "kv_raft": ["kv", "--protocol", "raft"],
+    "kv_pbft_4": ["kv", "--protocol", "pbft", "--replicas", "4"],
+    "kv_pbft_7": ["kv", "--protocol", "pbft", "--replicas", "7"],
 }
 
 

@@ -7,7 +7,7 @@ actually breaks (the negative construction).
 """
 
 from repro.analysis import render_table
-from repro.core import Cluster, FlexibleQuorum, GridQuorum, MajorityQuorum
+from repro.core import Cluster, CountingQuorum, GridQuorum
 from repro.protocols.flexible_paxos import (
     demonstrate_unsafe_quorums,
     run_flexible_paxos,
@@ -18,8 +18,8 @@ from repro.protocols.flexible_paxos import (
 def quorum_rows():
     n = 12
     members = ["a%d" % i for i in range(n)]
-    majority = MajorityQuorum(members)
-    flexible = FlexibleQuorum(members, 10, 3)
+    majority = CountingQuorum.tolerating(members)
+    flexible = CountingQuorum(members, 10, 3)
     grid = GridQuorum(4, 3)
     rows = []
     for label, system, q1, q2 in (

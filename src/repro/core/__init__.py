@@ -18,32 +18,19 @@ from .framework import (
     TWO_PC_DECOMPOSITION,
 )
 from .node import Node
-from .quorums import (
-    ByzantineQuorum,
-    FlexibleQuorum,
-    GridQuorum,
-    HybridQuorum,
-    MajorityQuorum,
-    QuorumSystem,
-    bft_minimum_nodes,
-    crash_minimum_nodes,
-    hybrid_minimum_nodes,
-)
+from .quorums import CountingQuorum, GridQuorum, QuorumSystem, minimum_nodes
 
 __all__ = [
     "Ballot",
-    "ByzantineQuorum",
     "CCDecomposition",
     "CCPhase",
     "CCTrace",
     "Cluster",
     "ClusterGroup",
     "ConfigurationError",
-    "FlexibleQuorum",
+    "CountingQuorum",
     "GridQuorum",
-    "HybridQuorum",
     "LivenessFailure",
-    "MajorityQuorum",
     "Node",
     "PAXOS_DECOMPOSITION",
     "PHASE_ORDER",
@@ -52,7 +39,5 @@ __all__ = [
     "SafetyViolation",
     "THREE_PC_DECOMPOSITION",
     "TWO_PC_DECOMPOSITION",
-    "bft_minimum_nodes",
-    "crash_minimum_nodes",
-    "hybrid_minimum_nodes",
+    "minimum_nodes",
 ]

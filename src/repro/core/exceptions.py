@@ -17,6 +17,7 @@ class LivenessFailure(ProtocolError):
     without randomized backoff, 2PC blocked on a crashed coordinator)."""
 
 
-class ConfigurationError(ProtocolError):
+class ConfigurationError(ProtocolError, ValueError):
     """A protocol was instantiated with parameters that violate its
-    lower bound (e.g. PBFT with n < 3f+1)."""
+    lower bound (e.g. PBFT with n < 3f+1).  Also a ``ValueError``: it is
+    a bad argument, and callers that guard arguments catch that."""

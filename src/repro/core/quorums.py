@@ -8,6 +8,16 @@ majority.  BFT protocols need a stronger overlap: any two quorums must
 intersect in at least f+1 nodes so the intersection contains a correct
 replica.
 
+Every protocol's vote counts follow one rule.  With b the number of
+members of an intersection that may be faulty, ``n >= 2f + b + 1``
+members tolerate f faults with quorums of ``q = floor((n + b) / 2) + 1``:
+any two quorums share at least b+1 members (the paper's "Q1 + Q2 > N +
+f") and n − f live members still form one.  b = 0 is the crash majority
+of Paxos and Raft; b = f at n = 3f+1 is PBFT's 2f+1; b = m with
+f = m + c at n = 3m+2c+1 is UpRight's 2m+c+1.
+:meth:`CountingQuorum.tolerating` applies the rule and
+:func:`minimum_nodes` states its bound.
+
 Each quorum system answers two questions: "is this set of acks a valid
 phase-i quorum?" and "what's the minimum quorum size?".  They also carry
 self-check methods the property tests exercise exhaustively.
@@ -15,33 +25,30 @@ self-check methods the property tests exercise exhaustively.
 
 from itertools import combinations
 
+from .exceptions import ConfigurationError
+
+
+def minimum_nodes(f, b=0):
+    """The rule's bound: members needed to tolerate ``f`` faults with at
+    most ``b`` faulty members in any quorum intersection, 2f + b + 1."""
+    return 2 * f + b + 1
+
 
 class QuorumSystem:
-    """Base interface: phase-1 (election/prepare) and phase-2
-    (replication/accept) quorum predicates over node-name sets."""
+    """Base of phase-1 (election/prepare) and phase-2
+    (replication/accept) quorums over node-name sets.  A subclass
+    provides the predicates ``is_phase1_quorum(nodes)`` and
+    ``is_phase2_quorum(nodes)`` and the minimum cardinalities
+    ``phase1_size()`` and ``phase2_size()``."""
 
     def __init__(self, members):
         self.members = frozenset(members)
         if not self.members:
-            raise ValueError("a quorum system needs at least one member")
+            raise ConfigurationError("a quorum system needs at least one member")
 
     @property
     def n(self):
         return len(self.members)
-
-    def is_phase1_quorum(self, nodes):
-        raise NotImplementedError
-
-    def is_phase2_quorum(self, nodes):
-        raise NotImplementedError
-
-    def phase1_size(self):
-        """Minimum phase-1 quorum cardinality."""
-        raise NotImplementedError
-
-    def phase2_size(self):
-        """Minimum phase-2 quorum cardinality."""
-        raise NotImplementedError
 
     def _validate(self, nodes):
         nodes = frozenset(nodes)
@@ -64,64 +71,68 @@ class QuorumSystem:
         return all(q1 & q2 for q1 in phase1 for q2 in phase2)
 
 
-class MajorityQuorum(QuorumSystem):
-    """Classic Paxos: any strict majority, for both phases.
+class CountingQuorum(QuorumSystem):
+    """Quorums by count: any ``q1`` members form a phase-1 quorum and any
+    ``q2`` members a phase-2 quorum.
 
-    With n = 2f+1 this tolerates f crash failures; any two majorities
-    overlap in at least one node.
+    ``q1 + q2 > n + b`` makes every phase-1 quorum share at least b+1
+    members with every phase-2 quorum.  At b = 0 this is the generalised
+    condition of Howard, Malkhi & Spiegelman's Flexible Paxos, |Q1| +
+    |Q2| > n: "arbitrarily small replication quorums as long as Leader
+    Election Quorums intersect with every Replication Quorum."
+
+    Replicas count votes against the integer sizes :attr:`q1` and
+    :attr:`q2`; the predicates serve callers that take any
+    :class:`QuorumSystem`.
     """
 
-    def _majority(self):
-        return self.n // 2 + 1
-
-    def is_phase1_quorum(self, nodes):
-        return len(self._validate(nodes)) >= self._majority()
-
-    is_phase2_quorum = is_phase1_quorum
-
-    def phase1_size(self):
-        return self._majority()
-
-    phase2_size = phase1_size
-
-    def max_crash_faults(self):
-        """f such that n = 2f+1 keeps a live majority."""
-        return (self.n - 1) // 2
-
-
-class FlexibleQuorum(QuorumSystem):
-    """Flexible Paxos: counts-based Q1/Q2 with |Q1| + |Q2| > n.
-
-    The generalised quorum condition from Howard, Malkhi & Spiegelman:
-    only leader-election quorums and replication quorums must intersect,
-    so |Q1| + |Q2| > n suffices and the two sizes may differ arbitrarily.
-    "Arbitrarily small replication quorums as long as Leader Election
-    Quorums intersect with every Replication Quorum."
-    """
-
-    def __init__(self, members, q1_size, q2_size):
+    def __init__(self, members, q1, q2, b=0):
         super().__init__(members)
-        if q1_size + q2_size <= self.n:
-            raise ValueError(
-                "flexible quorums need |Q1| + |Q2| > n "
-                "(got %d + %d <= %d)" % (q1_size, q2_size, self.n)
+        if q1 + q2 <= self.n + b:
+            raise ConfigurationError(
+                "quorums sharing b+1 members need |Q1| + |Q2| > n + b "
+                "(got %d + %d <= %d + %d)" % (q1, q2, self.n, b)
             )
-        if not (1 <= q1_size <= self.n and 1 <= q2_size <= self.n):
-            raise ValueError("quorum sizes must be within [1, n]")
-        self.q1_size = q1_size
-        self.q2_size = q2_size
+        if not (1 <= q1 <= self.n and 1 <= q2 <= self.n):
+            raise ConfigurationError("quorum sizes must be within [1, n]")
+        self.q1 = q1
+        self.q2 = q2
+        #: Faulty members any phase-1/phase-2 intersection may hold while
+        #: still containing a correct one; ``b + 1`` matching messages
+        #: therefore include a correct sender.
+        self.b = b
+
+    @classmethod
+    def tolerating(cls, members, f=None, b=0):
+        """The rule's quorums over ``members``: q1 = q2 =
+        floor((n + b) / 2) + 1, tolerating ``f`` faults with any two
+        quorums sharing at least b+1 members.  Refuses n < 2f + b + 1;
+        ``f=None`` takes the most faults the members allow."""
+        members = frozenset(members)
+        n = len(members)
+        if f is None:
+            f = max((n - b - 1) // 2, 0)
+        if f < 0 or b < 0:
+            raise ConfigurationError("fault counts must be non-negative")
+        if n < minimum_nodes(f, b):
+            raise ConfigurationError(
+                "tolerating f=%d faults with b=%d needs n >= 2f+b+1 = %d "
+                "(n=%d)" % (f, b, minimum_nodes(f, b), n)
+            )
+        q = (n + b) // 2 + 1
+        return cls(members, q, q, b)
 
     def is_phase1_quorum(self, nodes):
-        return len(self._validate(nodes)) >= self.q1_size
+        return len(self._validate(nodes)) >= self.q1
 
     def is_phase2_quorum(self, nodes):
-        return len(self._validate(nodes)) >= self.q2_size
+        return len(self._validate(nodes)) >= self.q2
 
     def phase1_size(self):
-        return self.q1_size
+        return self.q1
 
     def phase2_size(self):
-        return self.q2_size
+        return self.q2
 
 
 class GridQuorum(QuorumSystem):
@@ -137,7 +148,7 @@ class GridQuorum(QuorumSystem):
 
     def __init__(self, rows, cols, name_of=None):
         if rows < 1 or cols < 1:
-            raise ValueError("grid needs positive dimensions")
+            raise ConfigurationError("grid needs positive dimensions")
         if name_of is None:
             name_of = lambda r, c: "n%d_%d" % (r, c)
         self.rows = rows
@@ -161,104 +172,3 @@ class GridQuorum(QuorumSystem):
 
     def phase2_size(self):
         return self.cols
-
-    def row(self, r):
-        """The node names of row ``r`` — a minimal replication quorum."""
-        return list(self.grid[r])
-
-    def column(self, c):
-        """The node names of column ``c`` — a minimal election quorum."""
-        return [self.grid[r][c] for r in range(self.rows)]
-
-
-class ByzantineQuorum(QuorumSystem):
-    """BFT quorums: n = 3f+1, quorum = 2f+1, intersection >= f+1.
-
-    The paper's argument: Q1 + Q2 > N + f forces any two quorums to
-    overlap in more than f nodes, so at least one member of the overlap
-    is correct.
-    """
-
-    def __init__(self, members, f=None):
-        super().__init__(members)
-        if f is None:
-            f = (self.n - 1) // 3
-        if self.n < 3 * f + 1:
-            raise ValueError(
-                "Byzantine quorums need n >= 3f+1 (n=%d, f=%d)" % (self.n, f)
-            )
-        self.f = f
-
-    def quorum_size(self):
-        return 2 * self.f + 1
-
-    def is_phase1_quorum(self, nodes):
-        return len(self._validate(nodes)) >= self.quorum_size()
-
-    is_phase2_quorum = is_phase1_quorum
-
-    def phase1_size(self):
-        return self.quorum_size()
-
-    phase2_size = phase1_size
-
-    def min_intersection(self):
-        """Worst-case overlap of two quorums: 2·(2f+1) − n = f+1 at
-        n = 3f+1."""
-        return 2 * self.quorum_size() - self.n
-
-    def weak_certificate_size(self):
-        """f+1 matching messages: guaranteed to include one correct node."""
-        return self.f + 1
-
-
-class HybridQuorum(QuorumSystem):
-    """UpRight/SeeMoRe quorums: tolerate m Byzantine and c crash faults.
-
-    n = 3m + 2c + 1, quorum u = 2m + c + 1, any two quorums intersect in
-    2u − n = m + 1 nodes — at least one of which is correct.
-    """
-
-    def __init__(self, members, m, c):
-        super().__init__(members)
-        if m < 0 or c < 0:
-            raise ValueError("fault counts must be non-negative")
-        required = 3 * m + 2 * c + 1
-        if self.n < required:
-            raise ValueError(
-                "hybrid quorums need n >= 3m+2c+1 (n=%d, m=%d, c=%d)"
-                % (self.n, m, c)
-            )
-        self.m = m
-        self.c = c
-
-    def quorum_size(self):
-        return 2 * self.m + self.c + 1
-
-    def is_phase1_quorum(self, nodes):
-        return len(self._validate(nodes)) >= self.quorum_size()
-
-    is_phase2_quorum = is_phase1_quorum
-
-    def phase1_size(self):
-        return self.quorum_size()
-
-    phase2_size = phase1_size
-
-    def min_intersection(self):
-        return 2 * self.quorum_size() - self.n
-
-
-def bft_minimum_nodes(f):
-    """The Pease–Shostak–Lamport bound: n >= 3f+1."""
-    return 3 * f + 1
-
-
-def crash_minimum_nodes(f):
-    """Majority-quorum bound for crash faults: n >= 2f+1."""
-    return 2 * f + 1
-
-
-def hybrid_minimum_nodes(m, c):
-    """UpRight's bound for m Byzantine plus c crash faults."""
-    return 3 * m + 2 * c + 1

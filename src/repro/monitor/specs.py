@@ -19,6 +19,7 @@ can still enumerate the whole table.
 from dataclasses import dataclass
 
 from ..analysis.claims import claim_for
+from ..scenarios import _load
 from .library import (
     AgreementMonitor,
     ComplexityEnvelopeMonitor,
@@ -32,14 +33,27 @@ from .library import (
 
 @dataclass(frozen=True)
 class CertSpec:
-    """Quorum-certificate requirement: ``need(n, f)`` distinct
+    """Quorum-certificate requirement: a phase-2 quorum of distinct
     ``ack_mtype`` deliveries matching ``link_keys`` before each
-    ``decide_label`` milestone."""
+    ``decide_label`` milestone.
+
+    ``quorum`` names, as ``"module:attr"``, the ``(members, f)`` factory
+    the protocol's own replicas build their quorums with, so the monitor
+    counts what they count.  ``own_vote_silent`` marks a decider whose
+    own ack is counted but never sent (PBFT's own commit): one delivery
+    fewer certifies.
+    """
 
     decide_label: str
     ack_mtype: str
-    need: object
     link_keys: tuple
+    quorum: str
+    own_vote_silent: bool = False
+
+    def need(self, n, f):
+        """Ack deliveries that certify a decision on ``n`` nodes."""
+        silent = 1 if self.own_vote_silent else 0
+        return _load(self.quorum)(range(n), f).phase2_size() - silent
 
 
 @dataclass(frozen=True)
@@ -179,8 +193,8 @@ MONITOR_SPECS = _specs(
         "paxos",
         decide_labels=("decide", "learn"),
         value_key="value",
-        cert=CertSpec("decide", "acceptedmsg",
-                      lambda n, f: n // 2 + 1, ("ballot",)),
+        cert=CertSpec("decide", "acceptedmsg", ("ballot",),
+                      "repro.core.quorums:CountingQuorum.tolerating"),
         phase_protocols=("paxos",),
         expected_phases=("prepare", "accept", "decide"),
     ),
@@ -213,12 +227,12 @@ MONITOR_SPECS = _specs(
     ),
     MonitorSpec(
         # Reuses the paxos machinery (and its phase labels / milestones)
-        # with a non-majority quorum system; the E-drivers run q1=4/q2=3
-        # over 6 acceptors, so the certificate threshold is q2=3.
+        # with a non-majority quorum system.
         "flexible-paxos",
         decide_labels=("decide", "learn"),
         value_key="value",
-        cert=CertSpec("decide", "acceptedmsg", lambda n, f: 3, ("ballot",)),
+        cert=CertSpec("decide", "acceptedmsg", ("ballot",),
+                      "repro.protocols.flexible_paxos:quorums_for"),
         phase_protocols=("paxos",),
         expected_phases=("prepare", "accept", "decide"),
     ),
@@ -238,8 +252,9 @@ MONITOR_SPECS = _specs(
         slot_key="seq",
         value_key="op",
         lead_epoch_key="view",
-        cert=CertSpec("execute", "pbftcommit",
-                      lambda n, f: 2 * f, ("seq",)),
+        cert=CertSpec("execute", "pbftcommit", ("seq",),
+                      "repro.protocols.pbft:quorums_for",
+                      own_vote_silent=True),
         proposal_mtypes=("preprepare",),
         proposal_epoch_keys=("view",),
         proposal_slot_key="seq",

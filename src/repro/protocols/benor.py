@@ -22,8 +22,8 @@ property E14 measures as a rounds-to-decide distribution.
 
 from dataclasses import dataclass
 
-from ..core.exceptions import ConfigurationError
 from ..core.node import Node
+from ..core.quorums import CountingQuorum
 from ..net.message import Message
 
 UNDECIDED = "?"
@@ -56,10 +56,9 @@ class BenOrNode(Node):
         super().__init__(sim, network, name)
         self.peers = list(peers)
         self.n = len(self.peers)
-        if self.n <= 2 * f:
-            raise ConfigurationError(
-                "Ben-Or needs n > 2f (n=%d, f=%d)" % (self.n, f)
-            )
+        # Only the crash rule's bound, n > 2f: the rounds below wait for
+        # n - f messages and count majorities and f+1, not quorums.
+        CountingQuorum.tolerating(self.peers, f)
         self.f = f
         self.estimate = initial
         self.round = 1

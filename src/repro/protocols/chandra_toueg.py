@@ -26,8 +26,8 @@ detector and checking agreement still holds.
 
 from dataclasses import dataclass
 
-from ..core.exceptions import ConfigurationError
 from ..core.node import Node
+from ..core.quorums import CountingQuorum
 from ..net.message import Message
 
 
@@ -138,12 +138,8 @@ class CTProcess(Node):
         super().__init__(sim, network, name)
         self.peers = list(peers)
         self.n = len(self.peers)
-        if self.n <= 2 * f:
-            raise ConfigurationError(
-                "Chandra-Toueg needs n > 2f (n=%d, f=%d)" % (self.n, f)
-            )
+        self.quorums = CountingQuorum.tolerating(self.peers, f)
         self.f = f
-        self.majority = self.n // 2 + 1
         self.estimate = initial
         self.ts = 0
         self.round = 1
@@ -216,7 +212,7 @@ class CTProcess(Node):
             return
         estimates = self._estimates.setdefault(round_id, {})
         estimates[sender] = (value, ts)
-        if len(estimates) >= self.majority and round_id not in self._proposed:
+        if len(estimates) >= self.quorums.q1 and round_id not in self._proposed:
             self._proposed.add(round_id)
             best_value, _best_ts = max(
                 estimates.values(), key=lambda item: item[1]
@@ -276,7 +272,7 @@ class CTProcess(Node):
         acks = self._acks.setdefault(round_id, {})
         acks[sender] = positive
         positives = sum(1 for value in acks.values() if value)
-        if positives >= self.majority and self.decided is None:
+        if positives >= self.quorums.q2 and self.decided is None:
             self._decide(self.proposal_value_of(round_id))
 
     def proposal_value_of(self, round_id):

@@ -23,6 +23,7 @@ f+1 senders versus MinBFT's with 2f+1.
 from dataclasses import dataclass
 
 from ..core.client import RunResult
+from ..core.quorums import minimum_nodes
 from ..net.message import Message
 from .minbft import MinBftClient, MinBftReplica, MinRequest, MinReply
 
@@ -175,7 +176,7 @@ class CheapBftReplica(MinBftReplica):
             counter = self._tiny_next
             votes = self._tiny_votes.get(counter, set())
             prepare = self._tiny_pending.get(counter)
-            if prepare is None or len(votes) < self.f + 1:
+            if prepare is None or len(votes) < len(self.active):
                 return
             self._tiny_next += 1
             result = self.state_machine.apply(prepare.request.operation)
@@ -234,7 +235,7 @@ class CheapBftReplica(MinBftReplica):
         self._switch_info[sender] = info
         # Need f+1 contributions beyond any possible faulty set to pin the
         # abort history; with 2f+1 replicas and <= f faulty, f+1 suffices.
-        if len(self._switch_info) == self.f + 1:
+        if len(self._switch_info) == self.quorums.q1:
             self.set_timer(self.SWITCH_SETTLE, self._switch_to_minbft)
 
     def _switch_to_minbft(self):
@@ -282,7 +283,7 @@ class CheapBftReplica(MinBftReplica):
             counter = self._next_to_execute
             votes = self._commit_votes.get(counter, set())
             prepare = self._pending.get(counter)
-            if prepare is None or len(votes) < self.f + 1:
+            if prepare is None or len(votes) < self.quorums.q2:
                 return
             self._next_to_execute += 1
             result = self.state_machine.apply(prepare.request.operation)
@@ -339,8 +340,7 @@ def run_cheapbft(cluster, f=1, operations=3, crash_active_at=None,
                  horizon=2000.0):
     """Drive CheapBFT; optionally crash one active replica to force the
     CheapSwitch → MinBFT path."""
-    n = 2 * f + 1
-    names = ["r%d" % i for i in range(n)]
+    names = ["r%d" % i for i in range(minimum_nodes(f))]
     active = names[: f + 1]
     replicas = cluster.add_nodes(
         CheapBftReplica, names, names, f, cluster.usig_authority, active

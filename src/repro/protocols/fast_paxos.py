@@ -20,6 +20,7 @@ Hence the property box: 1 **or** 3 phases.
 from dataclasses import dataclass
 
 from ..core.node import Node
+from ..core.quorums import CountingQuorum, minimum_nodes
 from ..net.message import Message
 
 
@@ -127,12 +128,10 @@ class FastPaxosLeader(Node):
     def __init__(self, sim, network, name, replicas, f):
         super().__init__(sim, network, name)
         self.replicas = list(replicas)
-        if len(self.replicas) < 3 * f + 1:
-            raise ValueError(
-                "Fast Paxos needs n >= 3f+1 (n=%d, f=%d)" % (len(self.replicas), f)
-            )
+        #: Fast quorums (b = f): any two share f+1 replicas, so two fast
+        #: quorums and a classic one still meet.
+        self.quorums = CountingQuorum.tolerating(self.replicas, f, b=f)
         self.f = f
-        self.quorum = 2 * f + 1
         self.round_id = 1
         self.fast_votes = {}  # src -> value
         self.classic_votes = {}  # src -> value
@@ -156,7 +155,7 @@ class FastPaxosLeader(Node):
         self.fast_votes[src] = msg.value
         counts = self._counts(self.fast_votes)
         for value, count in counts.items():
-            if count >= self.quorum:
+            if count >= self.quorums.q2:
                 self._decide(value)
                 return
         # Collision detection: once n−f replicas reported and no value can
@@ -164,9 +163,9 @@ class FastPaxosLeader(Node):
         responded = len(self.fast_votes)
         outstanding = len(self.replicas) - responded
         best = max(counts.values(), default=0)
-        if responded >= len(self.replicas) - self.f and best + outstanding < self.quorum:
+        if responded >= len(self.replicas) - self.f and best + outstanding < self.quorums.q2:
             self._start_classic_round()
-        elif responded == len(self.replicas) and best < self.quorum:
+        elif responded == len(self.replicas) and best < self.quorums.q2:
             self._start_classic_round()
 
     @staticmethod
@@ -186,7 +185,7 @@ class FastPaxosLeader(Node):
         counts = self._counts(self.fast_votes)
         # A value reported by >= f+1 replicas might have been chosen by a
         # fast quorum we didn't fully observe; it must be re-proposed.
-        candidates = {v: c for v, c in counts.items() if c >= self.f + 1}
+        candidates = {v: c for v, c in counts.items() if c >= self.quorums.b + 1}
         pool = candidates if candidates else counts
         # Deterministic pick: highest count, then lexicographic value.
         value = sorted(pool.items(), key=lambda item: (-item[1], str(item[0])))[0][0]
@@ -199,7 +198,7 @@ class FastPaxosLeader(Node):
         self.classic_votes[src] = msg.value
         counts = self._counts(self.classic_votes)
         for value, count in counts.items():
-            if count >= self.quorum:
+            if count >= self.quorums.q2:
                 self._decide(value)
                 return
 
@@ -255,8 +254,7 @@ class FastPaxosResult:
 
 def run_fast_paxos(cluster, f=1, values=("X",), client_offsets=None, horizon=100.0):
     """Run one Fast Paxos instance with the given concurrent client values."""
-    n = 3 * f + 1
-    replica_names = ["r%d" % i for i in range(n)]
+    replica_names = ["r%d" % i for i in range(minimum_nodes(f, b=f))]
     leader = cluster.add_node(FastPaxosLeader, "leader", replica_names, f)
     replicas = cluster.add_nodes(FastPaxosReplica, replica_names, "leader")
     offsets = client_offsets or [0.5] * len(values)

@@ -17,7 +17,7 @@ generalized quorum condition is exactly what carries safety.
 
 from dataclasses import dataclass
 
-from ..core.quorums import FlexibleQuorum, GridQuorum, QuorumSystem
+from ..core.quorums import CountingQuorum, GridQuorum, QuorumSystem
 from .paxos import PaxosAcceptor, PaxosProposer, chosen_value, run_basic_paxos
 
 
@@ -43,10 +43,20 @@ class UnsafeDisjointQuorum(QuorumSystem):
     phase2_size = phase1_size
 
 
-def run_flexible_paxos(cluster, n_acceptors=6, q1=4, q2=3, proposals=("X",),
+#: E6's counting quorums over six acceptors: |Q1| + |Q2| = 4 + 3 > 6.
+Q1, Q2 = 4, 3
+
+
+def quorums_for(acceptors, f=None):
+    """E6's quorums over ``acceptors``: :data:`Q1` and :data:`Q2`
+    whatever ``f`` is."""
+    return CountingQuorum(acceptors, Q1, Q2)
+
+
+def run_flexible_paxos(cluster, n_acceptors=6, q1=Q1, q2=Q2, proposals=("X",),
                        crash_acceptors=(), horizon=500.0):
     """Classic-shaped run with counting flexible quorums."""
-    quorums = FlexibleQuorum(["a%d" % i for i in range(n_acceptors)], q1, q2)
+    quorums = CountingQuorum(["a%d" % i for i in range(n_acceptors)], q1, q2)
     return run_basic_paxos(
         cluster,
         n_acceptors=n_acceptors,

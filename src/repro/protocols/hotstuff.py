@@ -23,8 +23,8 @@ from functools import cached_property
 from operator import attrgetter
 
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
-from ..core.exceptions import ConfigurationError
 from ..core.node import Node
+from ..core.quorums import CountingQuorum, minimum_nodes
 from ..crypto.hashing import sha256_hex
 from ..crypto.threshold import ThresholdScheme
 from ..net.message import Message
@@ -91,12 +91,8 @@ class BasicHotStuffReplica(Node):
         super().__init__(sim, network, name)
         self.peers = list(peers)
         self.n = len(self.peers)
-        if self.n < 3 * f + 1:
-            raise ConfigurationError(
-                "HotStuff needs n >= 3f+1 (n=%d, f=%d)" % (self.n, f)
-            )
+        self.quorums = CountingQuorum.tolerating(self.peers, f, b=f)
         self.f = f
-        self.quorum = 2 * f + 1
         self.scheme = scheme
         self.view = 0
         self.decided_ops = []
@@ -185,7 +181,7 @@ class BasicHotStuffReplica(Node):
             return
         partials = _record_vote(self._votes, (msg.phase, msg.node_hash),
                                 msg.partial)
-        if partials is None or len(partials) < self.quorum:
+        if partials is None or len(partials) < self.quorums.q2:
             return
         if msg.phase != BASIC_PHASES[self._phase_index]:
             return  # stale extra votes
@@ -300,12 +296,8 @@ class ChainedHotStuffReplica(Node):
         super().__init__(sim, network, name)
         self.peers = list(peers)
         self.n = len(self.peers)
-        if self.n < 3 * f + 1:
-            raise ConfigurationError(
-                "HotStuff needs n >= 3f+1 (n=%d, f=%d)" % (self.n, f)
-            )
+        self.quorums = CountingQuorum.tolerating(self.peers, f, b=f)
         self.f = f
-        self.quorum = 2 * f + 1
         self.scheme = scheme
         self.commands = list(commands)  # shared command queue (replicated)
         #: Commands are numbered: one in the queue by its first index
@@ -491,7 +483,7 @@ class ChainedHotStuffReplica(Node):
                                 msg.partial)
         # The QC forms once, when the 2f+1-th distinct signer arrives;
         # later votes for the block change nothing.
-        if partials is None or len(partials) != self.quorum:
+        if partials is None or len(partials) != self.quorums.q2:
             return
         qc = self.scheme.combine(partials.values(), msg.view, msg.block_hash)
         self._update_high_qc(msg.view, msg.block_hash, qc)
@@ -563,9 +555,9 @@ class HotStuffResult(RunResult):
 
 def run_basic_hotstuff(cluster, f=1, operations=3, horizon=2000.0):
     """Drive basic HotStuff through ``operations`` sequential commands."""
-    n = 3 * f + 1
-    names = ["r%d" % i for i in range(n)]
-    scheme = ThresholdScheme(2 * f + 1, names)
+    names = ["r%d" % i for i in range(minimum_nodes(f, b=f))]
+    scheme = ThresholdScheme(
+        CountingQuorum.tolerating(names, f, b=f).q2, names)
     replicas = cluster.add_nodes(BasicHotStuffReplica, names, names, f, scheme)
     client = cluster.add_node(
         BasicHotStuffClient, "c0", names,
@@ -578,9 +570,9 @@ def run_chained_hotstuff(cluster, f=1, commands=8, crash_leader_at=None,
                          horizon=3000.0):
     """Drive chained HotStuff until every command is decided everywhere
     alive."""
-    n = 3 * f + 1
-    names = ["r%d" % i for i in range(n)]
-    scheme = ThresholdScheme(2 * f + 1, names)
+    names = ["r%d" % i for i in range(minimum_nodes(f, b=f))]
+    scheme = ThresholdScheme(
+        CountingQuorum.tolerating(names, f, b=f).q2, names)
     command_list = ["cmd-%d" % i for i in range(commands)]
     replicas = cluster.add_nodes(
         ChainedHotStuffReplica, names, names, f, scheme, command_list

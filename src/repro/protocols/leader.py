@@ -18,6 +18,7 @@ from operator import attrgetter
 
 from ..core.client import ClientProtocol, RunResult
 from ..core.node import Node
+from ..core.quorums import CountingQuorum
 
 
 class Role(enum.Enum):
@@ -81,6 +82,8 @@ class LeaderReplica(Node):
                  election_timeout):
         super().__init__(sim, network, name)
         self.peers = list(peers)
+        #: Majorities: as many crash faults as the peers tolerate (b = 0).
+        self.quorums = CountingQuorum.tolerating(self.peers)
         #: Every peer but ourselves, in ``peers`` order — the fan-out list.
         self.other_peers = [p for p in self.peers if p != name]
         self.state_machine = (state_machine_factory or ListStateMachine)()

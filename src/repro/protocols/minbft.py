@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
-from ..core.exceptions import ConfigurationError
 from ..core.node import Node
+from ..core.quorums import CountingQuorum, minimum_nodes
 from ..crypto.usig import UsigLogChecker
 from ..net.message import Message
 
@@ -65,10 +65,9 @@ class MinBftReplica(Node):
         super().__init__(sim, network, name)
         self.peers = list(peers)
         self.n = len(self.peers)
-        if self.n < 2 * f + 1:
-            raise ConfigurationError(
-                "MinBFT needs n >= 2f+1 (n=%d, f=%d)" % (self.n, f)
-            )
+        #: The USIG stops equivocation, so crash-sized quorums (b = 0)
+        #: suffice: f+1 of 2f+1.
+        self.quorums = CountingQuorum.tolerating(self.peers, f)
         self.f = f
         self.view = 0
         self.usig = usig_authority.provision(name)
@@ -200,7 +199,7 @@ class MinBftReplica(Node):
             counter = self._next_to_execute
             votes = self._commit_votes.get(counter, set())
             prepare = self._pending.get(counter)
-            if prepare is None or len(votes) < self.f + 1:
+            if prepare is None or len(votes) < self.quorums.q2:
                 return
             self._next_to_execute += 1
             result = self.state_machine.apply(prepare.request.operation)
@@ -238,8 +237,7 @@ class MinBftResult(RunResult):
 
 def run_minbft(cluster, f=1, operations=3, horizon=2000.0):
     """Drive a MinBFT cluster of 2f+1 replicas."""
-    n = 2 * f + 1
-    names = ["r%d" % i for i in range(n)]
+    names = ["r%d" % i for i in range(minimum_nodes(f))]
     replicas = cluster.add_nodes(
         MinBftReplica, names, names, f, cluster.usig_authority
     )

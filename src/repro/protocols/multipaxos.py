@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from ..core.ballot import Ballot
 from ..core.client import ClosedLoopClient
-from ..core.quorums import MajorityQuorum
 from ..net.message import Message
 from .leader import LeaderReplica, LeaderResult, leader_row, run_leader_log
 
@@ -136,7 +135,6 @@ class MultiPaxosReplica(LeaderReplica):
     ):
         super().__init__(sim, network, name, peers, state_machine_factory,
                          election_timeout)
-        self.quorums = MajorityQuorum(self.peers)
         self.ballot_num = Ballot.ZERO
         self.log = {}  # index -> _EntryState
         self.leader_hint = self.peers[0]

@@ -13,9 +13,10 @@ ack carried an accepted value, the value with the highest ``AcceptNum``
 — and a value accepted by a phase-2 quorum is decided.  The decision is
 propagated asynchronously.
 
-The quorum system is pluggable: :class:`~repro.core.quorums.MajorityQuorum`
-gives classic Paxos; handing in a
-:class:`~repro.core.quorums.FlexibleQuorum` or
+The quorum system is pluggable: majorities
+(:meth:`~repro.core.quorums.CountingQuorum.tolerating`) give classic
+Paxos; handing in asymmetric
+:class:`~repro.core.quorums.CountingQuorum` sizes or a
 :class:`~repro.core.quorums.GridQuorum` gives Flexible Paxos with *no
 changes to the algorithm* — exactly the paper's point.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from ..core.ballot import Ballot
 from ..core.framework import CCPhase, CCTrace
 from ..core.node import Node
-from ..core.quorums import MajorityQuorum
+from ..core.quorums import CountingQuorum
 from ..net.message import Message
 
 
@@ -187,7 +188,7 @@ class PaxosProposer(Node):
         self.my_value = value
         self.quorums = (
             quorum_system if quorum_system is not None
-            else MajorityQuorum(self.acceptors)
+            else CountingQuorum.tolerating(self.acceptors)
         )
         self.retry = retry if retry is not None else RandomizedBackoff()
         self.initial_delay = initial_delay
@@ -370,7 +371,7 @@ def run_basic_paxos(
     """
     acceptor_names = ["a%d" % i for i in range(n_acceptors)]
     acceptors = cluster.add_nodes(PaxosAcceptor, acceptor_names)
-    quorums = quorum_system if quorum_system is not None else MajorityQuorum(acceptor_names)
+    quorums = quorum_system if quorum_system is not None else CountingQuorum.tolerating(acceptor_names)
     proposers = []
     for index, value in enumerate(proposals):
         proposers.append(

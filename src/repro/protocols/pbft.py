@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
-from ..core.exceptions import ConfigurationError
 from ..core.node import Node
+from ..core.quorums import CountingQuorum, minimum_nodes
 from ..crypto.hashing import sha256_hex
 from ..net.message import Message
 
@@ -136,6 +136,12 @@ class _SlotState:
         self.prepared_proof = None  # (view, digest, request)
 
 
+def quorums_for(peers, f):
+    """The quorums PBFT replicas count votes with: any two share f+1
+    replicas (b = f), at least one of them correct."""
+    return CountingQuorum.tolerating(peers, f, b=f)
+
+
 class PbftReplica(Node):
     """One PBFT replica (primary when ``view % n == index``).
 
@@ -159,12 +165,8 @@ class PbftReplica(Node):
         self.keys = keys  # KeyRegistry for client-request verification
         self.peers = list(peers)
         self.n = len(self.peers)
-        if self.n < 3 * f + 1:
-            raise ConfigurationError(
-                "PBFT needs n >= 3f+1 (n=%d, f=%d)" % (self.n, f)
-            )
+        self.quorums = quorums_for(self.peers, f)
         self.f = f
-        self.quorum = 2 * f + 1
         self.index = self.peers.index(name)
         #: Every peer but ourselves, in ``peers`` order — the fan-out
         #: list the hot phase loops multicast to.
@@ -330,7 +332,7 @@ class PbftReplica(Node):
         if slot is None or slot.prepared or not slot.pre_prepared:
             return
         # prepared == pre-prepare + 2f prepares (incl. own) == quorum votes
-        if len(slot.prepares) >= self.quorum:
+        if len(slot.prepares) >= self.quorums.q2:
             slot.prepared = True
             slot.prepared_proof = (self.view, slot.digest, slot.request)
             if self.network.metrics is not None:
@@ -357,7 +359,7 @@ class PbftReplica(Node):
         slot = self.slots.get(seq)
         if slot is None or slot.committed or not slot.prepared:
             return
-        if len(slot.commits) >= self.quorum:
+        if len(slot.commits) >= self.quorums.q2:
             slot.committed = True
             self._execute_ready()
 
@@ -412,7 +414,7 @@ class PbftReplica(Node):
         votes = self._checkpoint_votes.setdefault(seq, {})
         votes[sender] = digest
         matching = [s for s, d in votes.items() if d == digest]
-        if len(matching) >= self.quorum and seq > self.last_stable_seq:
+        if len(matching) >= self.quorums.q2 and seq > self.last_stable_seq:
             self._stabilise_checkpoint(seq)
 
     def _stabilise_checkpoint(self, seq):
@@ -454,9 +456,9 @@ class PbftReplica(Node):
             return
         self._record_view_change(msg, src)
         # Joining amplification: if f+1 replicas want a newer view, join in
-        # (standard PBFT liveness rule).
+        # (standard PBFT liveness rule) — b+1 of them include a correct one.
         votes = self._view_changes.get(msg.new_view, {})
-        if len(votes) >= self.f + 1 and self.name not in votes:
+        if len(votes) >= self.quorums.b + 1 and self.name not in votes:
             self._send_view_change(msg.new_view)
 
     def _record_view_change(self, msg, sender):
@@ -465,7 +467,7 @@ class PbftReplica(Node):
         new_primary = self.peers[msg.new_view % self.n]
         if new_primary != self.name:
             return
-        if len(votes) >= self.quorum and msg.new_view > self.view:
+        if len(votes) >= self.quorums.q1 and msg.new_view > self.view:
             self._become_primary(msg.new_view, dict(votes))
 
     def _become_primary(self, new_view, votes):
@@ -518,7 +520,7 @@ class PbftReplica(Node):
         new_primary = self.peers[msg.view % self.n]
         if src != new_primary or msg.view <= self.view:
             return
-        if len(msg.view_change_senders) < self.quorum:
+        if len(msg.view_change_senders) < self.quorums.q1:
             return  # insufficient proof
         self.view = msg.view
         self.view_changes_completed += 1
@@ -700,8 +702,7 @@ def run_pbft(
     behaviour (honest, equivocating, forging, silent).  With
     ``authenticate_clients`` replicas verify client signatures via the
     cluster's key registry."""
-    n = 3 * f + 1
-    names = ["r%d" % i for i in range(n)]
+    names = ["r%d" % i for i in range(minimum_nodes(f, b=f))]
     keys = cluster.keys if authenticate_clients else None
     replicas = []
     for i, name in enumerate(names):

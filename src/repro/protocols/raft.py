@@ -114,7 +114,6 @@ class RaftNode(LeaderReplica):
                  snapshot_threshold=None):
         super().__init__(sim, network, name, peers, state_machine_factory,
                          election_timeout)
-        self.majority = len(self.peers) // 2 + 1
 
         # Persistent state
         self.current_term = 0
@@ -207,7 +206,7 @@ class RaftNode(LeaderReplica):
             return
         if msg.granted:
             self._votes.add(src)
-            if len(self._votes) >= self.majority:
+            if len(self._votes) >= self.quorums.q1:
                 self._become_leader()
 
     def _epoch(self):
@@ -332,9 +331,9 @@ class RaftNode(LeaderReplica):
     def _advance_commit(self):
         """Commit the highest index replicated on a majority whose entry
         is from the current term."""
-        # The majority-th largest match index is replicated on a majority.
+        # The q2-th largest match index is replicated on a quorum.
         matches = sorted(self.match_index.values())
-        index = min(matches[len(matches) - self.majority],
+        index = min(matches[len(matches) - self.quorums.q2],
                     self.last_log_index())
         if index <= self.commit_index or \
                 self._term_at(index) != self.current_term:

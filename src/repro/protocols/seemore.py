@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
-from ..core.exceptions import ConfigurationError
 from ..core.node import Node
-from ..core.quorums import hybrid_minimum_nodes
+from ..core.quorums import CountingQuorum, minimum_nodes
 from ..net.message import Message
 
 
@@ -115,18 +114,14 @@ class SeeMoReReplica(Node):
         self.public = list(public)
         self.peers = self.private + self.public
         self.n = len(self.peers)
-        if self.n < hybrid_minimum_nodes(m, c):
-            raise ConfigurationError(
-                "SeeMoRe needs n >= 3m+2c+1 (n=%d, m=%d, c=%d)"
-                % (self.n, m, c)
-            )
-        self.m = m
-        self.c = c
+        self.quorums = CountingQuorum.tolerating(self.peers, m + c, b=m)
         self.mode = Mode(mode)
         self.proxies = list(proxies)
-        if self.mode is not Mode.TRUSTED_CENTRALIZED and \
-                len(self.proxies) < 3 * m + 1:
-            raise ConfigurationError("decentralized modes need 3m+1 proxies")
+        self.proxy_quorums = None
+        if self.mode is not Mode.TRUSTED_CENTRALIZED:
+            # Decentralized modes decide among the 3m+1 proxies alone.
+            self.proxy_quorums = CountingQuorum.tolerating(
+                self.proxies, m, b=m)
         if state_machine_factory is None:
             from .leader import ListStateMachine
             state_machine_factory = ListStateMachine
@@ -160,8 +155,8 @@ class SeeMoReReplica(Node):
     def _quorum(self):
         # Centralized: 2m+c+1 of all nodes; decentralized: 2m+1 proxies.
         if self.mode is Mode.TRUSTED_CENTRALIZED:
-            return 2 * self.m + self.c + 1
-        return 2 * self.m + 1
+            return self.quorums.q2
+        return self.proxy_quorums.q2
 
     # -- request entry ----------------------------------------------------------
 
@@ -323,13 +318,14 @@ class SeeMoReResult(RunResult):
 
 def run_seemore(cluster, mode=1, m=1, c=1, operations=3, horizon=2000.0):
     """Drive SeeMoRe in the given mode with 3m+2c+1 nodes."""
-    n = hybrid_minimum_nodes(m, c)
+    n = minimum_nodes(m + c, b=m)
+    n_proxies = minimum_nodes(m, b=m)
     n_private = 2 * c + 1 if mode != 3 else c + 1
-    n_private = min(n_private, n - (3 * m + 1))
+    n_private = min(n_private, n - n_proxies)
     n_private = max(n_private, 1)
     private = ["priv%d" % i for i in range(n_private)]
     public = ["pub%d" % i for i in range(n - n_private)]
-    proxies = public[: 3 * m + 1]
+    proxies = public[:n_proxies]
     replicas = [
         cluster.add_node(SeeMoReReplica, name, private, public, m, c, mode,
                          proxies=proxies)

@@ -18,8 +18,8 @@ makes this "blockchain consensus" rather than one-shot agreement.
 import enum
 from dataclasses import dataclass
 
-from ..core.exceptions import ConfigurationError
 from ..core.node import Node
+from ..core.quorums import CountingQuorum, minimum_nodes
 from ..crypto.hashing import sha256_hex
 from ..net.message import Message
 
@@ -89,12 +89,8 @@ class TendermintNode(Node):
         super().__init__(sim, network, name)
         self.peers = list(peers)
         self.n = len(self.peers)
-        if self.n < 3 * f + 1:
-            raise ConfigurationError(
-                "Tendermint needs n >= 3f+1 (n=%d, f=%d)" % (self.n, f)
-            )
+        self.quorums = CountingQuorum.tolerating(self.peers, f, b=f)
         self.f = f
-        self.quorum = 2 * f + 1
         self.payload_source = payload_source or (lambda h: "block-%d" % h)
         self.target_height = target_height
 
@@ -211,7 +207,7 @@ class TendermintNode(Node):
             return
         counts = self._counts(votes)
         for value, count in counts.items():
-            if count < self.quorum:
+            if count < self.quorums.q2:
                 continue
             if value != NIL:
                 # 2f+1 prevotes: lock and precommit the block.
@@ -254,14 +250,14 @@ class TendermintNode(Node):
             return
         counts = self._counts(votes)
         for value, count in counts.items():
-            if count >= self.quorum and value != NIL:
+            if count >= self.quorums.q2 and value != NIL:
                 block = self._blocks.get(value)
                 if block is not None:
                     self._commit(block)
                 return
         if (height, round_) == (self.height, self.round) and \
-                len(votes) >= self.quorum and \
-                counts.get(NIL, 0) >= self.quorum:
+                len(votes) >= self.quorums.q2 and \
+                counts.get(NIL, 0) >= self.quorums.q2:
             self._enter_round(self.round + 1)
 
     def _on_precommit_timeout(self, height, round_):
@@ -340,8 +336,7 @@ class TendermintResult:
 def run_tendermint(cluster, f=1, heights=5, silent_indices=(),
                    horizon=4000.0):
     """Drive a Tendermint chain to ``heights`` committed blocks."""
-    n = 3 * f + 1
-    names = ["v%d" % i for i in range(n)]
+    names = ["v%d" % i for i in range(minimum_nodes(f, b=f))]
     validators = []
     for index, name in enumerate(names):
         cls = SilentProposer if index in silent_indices else TendermintNode

@@ -15,8 +15,7 @@ identical).
 """
 
 from ..core.client import RunResult
-from ..core.exceptions import ConfigurationError
-from ..core.quorums import hybrid_minimum_nodes
+from ..core.quorums import CountingQuorum, minimum_nodes
 from .pbft import PbftClient, PbftReplica
 
 
@@ -25,27 +24,14 @@ class UpRightReplica(PbftReplica):
 
     def __init__(self, sim, network, name, peers, m, c,
                  state_machine_factory=None, checkpoint_interval=64):
-        if len(peers) < hybrid_minimum_nodes(m, c):
-            raise ConfigurationError(
-                "UpRight needs n >= 3m+2c+1 (n=%d, m=%d, c=%d)"
-                % (len(peers), m, c)
-            )
-        # Initialise the PBFT core with f=m (drives the weak-certificate
-        # size m+1 used for view-change amplification), then widen the
-        # quorum to 2m+c+1.
+        # The PBFT core runs with f=m: its quorums (b = m) already have
+        # UpRight's size 2m+c+1 at n = 3m+2c+1, and m+1 is the weak
+        # certificate for view-change amplification.  What UpRight adds
+        # is the c crash faults its bound must cover.
         super().__init__(sim, network, name, peers, m,
                          state_machine_factory=state_machine_factory,
                          checkpoint_interval=checkpoint_interval)
-        self.m = m
-        self.c = c
-        self.quorum = 2 * m + c + 1
-
-    def _config_ok(self):
-        return self.n >= hybrid_minimum_nodes(self.m, self.c)
-
-
-# PbftReplica's constructor enforces n >= 3f+1; with f=m and
-# n = 3m+2c+1 >= 3m+1 that check always passes, so no override is needed.
+        self.quorums = CountingQuorum.tolerating(self.peers, m + c, b=m)
 
 
 class UpRightResult(RunResult):
@@ -64,8 +50,7 @@ def run_upright(cluster, m=1, c=1, operations=3, crash_indices=(),
     — equivocation is separately covered by the PBFT tests, and UpRight
     inherits PBFT's defences here).
     """
-    n = hybrid_minimum_nodes(m, c)
-    names = ["r%d" % i for i in range(n)]
+    names = ["r%d" % i for i in range(minimum_nodes(m + c, b=m))]
     replicas = cluster.add_nodes(UpRightReplica, names, names, m, c)
     client = cluster.add_node(
         PbftClient, "c0", names,

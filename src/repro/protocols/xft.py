@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
-from ..core.exceptions import ConfigurationError
 from ..core.node import Node
+from ..core.quorums import CountingQuorum, minimum_nodes
 from ..net.message import Message
 
 
@@ -103,10 +103,7 @@ class XftReplica(Node):
         super().__init__(sim, network, name)
         self.peers = list(peers)
         self.n = len(self.peers)
-        if self.n < 2 * f + 1:
-            raise ConfigurationError(
-                "XFT needs n >= 2f+1 (n=%d, f=%d)" % (self.n, f)
-            )
+        self.quorums = CountingQuorum.tolerating(self.peers, f)
         self.f = f
         self.view = 0
         if state_machine_factory is None:
@@ -248,7 +245,7 @@ class XftReplica(Node):
     def _record_vc(self, new_view, sender, log):
         votes = self._vc_votes.setdefault(new_view, {})
         votes[sender] = log
-        if len(votes) >= self.f + 1 and new_view > self.view:
+        if len(votes) >= self.quorums.q1 and new_view > self.view:
             if self.name not in votes:
                 votes[self.name] = self._own_log()
                 for peer in self.peers:
@@ -336,8 +333,7 @@ def run_xft(cluster, f=1, operations=3, crash_group_member_at=None,
             horizon=2000.0):
     """Drive XPaxos's common case; optionally crash a synchronous-group
     member to exercise the view change."""
-    n = 2 * f + 1
-    names = ["r%d" % i for i in range(n)]
+    names = ["r%d" % i for i in range(minimum_nodes(f))]
     replicas = cluster.add_nodes(XftReplica, names, names, f)
     client = cluster.add_node(
         XftClient, "c0", names,

@@ -22,8 +22,8 @@ are the reproduced claims (E10).
 from dataclasses import dataclass
 
 from ..core.client import RunResult
-from ..core.exceptions import ConfigurationError
 from ..core.node import Node
+from ..core.quorums import CountingQuorum, minimum_nodes
 from ..crypto.hashing import sha256_hex
 from ..net.message import Message
 
@@ -86,10 +86,7 @@ class ZyzzyvaReplica(Node):
         super().__init__(sim, network, name)
         self.peers = list(peers)
         self.n = len(self.peers)
-        if self.n < 3 * f + 1:
-            raise ConfigurationError(
-                "Zyzzyva needs n >= 3f+1 (n=%d, f=%d)" % (self.n, f)
-            )
+        self.quorums = CountingQuorum.tolerating(self.peers, f, b=f)
         self.f = f
         self.view = 0
         self.next_seq = 0
@@ -162,7 +159,7 @@ class ZyzzyvaReplica(Node):
         self.send(order.request.client, reply)
 
     def handle_commitcert(self, msg, src):
-        if len(set(msg.replicas)) >= 2 * self.f + 1:
+        if len(set(msg.replicas)) >= self.quorums.q2:
             self.max_cc_seq = max(self.max_cc_seq, msg.seq)
             self.send(src, LocalCommit(msg.view, msg.seq, self.name))
 
@@ -195,6 +192,7 @@ class ZyzzyvaClient(Node):
         super().__init__(sim, network, name)
         self.replicas = list(replicas)
         self.n = len(self.replicas)
+        self.quorums = CountingQuorum.tolerating(self.replicas, f, b=f)
         self.f = f
         self.operations = list(operations)
         self.case2_timeout = case2_timeout
@@ -247,7 +245,7 @@ class ZyzzyvaClient(Node):
             return
         groups = self._matching_groups()
         for (seq, history), names in groups.items():
-            if len(names) >= 2 * self.f + 1:
+            if len(names) >= self.quorums.q2:
                 self._committing = (seq, history)
                 if self.network.metrics is not None:
                     self.network.metrics.mark_phase("zyzzyva", "commit",
@@ -273,7 +271,7 @@ class ZyzzyvaClient(Node):
         if msg.seq != self._committing[0]:
             return
         self._local_commits.add(src)
-        if len(self._local_commits) >= 2 * self.f + 1:
+        if len(self._local_commits) >= self.quorums.q2:
             self._complete(case=2)
 
     def _complete(self, case):
@@ -312,8 +310,7 @@ class ZyzzyvaResult(RunResult):
 def run_zyzzyva(cluster, f=1, operations=3, slow_replicas=(), horizon=2000.0):
     """Drive Zyzzyva; ``slow_replicas`` indices answer nothing, forcing
     the commit-certificate path."""
-    n = 3 * f + 1
-    names = ["r%d" % i for i in range(n)]
+    names = ["r%d" % i for i in range(minimum_nodes(f, b=f))]
     replicas = []
     for i, name in enumerate(names):
         cls = SlowReplica if i in slow_replicas else ZyzzyvaReplica

@@ -18,6 +18,7 @@ table never imports twenty protocol modules.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 from importlib import import_module
 
 from .analysis.claims import PaperClaim, claim_for
@@ -27,7 +28,7 @@ __all__ = ["SCENARIOS", "Scenario", "client_row", "fleet_summary"]
 
 def _load(path):
     module, _, attr = path.partition(":")
-    return getattr(import_module(module), attr)
+    return reduce(getattr, attr.split("."), import_module(module))
 
 
 @dataclass(frozen=True)
@@ -194,8 +195,9 @@ SCENARIOS = {scenario.name: scenario for scenario in (
     Scenario(
         "flexible-paxos",
         "repro.protocols.flexible_paxos:run_flexible_paxos", 6, 2,
-        lambda r: "decided %r with |Q1|=4 |Q2|=3" % r.value,
-        {"n_acceptors": 6, "q1": 4, "q2": 3, "proposals": ("X",)}),
+        lambda r: "decided %r with |Q1|=%d |Q2|=%d" % (
+            r.value, r.proposers[0].quorums.q1, r.proposers[0].quorums.q2),
+        {"n_acceptors": 6, "proposals": ("X",)}),
     Scenario(
         "2pc", "repro.protocols.commit:run_commit", 4, 0, _atomic,
         {"protocol": "2pc", "n_cohorts": 3}),

@@ -29,8 +29,9 @@ class ReplicatedKV:
     Parameters
     ----------
     n_replicas:
-        Cluster size.  For PBFT this must be 3f+1; the largest tolerable
-        f is derived automatically.
+        Cluster size; the largest tolerable f is derived from it (PBFT:
+        ``(n - 1) // 3``, so at least 4), and the replicas size their
+        quorums for that n.
     protocol:
         One of ``"multi-paxos"``, ``"raft"``, ``"pbft"`` — any
         ``SCENARIOS`` row that names a client protocol.

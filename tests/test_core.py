@@ -1,22 +1,20 @@
 """Unit tests for core abstractions: ballots, quorums, property box, C&C."""
 
+from itertools import combinations
+
 import pytest
 
 from repro.core import (
     Ballot,
-    ByzantineQuorum,
     CCPhase,
     CCTrace,
-    FlexibleQuorum,
+    ConfigurationError,
+    CountingQuorum,
     GridQuorum,
-    HybridQuorum,
-    MajorityQuorum,
     PAXOS_DECOMPOSITION,
     TWO_PC_DECOMPOSITION,
     THREE_PC_DECOMPOSITION,
-    bft_minimum_nodes,
-    crash_minimum_nodes,
-    hybrid_minimum_nodes,
+    minimum_nodes,
 )
 from repro.analysis.claims import PAPER_TABLE, PaperClaim, claim_for
 
@@ -41,42 +39,50 @@ class TestBallot:
         assert len({Ballot(1, "a"), Ballot(1, "a"), Ballot(2, "a")}) == 2
 
 
+def overlap(quorum):
+    """Fewest members a phase-1 and a phase-2 quorum can share."""
+    return quorum.q1 + quorum.q2 - quorum.n
+
+
 class TestMajorityQuorum:
     def test_sizes(self):
-        assert MajorityQuorum(list("abc")).phase1_size() == 2
-        assert MajorityQuorum(list("abcde")).phase1_size() == 3
-        assert MajorityQuorum(list("abcdef")).phase1_size() == 4
+        assert CountingQuorum.tolerating(list("abc")).phase1_size() == 2
+        assert CountingQuorum.tolerating(list("abcde")).phase1_size() == 3
+        assert CountingQuorum.tolerating(list("abcdef")).phase1_size() == 4
 
     def test_intersection_guaranteed(self):
         for n in (1, 3, 4, 5):
-            assert MajorityQuorum(["n%d" % i for i in range(n)]).intersection_guaranteed()
+            assert CountingQuorum.tolerating(["n%d" % i for i in range(n)]).intersection_guaranteed()
 
     def test_max_crash_faults(self):
-        assert MajorityQuorum(list("abcde")).max_crash_faults() == 2
+        # Five members keep a live majority through two crashes, not three.
+        CountingQuorum.tolerating(list("abcde"), f=2)
+        with pytest.raises(ConfigurationError):
+            CountingQuorum.tolerating(list("abcde"), f=3)
 
     def test_rejects_non_members(self):
-        quorum = MajorityQuorum(list("abc"))
+        quorum = CountingQuorum.tolerating(list("abc"))
         with pytest.raises(ValueError):
             quorum.is_phase1_quorum({"x", "y"})
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            MajorityQuorum([])
+            CountingQuorum.tolerating([])
 
 
 class TestFlexibleQuorum:
     def test_condition_enforced(self):
         with pytest.raises(ValueError):
-            FlexibleQuorum(list("abcdef"), 3, 3)  # 3+3 = 6, not > 6
+            CountingQuorum(list("abcdef"), 3, 3)  # 3+3 = 6, not > 6
 
     def test_asymmetric_quorums(self):
-        quorum = FlexibleQuorum(list("abcdef"), 5, 2)
+        quorum = CountingQuorum(list("abcdef"), 5, 2)
         assert quorum.is_phase2_quorum({"a", "b"})
         assert not quorum.is_phase1_quorum({"a", "b", "c", "d"})
         assert quorum.intersection_guaranteed()
 
     def test_replication_quorum_can_be_one(self):
-        quorum = FlexibleQuorum(list("abcde"), 5, 1)
+        quorum = CountingQuorum(list("abcde"), 5, 1)
         assert quorum.is_phase2_quorum({"c"})
         assert quorum.intersection_guaranteed()
 
@@ -85,9 +91,10 @@ class TestGridQuorum:
     def test_rows_and_columns(self):
         grid = GridQuorum(3, 4)
         assert grid.n == 12
-        assert grid.is_phase2_quorum(grid.row(0))
-        assert not grid.is_phase2_quorum(grid.row(0)[:-1])
-        assert grid.is_phase1_quorum(grid.column(2))
+        row, column = grid.grid[0], [row[2] for row in grid.grid]
+        assert grid.is_phase2_quorum(row)
+        assert not grid.is_phase2_quorum(row[:-1])
+        assert grid.is_phase1_quorum(column)
 
     def test_intersection(self):
         grid = GridQuorum(2, 3)
@@ -104,49 +111,78 @@ class TestGridQuorum:
 
 class TestByzantineQuorum:
     def test_sizes_at_3f_plus_1(self):
-        quorum = ByzantineQuorum(["r%d" % i for i in range(4)])
-        assert quorum.f == 1
-        assert quorum.quorum_size() == 3
-        assert quorum.min_intersection() == 2  # f+1
-        assert quorum.weak_certificate_size() == 2
+        members = ["r%d" % i for i in range(4)]
+        quorum = CountingQuorum.tolerating(members, f=1, b=1)
+        with pytest.raises(ConfigurationError):  # f = 1 is the most 4 allow
+            CountingQuorum.tolerating(members, f=2, b=2)
+        assert quorum.q1 == quorum.q2 == 3
+        assert overlap(quorum) == 2  # f+1
+        assert quorum.b + 1 == 2  # weak certificate: one correct sender
 
     def test_rejects_insufficient_nodes(self):
         with pytest.raises(ValueError):
-            ByzantineQuorum(["a", "b", "c"], f=1)
+            CountingQuorum.tolerating(["a", "b", "c"], f=1, b=1)
 
     def test_intersection_contains_correct_node(self):
         # Any two quorums overlap in f+1 > f nodes: not all faulty.
         for f in (1, 2):
-            quorum = ByzantineQuorum(["r%d" % i for i in range(3 * f + 1)], f=f)
-            assert quorum.min_intersection() == f + 1
+            quorum = CountingQuorum.tolerating(["r%d" % i for i in range(3 * f + 1)], f=f, b=f)
+            assert overlap(quorum) == f + 1
 
 
 class TestHybridQuorum:
+    """UpRight's m Byzantine plus c crash faults: f = m + c, b = m."""
+
     def test_upright_arithmetic(self):
         members = ["r%d" % i for i in range(6)]  # 3*1+2*1+1
-        quorum = HybridQuorum(members, m=1, c=1)
-        assert quorum.quorum_size() == 4  # 2m+c+1
-        assert quorum.min_intersection() == 2  # m+1
+        quorum = CountingQuorum.tolerating(members, f=2, b=1)
+        assert quorum.q1 == 4  # 2m+c+1
+        assert overlap(quorum) == 2  # m+1
 
     def test_degenerates_to_paxos_and_pbft(self):
-        paxos_like = HybridQuorum(["r%d" % i for i in range(3)], m=0, c=1)
-        assert paxos_like.quorum_size() == 2
-        pbft_like = HybridQuorum(["r%d" % i for i in range(4)], m=1, c=0)
-        assert pbft_like.quorum_size() == 3
+        paxos_like = CountingQuorum.tolerating(["r%d" % i for i in range(3)], f=1, b=0)
+        assert paxos_like.q1 == 2
+        pbft_like = CountingQuorum.tolerating(["r%d" % i for i in range(4)], f=1, b=1)
+        assert pbft_like.q1 == 3
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
-            HybridQuorum(["a", "b", "c"], m=1, c=1)
+            CountingQuorum.tolerating(["a", "b", "c"], f=2, b=1)
 
 
 class TestBounds:
     def test_formulas(self):
-        assert bft_minimum_nodes(1) == 4
-        assert bft_minimum_nodes(2) == 7
-        assert crash_minimum_nodes(2) == 5
-        assert hybrid_minimum_nodes(1, 1) == 6
-        assert hybrid_minimum_nodes(1, 0) == bft_minimum_nodes(1)
-        assert hybrid_minimum_nodes(0, 2) == crash_minimum_nodes(2)
+        def hybrid(m, c):
+            return minimum_nodes(m + c, b=m)
+
+        assert minimum_nodes(1, b=1) == 4
+        assert minimum_nodes(2, b=2) == 7
+        assert minimum_nodes(2) == 5
+        assert hybrid(1, 1) == 6
+        assert hybrid(1, 0) == minimum_nodes(1, b=1)
+        assert hybrid(0, 2) == minimum_nodes(2)
+
+
+class TestQuorumRule:
+    def test_exhaustive_up_to_nine_members(self):
+        """Every n <= 9 and 0 <= b <= f: the rule's quorums pairwise
+        share b+1 members and survive f faults, and exactly the cases
+        with n < 2f+b+1 are refused."""
+        for n in range(1, 10):
+            members = ["r%d" % i for i in range(n)]
+            for f in range(n + 1):
+                for b in range(f + 1):
+                    if n < 2 * f + b + 1:
+                        with pytest.raises(ConfigurationError):
+                            CountingQuorum.tolerating(members, f, b)
+                        continue
+                    quorum = CountingQuorum.tolerating(members, f, b)
+                    assert quorum.q1 == quorum.q2 and quorum.b == b
+                    assert n - f >= quorum.q1
+                    smallest = [set(c) for c in combinations(members, quorum.q1)]
+                    assert all(quorum.is_phase1_quorum(q) for q in smallest)
+                    assert not quorum.is_phase1_quorum(members[:quorum.q1 - 1])
+                    assert min(len(a & z) for a in smallest for z in smallest) >= b + 1
 
 
 class TestCCFramework:

@@ -104,10 +104,10 @@ class TestFlexiblePaxos:
         Here 4 of 6 acceptors crash and q1=2/q2=... can't re-elect, so we
         instead verify the quorum predicates directly, which is what the
         claim is about."""
-        from repro.core import FlexibleQuorum, MajorityQuorum
+        from repro.core import CountingQuorum
         members = ["a%d" % i for i in range(6)]
-        flexible = FlexibleQuorum(members, 5, 2)
-        majority = MajorityQuorum(members)
+        flexible = CountingQuorum(members, 5, 2)
+        majority = CountingQuorum.tolerating(members)
         survivors = set(members[:2])  # 4 crashed
         assert flexible.is_phase2_quorum(survivors)
         assert not majority.is_phase2_quorum(survivors)
@@ -115,11 +115,11 @@ class TestFlexiblePaxos:
     def test_condition_is_tight(self, make_cluster):
         # |Q1| + |Q2| = n is already rejected by the constructor — the
         # exact boundary of the generalized quorum condition.
-        from repro.core import FlexibleQuorum
+        from repro.core import CountingQuorum
         members = ["a%d" % i for i in range(6)]
-        FlexibleQuorum(members, 4, 3)  # 7 > 6: fine
+        CountingQuorum(members, 4, 3)  # 7 > 6: fine
         with pytest.raises(ValueError):
-            FlexibleQuorum(members, 3, 3)
+            CountingQuorum(members, 3, 3)
 
 
 class TestGridQuorums:

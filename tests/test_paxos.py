@@ -3,7 +3,7 @@ the livelock figure, and quorum-safety foundations."""
 
 import pytest
 
-from repro.core import CCPhase, MajorityQuorum
+from repro.core import CCPhase, CountingQuorum
 from repro.net import SynchronousModel
 from repro.protocols.paxos import (
     FixedBackoff,
@@ -72,7 +72,7 @@ class TestFaultTolerance:
 
     def test_chosen_value_matches_decision(self, cluster):
         result = run_basic_paxos(cluster, n_acceptors=5, proposals=("X",))
-        quorums = MajorityQuorum([a.name for a in result.acceptors])
+        quorums = CountingQuorum.tolerating([a.name for a in result.acceptors])
         assert chosen_value(result.acceptors, quorums) == "X"
 
 
@@ -104,7 +104,7 @@ class TestLivelock:
             cluster, proposals=("X", "Y"),
             retry=FixedBackoff(2.0), stagger=1.0, horizon=150.0,
         )
-        quorums = MajorityQuorum([a.name for a in result.acceptors])
+        quorums = CountingQuorum.tolerating([a.name for a in result.acceptors])
         # Nothing was chosen by a full quorum at a single ballot.
         assert chosen_value(result.acceptors, quorums) is None
 

@@ -25,7 +25,7 @@ class TestConfiguration:
     def test_quorum_is_2f_plus_1(self, cluster):
         names = ["r%d" % i for i in range(7)]
         replica = PbftReplica(cluster.sim, cluster.network, "r0", names, f=2)
-        assert replica.quorum == 5
+        assert replica.quorums.q2 == 5
 
 
 class TestNormalCase:

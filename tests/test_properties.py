@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blockchain import Ledger, Transaction, make_coinbase
-from repro.core import Ballot, ByzantineQuorum, FlexibleQuorum, HybridQuorum, MajorityQuorum
+from repro.core import Ballot, CountingQuorum
 from repro.crypto import MerkleTree, canonical_bytes
 from repro.protocols.interactive_consistency import majority, om_satisfies_ic
 
@@ -44,7 +44,7 @@ def test_successor_strictly_greater(ballot, pid):
 @settings(max_examples=20, deadline=None)
 def test_majority_quorums_always_intersect(n):
     members = ["n%d" % i for i in range(n)]
-    assert MajorityQuorum(members).intersection_guaranteed()
+    assert CountingQuorum.tolerating(members).intersection_guaranteed()
 
 
 @given(st.integers(min_value=2, max_value=7), st.data())
@@ -54,7 +54,7 @@ def test_flexible_quorums_intersect_iff_condition(n, data):
     q1 = data.draw(st.integers(min_value=1, max_value=n))
     q2 = data.draw(st.integers(min_value=1, max_value=n))
     if q1 + q2 > n:
-        assert FlexibleQuorum(members, q1, q2).intersection_guaranteed()
+        assert CountingQuorum(members, q1, q2).intersection_guaranteed()
     else:
         # The condition fails: disjoint Q1/Q2 of these sizes exist.
         q1_set = set(members[:q1])
@@ -66,10 +66,11 @@ def test_flexible_quorums_intersect_iff_condition(n, data):
 @settings(max_examples=10, deadline=None)
 def test_byzantine_quorum_overlap_exceeds_f(f):
     n = 3 * f + 1
-    quorum = ByzantineQuorum(["r%d" % i for i in range(n)], f=f)
+    quorum = CountingQuorum.tolerating(["r%d" % i for i in range(n)], f, b=f)
     # Worst case overlap of two 2f+1 quorums out of 3f+1 nodes:
-    assert quorum.min_intersection() == f + 1
-    assert quorum.min_intersection() > f  # contains a correct node
+    overlap = 2 * quorum.q1 - n
+    assert overlap == f + 1
+    assert overlap > f  # contains a correct node
 
 
 @given(st.integers(min_value=0, max_value=2),
@@ -79,8 +80,8 @@ def test_hybrid_quorum_overlap_exceeds_m(m, c):
     if m == 0 and c == 0:
         return
     n = 3 * m + 2 * c + 1
-    quorum = HybridQuorum(["r%d" % i for i in range(n)], m=m, c=c)
-    assert quorum.min_intersection() == m + 1
+    quorum = CountingQuorum.tolerating(["r%d" % i for i in range(n)], m + c, b=m)
+    assert 2 * quorum.q1 - n == m + 1
 
 
 # -- hashing -------------------------------------------------------------------
@@ -203,7 +204,7 @@ def test_paxos_never_decides_two_values(seed, data):
     )
     decided = {v for v in result.decided_values if v is not None}
     assert len(decided) <= 1
-    quorums = MajorityQuorum([a.name for a in result.acceptors])
+    quorums = CountingQuorum.tolerating([a.name for a in result.acceptors])
     chosen = chosen_value(result.acceptors, quorums)
     if decided and chosen is not None:
         assert chosen in decided

@@ -189,7 +189,7 @@ class TestAdvanceCommit:
             if node._term_at(index) != node.current_term:
                 break
             if sum(m >= index for m in node.match_index.values()) \
-                    >= node.majority:
+                    >= node.quorums.q2:
                 return index
         return node.commit_index
 

@@ -107,7 +107,7 @@ class TestCheckers:
 
 
 @pytest.mark.parametrize("protocol,n", [("multi-paxos", 3), ("raft", 3),
-                                        ("pbft", 4)])
+                                        ("pbft", 4), ("pbft", 5), ("pbft", 6)])
 class TestReplicatedKV:
     def test_basic_operations(self, protocol, n):
         kv = ReplicatedKV(n_replicas=n, protocol=protocol, seed=5)
@@ -145,3 +145,15 @@ class TestReplicatedKVValidation:
     def test_pbft_needs_four(self):
         with pytest.raises(ValueError):
             ReplicatedKV(n_replicas=3, protocol="pbft")
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_pbft_quorums_share_a_correct_replica(self, n):
+        """The store runs PBFT with f = (n-1)//3 at any n, so a quorum
+        of 2f+1 would let two quorums meet in fewer than f+1 replicas
+        (n = 5, 8, 9) or not at all (n = 6)."""
+        kv = ReplicatedKV(n_replicas=n, protocol="pbft")
+        f = (n - 1) // 3
+        for replica in kv.replicas:
+            q1, q2 = replica.quorums.q1, replica.quorums.q2
+            assert min(2 * q1, q1 + q2, 2 * q2) - n >= f + 1
+            assert n - f >= max(q1, q2)  # f faulty replicas cannot stall it

@@ -102,7 +102,7 @@ class TestUpRight:
     def test_nodes_formula_3m_2c_1(self, cluster):
         result = run_upright(cluster, m=1, c=1, operations=2)
         assert len(result.replicas) == 6
-        assert result.replicas[0].quorum == 4  # 2m+c+1
+        assert result.replicas[0].quorums.q2 == 4  # 2m+c+1
         assert result.clients[0].done
 
     def test_tolerates_exactly_m_and_c(self, make_cluster):
@@ -122,7 +122,7 @@ class TestUpRight:
         # m=0: n=2c+1, quorum c+1 — Paxos arithmetic.
         result = run_upright(make_cluster(seed=4), m=0, c=1, operations=2)
         assert len(result.replicas) == 3
-        assert result.replicas[0].quorum == 2
+        assert result.replicas[0].quorums.q2 == 2
         assert result.clients[0].done
 
 
