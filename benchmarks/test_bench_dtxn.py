@@ -8,22 +8,24 @@ replica failures inside groups are invisible to the transaction layer.
 """
 
 from repro.analysis import render_table
-from repro.dtxn import DistributedKV, Transaction
+from repro.core.cluster import Cluster
+from repro.shard import ShardedCluster
 
 
-def _keys_per_group(db, count):
+def _keys_per_shard(db, count):
     seen = {}
     index = 0
     while len(seen) < count:
         key = "k%d" % index
-        seen.setdefault(db.group_of(key), key)
+        seen.setdefault(db.shard_of(key), key)
         index += 1
-    return [seen[gid] for gid in sorted(seen)][:count]
+    return [seen[sid] for sid in sorted(seen)][:count]
 
 
 def fanout_row(partitions_touched):
-    db = DistributedKV(n_partitions=3, replicas_per_partition=3, seed=4)
-    keys = _keys_per_group(db, partitions_touched)
+    db = ShardedCluster(n_shards=3, replicas=3,
+                        cluster=Cluster(seed=4, trace=True))
+    keys = _keys_per_shard(db, partitions_touched)
     for key in keys:
         db.put(key, 100)
     before = db.cluster.metrics.messages_total
@@ -32,24 +34,21 @@ def fanout_row(partitions_touched):
         lambda reads: {key: reads[key] + 1 for key in keys},
     )
     cost = db.cluster.metrics.messages_total - before
+    rounds = [event for event in db.cluster.trace.locals("txn_round")
+              if event.get("req") == txn.txid]
     return {
         "partitions touched": partitions_touched,
         "outcome": txn.outcome,
         "messages / txn": cost,
-        "2pc rounds": 3,  # lock+read, prepare, commit
+        "consensus rounds": len(rounds),
     }
 
 
 def contention_row():
-    db = DistributedKV(n_partitions=2, replicas_per_partition=3, seed=5)
+    db = ShardedCluster(n_shards=2, replicas=3, seed=5)
     db.put("hot", 0)
-    txns = [
-        Transaction("t%d" % i, ("hot",),
-                    lambda reads: {"hot": reads["hot"] + 1})
-        for i in range(5)
-    ]
-    for txn in txns:
-        db.coordinator.submit(txn)
+    txns = [db.submit(("hot",), lambda reads: {"hot": reads["hot"] + 1})
+            for _ in range(5)]
     db.cluster.run_until(lambda: all(t.outcome for t in txns), until=6000.0)
     return {
         "concurrent txns on one key": len(txns),
@@ -60,11 +59,12 @@ def contention_row():
 
 
 def fault_row():
-    db = DistributedKV(n_partitions=2, replicas_per_partition=3, seed=6)
-    a, b = _keys_per_group(db, 2)
+    db = ShardedCluster(n_shards=2, replicas=3, seed=6)
+    a, b = _keys_per_shard(db, 2)
     db.put(a, 100)
     db.put(b, 100)
-    db.crash_one_replica_per_partition()
+    for sid in db.shard_groups:
+        db.crash_follower(sid)
     outcome = db.transfer(a, b, 50)
     db.settle()
     return {
@@ -97,6 +97,8 @@ def test_distributed_transactions(benchmark, report, bench_snapshot):
     assert fanout[0]["messages / txn"] < fanout[1]["messages / txn"] \
         < fanout[2]["messages / txn"]
     assert all(row["outcome"] == "committed" for row in fanout)
+    # One shard: lock, apply.  More: lock, prepare, decide, commit.
+    assert [row["consensus rounds"] for row in fanout] == [2, 4, 4]
     # Contention serializes: every increment lands exactly once.
     assert contention["committed"] == 5
     assert contention["final value"] == 5

@@ -9,29 +9,29 @@ layer never notices.
 Run:  python examples/spanner_bank.py
 """
 
-from repro.dtxn import DistributedKV, Transaction
+from repro.shard import ShardedCluster
 
 
 def main():
-    db = DistributedKV(n_partitions=3, replicas_per_partition=3, seed=42)
+    db = ShardedCluster(n_shards=3, replicas=3, seed=42)
 
-    # Open accounts spread over all three partitions.
+    # Open accounts spread over all three shards.
     accounts = []
     index = 0
-    while len({db.group_of(a) for a in accounts}) < 3 or len(accounts) < 6:
+    while len({db.shard_of(a) for a in accounts}) < 3 or len(accounts) < 6:
         name = "acct-%d" % index
         accounts.append(name)
         index += 1
     for account in accounts:
         db.put(account, 100)
-    print("accounts by partition:")
+    print("accounts by shard:")
     for account in accounts:
-        print("  %-8s -> partition %d" % (account, db.group_of(account)))
+        print("  %-8s -> shard %s" % (account, db.shard_of(account)))
 
     total_before = db.total_of(accounts)
     print("\ntotal money:", total_before)
 
-    print("\n== cross-partition transfers ==")
+    print("\n== cross-shard transfers ==")
     print("  %s -> %s (40):" % (accounts[0], accounts[1]),
           db.transfer(accounts[0], accounts[1], 40))
     print("  %s -> %s (25):" % (accounts[2], accounts[3]),
@@ -40,27 +40,25 @@ def main():
           db.transfer(accounts[4], accounts[5], 500))
 
     print("\n== concurrent conflicting transfers (no-wait 2PL) ==")
-    t1 = Transaction("race-1", (accounts[0], accounts[1]),
-                     lambda r: {accounts[0]: r[accounts[0]] - 10,
-                                accounts[1]: r[accounts[1]] + 10})
-    t2 = Transaction("race-2", (accounts[1], accounts[2]),
-                     lambda r: {accounts[1]: r[accounts[1]] - 5,
-                                accounts[2]: r[accounts[2]] + 5})
-    db.coordinator.submit(t1)
-    db.coordinator.submit(t2)
+    t1 = db.submit((accounts[0], accounts[1]),
+                   lambda r: {accounts[0]: r[accounts[0]] - 10,
+                              accounts[1]: r[accounts[1]] + 10})
+    t2 = db.submit((accounts[1], accounts[2]),
+                   lambda r: {accounts[1]: r[accounts[1]] - 5,
+                              accounts[2]: r[accounts[2]] + 5})
     db.cluster.run_until(lambda: t1.outcome and t2.outcome, until=4000.0)
     print("  outcomes:", t1.outcome, "/", t2.outcome,
           "(lock conflicts:", db.coordinator.conflicts_seen, ")")
 
-    print("\n== crash one replica in every partition ==")
-    print("  crashed:", db.crash_one_replica_per_partition())
+    print("\n== crash one replica in every shard ==")
+    print("  crashed:", [db.crash_follower(sid) for sid in db.shard_groups])
     print("  transfer after crashes:",
           db.transfer(accounts[3], accounts[0], 15))
 
     db.settle()
     print("\ntotal money now:", db.total_of(accounts),
           "(conserved:", db.total_of(accounts) == total_before, ")")
-    print("per-group replica consistency:", db.check_consistency())
+    print("per-shard replica consistency:", db.check_consistency())
 
 
 if __name__ == "__main__":

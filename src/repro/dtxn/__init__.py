@@ -1,14 +1,11 @@
-"""Distributed transactions: 2PL + 2PC over Paxos-replicated partitions
-(the tutorial's Google Spanner architecture)."""
+"""Distributed transactions: 2PL + 2PC over consensus-replicated shards
+(the tutorial's Google Spanner architecture).  The store they run on is
+:class:`repro.shard.ShardedCluster`."""
 
 from .coordinator import Transaction, TxnCoordinator, TxnState
-from .state_machine import TxnKVStateMachine
-from .store import DistributedKV
 
 __all__ = [
-    "DistributedKV",
     "Transaction",
     "TxnCoordinator",
-    "TxnKVStateMachine",
     "TxnState",
 ]

@@ -1,27 +1,39 @@
-"""The distributed-transaction coordinator: 2PC over Paxos groups.
+"""The distributed-transaction coordinator: 2PC over consensus groups.
 
 One coordinator node drives each transaction through the tutorial's
-Spanner stack:
+Spanner stack, over the shard groups of a live
+:class:`~repro.shard.keyspace.ShardMap`:
 
 1. **2PL acquire + read** — a replicated ``txn_lock`` command on every
-   involved partition (parallel), returning current values;
+   involved shard (parallel), returning current values;
 2. **compute** — the transaction's update function runs on the reads;
 3. **2PC prepare** — replicated ``txn_prepare`` staging the writes on
-   each partition (once a partition's Paxos log holds the prepare, it
-   survives any minority of replica crashes — 2PC's participant-side
-   fragility is gone);
-4. **2PC decision** — ``txn_commit`` everywhere (or ``txn_abort`` on any
+   each shard (once a shard's log holds the prepare, it survives any
+   minority of replica crashes — 2PC's participant-side fragility is
+   gone);
+4. **replicated decision** — ``("txn_decide", txid, "commit")`` in the
+   lowest-numbered participant's log before anyone acts on it (Gray &
+   Lamport: the decision *is* a consensus value).  Aborts are presumed,
+   so only commits pay this;
+5. **2PC decision** — ``txn_commit`` everywhere (or ``txn_abort`` on any
    conflict/failure, releasing locks).
+
+A transaction whose keys all route to one shard skips 2PC: after the
+lock round one ``txn_apply`` entry applies its writes and releases its
+locks together — two consensus rounds instead of four, most traffic in
+a well-partitioned workload.
+
+Routing is recomputed at every round, so a split's cutover is picked up
+without any invalidation protocol.  A key's route cannot change while
+its locks are held (``shard_freeze`` drains lock holders first), which
+is the invariant making per-round recomputation sufficient.
 
 Conflicts use no-wait: the coordinator aborts, releases, backs off a
 randomized delay, and retries the whole transaction — the same
 randomized-retry medicine the tutorial prescribes for Paxos duels.
-
-(Spanner also replicates the *coordinator's* commit decision in its own
-Paxos group; here the decision is durable the moment prepares are
-replicated on every participant, and the simulator's coordinator is a
-client-side driver — the participant-side replication is the property
-the tutorial's figure is about.)
+``("frozen", ...)`` and ``("moved", ...)`` lock answers from a shard
+mid-split are treated the same way: a stale route is a retriable event,
+not an error.
 """
 
 import enum
@@ -30,7 +42,6 @@ from dataclasses import dataclass, field
 
 from ..core.client import next_target
 from ..core.node import Node
-from ..protocols.multipaxos import ClientRequest
 
 
 class TxnState(enum.Enum):
@@ -76,22 +87,36 @@ class GroupRequester(Node):
     — the transaction coordinator and the shard-split orchestrator are
     both this plus a state machine over the results.
 
-    Subclasses provide ``members_of(gid)`` (replica names in ring
-    order), ``make_request(gid, command, request_id)`` (the request
-    message in whatever protocol that group speaks) and
-    ``on_result(tag, gid, command, result)`` (the first reply)."""
+    ``groups`` maps a group id to a group with ``members`` (replica
+    names in ring order) and ``request(command, request_id)`` (the
+    request message in whatever protocol that group speaks).  It is
+    read live, so a group added later (a split's new shard) is
+    addressable at once.  Subclasses provide ``on_result(tag, gid,
+    command, result)`` (the first reply)."""
 
     RETRY_TIMEOUT = 15.0
 
-    def __init__(self, sim, network, name):
+    def __init__(self, sim, network, name, groups):
         super().__init__(sim, network, name)
+        self.groups = groups
         self.leader_hint = {}  # gid -> member currently addressed
         self._pending = {}  # request_id -> (gid, command, tag)
 
+    def members_of(self, gid):
+        return self.groups[gid].members
+
+    def make_request(self, gid, command, request_id):
+        return self.groups[gid].request(command, request_id)
+
+    def _target(self, gid):
+        """The member addressed for ``gid``: its first member until a
+        redirect or a silence moves the hint."""
+        return self.leader_hint.setdefault(gid, self.members_of(gid)[0])
+
     def _request(self, request_id, gid, command, tag):
         self._pending[request_id] = (gid, command, tag)
-        target = self.leader_hint.setdefault(gid, self.members_of(gid)[0])
-        self.send(target, self.make_request(gid, command, request_id))
+        self.send(self._target(gid), self.make_request(gid, command,
+                                                       request_id))
         # Retry against another replica if the leader is slow/dead.
         self.set_timer(self.RETRY_TIMEOUT, self._retry, request_id)
 
@@ -123,55 +148,63 @@ class GroupRequester(Node):
         gid, command, tag = entry
         self.on_result(tag, gid, command, msg.result)
 
+    # Raft replies/redirects carry the same fields as Multi-Paxos ones;
+    # dispatch is by mtype, so the aliases make mixed fleets transparent.
+    handle_raftclientreply = handle_clientreply
+    handle_raftredirect = handle_redirect
+
 
 class TxnCoordinator(GroupRequester):
-    """Client-side transaction driver over partition groups.
+    """Client-side 2PC driver over the shard groups of a fleet.
 
     Parameters
     ----------
+    shard_map:
+        The live routing table; consulted afresh every round.
     groups:
-        Mapping group_id -> list of replica names of that Paxos group.
-    key_of_group:
-        Callable key -> group_id (the partitioning function).
-    max_attempts:
-        Retry budget per transaction before giving up with "aborted".
-    participant_timeout:
-        Stall deadline per 2PC round, in virtual time.  A round that has
-        not gathered all its replies by then — a participant group
-        wholly crashed or partitioned away — aborts the transaction
-        deterministically (releasing locks on every still-reachable
-        group) instead of hanging it.  ``None`` disables the deadline.
+        Mapping shard id -> group (see :class:`GroupRequester`): a
+        :class:`~repro.shard.group.ShardGroup`, or a stand-in for a
+        group hosted in another worker process.
     """
 
-    def __init__(self, sim, network, name, groups, key_of_group,
-                 max_attempts=12, backoff=(2.0, 8.0),
-                 participant_timeout=120.0):
-        super().__init__(sim, network, name)
-        self.groups = {gid: list(names) for gid, names in groups.items()}
-        self.key_of_group = key_of_group
-        self.max_attempts = max_attempts
-        self.backoff = backoff
-        self.participant_timeout = participant_timeout
-        # Eager, not on first request: a timeout abort addresses groups
-        # this coordinator may never have sent a tracked request to.
-        self.leader_hint.update(
-            (gid, names[0]) for gid, names in self.groups.items())
+    #: Retry budget per transaction before giving up with "aborted".
+    MAX_ATTEMPTS = 12
+    #: Range of the uniform randomized delay before a retry.
+    BACKOFF = (2.0, 8.0)
+    #: Stall deadline per round, in virtual time.  A round that has not
+    #: gathered all its replies by then — a participant group wholly
+    #: crashed or partitioned away — aborts the transaction
+    #: deterministically (releasing locks on every still-reachable
+    #: group) instead of hanging it.
+    ROUND_TIMEOUT = 120.0
+
+    def __init__(self, sim, network, name, shard_map, groups):
+        super().__init__(sim, network, name, groups)
+        self.shard_map = shard_map
         self._txns = {}
         self._request_seq = itertools.count()
-        self._round = {}  # txid -> {"kind", "waiting": set, "replies": dict}
+        # txid -> {"kind", "waiting": set, "replies": dict, "vetoed"}
+        self._round = {}
         self._round_timer = {}  # txid -> stall-deadline Timer
         self.conflicts_seen = 0
         self.commits = 0
         self.aborts = 0
         self.timeout_aborts = 0
+        self.fast_commits = 0
+        self.decisions_replicated = 0
+        self.reroutes = 0
 
-    def members_of(self, gid):
-        return self.groups[gid]
-
-    def make_request(self, gid, command, request_id):
-        """Multi-Paxos groups; subclasses override this (per group) to
-        speak to others."""
-        return ClientRequest(command, request_id)
+    def stats(self):
+        """The coordinator's outcome counters, as a plain dict."""
+        return {
+            "commits": self.commits,
+            "aborts": self.aborts,
+            "fast_commits": self.fast_commits,
+            "decisions_replicated": self.decisions_replicated,
+            "timeout_aborts": self.timeout_aborts,
+            "conflicts": self.conflicts_seen,
+            "reroutes": self.reroutes,
+        }
 
     # -- public -----------------------------------------------------------------
 
@@ -185,13 +218,13 @@ class TxnCoordinator(GroupRequester):
     def groups_of(self, txn):
         by_group = {}
         for key in txn.keys:
-            by_group.setdefault(self.key_of_group(key), []).append(key)
+            by_group.setdefault(self.shard_map.shard_of(key), []).append(key)
         return by_group
 
     # -- attempt driving ------------------------------------------------------------
 
     def _begin_attempt(self, txn):
-        if txn.attempts >= self.max_attempts:
+        if txn.attempts >= self.MAX_ATTEMPTS:
             self._finish(txn, "aborted")
             return
         txn.attempts += 1
@@ -202,7 +235,7 @@ class TxnCoordinator(GroupRequester):
             for gid, keys in self.groups_of(txn).items()
         })
 
-    def _start_round(self, txn, kind, commands):
+    def _start_round(self, txn, kind, commands, vetoed=False):
         # Requests of a superseded round must stop retrying: a stale
         # lock request landing after its round was aborted would take
         # locks nobody will ever release through this round.
@@ -211,6 +244,7 @@ class TxnCoordinator(GroupRequester):
             "kind": kind,
             "waiting": set(commands),
             "replies": {},
+            "vetoed": vetoed,
         }
         self.trace_local("txn_round", req=txn.txid, kind=kind,
                          attempt=txn.attempts)
@@ -232,9 +266,8 @@ class TxnCoordinator(GroupRequester):
 
     def _arm_round_timer(self, txn):
         self._disarm_round_timer(txn.txid)
-        if self.participant_timeout is not None:
-            self._round_timer[txn.txid] = self.set_timer(
-                self.participant_timeout, self._round_stalled, txn)
+        self._round_timer[txn.txid] = self.set_timer(
+            self.ROUND_TIMEOUT, self._round_stalled, txn)
 
     def _disarm_round_timer(self, txid):
         timer = self._round_timer.pop(txid, None)
@@ -260,7 +293,7 @@ class TxnCoordinator(GroupRequester):
         for gid in self.groups_of(txn):
             request_id = "%s-timeout-abort-%d" % (txn.txid,
                                                   next(self._request_seq))
-            self.send(self.leader_hint[gid],
+            self.send(self._target(gid),
                       self.make_request(gid, ("txn_abort", txn.txid),
                                         request_id))
         self._finish(txn, "aborted")
@@ -274,62 +307,84 @@ class TxnCoordinator(GroupRequester):
         round_["waiting"].discard(gid)
         if not round_["waiting"]:
             self.trace_local("txn_round_done", req=txid, kind=kind)
-            self._round_complete(self._txns[txid], kind, round_["replies"])
+            self._round_complete(self._txns[txid], round_)
 
     # -- round transitions -------------------------------------------------------------
 
-    def _round_complete(self, txn, kind, replies):
+    def _round_complete(self, txn, round_):
+        kind = round_["kind"]
+        replies = round_["replies"].values()
         if kind == "txn_lock":
-            conflicts = [r for r in replies.values() if r[0] == "conflict"]
-            if conflicts:
-                self.conflicts_seen += len(conflicts)
-                self._abort_then_retry(txn, replies)
-                return
-            for reply in replies.values():
-                txn.reads.update(reply[1])
-            if txn.abort_if is not None and txn.abort_if(txn.reads):
-                txn.state = TxnState.ABORTING
-                self._start_round(txn, "txn_abort", {
-                    gid: ("txn_abort", txn.txid)
-                    for gid in self.groups_of(txn)
-                })
-                txn.outcome = "aborted-by-logic"
-                return
-            writes = txn.update(dict(txn.reads))
-            txn.state = TxnState.PREPARING
-            by_group = {}
-            for key, value in writes.items():
-                by_group.setdefault(self.key_of_group(key), {})[key] = value
-            commands = {}
-            for gid in self.groups_of(txn):
-                group_writes = by_group.get(gid, {})
-                commands[gid] = ("txn_prepare", txn.txid,
-                                 tuple(sorted(group_writes.items())))
-            self._start_round(txn, "txn_prepare", commands)
-        elif kind == "txn_prepare":
-            if all(reply == "prepared" for reply in replies.values()):
-                txn.state = TxnState.COMMITTING
-                self._start_round(txn, "txn_commit", {
-                    gid: ("txn_commit", txn.txid)
-                    for gid in self.groups_of(txn)
-                })
+            self._locks_answered(txn, replies)
+        elif kind == "txn_apply":
+            if all(reply == "applied" for reply in replies):
+                self.fast_commits += 1
+                self._finish(txn, "committed")
             else:
-                self._abort_then_retry(txn, replies)
+                self._abort(txn)
+        elif kind == "txn_prepare":
+            if all(reply == "prepared" for reply in replies):
+                # Replicate the commit decision before acting on it: the
+                # lowest participant's log is the decision's home.
+                decider = min(self.groups_of(txn))
+                txn.state = TxnState.COMMITTING
+                self._start_round(txn, "txn_decide", {
+                    decider: ("txn_decide", txn.txid, "commit")})
+            else:
+                self._abort(txn)
+        elif kind == "txn_decide":
+            self.decisions_replicated += 1
+            self._start_round(txn, "txn_commit", {
+                gid: ("txn_commit", txn.txid)
+                for gid in self.groups_of(txn)})
         elif kind == "txn_commit":
             self._finish(txn, "committed")
-        elif kind == "txn_abort":
-            if txn.outcome == "aborted-by-logic":
-                self._finish(txn, "aborted")
-            else:
-                delay = self.rng.uniform(*self.backoff)
-                self.set_timer(delay, self._begin_attempt, txn)
+        elif round_["vetoed"]:  # txn_abort after the transaction's veto
+            self._finish(txn, "aborted")
+        else:  # txn_abort after a conflict: back off, then try again
+            delay = self.rng.uniform(*self.BACKOFF)
+            self.set_timer(delay, self._begin_attempt, txn)
 
-    def _abort_then_retry(self, txn, replies):
+    def _locks_answered(self, txn, replies):
+        blocked = [reply for reply in replies if reply[0] != "ok"]
+        if blocked:
+            self.conflicts_seen += sum(
+                1 for reply in blocked if reply[0] == "conflict")
+            self.reroutes += sum(
+                1 for reply in blocked if reply[0] in ("frozen", "moved"))
+            self._abort(txn)
+            return
+        for reply in replies:
+            txn.reads.update(reply[1])
+        if txn.abort_if is not None and txn.abort_if(txn.reads):
+            self._abort(txn, vetoed=True)
+            return
+        writes = txn.update(dict(txn.reads))
+        by_group = {}
+        for key, value in writes.items():
+            by_group.setdefault(self.shard_map.shard_of(key), {})[key] = value
+        involved = self.groups_of(txn)
+        if len(involved) == 1:
+            (gid,) = involved
+            txn.state = TxnState.COMMITTING
+            self._start_round(txn, "txn_apply", {
+                gid: ("txn_apply", txn.txid,
+                      tuple(sorted(by_group.get(gid, {}).items())))})
+            return
+        txn.state = TxnState.PREPARING
+        self._start_round(txn, "txn_prepare", {
+            gid: ("txn_prepare", txn.txid,
+                  tuple(sorted(by_group.get(gid, {}).items())))
+            for gid in involved})
+
+    def _abort(self, txn, vetoed=False):
+        """Release whatever ``txn`` might hold on every involved group.
+        The abort round's completion retries the transaction, or — when
+        its own ``abort_if`` vetoed it — finishes it aborted."""
         txn.state = TxnState.ABORTING
-        # Release whatever we might hold on every involved group.
         self._start_round(txn, "txn_abort", {
             gid: ("txn_abort", txn.txid) for gid in self.groups_of(txn)
-        })
+        }, vetoed=vetoed)
 
     def _finish(self, txn, outcome):
         txn.outcome = outcome

@@ -27,13 +27,12 @@ import time
 
 from ..core.cluster import Cluster
 from ..core.exceptions import LivenessFailure
-from ..dtxn.coordinator import Transaction
+from ..dtxn.coordinator import Transaction, TxnCoordinator
 from ..metrics.collector import MetricsCollector
 from ..monitor.conformance import monitor_data
 from ..scenarios import client_row
 from ..shard.group import ShardGroup
 from ..shard.layout import transfer_update
-from ..shard.txn import ShardTxnCoordinator
 from ..sim.process import Process
 from ..trace.events import DELIVER, DROP, SEND
 from ..trace.tracer import row_detail
@@ -97,10 +96,9 @@ class _GroupStub:
     """The coordinator-facing face of a *remote* shard group: member
     names and the protocol's client-protocol row — nothing else."""
 
-    __slots__ = ("gid", "members", "_row")
+    __slots__ = ("members", "_row")
 
-    def __init__(self, gid, members, row):
-        self.gid = gid
+    def __init__(self, members, row):
         self.members = tuple(members)
         self._row = row
 
@@ -226,13 +224,13 @@ class FleetWorker:
         self.driver = None
         if CTL_DOMAIN in local:
             shard_map = spec.shard_map()
-            stubs = [
-                _GroupStub(gid, spec.members_of(gid),
-                           client_row(spec.protocol_for(index)))
+            stubs = {
+                gid: _GroupStub(spec.members_of(gid),
+                                client_row(spec.protocol_for(index)))
                 for index, gid in enumerate(spec.shard_ids())
-            ]
+            }
             self.coordinator = cluster.add_node(
-                ShardTxnCoordinator, "txn-coord", shard_map, stubs)
+                TxnCoordinator, "txn-coord", shard_map, stubs)
             self.driver = _WorkloadDriver(
                 self.sim, "driver", self.coordinator, shard_map,
                 build_plan(spec), spec.settle, spec.op_timeout)

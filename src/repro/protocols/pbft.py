@@ -316,7 +316,10 @@ class PbftReplica(Node):
     # -- phase 2: prepare ----------------------------------------------------
 
     def handle_pbftprepare(self, msg, src):
-        if msg.view != self.view:
+        # Prepare, commit, checkpoint and view-change votes count only
+        # from replicas: an outsider's vote would let more than b
+        # members of a quorum be faulty.
+        if msg.view != self.view or src not in self.quorums.members:
             return
         self._record_prepare(msg.seq, msg.digest, src)
 
@@ -344,7 +347,7 @@ class PbftReplica(Node):
     # -- phase 3: commit --------------------------------------------------------
 
     def handle_pbftcommit(self, msg, src):
-        if msg.view != self.view:
+        if msg.view != self.view or src not in self.quorums.members:
             return
         self._record_commit(msg.seq, msg.digest, src)
 
@@ -408,7 +411,8 @@ class PbftReplica(Node):
         self.multicast(self.other_peers, message)
 
     def handle_checkpoint(self, msg, src):
-        self._record_checkpoint_vote(msg.seq, msg.state_digest, src)
+        if src in self.quorums.members:
+            self._record_checkpoint_vote(msg.seq, msg.state_digest, src)
 
     def _record_checkpoint_vote(self, seq, digest, sender):
         votes = self._checkpoint_votes.setdefault(seq, {})
@@ -452,7 +456,7 @@ class PbftReplica(Node):
         self.multicast(self.other_peers, message)
 
     def handle_viewchange(self, msg, src):
-        if msg.new_view <= self.view:
+        if msg.new_view <= self.view or src not in self.quorums.members:
             return
         self._record_view_change(msg, src)
         # Joining amplification: if f+1 replicas want a newer view, join in

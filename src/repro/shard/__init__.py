@@ -19,7 +19,6 @@ from .keyspace import (
 )
 from .rebalance import SplitOrchestrator
 from .state import ShardKVStateMachine
-from .txn import ShardTxnCoordinator
 
 __all__ = [
     "HashPartitioner",
@@ -27,7 +26,6 @@ __all__ = [
     "ShardGroup",
     "ShardKVStateMachine",
     "ShardMap",
-    "ShardTxnCoordinator",
     "ShardedCluster",
     "SplitOrchestrator",
     "polynomial_hash",

@@ -13,7 +13,7 @@ keyspace, stitched together by a routing table and a transaction layer.
 * per-shard consensus via Multi-Paxos or Raft (or a mix — shard by
   shard, the SMR abstraction doesn't care);
 * cross-shard transactions through 2PC-over-consensus
-  (:class:`~repro.shard.txn.ShardTxnCoordinator`), single-shard ones
+  (:class:`~repro.dtxn.coordinator.TxnCoordinator`), single-shard ones
   through the two-round fast path;
 * live splits under traffic via the
   :class:`~repro.shard.rebalance.SplitOrchestrator`;
@@ -25,7 +25,7 @@ import random
 
 from ..core.cluster import Cluster
 from ..core.exceptions import LivenessFailure
-from ..dtxn.coordinator import Transaction
+from ..dtxn.coordinator import Transaction, TxnCoordinator
 from ..monitor import NULL_HUB
 from .group import ShardGroup
 from .layout import (
@@ -37,7 +37,6 @@ from .layout import (
     transfer_update,
 )
 from .rebalance import SplitOrchestrator
-from .txn import ShardTxnCoordinator
 
 
 def _all_finished(txns):
@@ -100,8 +99,7 @@ class ShardedCluster:
         for _ in range(n_shards):
             self._build_shard()
         self.coordinator = self.cluster.add_node(
-            ShardTxnCoordinator, "txn-coord", self.shard_map,
-            self.shard_groups.values())
+            TxnCoordinator, "txn-coord", self.shard_map, self.shard_groups)
         self.rebalancer = self.cluster.add_node(
             SplitOrchestrator, "rebalancer", self)
         self._txid_counter = 0
@@ -129,7 +127,6 @@ class ShardedCluster:
         the :class:`ShardMap` when the data is in place."""
         group = self._build_shard()
         group.start()
-        self.coordinator.add_group(group)
         return group.gid
 
     # -- keyspace -----------------------------------------------------------
@@ -147,9 +144,8 @@ class ShardedCluster:
         """Drive one transaction to completion; returns it."""
         txn = self.submit(keys, update, abort_if=abort_if)
         deadline = self.now + self.op_timeout
-        self.cluster.run_until(
-            lambda: txn.outcome is not None and txn.state.value == "done",
-            until=deadline)
+        self.cluster.run_until(lambda: txn.outcome is not None,
+                               until=deadline)
         if txn.outcome is None:
             raise LivenessFailure("transaction %s did not finish" % txn.txid)
         return txn

@@ -32,8 +32,7 @@ class ShardGroup:
         transaction coordinator chases.
     """
 
-    def __init__(self, cluster, gid, n_replicas, protocol="multi-paxos",
-                 state_machine_factory=ShardKVStateMachine):
+    def __init__(self, cluster, gid, n_replicas, protocol="multi-paxos"):
         row = self._row = client_row(protocol)
         if row.redirect is None:
             raise ValueError("shard protocol %r has no leader redirect"
@@ -47,14 +46,11 @@ class ShardGroup:
         f = (n_replicas - 1) // row.nodes_per_fault
         self.replicas = self.group.add_nodes(
             row.replica, local_names, *row.replica_args(peers, f),
-            state_machine_factory=state_machine_factory)
+            state_machine_factory=ShardKVStateMachine)
+        #: Fleet-wide replica names (what coordinators address).
+        self.members = tuple(replica.name for replica in self.replicas)
 
     # -- protocol surface ---------------------------------------------------
-
-    @property
-    def members(self):
-        """Fleet-wide replica names (what coordinators address)."""
-        return tuple(replica.name for replica in self.replicas)
 
     def request(self, command, request_id):
         """A client-request message replicating ``command`` here."""

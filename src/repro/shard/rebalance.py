@@ -39,7 +39,7 @@ class SplitOrchestrator(GroupRequester):
     BUSY_BACKOFF = (2.0, 6.0)
 
     def __init__(self, sim, network, name, sharded):
-        super().__init__(sim, network, name)
+        super().__init__(sim, network, name, sharded.shard_groups)
         self.sharded = sharded
         self._seq = itertools.count()
         self.active = None
@@ -64,24 +64,12 @@ class SplitOrchestrator(GroupRequester):
 
     # -- request plumbing (the txn coordinator's, see GroupRequester) --------
 
-    def members_of(self, gid):
-        return self.sharded.shard_groups[gid].members
-
-    def make_request(self, gid, command, request_id):
-        return self.sharded.shard_groups[gid].request(command, request_id)
-
     def _send(self, gid, command, stage):
         self._request("split-%s-%d" % (stage, next(self._seq)), gid,
                       command, stage)
 
     def on_result(self, stage, gid, command, result):
         getattr(self, "_on_" + stage)(result, gid, command)
-
-    def handle_raftredirect(self, msg, src):
-        self.handle_redirect(msg, src)
-
-    def handle_raftclientreply(self, msg, src):
-        self.handle_clientreply(msg, src)
 
     # -- stage transitions --------------------------------------------------
 

@@ -1,7 +1,20 @@
 """The per-shard replicated state machine.
 
-Extends the transactional KV machine (:mod:`repro.dtxn.state_machine`)
-with the commands a *sharded* deployment needs in its log:
+The tutorial's Google Spanner slide layers "Transactions: 2PL + 2PC"
+over Paxos-replicated storage partitions.  This state machine is what
+each shard group replicates: a KV store plus a lock table plus staged
+(prepared-but-uncommitted) transaction writes.  Because locking,
+preparing, committing and aborting are *log commands*, every replica of
+the shard reaches identical lock/stage state — the "make the
+participant fault-tolerant via abstract replication" move the tutorial
+draws over abstract 2PC.
+
+Locking discipline: strict two-phase locking with **no-wait** conflict
+handling — a lock request that conflicts fails immediately (the
+coordinator aborts and retries).  No-wait keeps the state machine
+deterministic and makes deadlock impossible by construction.
+
+Beyond 2PC's lock/prepare/commit/abort, the log carries:
 
 * ``txn_apply`` — the single-shard fast path: writes applied and locks
   released in **one** log entry, so a transaction touching one shard
@@ -20,24 +33,37 @@ identical lock tables, staged writes, frozen ranges and tombstones —
 the migration itself is crash-tolerant the same way transactions are.
 """
 
-from ..dtxn.state_machine import TxnKVStateMachine
-
 
 def _in_range(key, lo, hi):
     """Membership in half-open ``[lo, hi)``; ``None`` = open end."""
     return (lo is None or key >= lo) and (hi is None or key < hi)
 
 
-class ShardKVStateMachine(TxnKVStateMachine):
-    """Transactional KV machine plus fast-path commit, replicated
-    commit decisions, and range-migration state.
+class ShardKVStateMachine:
+    """Deterministic shard state machine for 2PL + 2PC, fast-path
+    commit, replicated commit decisions, and range migration.
 
-    Extra commands (beyond :class:`TxnKVStateMachine`'s):
+    Commands (all tuples):
 
+    * ``("txn_lock", txid, keys)`` → ``("ok", {key: value})`` with all
+      locks granted and current values read, or
+      ``("conflict", holder_txid)`` with *no* locks taken.  Frozen
+      (``("frozen", range)``) and moved (``("moved", range)``) keys are
+      refused too — coordinators treat both like conflicts and re-route
+      on retry, which is what makes a split invisible to the workload
+      beyond a latency blip.
+    * ``("txn_prepare", txid, writes)`` → ``"prepared"`` after staging,
+      or ``"no-locks"`` if the transaction doesn't hold its locks.
     * ``("txn_apply", txid, writes)`` → ``"applied"`` (writes applied,
       locks released, all in this one entry) or ``"no-locks"``.
     * ``("txn_decide", txid, verdict)`` → ``"decided"`` (records the
       coordinator's verdict durably in ``decisions``).
+    * ``("txn_commit", txid)`` → ``"committed"`` (applies staged writes,
+      releases locks).
+    * ``("txn_abort", txid)`` → ``"aborted"`` (drops stage, releases).
+    * ``("get", key)`` → value (non-transactional read).
+    * ``("put", key, value)`` → previous value (non-transactional write;
+      refused with ``"locked"`` if the key is locked).
     * ``("shard_freeze", lo, hi)`` → ``("frozen", items)`` snapshotting
       ``[lo, hi)`` and refusing new locks there, or ``("busy", holder)``
       while any live transaction still holds a lock in the range (the
@@ -45,39 +71,99 @@ class ShardKVStateMachine(TxnKVStateMachine):
     * ``("shard_install", items)`` → ``"installed"`` (bulk load).
     * ``("shard_purge", lo, hi)`` → ``"purged"`` (drops the frozen range
       and tombstones it: later locks there answer ``("moved", ...)``).
-
-    ``txn_lock`` is extended to refuse frozen (``("frozen", range)``)
-    and moved (``("moved", range)``) keys — coordinators treat both like
-    conflicts and re-route on retry, which is what makes a split
-    invisible to the workload beyond a latency blip.
     """
 
     def __init__(self):
-        super().__init__()
+        self.data = {}
+        self.locks = {}  # key -> txid
+        self.staged = {}  # txid -> {key: value}
         self.decisions = {}  # txid -> "commit"
         self.frozen = []  # list of (lo, hi) ranges being migrated out
         self.moved = []  # list of (lo, hi) tombstones (migrated away)
+        self.ops_applied = 0
+        self.commits = 0
+        self.aborts = 0
+        self.conflicts = 0
         self.fast_applies = 0
 
-    # -- fast path ----------------------------------------------------------
+    def apply(self, command):
+        op = command[0]
+        handler = getattr(self, "_op_%s" % op, None)
+        if handler is None:
+            raise ValueError("unknown operation %r" % (op,))
+        self.ops_applied += 1
+        return handler(*command[1:])
+
+    # -- transactional ---------------------------------------------------------
+
+    def _op_txn_lock(self, txid, keys):
+        keys = tuple(keys)
+        blocked = self._blocked_range(keys)
+        if blocked is not None:
+            return blocked
+        for key in keys:
+            holder = self.locks.get(key)
+            if holder is not None and holder != txid:
+                self.conflicts += 1
+                return ("conflict", holder)
+        for key in keys:
+            self.locks[key] = txid
+        return ("ok", {key: self.data.get(key) for key in keys})
+
+    def _holds_locks(self, txid, writes):
+        return all(self.locks.get(key) == txid for key in writes)
+
+    def _op_txn_prepare(self, txid, writes):
+        writes = dict(writes)
+        if not self._holds_locks(txid, writes):
+            return "no-locks"
+        self.staged[txid] = writes
+        return "prepared"
 
     def _op_txn_apply(self, txid, writes):
         writes = dict(writes)
-        for key in writes:
-            if self.locks.get(key) != txid:
-                return "no-locks"
-        for key, value in writes.items():
-            self.data[key] = value
+        if not self._holds_locks(txid, writes):
+            return "no-locks"
+        self.data.update(writes)
         self._release(txid)
         self.commits += 1
         self.fast_applies += 1
         return "applied"
 
-    # -- replicated commit decision -----------------------------------------
-
     def _op_txn_decide(self, txid, verdict):
         self.decisions[txid] = verdict
         return "decided"
+
+    def _op_txn_commit(self, txid):
+        self.data.update(self.staged.pop(txid, {}))
+        self._release(txid)
+        self.commits += 1
+        return "committed"
+
+    def _op_txn_abort(self, txid):
+        self.staged.pop(txid, None)
+        self._release(txid)
+        self.aborts += 1
+        return "aborted"
+
+    def _release(self, txid):
+        for key in [k for k, holder in self.locks.items() if holder == txid]:
+            del self.locks[key]
+
+    # -- plain access ------------------------------------------------------------
+
+    def _op_get(self, key):
+        return self.data.get(key)
+
+    def _op_put(self, key, value):
+        if key in self.locks:
+            return "locked"
+        previous = self.data.get(key)
+        self.data[key] = value
+        return previous
+
+    def snapshot(self):
+        return dict(self.data)
 
     # -- migration ----------------------------------------------------------
 
@@ -104,8 +190,6 @@ class ShardKVStateMachine(TxnKVStateMachine):
         self.moved.append((lo, hi))
         return "purged"
 
-    # -- extended lock discipline -------------------------------------------
-
     def _blocked_range(self, keys):
         for key in keys:
             for lo, hi in self.moved:
@@ -115,9 +199,3 @@ class ShardKVStateMachine(TxnKVStateMachine):
                 if _in_range(key, lo, hi):
                     return ("frozen", (lo, hi))
         return None
-
-    def _op_txn_lock(self, txid, keys):
-        blocked = self._blocked_range(keys)
-        if blocked is not None:
-            return blocked
-        return super()._op_txn_lock(txid, keys)

@@ -188,14 +188,14 @@ class TestBlockchainChaos:
 
 class TestDtxnChaos:
     def test_transfers_under_rolling_crashes(self):
-        from repro.dtxn import DistributedKV
-        db = DistributedKV(n_partitions=2, replicas_per_partition=3,
-                           seed=77)
+        from repro.shard import ShardedCluster
+        db = ShardedCluster(n_shards=2, replicas=3, seed=77)
         keys = ["k%d" % i for i in range(6)]
         for key in keys:
             db.put(key, 100)
         total = db.total_of(keys)
-        db.crash_one_replica_per_partition()
+        for sid in db.shard_groups:
+            db.crash_follower(sid)
         for i in range(5):
             src, dst = keys[i], keys[(i + 1) % len(keys)]
             outcome = db.transfer(src, dst, 10)

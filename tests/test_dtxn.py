@@ -1,12 +1,14 @@
-"""Tests for distributed transactions: 2PL + 2PC over Paxos groups."""
+"""Tests for distributed transactions: 2PL + 2PC over consensus groups,
+driven through the sharded store."""
 
-
-from repro.dtxn import DistributedKV, Transaction, TxnKVStateMachine
+from repro.dtxn import TxnState
+from repro.protocols.multipaxos import LogCommand
+from repro.shard import ShardedCluster, ShardKVStateMachine
 
 
 class TestTxnStateMachine:
     def setup_method(self):
-        self.sm = TxnKVStateMachine()
+        self.sm = ShardKVStateMachine()
 
     def test_lock_read_prepare_commit_cycle(self):
         self.sm.apply(("put", "a", 10))
@@ -45,15 +47,15 @@ class TestTxnStateMachine:
         assert status == "ok"
 
 
-class TestDistributedKV:
+class TestShardedTransactions:
     def test_single_key_roundtrip(self):
-        db = DistributedKV(n_partitions=2, seed=1)
+        db = ShardedCluster(n_shards=2, seed=1)
         assert db.put("x", 42) == "committed"
         assert db.get("x") == 42
 
     def test_cross_partition_transfer(self):
-        db = DistributedKV(n_partitions=3, seed=2)
-        a, b = _two_keys_in_distinct_groups(db)
+        db = ShardedCluster(n_shards=3, seed=2)
+        a, b = _keys_in_distinct_shards(db, 2)
         db.put(a, 100)
         db.put(b, 10)
         assert db.transfer(a, b, 40) == "committed"
@@ -61,7 +63,7 @@ class TestDistributedKV:
         assert db.total_of([a, b]) == 110
 
     def test_overdraft_aborts_cleanly(self):
-        db = DistributedKV(n_partitions=2, seed=3)
+        db = ShardedCluster(n_shards=2, seed=3)
         db.put("poor", 5)
         db.put("rich", 100)
         assert db.transfer("poor", "rich", 50) == "aborted"
@@ -70,19 +72,17 @@ class TestDistributedKV:
         assert db.transfer("rich", "poor", 50) == "committed"
 
     def test_concurrent_conflicting_transactions_serialize(self):
-        db = DistributedKV(n_partitions=3, seed=2)
-        a, b, c = _three_keys_in_distinct_groups(db)
+        db = ShardedCluster(n_shards=3, seed=2)
+        a, b, c = _keys_in_distinct_shards(db, 3)
         for key in (a, b, c):
             db.put(key, 100)
 
-        def mk(src, dst, amount, txid):
+        def move(src, dst, amount):
             def update(reads):
                 return {src: reads[src] - amount, dst: reads[dst] + amount}
-            return Transaction(txid, (src, dst), update)
+            return db.submit((src, dst), update)
 
-        t1, t2 = mk(a, b, 20, "txA"), mk(b, c, 30, "txB")
-        db.coordinator.submit(t1)
-        db.coordinator.submit(t2)
+        t1, t2 = move(a, b, 20), move(b, c, 30)
         db.cluster.run_until(lambda: t1.outcome and t2.outcome, until=4000.0)
         assert t1.outcome == "committed" and t2.outcome == "committed"
         # Serializable result: both effects applied exactly once.
@@ -90,51 +90,47 @@ class TestDistributedKV:
         assert db.total_of([a, b, c]) == 300
 
     def test_no_wait_records_conflicts(self):
-        db = DistributedKV(n_partitions=1, seed=5)
+        db = ShardedCluster(n_shards=1, seed=5)
         db.put("k", 1)
-
-        t1 = Transaction("t1", ("k",), lambda r: {"k": r["k"] + 1})
-        t2 = Transaction("t2", ("k",), lambda r: {"k": r["k"] + 10})
-        db.coordinator.submit(t1)
-        db.coordinator.submit(t2)
+        t1 = db.submit(("k",), lambda r: {"k": r["k"] + 1})
+        t2 = db.submit(("k",), lambda r: {"k": r["k"] + 10})
         db.cluster.run_until(lambda: t1.outcome and t2.outcome, until=4000.0)
         assert t1.outcome == "committed" and t2.outcome == "committed"
         assert db.get("k") == 12  # both increments, serialized
 
     def test_survives_minority_replica_crashes(self):
-        db = DistributedKV(n_partitions=2, replicas_per_partition=3, seed=7)
-        a, b = _two_keys_in_distinct_groups(db)
+        db = ShardedCluster(n_shards=2, replicas=3, seed=7)
+        a, b = _keys_in_distinct_shards(db, 2)
         db.put(a, 50)
         db.put(b, 50)
-        db.crash_one_replica_per_partition()
+        for sid in db.shard_groups:
+            assert db.crash_follower(sid) is not None
         assert db.transfer(a, b, 25) == "committed"
         assert db.total_of([a, b]) == 100
         db.settle()
         assert db.check_consistency()
 
     def test_survives_group_leader_crash(self):
-        db = DistributedKV(n_partitions=2, replicas_per_partition=3, seed=8)
-        a, b = _two_keys_in_distinct_groups(db)
+        db = ShardedCluster(n_shards=2, replicas=3, seed=8)
+        a, b = _keys_in_distinct_shards(db, 2)
         db.put(a, 30)
         db.put(b, 30)
-        db.crash_group_leader(db.group_of(a))
+        db.crash_leader(db.shard_of(a))
         assert db.transfer(a, b, 10) == "committed"
         assert db.get(a) == 20 and db.get(b) == 40
 
     def test_unreachable_participant_aborts_not_hangs(self):
-        # Satellite regression: a wholly crashed participant group must
-        # produce a deterministic timeout-abort, never a hung txn.
-        db = DistributedKV(n_partitions=2, replicas_per_partition=3, seed=11)
-        a, b = _two_keys_in_distinct_groups(db)
+        # A wholly crashed participant group must produce a
+        # deterministic timeout-abort, never a hung txn.
+        db = ShardedCluster(n_shards=2, replicas=3, seed=11)
+        a, b = _keys_in_distinct_shards(db, 2)
         db.put(a, 50)
         db.put(b, 50)
-        db.crash_group(db.group_of(b))
-        txn = Transaction("doomed", (a, b),
-                          lambda r: {a: r[a] - 5, b: (r[b] or 0) + 5})
-        db.coordinator.submit(txn)
+        db.crash_shard(db.shard_of(b))
+        txn = db.submit((a, b), lambda r: {a: r[a] - 5, b: (r[b] or 0) + 5})
         db.cluster.run_until(lambda: txn.outcome is not None, until=2000.0)
         assert txn.outcome == "aborted"
-        assert txn.state.value == "done"
+        assert txn.state is TxnState.DONE
         assert db.coordinator.timeout_aborts >= 1
         # Locks on the surviving group were released: it still serves.
         assert db.run_transaction(
@@ -142,13 +138,11 @@ class TestDistributedKV:
 
     def test_timeout_abort_is_deterministic(self):
         def doomed_finish_time(seed):
-            db = DistributedKV(n_partitions=2, replicas_per_partition=3,
-                               seed=seed)
-            a, b = _two_keys_in_distinct_groups(db)
+            db = ShardedCluster(n_shards=2, replicas=3, seed=seed)
+            a, b = _keys_in_distinct_shards(db, 2)
             db.put(a, 50)
-            db.crash_group(db.group_of(b))
-            txn = Transaction("doomed", (a, b), lambda r: {b: 1})
-            db.coordinator.submit(txn)
+            db.crash_shard(db.shard_of(b))
+            txn = db.submit((a, b), lambda r: {b: 1})
             db.cluster.run_until(lambda: txn.outcome is not None,
                                  until=2000.0)
             assert txn.outcome == "aborted"
@@ -157,34 +151,51 @@ class TestDistributedKV:
         assert doomed_finish_time(13) == doomed_finish_time(13)
 
     def test_prepared_writes_survive_in_group_log(self):
-        # The point of 2PC-over-Paxos: a prepare is a *replicated* log
-        # entry, visible in every group replica's committed log.
-        db = DistributedKV(n_partitions=1, replicas_per_partition=3, seed=9)
-        db.put("k", 1)
+        # The point of 2PC-over-Paxos: a prepare — and the commit
+        # decision — are *replicated* log entries, visible in the
+        # deciding shard's committed log.  (A one-shard write takes the
+        # fast path and never prepares, so this needs two shards.)
+        db = ShardedCluster(n_shards=2, replicas=3, seed=9)
+        a, b = _keys_in_distinct_shards(db, 2)
+        db.put(a, 1)
+        assert db.transfer(a, b, 1) == "committed"
         db.settle()
-        logs = [replica.committed_log()
-                for replica in db.replicas[0] if not replica.crashed]
-        ops = {value.command[0] for log in logs for _idx, value in log}
-        assert {"txn_lock", "txn_prepare", "txn_commit"} <= ops
+        decider = db.shard_groups[min(db.shard_of(a), db.shard_of(b))]
+        ops = {value.command[0] if isinstance(value, LogCommand)
+               else value[0]
+               for log in decider.committed_logs() for _idx, value in log}
+        assert {"txn_lock", "txn_prepare", "txn_decide", "txn_commit"} <= ops
+
+    def test_vetoed_transaction_reports_only_its_final_outcome(self):
+        # ``abort_if`` vetoes after the reads; the outcome must not show
+        # before the abort round has released the locks.
+        db = ShardedCluster(n_shards=2, replicas=3, seed=3)
+        a, b = _keys_in_one_shard(db)
+        db.put(a, 5)
+        txn = db.submit((a, b), lambda r: {a: r[a] - 50, b: 50},
+                        abort_if=lambda r: r[a] < 50)
+        db.cluster.run_until(lambda: txn.outcome is not None, until=2000.0)
+        assert txn.outcome == "aborted"
+        assert txn.state is TxnState.DONE
+        assert txn.attempts == 1  # a veto is final, not retried
+        leader = db.shard_groups[db.shard_of(a)].leader()
+        assert leader.state_machine.locks == {}
 
 
-def _two_keys_in_distinct_groups(db):
-    seen = {}
-    for i in range(100):
-        key = "acct%d" % i
-        seen.setdefault(db.group_of(key), key)
-        if len(seen) >= 2:
-            break
-    groups = sorted(seen)
-    return seen[groups[0]], seen[groups[1]]
-
-
-def _three_keys_in_distinct_groups(db):
+def _keys_in_distinct_shards(db, count):
     seen = {}
     for i in range(200):
         key = "acct%d" % i
-        seen.setdefault(db.group_of(key), key)
-        if len(seen) >= 3:
+        seen.setdefault(db.shard_of(key), key)
+        if len(seen) >= count:
             break
-    groups = sorted(seen)
-    return seen[groups[0]], seen[groups[1]], seen[groups[2]]
+    return [seen[sid] for sid in sorted(seen)]
+
+
+def _keys_in_one_shard(db):
+    first = "acct0"
+    for i in range(1, 200):
+        key = "acct%d" % i
+        if db.shard_of(key) == db.shard_of(first):
+            return first, key
+    raise AssertionError("no two keys share a shard")

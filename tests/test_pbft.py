@@ -5,9 +5,13 @@ import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.protocols.pbft import (
+    Checkpoint,
     EquivocatingPrimary,
+    PbftCommit,
+    PbftPrepare,
     PbftReplica,
     SilentPrimary,
+    ViewChange,
     run_pbft,
 )
 from repro.trace import (
@@ -26,6 +30,22 @@ class TestConfiguration:
         names = ["r%d" % i for i in range(7)]
         replica = PbftReplica(cluster.sim, cluster.network, "r0", names, f=2)
         assert replica.quorums.q2 == 5
+
+    def test_votes_from_non_replicas_are_dropped(self, cluster):
+        names = ["r%d" % i for i in range(4)]
+        replica = PbftReplica(cluster.sim, cluster.network, "r3", names, f=1)
+        replica.handle_pbftprepare(PbftPrepare(0, 0, "d"), "mallory")
+        replica.handle_pbftcommit(PbftCommit(0, 0, "d"), "mallory")
+        replica.handle_checkpoint(Checkpoint(15, "d"), "mallory")
+        replica.handle_viewchange(ViewChange(1, -1, ()), "mallory")
+        slot = replica.slots.get(0)
+        assert slot is None or not (slot.prepares or slot.commits)
+        assert not replica._checkpoint_votes
+        assert not replica._view_changes
+        # A replica's vote still counts.
+        replica.handle_pbftprepare(PbftPrepare(0, 0, "d"), "r2")
+        replica.handle_pbftcommit(PbftCommit(0, 0, "d"), "r2")
+        assert replica.slots[0].prepares == replica.slots[0].commits == {"r2"}
 
 
 class TestNormalCase:

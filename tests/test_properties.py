@@ -223,8 +223,8 @@ def test_txn_state_machine_lock_invariants(script):
     """Whatever command sequence arrives, the lock table never assigns a
     key to two transactions and committed writes only come from lock
     holders."""
-    from repro.dtxn import TxnKVStateMachine
-    sm = TxnKVStateMachine()
+    from repro.shard import ShardKVStateMachine
+    sm = ShardKVStateMachine()
     sm.apply(("put", "k", 0))
     locked_by = {}
     for txid, action in script:

@@ -225,6 +225,22 @@ class TestLiveSplit:
             assert moved_key not in machine.data
             assert machine.moved
 
+    def test_timeout_abort_reaches_a_shard_a_split_spawned(self):
+        sharded = ShardedCluster(n_shards=2, replicas=3, seed=12,
+                                 partitioning="range", key_space=32)
+        kept, moved = sharded.key(3), sharded.key(28)
+        sharded.put(kept, 5)
+        split = sharded.split_shard("s1")
+        assert sharded.shard_of(moved) == split["new_sid"] == "s2"
+        sharded.crash_shard("s2")
+        txn = sharded.submit((kept, moved), lambda r: {moved: 1})
+        sharded.cluster.run_until(lambda: txn.outcome is not None,
+                                  until=sharded.now + 2000.0)
+        assert txn.outcome == "aborted"
+        assert sharded.coordinator.timeout_aborts == 1
+        # The abort released the lock the surviving shard granted.
+        assert sharded.put(kept, 6) == "committed"
+
     def test_split_refused_for_hash_partitioning(self):
         sharded = ShardedCluster(n_shards=2, replicas=3, seed=13)
         with pytest.raises(ValueError):
