@@ -7,8 +7,16 @@ Runs ``benchmarks/e2e/run.py --workload W --trace 0`` in the two
 checkouts alternately (the side that goes first flips every pair, so a
 noisy neighbour or a warming cache lands on both), then prints, per
 end-to-end metric, each side's median and quartiles, how many pairs the
-change won (ties count for neither) and whether every run produced the
-same ``vt_digest`` — the rule of the choosing-metrics guide, section 8.
+change won (ties count for neither), a verdict and whether every run
+produced the same ``vt_digest``.
+
+The verdict applies the rules of the choosing-metrics guide (sections
+6 and 8) with the metric's bound from ``BENCHMARK.json``, a fraction of
+the parent's median: ``gain`` when the change wins at least nine pairs
+in ten and the medians differ by more than the parent's quartile
+spread; ``worse`` when the change's median is worse by more than the
+bound; ``unresolved`` when the parent's spread is wider than the bound
+and not every change run beats every parent run; ``same`` otherwise.
 """
 
 import argparse
@@ -35,10 +43,43 @@ def run_once(checkout, workload, seed, seconds):
             for name, entry in reply["metrics"].items()}, digest
 
 
+def quartiles(values):
+    """``(q1, median, q3)`` of ``values``."""
+    return tuple(statistics.quantiles(values, n=4)) \
+        if len(values) > 1 else tuple(values) * 3
+
+
 def summary(values):
-    q1, median, q3 = statistics.quantiles(values, n=4) \
-        if len(values) > 1 else values * 3
+    q1, median, q3 = quartiles(values)
     return "%.4g [%.4g, %.4g]" % (median, q1, q3)
+
+
+def wins(parent, change, better):
+    """Pairs in which the change read better (ties count for neither)."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def verdict(parent, change, better, bound):
+    """``gain``, ``same``, ``worse`` or ``unresolved`` for one metric's
+    paired runs; ``better`` is ``higher`` or ``lower``, ``bound`` the
+    worsening the benchmark allows, as a fraction of the parent's
+    median."""
+    sign = 1 if better == "higher" else -1
+    p_q1, p_median, p_q3 = quartiles(parent)
+    gap = sign * (quartiles(change)[1] - p_median)
+    spread = p_q3 - p_q1
+    if wins(parent, change, better) * 10 >= 9 * len(parent) \
+            and gap > spread:
+        return "gain"
+    allowed = bound * (abs(p_median) or 1.0)
+    if -gap > allowed:
+        return "worse"
+    every_run_better = min(change) > max(parent) if sign > 0 \
+        else max(change) < min(parent)
+    if spread > allowed and not every_run_better:
+        return "unresolved"
+    return "same"
 
 
 def main(argv=None):
@@ -67,13 +108,13 @@ def main(argv=None):
     print("\n%s seed %d, %d pairs; median [q1, q3]"
           % (args.workload, args.seed, args.pairs))
     for metric in spec["end_to_end"]:
-        name = metric["name"]
+        name, better = metric["name"], metric["better"]
         parent = [run[name] for run in runs["parent"]]
         change = [run[name] for run in runs["change"]]
-        sign = 1 if metric["better"] == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        print("  %-18s parent %-28s change %-28s change wins %d/%d"
-              % (name, summary(parent), summary(change), wins, args.pairs))
+        print("  %-18s parent %-28s change %-28s change wins %2d/%d  %s"
+              % (name, summary(parent), summary(change),
+                 wins(parent, change, better), args.pairs,
+                 verdict(parent, change, better, metric["bound"])))
     print("  vt_digest %s" % ("identical on every run" if len(digests) == 1
                               else "DIFFERS: %s" % sorted(digests)))
     return 0 if len(digests) == 1 else 1

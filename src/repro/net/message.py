@@ -56,21 +56,7 @@ class Message:
             else:
                 plan = lambda msg: ()  # noqa: E731
             cls._size_plan = plan
-        total = 16  # header
-        class_sizes = _CLASS_SIZES
-        for value in plan(self):
-            value_cls = value.__class__
-            size = class_sizes.get(value_cls)
-            if size is not None:
-                total += size
-            elif value_cls is str or value_cls is bytes:
-                total += len(value)
-            else:
-                size = _field_size(value)
-                if not isinstance(value, _SIZED_BY_VALUE):
-                    class_sizes[value_cls] = size
-                total += size
-        return total
+        return 16 + _items_size(plan(self))  # header + fields
 
 
 #: Per-class memo for :func:`protocol_of` — one ``rsplit`` per message
@@ -107,29 +93,38 @@ _CLASS_SIZES = {
     float: 8,
 }
 
-#: Field classes :func:`_field_size` prices by their contents, never
-#: memoised in :data:`_CLASS_SIZES` (subclasses included).
-_SIZED_BY_VALUE = (str, bytes, list, tuple, set, frozenset, dict)
+def _items_size(values):
+    """The price of a message's fields, or of a sequence's items: one
+    :data:`_CLASS_SIZES` hit or one ``len`` per common item, and
+    :func:`_field_size` for the rest."""
+    class_sizes = _CLASS_SIZES
+    total = 0
+    for value in values:
+        value_cls = value.__class__
+        size = class_sizes.get(value_cls)
+        if size is not None:
+            total += size
+        elif value_cls is str or value_cls is bytes:
+            total += len(value)
+        else:
+            total += _field_size(value)
+    return total
 
 
 def _field_size(value):
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return 8
-    if isinstance(value, float):
-        return 8
+    """The price of a value :func:`_items_size` cannot read off its
+    class; a class whose price cannot depend on the value is memoised."""
     if isinstance(value, (bytes, str)):
         return len(value)
     if isinstance(value, (list, tuple, set, frozenset)):
-        return 4 + sum(_field_size(item) for item in value)
+        return 4 + _items_size(value)
     if isinstance(value, dict):
-        return 4 + sum(
-            _field_size(key) + _field_size(val) for key, val in value.items()
-        )
-    return 32  # opaque object (signature, certificate, ...)
+        return 4 + _items_size(value) + _items_size(value.values())
+    # bool and None are seeded in _CLASS_SIZES, so this is an int or a
+    # float subclass, or an opaque object (signature, certificate, ...).
+    size = 8 if isinstance(value, (int, float)) else 32
+    _CLASS_SIZES[value.__class__] = size
+    return size
 
 
 @dataclass(frozen=True)

@@ -67,11 +67,13 @@ class LeaderReplica(Node):
     provides its election — ``_start_election`` (calling
     :meth:`_become_leader` on a win), ``_epoch`` (the ``lead``
     milestone's detail), ``_take_over`` and ``_send_heartbeat`` — and
-    three operations on its log: ``_in_flight(request_id)`` (the index
-    after ``last_applied`` holding it, or ``None``),
-    ``_committed_entry(index)`` (``(command, request_id)``, ``()`` for a
-    no-op, ``None`` while uncommitted) and ``_append(command,
-    request_id)``, which returns the new entry's index.
+    three operations on its log: ``_request_at(index)`` (the request id
+    the live entry at an index after ``last_applied`` holds, or
+    ``None``), ``_committed_entry(index)`` (``(command, request_id)``,
+    ``()`` for a no-op, ``None`` while uncommitted) and
+    ``_append(command, request_id)``, which returns the new entry's
+    index.  Every log write that stores a request id calls
+    :meth:`_note_write`, so the request index knows where to look.
     """
 
     HEARTBEAT_INTERVAL = 1.0
@@ -94,6 +96,10 @@ class LeaderReplica(Node):
         self.last_applied = -1
         self._client_of = {}  # log index -> (client, request_id)
         self._applied_requests = {}  # request_id -> result (dedup cache)
+        # request_id -> the log index it was written at; a list of them
+        # only if it was written at several.  Entries may be stale (the
+        # slot was overwritten or truncated): a lookup checks the log.
+        self._written_at = {}
         self._election_timer = None
         self._heartbeat_timer = None
 
@@ -163,13 +169,38 @@ class LeaderReplica(Node):
             self.send(src, self.REPLY(request_id,
                                       self._applied_requests[request_id]))
             return
-        # Everything at or below last_applied is in _applied_requests
-        # (checked above), so only the un-applied tail can still hold it;
-        # if it does, the request is still committing.
         index = self._in_flight(request_id)
         if index is None:
             index = self._append(msg.command, request_id)
         self._client_of[index] = (src, request_id)
+
+    def _note_write(self, request_id, index):
+        """Record that the log entry at ``index`` holds ``request_id``."""
+        held = self._written_at.get(request_id)
+        if held is None:
+            self._written_at[request_id] = index
+        elif held.__class__ is int:
+            if held != index:
+                self._written_at[request_id] = [held, index]
+        elif index not in held:
+            held.append(index)
+
+    def _in_flight(self, request_id):
+        """The lowest index after ``last_applied`` whose live entry holds
+        ``request_id`` (the request is still committing), or ``None``.
+
+        Everything at or below ``last_applied`` is in
+        ``_applied_requests``, so only the un-applied tail can hold an id
+        asked about here; the request index names the candidates, and
+        :meth:`_request_at` checks each against the live log."""
+        held = self._written_at.get(request_id)
+        if held is None:
+            return None
+        for index in (held,) if held.__class__ is int else sorted(held):
+            if index > self.last_applied and \
+                    self._request_at(index) == request_id:
+                return index
+        return None
 
     def _apply_ready(self):
         """Apply committed entries strictly in log order — the slides'
@@ -191,6 +222,7 @@ class LeaderReplica(Node):
                 self.trace_local("apply", index=index, op=command,
                                  req=request_id)
                 self._applied_requests[request_id] = result
+                self._written_at.pop(request_id, None)
             client = self._client_of.pop(index, None)
             if client is not None and client[1] == request_id:
                 self.send(client[0], self.REPLY(request_id, result))

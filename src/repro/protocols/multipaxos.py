@@ -223,8 +223,8 @@ class MultiPaxosReplica(LeaderReplica):
         for index, (accept_num, value) in sorted(best.items()):
             entry = self.log.get(index)
             if entry is None or accept_num > entry.accept_num:
-                self.log[index] = _EntryState(accept_num, value,
-                                              committed=index <= max_commit)
+                self._write(index, _EntryState(accept_num, value,
+                                               committed=index <= max_commit))
             elif index <= max_commit:
                 # An entry adopted in an earlier (failed) election may
                 # carry a stale committed=False; the quorum's commit
@@ -252,12 +252,16 @@ class MultiPaxosReplica(LeaderReplica):
 
     handle_clientrequest = LeaderReplica.on_clientrequest
 
-    def _in_flight(self, request_id):
-        for index in range(self.last_applied + 1, self.next_index):
-            entry = self.log.get(index)
-            if entry is not None and entry.value.request_id == request_id:
-                return index
-        return None
+    def _write(self, index, entry):
+        """Every log write: store ``entry`` and index its request id."""
+        self.log[index] = entry
+        self._note_write(entry.value.request_id, index)
+
+    def _request_at(self, index):
+        entry = self.log.get(index)
+        if entry is None or index >= self.next_index:
+            return None  # a slot this leader has not assigned yet
+        return entry.value.request_id
 
     def _append(self, command, request_id):
         index = self.next_index
@@ -269,7 +273,7 @@ class MultiPaxosReplica(LeaderReplica):
         if self.network.metrics is not None:
             self.network.metrics.mark_phase("multi-paxos", "accept", self.sim.now)
         self.trace_local("propose", index=index, req=value.request_id)
-        self.log[index] = _EntryState(self.ballot_num, value)
+        self._write(index, _EntryState(self.ballot_num, value))
         self._pending[index] = {self.name}
         self.multicast(self.other_peers,
                        MPAccept(self.ballot_num, index, value))
@@ -277,7 +281,7 @@ class MultiPaxosReplica(LeaderReplica):
     def handle_mpaccept(self, msg, src):
         if msg.ballot >= self.ballot_num:
             self._follow(msg.ballot, src)
-            self.log[msg.index] = _EntryState(msg.ballot, msg.value)
+            self._write(msg.index, _EntryState(msg.ballot, msg.value))
             self.send(src, MPAccepted(msg.ballot, msg.index))
 
     def handle_mpaccepted(self, msg, src):
@@ -299,7 +303,7 @@ class MultiPaxosReplica(LeaderReplica):
     def handle_mpcommit(self, msg, src):
         entry = self.log.get(msg.index)
         if entry is None or entry.value != msg.value:
-            self.log[msg.index] = _EntryState(msg.ballot, msg.value)
+            self._write(msg.index, _EntryState(msg.ballot, msg.value))
         self._commit(msg.index)
 
     def _commit(self, index):

@@ -224,16 +224,22 @@ class RaftNode(LeaderReplica):
 
     handle_raftclientrequest = LeaderReplica.on_clientrequest
 
-    def _in_flight(self, request_id):
-        first = self.last_applied + 1
-        for index, entry in enumerate(self.log[first - self.log_base:], first):
-            if entry.request_id == request_id:
-                return index
-        return None
+    def _write(self, index, entry):
+        """Append ``entry``, which lands at ``index``, and index its
+        request id (a no-op carries none)."""
+        self.log.append(entry)
+        if entry.request_id is not None:
+            self._note_write(entry.request_id, index)
+
+    def _request_at(self, index):
+        position = index - self.log_base
+        if position < len(self.log):
+            return self.log[position].request_id
+        return None  # truncated away
 
     def _append(self, command, request_id):
         index = self.last_log_index() + 1
-        self.log.append(LogEntry(self.current_term, command, request_id))
+        self._write(index, LogEntry(self.current_term, command, request_id))
         self.match_index[self.name] = index
         self.trace_local("propose", index=index, req=request_id)
         if self.network.metrics is not None:
@@ -302,9 +308,9 @@ class RaftNode(LeaderReplica):
             if position < len(self.log):
                 if self.log[position].term != entry.term:
                     del self.log[position:]
-                    self.log.append(entry)
+                    self._write(index, entry)
             else:
-                self.log.append(entry)
+                self._write(index, entry)
         match = msg.prev_log_index + len(msg.entries)
         if msg.leader_commit > self.commit_index:
             self.commit_index = min(msg.leader_commit, self.last_log_index())
@@ -394,6 +400,7 @@ class RaftNode(LeaderReplica):
         if hasattr(self.state_machine, "restore"):
             self.state_machine.restore(msg.state, msg.ops_applied)
         self.log = []
+        self._written_at.clear()
         self.log_base = msg.last_included_index + 1
         self.snapshot = msg.state
         self.snapshot_term = msg.last_included_term

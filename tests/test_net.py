@@ -241,6 +241,7 @@ class TestMessageSizing:
     def test_memoised_field_classes_price_as_the_ladder_does(self):
         # A field class is memoised only when its size cannot depend on
         # the value: subclasses of str and of containers are re-priced.
+        # A sequence's items are priced by the same rule as fields.
         from collections import namedtuple
 
         class Opaque:
@@ -260,13 +261,20 @@ class TestMessageSizing:
             count: object
             name: object
             pair: object
+            items: object
+
+        class Late:  # first seen inside a sequence
+            pass
 
         for _ in range(2):
-            assert Mixed(Opaque(), Count(3), Name("ab"),
-                         Pair(1, 2)).size_estimate() == 16 + 32 + 8 + 2 + 20
-            assert Mixed(Opaque(), Count(3), Name("abcd"),
-                         Pair("xyz", None)).size_estimate() == \
-                16 + 32 + 8 + 4 + 8
+            assert Mixed(Opaque(), Count(3), Name("ab"), Pair(1, 2),
+                         (Late(), Count(4), Name("abc"), Pair(1, 2))
+                         ).size_estimate() == \
+                16 + 32 + 8 + 2 + 20 + (4 + 32 + 8 + 3 + 20)
+            assert Mixed(Opaque(), Count(3), Name("abcd"), Pair("xyz", None),
+                         (Opaque(), Late(), Name("a"), Pair("xyz", None))
+                         ).size_estimate() == \
+                16 + 32 + 8 + 4 + 8 + (4 + 32 + 32 + 1 + 8)
 
 
 class TestDispatchCache:
