@@ -28,18 +28,24 @@ def fanout_row(partitions_touched):
     keys = _keys_per_shard(db, partitions_touched)
     for key in keys:
         db.put(key, 100)
-    before = db.cluster.metrics.messages_total
+    metrics = db.cluster.metrics
+    before, heartbeats = metrics.messages_total, metrics.by_type["heartbeat"]
     txn = db.run_transaction(
         tuple(keys),
         lambda reads: {key: reads[key] + 1 for key in keys},
     )
-    cost = db.cluster.metrics.messages_total - before
+    cost = metrics.messages_total - before
+    heartbeats = metrics.by_type["heartbeat"] - heartbeats
     rounds = [event for event in db.cluster.trace.locals("txn_round")
               if event.get("req") == txn.txid]
     return {
         "partitions touched": partitions_touched,
         "outcome": txn.outcome,
         "messages / txn": cost,
+        "heartbeat": heartbeats,
+        "protocol": cost - heartbeats,
+        "Gray-Lamport 3N-1": (3 * partitions_touched - 1
+                              if partitions_touched > 1 else "-"),
         "consensus rounds": len(rounds),
     }
 
@@ -83,6 +89,12 @@ def test_distributed_transactions(benchmark, report, bench_snapshot):
     fanout, contention, fault = benchmark.pedantic(run_all, rounds=1,
                                                    iterations=1)
     text = render_table(fanout, title="E18 — 2PC fan-out over Paxos groups")
+    text += ("\nprotocol = messages / txn minus the leaders' Heartbeats: 8 per "
+             "group consensus round\n(request, 2 accepts, 2 acks, 2 commits, "
+             "reply), over 2 rounds for one shard and\n3N+1 for N shards "
+             "(N lock, N prepare, 1 decide, N commit).  Gray & Lamport's\n"
+             "3N-1 counts one message per 2PC hop between unreplicated "
+             "processes; one shard\nruns no 2PC.")
     text += "\n\n" + render_table([contention], title="contention (no-wait + retry)")
     text += "\n\n" + render_table([fault], title="replica failure inside groups")
     report("E18_dtxn", text)
@@ -97,6 +109,8 @@ def test_distributed_transactions(benchmark, report, bench_snapshot):
     assert fanout[0]["messages / txn"] < fanout[1]["messages / txn"] \
         < fanout[2]["messages / txn"]
     assert all(row["outcome"] == "committed" for row in fanout)
+    # Every protocol message is a consensus round's: 8 per round.
+    assert [row["protocol"] for row in fanout] == [8 * 2, 8 * 7, 8 * 10]
     # One shard: lock, apply.  More: lock, prepare, decide, commit.
     assert [row["consensus rounds"] for row in fanout] == [2, 4, 4]
     # Contention serializes: every increment lands exactly once.

@@ -50,10 +50,14 @@ CROSS_RATIO = 0.3
 def measure(shards, replicas, txns):
     sharded = ShardedCluster(n_shards=shards, replicas=replicas,
                              seed=SEED, key_space=1024)
+    metrics = sharded.cluster.metrics
+    messages, heartbeats = metrics.messages_total, metrics.by_type["heartbeat"]
     start = time.perf_counter()
     workload = sharded.run_workload(txns=txns, cross_ratio=CROSS_RATIO,
                                     batch=16)
     wall = time.perf_counter() - start
+    heartbeats = metrics.by_type["heartbeat"] - heartbeats
+    protocol = metrics.messages_total - messages - heartbeats
     assert workload["committed"] + workload["aborted"] == txns
     assert workload["committed"] > 0
     sharded.settle()
@@ -67,6 +71,8 @@ def measure(shards, replicas, txns):
         "cross-shard": workload["cross_shard"],
         "fast-path": workload["fast_commits"],
         "commits/vtime": round(workload["committed_per_vtime"], 2),
+        "protocol/commit": round(protocol / workload["committed"], 1),
+        "heartbeat/commit": round(heartbeats / workload["committed"], 1),
         "wall ms": round(wall * 1e3, 1),
         "events/s": int(events / wall) if wall > 0 else 0,
     }
@@ -92,7 +98,10 @@ def test_shard_scaling(benchmark, report, bench_snapshot):
              "simulated time (in-shard hops are 0.5-1.5\nunits) — a "
              "dimensionless density for comparing configurations, not a "
              "wall-clock\nTPS.  Wall rates are machine-dependent and "
-             "recorded, not asserted." % (SEED, CROSS_RATIO))
+             "recorded, not asserted.\nprotocol/commit and "
+             "heartbeat/commit split the messages the workload sent per "
+             "commit\ninto replication and 2PC traffic, and the leaders' "
+             "idle-liveness Heartbeats." % (SEED, CROSS_RATIO))
     report("E25_sharding", text)
 
     snapshot = {}

@@ -120,13 +120,28 @@ EXPERIMENT_NOTES = {
             "Measured on the sharded store (3 hash-partitioned Multi-Paxos shards):\n"
             "per-transaction messages grow with the number of groups a\n"
             "transaction touches. One shard takes the fast path (lock, apply: 2\n"
-            "consensus rounds, 66 messages); two or three pay 2PC plus Gray &\n"
+            "consensus rounds, 34 messages); two or three pay 2PC plus Gray &\n"
             "Lamport's replicated commit decision (lock, prepare, decide, commit:\n"
-            "4 rounds, 150 and 168 messages). Until the standalone partitioned\n"
+            "4 rounds, 94 and 116 messages). Until the standalone partitioned\n"
             "store was retired, E18 ran 3 rounds at every fan-out and never\n"
             "replicated its decision (104/120/146). No-wait locking + randomized\n"
             "retry serializes contended transactions exactly once; a crashed\n"
-            "replica in every group is invisible to the transaction layer."),
+            "replica in every group is invisible to the transaction layer.\n"
+            "\n"
+            "Protocol against liveness: the table splits each transaction's\n"
+            "messages into the leaders' Heartbeats (read from the collector's\n"
+            "by_type) and the rest. The protocol half is exact: 16, 56, 80 =\n"
+            "8 messages per group consensus round (request, 2 accepts, 2 acks,\n"
+            "2 commits, reply) times 2 rounds for one shard and 3N+1 for N\n"
+            "shards (N lock, N prepare, 1 decide, N commit). Gray & Lamport\n"
+            "count 3N-1 messages for 2PC (5 and 8 here): one per hop between\n"
+            "unreplicated processes, no lock round. Replicating every\n"
+            "participant and the decision turns each hop into a consensus\n"
+            "round, which is the factor of ~10 between the two columns.\n"
+            "Heartbeats were 50/94/88 of 66/150/168 while every leader sent\n"
+            "one each time unit; a leader now skips a heartbeat its\n"
+            "replication already sent and spaces them out when idle\n"
+            "(DESIGN.md, leader-replica core), leaving 18/38/36."),
     "E19": ("Ablations (extension)",
             "Design-choice knobs isolated one at a time: zero backoff jitter IS\n"
             "the livelock and any meaningful jitter restores liveness; frequent\n"
@@ -135,7 +150,8 @@ EXPERIMENT_NOTES = {
             "propagation delay - the reason Bitcoin picked minutes."),
     "E22": ("Pessimistic vs optimistic replication (extension)",
             "The taxonomy's third aspect on one workload: consensus-backed\n"
-            "writes cost ~3x the messages of Dynamo quorum writes; R+W > N\n"
+            "writes cost ~2x the messages of Dynamo quorum writes (~3x while\n"
+            "an idle leader heartbeated every time unit); R+W > N\n"
             "eliminates staleness while R+W <= N shows it under a lossy\n"
             "replica; under a partition the CP store's minority side blocks\n"
             "while the AP store keeps accepting and converges after the heal\n"
@@ -211,6 +227,19 @@ EXPERIMENT_NOTES = {
             "not wall TPS) stays workload-bound - not node-count-bound - as the\n"
             "fleet grows, which is the scaling argument for sharding itself.\n"
             "\n"
+            "Liveness traffic: protocol/commit and heartbeat/commit split the\n"
+            "messages the workload sends per commit (the collector's by_type).\n"
+            "The protocol half tracks the transaction mix (27-31 per commit on\n"
+            "3-replica groups, 55-72 on 5-replica ones). The heartbeat half\n"
+            "grows with the number of groups, most of them idle at any moment:\n"
+            "5.0 / 10.9 / 18.2 / 44.7 / 86.8 / 192.6 / 253.5 per commit from\n"
+            "2x3 to 48x5 while every leader heartbeated each time unit, and\n"
+            "1.4 / 3.8 / 6.5 / 15.8 / 32.2 / 72.0 / 106.4 since a leader skips\n"
+            "the heartbeat its replication already sent and doubles an idle\n"
+            "gap up to half the election timeout. The same change shifted the\n"
+            "random stream, which moved commits/vtime by up to 8% either way\n"
+            "(48x5 0.76 -> 0.70, 16x3 0.72 -> 0.75).\n"
+            "\n"
             "Wall-clock outlier, refuted: the 4x3 row's 55.6k events/s (against\n"
             "92-127k for every other shape) is not a property of the shape.\n"
             "Per event, its work sits between its neighbours on every count:\n"
@@ -283,13 +312,24 @@ EXPERIMENT_NOTES = {
             "machine, two runs each, before -> after: raft 13.8k/13.9k ->\n"
             "22.9k/23.9k msgs/s, multi-paxos 63.0k/64.4k -> 69.0k/77.6k, pbft\n"
             "(untouched) 125k -> 125k. What remains is the protocol, not the\n"
-            "simulator: at its knee (4 req/unit) Raft runs at 60k msgs/s to\n"
-            "Multi-Paxos's 81k; at 12 req/unit acks queue behind client\n"
-            "requests at the saturated leader, next_index stalls, and every\n"
-            "AppendEntries re-ships the whole unacknowledged suffix, whose\n"
-            "bytes are costed per message (1.3M fields sized for 12k messages).\n"
-            "Batching and pipelining (the ROADMAP's saturation-attribution\n"
-            "item) are what would move it."),
+            "simulator: at 12 req/unit acks queue behind client requests at\n"
+            "the saturated leader, next_index stalls, and every AppendEntries\n"
+            "re-ships the whole unacknowledged suffix, whose bytes are costed\n"
+            "per message. Batching and pipelining (the ROADMAP's\n"
+            "saturation-attribution item) are what would move it.\n"
+            "\n"
+            "Raft's knee moved from 4 to 6 req/unit, where Multi-Paxos's is.\n"
+            "A leader serves 20 ingress messages per unit. At 6 req/unit it\n"
+            "takes 6 requests and 12 acks (AppendReply or MPAccepted) - 90%.\n"
+            "A Raft heartbeat is an AppendEntries, which each follower\n"
+            "answers, so while the leader heartbeated every unit regardless,\n"
+            "2 more AppendReplies per unit filled the queue to 100%: p99 at 6\n"
+            "req/unit read 29.05, above 3x the light-load 7.95. A Multi-Paxos\n"
+            "Heartbeat has no reply, so it never cost the leader ingress. Now\n"
+            "a busy leader sends no heartbeat (its replication already is\n"
+            "one), Raft's p99 at 6 req/unit reads 15.31, and the two protocols\n"
+            "have the same capacity - Howard & Mortier's point that they\n"
+            "differ in leader election, not in the normal case."),
     "E20": ("Circumventing FLP (the oracle)",
             "Paper: 'adding oracle (failure detector)'. Measured: Chandra-Toueg\n"
             "rotating-coordinator consensus decides in 12/12 runs with a heartbeat\n"

@@ -146,6 +146,9 @@ class GroupRequester(Node):
         if entry is None:
             return  # duplicate reply
         gid, command, tag = entry
+        # Only a leader replies: address it next, whichever member a
+        # retry has moved the hint to since.
+        self.leader_hint[gid] = src
         self.on_result(tag, gid, command, msg.result)
 
     # Raft replies/redirects carry the same fields as Multi-Paxos ones;

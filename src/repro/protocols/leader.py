@@ -4,7 +4,7 @@ Howard & Mortier (*Paxos vs Raft*) find that the two protocols differ
 essentially only in leader election: Raft votes only for a candidate
 whose log is up to date, Paxos recovers the log in phase 1.
 :class:`LeaderReplica` is everything else, written once: the election
-timer, step-down, the heartbeat timer, the client request path with its
+timer, step-down, the heartbeat rule, the client request path with its
 retry dedup and the in-order apply loop; :func:`leader_row` builds the
 client row and :func:`run_leader_log` runs a cluster with clients.
 
@@ -74,6 +74,22 @@ class LeaderReplica(Node):
     ``_append(command, request_id)``, which returns the new entry's
     index.  Every log write that stores a request id calls
     :meth:`_note_write`, so the request index knows where to look.
+
+    Heartbeats exist only so that followers do not suspect a live
+    leader, and any replication message does that job too (a Raft
+    heartbeat *is* an empty AppendEntries).  So a leader decides at each
+    due time of one re-armed timer: if it broadcast a replication
+    message to every follower since the last due time (the subclass
+    sets :attr:`_replicated` where it does), it sends nothing and waits
+    :attr:`HEARTBEAT_INTERVAL`; otherwise it sends ``_send_heartbeat``
+    and doubles the wait, up to ``election_timeout / 2``, so an idle
+    group costs little.  A follower therefore hears from a live leader
+    at least every ``election_timeout / 2 + HEARTBEAT_INTERVAL`` (a
+    broadcast just after one due time, a skip at the next, a heartbeat
+    one interval later), plus the spread of message delays.  Under the
+    default 0.5-1.5 delays that is 4.5 vt for Multi-Paxos and 5 vt for
+    Raft, below their ``election_timeout`` of 5 and 6, the shortest
+    silence after which a follower campaigns.
     """
 
     HEARTBEAT_INTERVAL = 1.0
@@ -102,6 +118,10 @@ class LeaderReplica(Node):
         self._written_at = {}
         self._election_timer = None
         self._heartbeat_timer = None
+        self._heartbeat_gap = self.HEARTBEAT_INTERVAL
+        #: Whether every follower was sent a replication message since
+        #: the heartbeat timer last came due.
+        self._replicated = False
 
     @property
     def is_leader(self):
@@ -150,9 +170,23 @@ class LeaderReplica(Node):
         self.trace_local("lead", **self._epoch())
         if self._election_timer is not None:
             self._election_timer.cancel()
+        self._replicated = False
+        self._heartbeat_gap = self.HEARTBEAT_INTERVAL
         self._take_over()
-        self._heartbeat_timer = self.set_periodic_timer(
-            self.HEARTBEAT_INTERVAL, self._send_heartbeat)
+        self._heartbeat_timer = self.set_timer(self.HEARTBEAT_INTERVAL,
+                                               self._heartbeat_due)
+
+    def _heartbeat_due(self):
+        """Skip the heartbeat a replication broadcast already sent, or
+        send it and space the next one out (see the class docstring)."""
+        if self._replicated:
+            gap = self.HEARTBEAT_INTERVAL
+        else:
+            self._send_heartbeat()
+            gap = min(2 * self._heartbeat_gap, self.election_timeout / 2)
+        self._replicated = False
+        self._heartbeat_gap = gap
+        self._heartbeat_timer.restart(gap)
 
     # -- the client path --------------------------------------------------
 

@@ -277,6 +277,7 @@ class MultiPaxosReplica(LeaderReplica):
         self._pending[index] = {self.name}
         self.multicast(self.other_peers,
                        MPAccept(self.ballot_num, index, value))
+        self._replicated = True
 
     def handle_mpaccept(self, msg, src):
         if msg.ballot >= self.ballot_num:

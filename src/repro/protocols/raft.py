@@ -252,6 +252,7 @@ class RaftNode(LeaderReplica):
             return
         for peer in self.other_peers:
             self._send_append(peer)
+        self._replicated = True
 
     #: A Raft heartbeat is an AppendEntries.
     _send_heartbeat = _broadcast_append

@@ -1,8 +1,10 @@
 """Tests for distributed transactions: 2PL + 2PC over consensus groups,
 driven through the sharded store."""
 
+from repro.core import Node
 from repro.dtxn import TxnState
-from repro.protocols.multipaxos import LogCommand
+from repro.dtxn.coordinator import GroupRequester
+from repro.protocols.multipaxos import ClientReply, ClientRequest, LogCommand
 from repro.shard import ShardedCluster, ShardKVStateMachine
 
 
@@ -180,6 +182,37 @@ class TestShardedTransactions:
         assert txn.attempts == 1  # a veto is final, not retried
         leader = db.shard_groups[db.shard_of(a)].leader()
         assert leader.state_machine.locks == {}
+
+
+class _Group:
+    members = ("g/r0", "g/r1", "g/r2")
+
+    @staticmethod
+    def request(command, request_id):
+        return ClientRequest(command, request_id)
+
+
+class _Requester(GroupRequester):
+    def __init__(self, sim, network, name):
+        super().__init__(sim, network, name, {"g": _Group})
+        self.results = []
+
+    def on_result(self, tag, gid, command, result):
+        self.results.append((tag, result))
+
+
+def test_a_reply_names_its_sender_the_leader(cluster):
+    """A slow leader answers after a retry has moved the hint on: the
+    next request goes to the member that replied."""
+    cluster.add_nodes(Node, _Group.members)
+    requester = cluster.add_node(_Requester, "coord")
+    requester._request("t1", "g", "op", "tag")
+    assert requester.leader_hint["g"] == "g/r0"
+    requester._retry("t1")
+    assert requester.leader_hint["g"] == "g/r1"
+    requester.deliver(ClientReply("t1", "done"), "g/r2")
+    assert requester.results == [("tag", "done")]
+    assert requester.leader_hint["g"] == "g/r2"
 
 
 def _keys_in_distinct_shards(db, count):

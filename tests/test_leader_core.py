@@ -1,12 +1,15 @@
 """The leader-replica core Multi-Paxos and Raft share
-(``repro.protocols.leader``): one heartbeat timer per leadership, crash
-and restart, and what a deposed leader tells a client."""
+(``repro.protocols.leader``): one heartbeat timer per leadership and the
+heartbeat rule it runs, crash and restart, and what a deposed leader
+tells a client."""
 
 import copy
+import random
 
 import pytest
 
-from repro.core import Node
+from repro.core import Cluster, Node
+from repro.net import UniformDelayModel
 from repro.protocols.multipaxos import ClientRequest, MultiPaxosReplica
 from repro.protocols.raft import RaftClientRequest, RaftNode
 
@@ -17,10 +20,16 @@ class _MultiPaxos:
     replica = MultiPaxosReplica
     request = ClientRequest
     heartbeat = "heartbeat"
+    #: Heartbeats per peer in 20 idle vt at the capped gap, 5.0 / 2.
+    idle_heartbeats = 8
 
     @staticmethod
     def epoch(replica):
         return replica.ballot_num
+
+    @staticmethod
+    def campaigns(replicas):
+        return sum(r.view_changes for r in replicas)
 
     @staticmethod
     def campaign(replica):
@@ -31,10 +40,16 @@ class _Raft:
     replica = RaftNode
     request = RaftClientRequest
     heartbeat = "appendentries"  # an idle Raft leader's heartbeat
+    #: Heartbeats per peer in 20 idle vt at the capped gap, 6.0 / 2.
+    idle_heartbeats = 6
 
     @staticmethod
     def epoch(replica):
         return replica.current_term
+
+    @staticmethod
+    def campaigns(replicas):
+        return sum(r.elections_started for r in replicas)
 
     @staticmethod
     def campaign(replica):
@@ -115,11 +130,12 @@ def test_re_elected_leader_heartbeats_once_per_peer_per_interval(cluster,
         if src == old.name and msg.mtype == proto.heartbeat:
             sent[dst] = sent.get(dst, 0) + 1
 
-    # Let log repair finish, and count off the interval's phase.
-    cluster.sim.run_for(5.5)
+    # Let log repair finish and the idle gap stretch to its cap,
+    # election_timeout / 2; start the count off the gap's phase.
+    cluster.sim.run_for(10.25)
     cluster.network.add_interceptor(tap)
     cluster.sim.run_for(20.0)
-    assert sent == {peer: 20 for peer in old.other_peers}
+    assert sent == {peer: proto.idle_heartbeats for peer in old.other_peers}
 
 
 @both
@@ -167,3 +183,128 @@ def test_a_reused_slot_answers_only_its_own_request(cluster, proto):
     cluster.sim.run_for(10.0)
     assert c1.replies == [("y", 0)] and c0.replies == []
     assert all(r.state_machine.history == ["op-y"] for r in replicas)
+
+
+# -- the heartbeat rule -------------------------------------------------------
+
+
+def _count_heartbeats(leader):
+    """Count the heartbeats ``leader`` decides to send from now on."""
+    sent = []
+    send = leader._send_heartbeat
+
+    def counted():
+        sent.append(leader.sim.now)
+        send()
+
+    leader._send_heartbeat = counted
+    return sent
+
+
+def _feed(cluster, leader, proto, times):
+    """Hand ``leader`` new request ``q<i>`` at ``times[i]`` from now
+    (directly: the network would blur the spacing)."""
+    for i, at in enumerate(times):
+        cluster.sim.schedule(at, leader.deliver,
+                             proto.request("op-%d" % i, "q%d" % i), "c0")
+
+
+@both
+def test_no_heartbeat_while_replication_covers_every_interval(cluster,
+                                                              proto):
+    replicas = cluster.add_nodes(proto.replica, NAMES, NAMES)
+    cluster.add_node(_Sink, "c0")
+    cluster.start_all()
+    leader = _leader_of(cluster, replicas)
+    cluster.sim.run_for(20.0)  # idle: the gap is at its cap
+    idle = _count_heartbeats(leader)
+    cluster.sim.run_for(30.0)
+    assert len(idle) == 30.0 / (leader.election_timeout / 2)
+
+    # A request every half interval: from the first on, each due time
+    # finds a broadcast.
+    _feed(cluster, leader, proto, [0.5 * k for k in range(1, 61)])
+    cluster.sim.run_for(0.5)
+    busy = _count_heartbeats(leader)
+    cluster.sim.run_for(29.5)  # up to the last request
+    assert busy == []
+    # Idle again, it skips the due time the last broadcast covered and
+    # heartbeats one interval later.
+    cluster.sim.run_for(2.0)
+    assert len(busy) == 1
+    _await(cluster, lambda: all("q59" in r._applied_requests
+                                for r in replicas))
+
+
+@both
+def test_a_follower_waits_at_most_half_the_election_timeout_and_a_beat(
+        proto):
+    """Bursts and lulls of requests: between two messages from the
+    leader a follower waits at most election_timeout / 2 (the capped
+    gap) plus one interval (a skip after a broadcast)."""
+    cluster = Cluster(seed=4)
+    replicas = cluster.add_nodes(proto.replica, NAMES, NAMES)
+    cluster.add_node(_Sink, "c0")
+    cluster.start_all()
+    leader = _leader_of(cluster, replicas)
+    start = cluster.now
+    sends = {peer: [start] for peer in leader.other_peers}
+
+    def tap(src, dst, msg):
+        if src == leader.name and dst in sends:
+            sends[dst].append(cluster.now)
+
+    cluster.network.add_interceptor(tap)
+    draw = random.Random(4)
+    times, at = [], 0.0
+    while at < 400.0:
+        at += draw.choice((0.3, 0.9, 1.7, 2.6, 3.4, 6.0))
+        times.append(at)
+    _feed(cluster, leader, proto, times)
+    cluster.sim.run_for(420.0)
+    assert leader.is_leader and proto.campaigns(replicas) == 1
+    bound = leader.election_timeout / 2 + leader.HEARTBEAT_INTERVAL
+    gaps = [b - a for sent in sends.values()
+            for a, b in zip(sent, sent[1:])]
+    assert max(gaps) <= bound + 1e-9
+
+
+@both
+@pytest.mark.parametrize("seed", range(20))
+def test_an_idle_group_keeps_its_first_leader(proto, seed):
+    cluster = Cluster(seed=seed)
+    replicas = cluster.add_nodes(proto.replica, NAMES, NAMES)
+    cluster.start_all()
+    leader = _leader_of(cluster, replicas)
+    campaigns, epoch = proto.campaigns(replicas), proto.epoch(leader)
+    cluster.sim.run_for(500.0)
+    assert [r for r in replicas if r.is_leader] == [leader]
+    assert proto.campaigns(replicas) == campaigns
+    assert proto.epoch(leader) == epoch
+
+
+def _drained_after_lossy_burst(proto, seed):
+    """The committed logs of three replicas after 60 requests at 2.5
+    per vt with 5% of messages lost, then 100 vt of quiet."""
+    cluster = Cluster(seed=seed,
+                      delivery=UniformDelayModel(0.5, 1.5, drop_rate=0.05))
+    replicas = cluster.add_nodes(proto.replica, NAMES, NAMES)
+    cluster.add_node(_Sink, "c0")
+    cluster.start_all()
+    leader = _leader_of(cluster, replicas)
+    _feed(cluster, leader, proto, [0.4 * k for k in range(1, 61)])
+    cluster.sim.run_for(125.0)
+    return [r.committed_log() for r in replicas]
+
+
+@pytest.mark.parametrize("proto", [
+    pytest.param(_MultiPaxos, id="multi-paxos", marks=pytest.mark.xfail(
+        strict=True, reason="Multi-Paxos has no catch-up: a slot whose "
+        "MPAccept and MPCommit a follower both lost, or whose MPAccepted "
+        "replies the leader lost, stays missing or uncommitted")),
+    pytest.param(_Raft, id="raft"),
+])
+def test_followers_converge_after_a_lossy_burst(proto):
+    for seed in range(10):
+        logs = _drained_after_lossy_burst(proto, seed)
+        assert len(logs[0]) == 60 and logs[1] == logs[0] == logs[2], seed

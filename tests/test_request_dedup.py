@@ -413,6 +413,34 @@ def _faulty_schedule(proto, seed, tick):
     cluster.run(until=200.0)
 
 
+def _retry_of_a_rewritten_slot(proto):
+    """A leader cut off by a partition writes ``lost``; the majority's
+    leader fills that slot with something else, which reaches the old
+    leader after the heal; re-elected, the old leader is sent ``lost``
+    again while its index still names the rewritten slot."""
+    cluster = Cluster(seed=0)
+    names = ["r0", "r1", "r2"]
+    replicas = cluster.add_nodes(proto.replica, names, names)
+    cluster.add_nodes(_Sink, ["c0", "c1"])
+    cluster.start_all()
+    old = _await_leader(cluster, proto, replicas)
+    others = [r for r in replicas if r is not old]
+    cluster.network.partitions.split([old.name, "c0"],
+                                     [r.name for r in others] + ["c1"])
+    old.deliver(proto.request("op-lost", "lost"), "c0")
+    new = _await_leader(cluster, proto, others)
+    cluster.network.partitions.heal()
+    cluster.run_until(lambda: not old.is_leader, until=cluster.now + 50.0)
+    new.deliver(proto.request("op-y", "y"), "c1")
+    _await_applied(cluster, "y", replicas)
+    assert not proto.holds(old, "lost") and "lost" in old._written_at
+    new.crash()
+    old._start_election()
+    assert _await_leader(cluster, proto, replicas) is old
+    old.deliver(proto.request("op-lost", "lost"), "c0")
+    _await_applied(cluster, "lost", [old])
+
+
 @both
 def test_the_index_answers_what_a_walk_of_the_tail_would(monkeypatch, proto):
     lookups = {"committing": 0, "new": 0, "rewritten": 0}
@@ -448,6 +476,7 @@ def test_the_index_answers_what_a_walk_of_the_tail_would(monkeypatch, proto):
     monkeypatch.setattr(LeaderReplica, "_in_flight", checked)
     for seed in range(20):
         _faulty_schedule(proto, seed, every_held_id)
+    _retry_of_a_rewritten_slot(proto)
     # Retries still committing, new ids, and ids the leader holds only
     # in slots since overwritten or truncated were all asked about.
     assert all(lookups.values()), lookups

@@ -51,7 +51,7 @@ def heartbeat_cluster(min_rows=10_000):
     """A raft group left idling: heartbeats and timers, few requests."""
     cluster = Cluster(seed=3, trace=True)
     run_raft(cluster, n_nodes=5, commands_per_client=2)
-    cluster.run(until=cluster.now + 600.0)
+    cluster.run(until=cluster.now + 2000.0)
     assert len(cluster.trace) >= min_rows
     return cluster
 
