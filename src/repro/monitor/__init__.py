@@ -1,8 +1,8 @@
 """Streaming runtime monitors: online safety/liveness/complexity checks.
 
-The subsystem the ISSUE calls "live conformance monitors": a
-:class:`MonitorHub` subscribes to the tracer as a streaming sink and
-fans every trace event out to invariant monitors that evaluate the
+Live conformance monitors: a :class:`MonitorHub` registers each
+monitor's interest set with the tracer's one streaming lane, and every
+matching ring row is handed to invariant monitors that evaluate the
 paper's per-protocol property box *while the run executes* — agreement
 per slot, leader uniqueness per epoch, quorum-certificate-before-decide,
 equivocation detection, phase-alphabet conformance, message-complexity
@@ -29,7 +29,6 @@ from .base import (
     NULL_HUB,
     Monitor,
     MonitorHub,
-    NullMonitor,
     NullMonitorHub,
     render_context,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "CONFORMANCE",
     "Monitor",
     "MonitorHub",
-    "NullMonitor",
     "NullMonitorHub",
     "NULL_HUB",
     "render_context",

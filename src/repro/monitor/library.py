@@ -16,10 +16,14 @@ Each monitor observes the protocol through its *trace milestones*
 (``trace_local`` decides/commits/executes, leader-assumption marks,
 ``mark_phase`` boundaries) and message deliveries, so one implementation
 serves every protocol; :mod:`repro.monitor.specs` instantiates the
-right mix with per-protocol keys.
+right mix with per-protocol keys.  Every monitor has one automaton, its
+:meth:`~repro.monitor.base.Monitor.observe` over ring rows; the kinds
+and mtypes its :meth:`~repro.monitor.base.Monitor.interests` name are
+all it is ever handed, so it does not re-check them.
 """
 
 from ..trace.events import DELIVER, LOCAL, PHASE
+from ..trace.tracer import row_get
 from .anomaly import COMPLEXITY, CONFORMANCE, LIVENESS, SAFETY
 from .base import Monitor
 
@@ -36,12 +40,10 @@ class AgreementMonitor(Monitor):
 
     name = "agreement"
     category = SAFETY
-    kinds = (LOCAL,)
 
     def __init__(self, decide_labels, slot_key=None, value_key="value"):
         super().__init__()
         self.decide_labels = tuple(decide_labels)
-        self._decide_set = frozenset(decide_labels)
         self.slot_key = slot_key
         self.value_key = value_key
         self._chosen = {}
@@ -49,25 +51,24 @@ class AgreementMonitor(Monitor):
     def interests(self):
         return {LOCAL: self.decide_labels}
 
-    def observe(self, event):
-        if event.mtype not in self._decide_set:
-            return
-        value = event.get(self.value_key)
+    def observe(self, row):
+        value = row_get(row, self.value_key)
         if value is None:
             return
-        slot = event.get(self.slot_key, None) if self.slot_key else ""
-        if self.slot_key and slot is None:
+        slot = row_get(row, self.slot_key) if self.slot_key else ""
+        if slot is None:
             return
+        node = row[2]
         first = self._chosen.get(slot)
         if first is None:
-            self._chosen[slot] = (value, event.node, event.seq)
+            self._chosen[slot] = (value, node, self._seq())
         elif first[0] != value:
             where = "slot %s=%s" % (self.slot_key, slot) if self.slot_key \
                 else "the decree"
             self.record(
                 "%s decided %r for %s but %s already decided %r" % (
-                    event.node, value, where, first[1], first[0]),
-                event=event, slot=slot, value=value,
+                    node, value, where, first[1], first[0]),
+                row=row, slot=slot, value=value,
                 conflicts_with=first[1], first_value=first[0],
                 first_seq=first[2])
 
@@ -87,7 +88,6 @@ class LeaderUniquenessMonitor(Monitor):
 
     name = "leader-uniqueness"
     category = SAFETY
-    kinds = (LOCAL,)
 
     def __init__(self, epoch_key, lead_label="lead"):
         super().__init__()
@@ -98,20 +98,19 @@ class LeaderUniquenessMonitor(Monitor):
     def interests(self):
         return {LOCAL: (self.lead_label,)}
 
-    def observe(self, event):
-        if event.mtype != self.lead_label:
-            return
-        epoch = event.get(self.epoch_key)
+    def observe(self, row):
+        epoch = row_get(row, self.epoch_key)
         if epoch is None:
             return
+        node = row[2]
         holder = self._leaders.get(epoch)
         if holder is None:
-            self._leaders[epoch] = event.node
-        elif holder != event.node:
+            self._leaders[epoch] = node
+        elif holder != node:
             self.record(
                 "%s assumed leadership for %s=%s already held by %s" % (
-                    event.node, self.epoch_key, epoch, holder),
-                event=event, epoch=epoch, holder=holder)
+                    node, self.epoch_key, epoch, holder),
+                row=row, epoch=epoch, holder=holder)
 
 
 class QuorumCertificateMonitor(Monitor):
@@ -128,7 +127,6 @@ class QuorumCertificateMonitor(Monitor):
 
     name = "quorum-certificate"
     category = SAFETY
-    kinds = (DELIVER, LOCAL)
 
     def __init__(self, decide_label, ack_mtype, need, link_keys):
         super().__init__()
@@ -137,73 +135,35 @@ class QuorumCertificateMonitor(Monitor):
         self.need = need
         self.link_keys = tuple(link_keys)
         self._acks = {}
-        # Prebound extractor: link values straight off the message
-        # object, stringified exactly like trace detail so the ack side
-        # (raw channel) and the decide side (event detail) share keys.
-        if len(self.link_keys) == 1:
-            key = self.link_keys[0]
-
-            def extract(message):
-                value = getattr(message, key, None)
-                return None if value is None else (str(value),)
-        else:
-            keys = self.link_keys
-
-            def extract(message):
-                values = tuple(getattr(message, k, None) for k in keys)
-                if None in values:
-                    return None
-                return tuple(str(v) for v in values)
-        self._extract = extract
 
     def interests(self):
-        # Decides are rare: take them as full events.  The ack stream
-        # (one per matching delivery) rides the raw channel instead.
-        return {LOCAL: (self.decide_label,)}
+        return {DELIVER: (self.ack_mtype,), LOCAL: (self.decide_label,)}
 
-    def raw_interests(self):
-        return {DELIVER: (self.ack_mtype,)}
-
-    def observe_raw(self, kind, time, node, peer, mtype, msg_id, payload):
-        # Hot path: one call per certificate-mtype delivery.  get-then-
-        # insert rather than setdefault — the latter builds a throwaway
-        # set per ack, and acks outnumber certificates by the quorum
-        # size.
-        links = self._extract(payload)
-        if links is None:
+    def observe(self, row):
+        # Hot path: one call per certificate-mtype delivery.
+        links = tuple([row_get(row, key) for key in self.link_keys])
+        if None in links:
             return
-        key = (node, links)
-        got = self._acks.get(key)
-        if got is None:
-            self._acks[key] = {peer}
-        else:
-            got.add(peer)
-
-    def _links(self, event):
-        values = tuple(event.get(key) for key in self.link_keys)
-        return None if None in values else values
-
-    def observe(self, event):
-        if event.kind == DELIVER:
-            if event.mtype != self.ack_mtype:
-                return
-            links = self._links(event)
-            if links is not None:
-                self._acks.setdefault((event.node, links),
-                                      set()).add(event.peer)
-        elif event.mtype == self.decide_label:
-            links = self._links(event)
-            if links is None:
-                return
-            got = len(self._acks.get((event.node, links), ()))
-            if got < self.need:
-                link_str = ", ".join("%s=%s" % (key, value) for key, value
-                                     in zip(self.link_keys, links))
-                self.record(
-                    "%s decided (%s) on %d/%d %s acks — no quorum "
-                    "certificate" % (event.node, link_str, got, self.need,
-                                     self.ack_mtype),
-                    event=event, got=got, need=self.need, links=link_str)
+        key = (row[2], links)
+        if row[0] is DELIVER:
+            # get-then-insert rather than setdefault — the latter builds
+            # a throwaway set per ack, and acks outnumber certificates
+            # by the quorum size.
+            got = self._acks.get(key)
+            if got is None:
+                self._acks[key] = {row[3]}
+            else:
+                got.add(row[3])
+            return
+        got = len(self._acks.get(key, ()))
+        if got < self.need:
+            link_str = ", ".join("%s=%s" % (name, value) for name, value
+                                 in zip(self.link_keys, links))
+            self.record(
+                "%s decided (%s) on %d/%d %s acks — no quorum "
+                "certificate" % (row[2], link_str, got, self.need,
+                                 self.ack_mtype),
+                row=row, got=got, need=self.need, links=link_str)
 
 
 class EquivocationMonitor(Monitor):
@@ -219,13 +179,11 @@ class EquivocationMonitor(Monitor):
 
     name = "equivocation"
     category = SAFETY
-    kinds = (DELIVER,)
 
     def __init__(self, proposal_mtypes, epoch_keys, slot_key=None,
                  value_key="digest", ignore_values=("null",)):
         super().__init__()
         self.proposal_mtypes = tuple(proposal_mtypes)
-        self._proposal_set = frozenset(proposal_mtypes)
         self.epoch_keys = tuple(epoch_keys)
         self.slot_key = slot_key
         self.value_key = value_key
@@ -234,54 +192,21 @@ class EquivocationMonitor(Monitor):
         self._slot_of_value = {}
 
     def interests(self):
-        # Everything rides the raw channel (below): no event-object subs.
-        return {}
-
-    def raw_interests(self):
-        # Proposals arrive per delivery — high volume, so they ride the
-        # raw channel; the full event is recovered only on a violation.
         return {DELIVER: self.proposal_mtypes}
 
-    def observe_raw(self, kind, time, node, peer, mtype, msg_id, payload):
-        value = getattr(payload, self.value_key, None)
-        if value is None:
-            return
-        value = str(value)
-        if value in self.ignore_values:
-            return
-        epoch = []
-        for key in self.epoch_keys:
-            held = getattr(payload, key, None)
-            if held is None:
-                return
-            epoch.append(str(held))
-        slot = None
-        if self.slot_key is not None:
-            slot = getattr(payload, self.slot_key, None)
-            if slot is None:
-                return
-            slot = str(slot)
-        self._check(peer, tuple(epoch), value, slot, None)
-
-    def observe(self, event):
-        if event.mtype not in self._proposal_set:
-            return
-        value = event.get(self.value_key)
+    def observe(self, row):
+        value = row_get(row, self.value_key)
         if value is None or value in self.ignore_values:
             return
-        epoch = tuple(event.get(key) for key in self.epoch_keys)
+        epoch = tuple([row_get(row, key) for key in self.epoch_keys])
         if None in epoch:
             return
         slot = None
         if self.slot_key is not None:
-            slot = event.get(self.slot_key)
+            slot = row_get(row, self.slot_key)
             if slot is None:
                 return
-        self._check(event.peer, epoch, value, slot, event)
-
-    def _check(self, src, epoch, value, slot, event):
-        """One step of the equivocation automaton; ``event`` is ``None``
-        on the raw path and recovered lazily if a violation fires."""
+        src = row[3]
         epoch_str = ", ".join("%s=%s" % (key, val) for key, val
                               in zip(self.epoch_keys, epoch))
         if self.slot_key is None:
@@ -292,8 +217,7 @@ class EquivocationMonitor(Monitor):
                 self.record(
                     "%s equivocated in epoch (%s): proposed %r and %r" % (
                         src, epoch_str, known, value),
-                    event=event if event is not None else self._last_event(),
-                    node=src, epoch=epoch_str,
+                    row=row, node=src, epoch=epoch_str,
                     value=value, conflicting_value=known)
             return
         known = self._value_at_slot.get((src, epoch, slot))
@@ -303,8 +227,7 @@ class EquivocationMonitor(Monitor):
             self.record(
                 "%s equivocated at %s=%s (%s): proposed %r and %r" % (
                     src, self.slot_key, slot, epoch_str, known, value),
-                event=event if event is not None else self._last_event(),
-                node=src, epoch=epoch_str, slot=slot,
+                row=row, node=src, epoch=epoch_str, slot=slot,
                 value=value, conflicting_value=known)
             return
         held = self._slot_of_value.get((src, epoch, value))
@@ -315,8 +238,7 @@ class EquivocationMonitor(Monitor):
                 "%s equivocated on %r (%s): proposed at %s=%s and %s=%s" % (
                     src, value, epoch_str, self.slot_key, held,
                     self.slot_key, slot),
-                event=event if event is not None else self._last_event(),
-                node=src, epoch=epoch_str, value=value,
+                row=row, node=src, epoch=epoch_str, value=value,
                 slot=slot, conflicting_slot=held)
 
 
@@ -333,7 +255,6 @@ class PhaseConformanceMonitor(Monitor):
 
     name = "phase-conformance"
     category = CONFORMANCE
-    kinds = (PHASE,)
 
     def __init__(self, phase_protocols, expected, exceptional=(),
                  require_all=True):
@@ -344,16 +265,19 @@ class PhaseConformanceMonitor(Monitor):
         self.require_all = require_all
         self.counts = {}
 
-    def observe(self, event):
-        if event.get("protocol") not in self.phase_protocols:
+    def interests(self):
+        return {PHASE: None}
+
+    def observe(self, row):
+        if row_get(row, "protocol") not in self.phase_protocols:
             return
-        phase = event.mtype
+        phase = row[4]
         self.counts[phase] = self.counts.get(phase, 0) + 1
         if phase not in self.expected and phase not in self.exceptional:
             self.record(
                 "phase %r outside the claimed alphabet %s" % (
                     phase, list(self.expected)),
-                event=event, phase=phase,
+                row=row, phase=phase,
                 expected=",".join(self.expected))
 
     def finish(self):
@@ -389,19 +313,16 @@ class ComplexityEnvelopeMonitor(Monitor):
 
     name = "complexity-envelope"
     category = COMPLEXITY
-    kinds = (LOCAL, PHASE)
 
     def __init__(self, decide_labels, n, exponent, factor=16.0,
                  slot_key=None, exceptional_phases=(), phase_protocols=()):
         super().__init__()
         self.decide_labels = tuple(decide_labels)
-        self._decide_set = frozenset(decide_labels)
         self.n = n
         self.exponent = exponent
         self.factor = factor
         self.slot_key = slot_key
         self.exceptional_phases = tuple(exceptional_phases)
-        self._exceptional_set = frozenset(exceptional_phases)
         self.phase_protocols = tuple(phase_protocols)
         self.samples = []
         self._seen_slots = set()
@@ -420,15 +341,12 @@ class ComplexityEnvelopeMonitor(Monitor):
     def _collector(self):
         return self.hub.collector if self.hub is not None else None
 
-    def observe(self, event):
-        if event.kind == PHASE:
-            if (event.mtype in self._exceptional_set
-                    and event.get("protocol") in self.phase_protocols):
+    def observe(self, row):
+        if row[0] is PHASE:
+            if row_get(row, "protocol") in self.phase_protocols:
                 self._window_tainted = True
             return
-        if event.mtype not in self._decide_set:
-            return
-        slot = event.get(self.slot_key, None) if self.slot_key else ""
+        slot = row_get(row, self.slot_key) if self.slot_key else ""
         if slot is None or slot in self._seen_slots:
             return
         self._seen_slots.add(slot)
@@ -474,17 +392,12 @@ class LivenessWatchdog(Monitor):
     even for watchdogs registered after an earlier ``finish`` (a run
     that was cut short mid-view).
 
-    On a live hub the watchdog rides the tracer's counter channel
-    (:meth:`tick`): per event it pays a few integer ops and only
-    materializes the offending trace event when it actually trips.
-    :meth:`observe` implements the same automaton for the direct
-    event-object path.
+    It watches every row: its :meth:`interests` is the default
+    ``None``.
     """
 
     name = "liveness-watchdog"
     category = LIVENESS
-    kinds = ()
-    counts_events = True
 
     def __init__(self, decide_labels, horizon_events=4000):
         super().__init__()
@@ -494,32 +407,20 @@ class LivenessWatchdog(Monitor):
         self.decisions = 0
         self._since_decide = 0
 
-    def tick(self, kind, node, mtype):
-        """Counter-channel step: same automaton as :meth:`observe`,
-        without an event object (the tripping event is recovered from
-        the tracer only when a trip actually happens)."""
-        if kind == LOCAL and mtype in self._decide_set:
+    def observe(self, row):
+        if row[0] is LOCAL and row[4] in self._decide_set:
             self.decisions += 1
             self._since_decide = 0
             return
         self._since_decide += 1
         if self._since_decide >= self.horizon_events:
-            self._trip(self._last_event())
+            self._trip(row)
 
-    def observe(self, event):
-        if event.kind == LOCAL and event.mtype in self._decide_set:
-            self.decisions += 1
-            self._since_decide = 0
-            return
-        self._since_decide += 1
-        if self._since_decide >= self.horizon_events:
-            self._trip(event)
-
-    def _trip(self, event):
+    def _trip(self, row):
         self.record(
             "no decision within the last %d events (%d decisions so "
             "far) — stalled" % (self.horizon_events, self.decisions),
-            event=event, decisions=self.decisions,
+            row=row, decisions=self.decisions,
             horizon=self.horizon_events)
         self._since_decide = 0
 

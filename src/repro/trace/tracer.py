@@ -21,13 +21,13 @@ detail fields through a per-class plan compiled on first sight
 attributes.
 
 Streaming sinks (the monitor hub) register *typed* interest via
-:meth:`Tracer.subscribe`: a per-event-kind (and optionally per-mtype)
-subscription table means an event with no interested sink costs only
-the tuple append, and a TraceEvent is constructed at most once per
-event no matter how many sinks match.  Streamed events carry
-``lamport=0`` — clocks stay a read-time product even with sinks on
-(no streaming consumer in the library reads clocks online; causal
-context is rendered from the trace view).  Nothing here touches
+:meth:`Tracer.subscribe`, the one streaming lane: a per-event-kind (and
+optionally per-mtype) subscription table means a row with no interested
+sink costs only the tuple append, and a matching sink is handed that
+same ring row — nothing is built for it, however many sinks match.
+Sinks read fields with :func:`row_get`; clocks stay a read-time
+product (no streaming consumer in the library reads clocks online;
+causal context is rendered from the trace view).  Nothing here touches
 the simulator's RNG or schedules events, so enabling tracing cannot
 perturb a run.
 """
@@ -252,39 +252,33 @@ class Tracer:
         self._total = 0
         self._next_msg_id = 0
         self.trace = _LiveTrace(self)
-        # -- streaming state (only touched while sinks are registered) --
-        self._live = False
         #: kind -> [(mfilter, sink), ...] in registration order; the
         #: source of truth the compiled dispatch rows are rebuilt from.
         self._sub_entries = {}
-        self._raw_entries = {}
         #: kind -> (catchall sinks, mtype -> sinks) compiled rows: one
-        #: dict probe routes an event instead of scanning every sink's
+        #: dict probe routes a row instead of scanning every sink's
         #: mtype filter — pbft's ack-heavy deliver stream carries
         #: several filtered monitors, none of which should cost the
         #: thousands of non-matching deliveries a membership test each.
         self._subs = {}
-        self._raw = {}
         self._send_subs = None
         self._deliver_subs = None
-        self._send_raw = None
-        self._deliver_raw = None
-        self._counters = ()
-
-    # -- subscriptions -------------------------------------------------------
 
     def subscribe(self, sink, kinds=None, mtypes=None):
-        """Register a streaming sink called with matching recorded events.
+        """Register a streaming sink called with matching recorded rows.
 
         ``kinds`` limits the sink to those event kinds (default: all);
         ``mtypes`` further limits it to those ``mtype`` values.  Sinks
-        observe events online, in recording order, the moment they
-        happen.  Streamed events carry ``lamport=0`` — Lamport clocks
-        are materialized only on query/export (ask ``tracer.trace`` for
-        clocked events).  A sink must not schedule events or touch the
-        RNG; like the tracer itself it is a pure observer.
+        observe rows online, in recording order, the moment they are
+        appended: ``sink(row)`` gets the ring's own ``(kind, time, node,
+        peer, mtype, msg_id, payload)`` tuple, whose payload is the live
+        message for send/deliver rows and the detail pairs otherwise
+        (read it with :func:`row_get`).  The row being observed is the
+        newest, so its seq is ``len`` of everything recorded minus one.
+        A sink must treat the row as read-only, must not schedule
+        events or touch the RNG; like the tracer itself it is a pure
+        observer.
         """
-        self._live = True
         mfilter = frozenset(mtypes) if mtypes is not None else None
         for kind in (KINDS if kinds is None else kinds):
             entries = self._sub_entries.setdefault(kind, [])
@@ -295,187 +289,88 @@ class Tracer:
         self._deliver_subs = self._subs.get(DELIVER)
         return sink
 
-    def subscribe_raw(self, sink, kinds=None, mtypes=None):
-        """Register a raw streaming sink: no TraceEvent materialization.
-
-        The sink is called as ``sink(kind, time, node, peer, mtype,
-        msg_id, payload)`` with the recorded fields themselves — for
-        SEND/DELIVER the payload is the live message object, for other
-        kinds the eager detail pairs.  This is the fastest observation
-        lane: a matching sink costs one call, no event object, no
-        detail stringification.  Raw sinks must treat the payload as
-        read-only and must not retain mutable references across events.
-        """
-        self._live = True
-        mfilter = frozenset(mtypes) if mtypes is not None else None
-        for kind in (KINDS if kinds is None else kinds):
-            entries = self._raw_entries.setdefault(kind, [])
-            entries.append((mfilter, sink))
-            self._raw[kind] = _compile_row(entries)
-        self._send_raw = self._raw.get(SEND)
-        self._deliver_raw = self._raw.get(DELIVER)
-        return sink
-
-    def subscribe_counters(self, fn):
-        """Register a per-event counting channel ``fn(kind, node, mtype)``.
-
-        The cheap lane for sinks that only *count* events (liveness
-        watchdogs): no TraceEvent is materialized.  Use
-        :meth:`last_event` inside ``fn`` to recover the full event when
-        one finally matters (a trip).
-        """
-        self._live = True
-        self._counters = self._counters + (fn,)
-        return fn
-
     def last_event(self):
         """The most recently recorded event, inflated (or ``None``)."""
         events = self.trace.events
         return events[-1] if events else None
 
-    # -- streaming dispatch (the rare-event kinds share this helper; the
-    #    per-message hooks inline it, they run millions of times) -----------
-
-    def _dispatch(self, kind, time, node, peer, mtype, msg_id, detail):
-        raws = self._raw.get(kind)
-        if raws is not None:
-            for sink in raws[0]:
-                sink(kind, time, node, peer, mtype, msg_id, detail)
-            matched = raws[1].get(mtype)
-            if matched is not None:
-                for sink in matched:
-                    sink(kind, time, node, peer, mtype, msg_id, detail)
-        subs = self._subs.get(kind)
-        if subs is not None:
-            catchall = subs[0]
-            matched = subs[1].get(mtype)
-            if catchall or matched:
-                event = TraceEvent(self._total - 1, time, kind, node,
-                                   0, peer, mtype, msg_id, detail)
-                for sink in catchall:
-                    sink(event)
-                if matched is not None:
-                    for sink in matched:
-                        sink(event)
-        for fn in self._counters:
-            fn(kind, node, mtype)
-
-    # -- hooks called by the transport --------------------------------------
+    # -- hooks called by the transport (the per-message hooks inline the
+    #    dispatch of :meth:`_record`, they run millions of times) ----------
 
     def on_send(self, src, dst, message):
         """Record a unicast attempt; returns the ``msg_id`` token the
         transport threads through to delivery."""
         msg_id = self._next_msg_id
         self._next_msg_id = msg_id + 1
-        time = self.sim._now
         mtype = message.mtype
-        self._append((SEND, time, src, dst, mtype, msg_id, message))
+        row = (SEND, self.sim._now, src, dst, mtype, msg_id, message)
+        self._append(row)
         self._total += 1
-        if self._live:
-            raws = self._send_raw
-            if raws is not None:
-                for sink in raws[0]:
-                    sink(SEND, time, src, dst, mtype, msg_id, message)
-                matched = raws[1].get(mtype)
-                if matched is not None:
-                    for sink in matched:
-                        sink(SEND, time, src, dst, mtype, msg_id, message)
-            subs = self._send_subs
-            if subs is not None:
-                catchall = subs[0]
-                matched = subs[1].get(mtype)
-                if catchall or matched:
-                    event = TraceEvent(
-                        self._total - 1, time, SEND, src, 0, dst,
-                        mtype, msg_id, _message_detail(message))
-                    for sink in catchall:
-                        sink(event)
-                    if matched is not None:
-                        for sink in matched:
-                            sink(event)
-            for fn in self._counters:
-                fn(SEND, src, mtype)
+        subs = self._send_subs
+        if subs is not None:
+            for sink in subs[0]:
+                sink(row)
+            matched = subs[1].get(mtype)
+            if matched is not None:
+                for sink in matched:
+                    sink(row)
         return msg_id
 
     def on_deliver(self, src, dst, message, token):
         """Record arrival at a live node."""
-        time = self.sim._now
         mtype = message.mtype
-        self._append((DELIVER, time, dst, src, mtype, token, message))
+        row = (DELIVER, self.sim._now, dst, src, mtype, token, message)
+        self._append(row)
         self._total += 1
-        if self._live:
-            raws = self._deliver_raw
-            if raws is not None:
-                for sink in raws[0]:
-                    sink(DELIVER, time, dst, src, mtype, token, message)
-                matched = raws[1].get(mtype)
-                if matched is not None:
-                    for sink in matched:
-                        sink(DELIVER, time, dst, src, mtype, token, message)
-            subs = self._deliver_subs
-            if subs is not None:
-                catchall = subs[0]
-                matched = subs[1].get(mtype)
-                if catchall or matched:
-                    event = TraceEvent(
-                        self._total - 1, time, DELIVER, dst, 0, src,
-                        mtype, token, _message_detail(message))
-                    for sink in catchall:
-                        sink(event)
-                    if matched is not None:
-                        for sink in matched:
-                            sink(event)
-            for fn in self._counters:
-                fn(DELIVER, dst, mtype)
+        subs = self._deliver_subs
+        if subs is not None:
+            for sink in subs[0]:
+                sink(row)
+            matched = subs[1].get(mtype)
+            if matched is not None:
+                for sink in matched:
+                    sink(row)
+
+    def _record(self, row):
+        """Append a rare-kind row and hand it to its sinks."""
+        self._append(row)
+        self._total += 1
+        subs = self._subs.get(row[0])
+        if subs is not None:
+            for sink in subs[0]:
+                sink(row)
+            matched = subs[1].get(row[4])
+            if matched is not None:
+                for sink in matched:
+                    sink(row)
 
     def on_drop(self, src, dst, message, reason, token=None):
         """Record a lost message: intercepted, partitioned, dropped by the
         delivery model, or delivered to a crashed/unknown node."""
-        msg_id = token if token is not None else -1
-        time = self.sim._now
-        mtype = message.mtype
-        detail = (("reason", reason),)
-        self._append((DROP, time, src, dst, mtype, msg_id, detail))
-        self._total += 1
-        if self._live:
-            self._dispatch(DROP, time, src, dst, mtype, msg_id, detail)
+        self._record((DROP, self.sim._now, src, dst, message.mtype,
+                      token if token is not None else -1,
+                      (("reason", reason),)))
 
     # -- hooks called by processes and the metrics collector -----------------
 
     def on_timer(self, node):
         """Record a timer firing on ``node``."""
-        time = self.sim._now
-        self._append((TIMER, time, node, "", "timer", -1, ()))
-        self._total += 1
-        if self._live:
-            self._dispatch(TIMER, time, node, "", "timer", -1, ())
+        self._record((TIMER, self.sim._now, node, "", "timer", -1, ()))
 
     def on_phase(self, protocol, phase):
         """Record a protocol-wide phase boundary (mirrors ``mark_phase``)."""
-        time = self.sim._now
-        detail = (("protocol", str(protocol)),)
-        self._append((PHASE, time, "", "", phase, -1, detail))
-        self._total += 1
-        if self._live:
-            self._dispatch(PHASE, time, "", "", phase, -1, detail)
+        self._record((PHASE, self.sim._now, "", "", phase, -1,
+                      (("protocol", str(protocol)),)))
 
     def on_local(self, node, label, detail=None):
         """Record a protocol-declared milestone (decide, commit, execute)."""
-        time = self.sim._now
-        pairs = canonical_detail(detail) if detail else ()
-        self._append((LOCAL, time, node, "", label, -1, pairs))
-        self._total += 1
-        if self._live:
-            self._dispatch(LOCAL, time, node, "", label, -1, pairs)
+        self._record((LOCAL, self.sim._now, node, "", label, -1,
+                      canonical_detail(detail) if detail else ()))
 
     def on_request(self, label, edge):
         """Record a request-span boundary; ``edge`` is start or end."""
-        time = self.sim._now
-        detail = (("edge", str(edge)),)
-        self._append((REQUEST, time, "", "", label, -1, detail))
-        self._total += 1
-        if self._live:
-            self._dispatch(REQUEST, time, "", "", label, -1, detail)
+        self._record((REQUEST, self.sim._now, "", "", label, -1,
+                      (("edge", str(edge)),)))
 
     def __repr__(self):
         window = len(self._records)

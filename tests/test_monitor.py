@@ -1,13 +1,15 @@
 """Tests for the streaming conformance monitors.
 
 Unit-level: each library monitor against hand-built event streams
+recorded through a real tracer and hub, the path every run takes
 (violations trip, clean streams don't).  Integration-level: the hub's
-kind-indexed dispatch, the null twins, ``Cluster(monitors=True)``
+kind-indexed dispatch, the null hub, ``Cluster(monitors=True)``
 wiring, the non-perturbation guarantee (same seed, same trace, monitors
 or not), and ``run_check`` end to end — clean runs pass, an
 equivocating primary is caught and named with causal context.
 """
 
+import functools
 import json
 import pathlib
 import re
@@ -26,6 +28,7 @@ from repro.monitor import (
     LivenessWatchdog,
     MonitorHub,
     MONITOR_SPECS,
+    CertSpec,
     MonitorSpec,
     PhaseConformanceMonitor,
     QuorumCertificateMonitor,
@@ -44,10 +47,25 @@ from repro.trace import (DELIVER, LOCAL, PHASE, Trace, TraceEvent,
 
 
 def ev(number, kind, node, mtype, peer="", **detail):
-    """A synthetic trace event for feeding monitors directly."""
+    """A synthetic trace event for a hand-built :class:`Trace`."""
     return TraceEvent(seq=number, time=float(number), kind=kind, node=node,
                       peer=peer, mtype=mtype,
                       detail=canonical_detail(detail))
+
+
+def emit(tracer, kind, node, mtype, peer="", **detail):
+    """Record one synthetic event through ``tracer``'s hooks, so every
+    sink gets the ring row a live run hands it."""
+    if kind == LOCAL:
+        tracer.on_local(node, mtype, detail)
+    elif kind == PHASE:
+        tracer.on_phase(detail["protocol"], mtype)
+    else:
+        # A class of its own per message: the tracer plans the detail
+        # fields of a message class from the first instance it sees.
+        message = type("Synthetic", (), {"mtype": mtype})()
+        vars(message).update(detail)
+        tracer.on_deliver(peer, node, message, -1)
 
 
 class FakeCollector:
@@ -55,34 +73,29 @@ class FakeCollector:
         self.messages_total = 0
 
 
-class FakeHub:
-    """Just enough hub for a monitor used outside a real run."""
-
-    trace = None
-    tracer = None
-
-    def __init__(self, collector=None):
-        self.collector = collector
-
-
 def attach(monitor, collector=None):
-    monitor.attach(FakeHub(collector))
-    return monitor
+    """Register ``monitor`` on a real hub over a real tracer; returns
+    ``feed(kind, node, mtype, peer="", **detail)`` recording one event."""
+    tracer = Cluster(seed=0, trace=True).tracer
+    MonitorHub(tracer, collector).add(monitor)
+    return functools.partial(emit, tracer)
 
 
 class TestAgreementMonitor:
     def test_clean_stream_no_anomaly(self):
-        m = attach(AgreementMonitor(("decide",), slot_key="seq"))
-        m.observe(ev(0, LOCAL, "a", "decide", seq=1, value="x"))
-        m.observe(ev(1, LOCAL, "b", "decide", seq=1, value="x"))
-        m.observe(ev(2, LOCAL, "a", "decide", seq=2, value="y"))
+        m = AgreementMonitor(("decide",), slot_key="seq")
+        feed = attach(m)
+        feed(LOCAL, "a", "decide", seq=1, value="x")
+        feed(LOCAL, "b", "decide", seq=1, value="x")
+        feed(LOCAL, "a", "decide", seq=2, value="y")
         assert m.anomalies == []
         assert m.decisions == 2
 
     def test_conflicting_values_trip(self):
-        m = attach(AgreementMonitor(("decide",), slot_key="seq"))
-        m.observe(ev(0, LOCAL, "a", "decide", seq=1, value="x"))
-        m.observe(ev(1, LOCAL, "b", "decide", seq=1, value="y"))
+        m = AgreementMonitor(("decide",), slot_key="seq")
+        feed = attach(m)
+        feed(LOCAL, "a", "decide", seq=1, value="x")
+        feed(LOCAL, "b", "decide", seq=1, value="y")
         assert len(m.anomalies) == 1
         anomaly = m.anomalies[0]
         assert anomaly.category == SAFETY
@@ -90,164 +103,171 @@ class TestAgreementMonitor:
         assert "already decided" in anomaly.message
 
     def test_single_decree_mode(self):
-        m = attach(AgreementMonitor(("decide", "learn")))
-        m.observe(ev(0, LOCAL, "a", "decide", value="x"))
-        m.observe(ev(1, LOCAL, "b", "learn", value="z"))
+        m = AgreementMonitor(("decide", "learn"))
+        feed = attach(m)
+        feed(LOCAL, "a", "decide", value="x")
+        feed(LOCAL, "b", "learn", value="z")
         assert len(m.anomalies) == 1
         assert "the decree" in m.anomalies[0].message
 
 
 class TestLeaderUniquenessMonitor:
     def test_one_leader_per_epoch_ok(self):
-        m = attach(LeaderUniquenessMonitor("term"))
-        m.observe(ev(0, LOCAL, "a", "lead", term=1))
-        m.observe(ev(1, LOCAL, "a", "lead", term=1))  # re-assertion is fine
-        m.observe(ev(2, LOCAL, "b", "lead", term=2))
+        m = LeaderUniquenessMonitor("term")
+        feed = attach(m)
+        feed(LOCAL, "a", "lead", term=1)
+        feed(LOCAL, "a", "lead", term=1)  # re-assertion is fine
+        feed(LOCAL, "b", "lead", term=2)
         assert m.anomalies == []
 
     def test_split_brain_trips(self):
-        m = attach(LeaderUniquenessMonitor("term"))
-        m.observe(ev(0, LOCAL, "a", "lead", term=3))
-        m.observe(ev(1, LOCAL, "b", "lead", term=3))
+        m = LeaderUniquenessMonitor("term")
+        feed = attach(m)
+        feed(LOCAL, "a", "lead", term=3)
+        feed(LOCAL, "b", "lead", term=3)
         assert len(m.anomalies) == 1
         assert "already held by a" in m.anomalies[0].message
 
 
 class TestQuorumCertificateMonitor:
     def make(self):
-        return attach(QuorumCertificateMonitor(
-            "decide", "ack", need=2, link_keys=("ballot",)))
+        m = QuorumCertificateMonitor("decide", "ack", need=2,
+                                     link_keys=("ballot",))
+        return m, attach(m)
 
     def test_decide_after_quorum_ok(self):
-        m = self.make()
-        m.observe(ev(0, DELIVER, "a", "ack", peer="p1", ballot=1))
-        m.observe(ev(1, DELIVER, "a", "ack", peer="p2", ballot=1))
-        m.observe(ev(2, LOCAL, "a", "decide", ballot=1))
+        m, feed = self.make()
+        feed(DELIVER, "a", "ack", peer="p1", ballot=1)
+        feed(DELIVER, "a", "ack", peer="p2", ballot=1)
+        feed(LOCAL, "a", "decide", ballot=1)
         assert m.anomalies == []
 
     def test_decide_without_quorum_trips(self):
-        m = self.make()
-        m.observe(ev(0, DELIVER, "a", "ack", peer="p1", ballot=1))
-        m.observe(ev(1, LOCAL, "a", "decide", ballot=1))
+        m, feed = self.make()
+        feed(DELIVER, "a", "ack", peer="p1", ballot=1)
+        feed(LOCAL, "a", "decide", ballot=1)
         assert len(m.anomalies) == 1
         assert "1/2" in m.anomalies[0].message
 
     def test_acks_for_other_ballot_do_not_count(self):
-        m = self.make()
-        m.observe(ev(0, DELIVER, "a", "ack", peer="p1", ballot=7))
-        m.observe(ev(1, DELIVER, "a", "ack", peer="p2", ballot=7))
-        m.observe(ev(2, LOCAL, "a", "decide", ballot=8))
+        m, feed = self.make()
+        feed(DELIVER, "a", "ack", peer="p1", ballot=7)
+        feed(DELIVER, "a", "ack", peer="p2", ballot=7)
+        feed(LOCAL, "a", "decide", ballot=8)
         assert len(m.anomalies) == 1
 
 
 class TestEquivocationMonitor:
     def make(self):
-        return attach(EquivocationMonitor(
-            ("preprepare",), epoch_keys=("view",), slot_key="seq"))
+        m = EquivocationMonitor(("preprepare",), epoch_keys=("view",),
+                                slot_key="seq")
+        return m, attach(m)
 
     def test_consistent_proposals_ok(self):
-        m = self.make()
-        m.observe(ev(0, DELIVER, "a", "preprepare", peer="p",
-                     view=0, seq=1, digest="d1"))
-        m.observe(ev(1, DELIVER, "b", "preprepare", peer="p",
-                     view=0, seq=1, digest="d1"))
+        m, feed = self.make()
+        feed(DELIVER, "a", "preprepare", peer="p", view=0, seq=1,
+             digest="d1")
+        feed(DELIVER, "b", "preprepare", peer="p", view=0, seq=1,
+             digest="d1")
         assert m.anomalies == []
 
     def test_two_values_one_slot_trips(self):
-        m = self.make()
-        m.observe(ev(0, DELIVER, "a", "preprepare", peer="p",
-                     view=0, seq=1, digest="d1"))
-        m.observe(ev(1, DELIVER, "b", "preprepare", peer="p",
-                     view=0, seq=1, digest="d2"))
+        m, feed = self.make()
+        feed(DELIVER, "a", "preprepare", peer="p", view=0, seq=1,
+             digest="d1")
+        feed(DELIVER, "b", "preprepare", peer="p", view=0, seq=1,
+             digest="d2")
         assert len(m.anomalies) == 1
         assert m.anomalies[0].node == "p"
 
     def test_one_value_two_slots_trips(self):
-        m = self.make()
-        m.observe(ev(0, DELIVER, "a", "preprepare", peer="p",
-                     view=0, seq=1, digest="d1"))
-        m.observe(ev(1, DELIVER, "b", "preprepare", peer="p",
-                     view=0, seq=2, digest="d1"))
+        m, feed = self.make()
+        feed(DELIVER, "a", "preprepare", peer="p", view=0, seq=1,
+             digest="d1")
+        feed(DELIVER, "b", "preprepare", peer="p", view=0, seq=2,
+             digest="d1")
         assert len(m.anomalies) == 1
 
     def test_null_sentinel_ignored(self):
         # PBFT re-proposes the null request at many slots while filling
         # view-change gaps; that must never read as equivocation.
-        m = self.make()
-        m.observe(ev(0, DELIVER, "a", "preprepare", peer="p",
-                     view=1, seq=1, digest="null"))
-        m.observe(ev(1, DELIVER, "a", "preprepare", peer="p",
-                     view=1, seq=2, digest="null"))
+        m, feed = self.make()
+        feed(DELIVER, "a", "preprepare", peer="p", view=1, seq=1,
+             digest="null")
+        feed(DELIVER, "a", "preprepare", peer="p", view=1, seq=2,
+             digest="null")
         assert m.anomalies == []
 
     def test_slotless_mode_keys_on_epoch(self):
-        m = attach(EquivocationMonitor(
-            ("tmproposal",), epoch_keys=("height", "round"), slot_key=None))
-        m.observe(ev(0, DELIVER, "a", "tmproposal", peer="p",
-                     height=1, round=0, digest="b1"))
-        m.observe(ev(1, DELIVER, "b", "tmproposal", peer="p",
-                     height=1, round=0, digest="b2"))
-        m.observe(ev(2, DELIVER, "a", "tmproposal", peer="p",
-                     height=2, round=0, digest="b3"))
+        m = EquivocationMonitor(("tmproposal",),
+                                epoch_keys=("height", "round"), slot_key=None)
+        feed = attach(m)
+        feed(DELIVER, "a", "tmproposal", peer="p", height=1, round=0,
+             digest="b1")
+        feed(DELIVER, "b", "tmproposal", peer="p", height=1, round=0,
+             digest="b2")
+        feed(DELIVER, "a", "tmproposal", peer="p", height=2, round=0,
+             digest="b3")
         assert len(m.anomalies) == 1
 
 
 class TestPhaseConformanceMonitor:
     def make(self, **kwargs):
-        return attach(PhaseConformanceMonitor(
+        m = PhaseConformanceMonitor(
             ("pbft",), ("pre-prepare", "prepare", "commit"),
-            exceptional=("view-change",), **kwargs))
+            exceptional=("view-change",), **kwargs)
+        return m, attach(m)
 
     def test_claimed_alphabet_ok(self):
-        m = self.make()
+        m, feed = self.make()
         for phase in ("pre-prepare", "prepare", "commit", "view-change"):
-            m.observe(ev(0, PHASE, "", phase, protocol="pbft"))
+            feed(PHASE, "", phase, protocol="pbft")
         m.finish()
         assert m.anomalies == []
         assert m.observed_phases() == ["pre-prepare", "prepare", "commit"]
 
     def test_unknown_phase_trips(self):
-        m = self.make()
-        m.observe(ev(0, PHASE, "", "speculate", protocol="pbft"))
+        m, feed = self.make()
+        feed(PHASE, "", "speculate", protocol="pbft")
         assert len(m.anomalies) == 1
         assert m.anomalies[0].category == CONFORMANCE
 
     def test_missing_expected_phase_reported_at_finish(self):
-        m = self.make()
-        m.observe(ev(0, PHASE, "", "pre-prepare", protocol="pbft"))
+        m, feed = self.make()
+        feed(PHASE, "", "pre-prepare", protocol="pbft")
         m.finish()
         assert len(m.anomalies) == 1
         assert "never entered" in m.anomalies[0].message
 
     def test_other_protocols_phases_ignored(self):
-        m = self.make()
-        m.observe(ev(0, PHASE, "", "election", protocol="raft"))
+        m, feed = self.make()
+        feed(PHASE, "", "election", protocol="raft")
         m.finish()
         assert m.anomalies == []
 
 
 class TestComplexityEnvelopeMonitor:
     def make(self, collector, **kwargs):
-        monitor = ComplexityEnvelopeMonitor(
+        m = ComplexityEnvelopeMonitor(
             ("decide",), n=4, exponent=1, factor=16.0, slot_key="seq",
             **kwargs)
-        return attach(monitor, collector)
+        return m, attach(m, collector)
 
     def test_within_envelope_ok(self):
         collector = FakeCollector()
-        m = self.make(collector)
+        m, feed = self.make(collector)
         for seq in range(1, 4):
             collector.messages_total += 20  # 20 msgs/decision < 64
-            m.observe(ev(seq, LOCAL, "a", "decide", seq=seq))
+            feed(LOCAL, "a", "decide", seq=seq)
         m.finish()
         assert m.anomalies == []
         assert m.mean_cost() == 20.0
 
     def test_blowup_trips(self):
         collector = FakeCollector()
-        m = self.make(collector)
+        m, feed = self.make(collector)
         collector.messages_total = 500
-        m.observe(ev(0, LOCAL, "a", "decide", seq=1))
+        feed(LOCAL, "a", "decide", seq=1)
         m.finish()
         assert len(m.anomalies) == 1
         assert "envelope" in m.anomalies[0].message
@@ -255,13 +275,13 @@ class TestComplexityEnvelopeMonitor:
 
     def test_exceptional_phase_taints_window(self):
         collector = FakeCollector()
-        m = self.make(collector, exceptional_phases=("view-change",),
-                      phase_protocols=("pbft",))
+        m, feed = self.make(collector, exceptional_phases=("view-change",),
+                            phase_protocols=("pbft",))
         collector.messages_total = 500  # view-change storm...
-        m.observe(ev(0, PHASE, "", "view-change", protocol="pbft"))
-        m.observe(ev(1, LOCAL, "a", "decide", seq=1))  # ...window skipped
+        feed(PHASE, "", "view-change", protocol="pbft")
+        feed(LOCAL, "a", "decide", seq=1)  # ...window skipped
         collector.messages_total += 20
-        m.observe(ev(2, LOCAL, "a", "decide", seq=2))
+        feed(LOCAL, "a", "decide", seq=2)
         m.finish()
         assert m.anomalies == []
         assert m.samples == [20]
@@ -269,24 +289,27 @@ class TestComplexityEnvelopeMonitor:
 
 class TestLivenessWatchdog:
     def test_trips_at_horizon_and_rearms(self):
-        m = attach(LivenessWatchdog(("decide",), horizon_events=3))
-        for seq in range(6):
-            m.observe(ev(seq, DELIVER, "a", "noise", peer="b"))
+        m = LivenessWatchdog(("decide",), horizon_events=3)
+        feed = attach(m)
+        for _ in range(6):
+            feed(DELIVER, "a", "noise", peer="b")
         assert len(m.anomalies) == 2  # once per horizon, not per event
 
     def test_decision_resets_the_clock(self):
-        m = attach(LivenessWatchdog(("decide",), horizon_events=3))
-        for seq in range(2):
-            m.observe(ev(seq, DELIVER, "a", "noise", peer="b"))
-        m.observe(ev(2, LOCAL, "a", "decide"))
-        for seq in range(3, 5):
-            m.observe(ev(seq, DELIVER, "a", "noise", peer="b"))
+        m = LivenessWatchdog(("decide",), horizon_events=3)
+        feed = attach(m)
+        for _ in range(2):
+            feed(DELIVER, "a", "noise", peer="b")
+        feed(LOCAL, "a", "decide")
+        for _ in range(2):
+            feed(DELIVER, "a", "noise", peer="b")
         m.finish()
         assert m.anomalies == []
 
     def test_no_decision_at_all_reported_at_finish(self):
-        m = attach(LivenessWatchdog(("decide",), horizon_events=1000))
-        m.observe(ev(0, DELIVER, "a", "noise", peer="b"))
+        m = LivenessWatchdog(("decide",), horizon_events=1000)
+        feed = attach(m)
+        feed(DELIVER, "a", "noise", peer="b")
         m.finish()
         assert len(m.anomalies) == 1
         assert "no decision at all" in m.anomalies[0].message
@@ -296,13 +319,14 @@ class TestHubAndNullTwins:
     def test_kind_indexed_dispatch(self):
         cluster = Cluster(seed=0, trace=True)
         hub = MonitorHub(cluster.tracer, cluster.metrics)
-        local_only = hub.add(AgreementMonitor(("decide",)))
-        watchdog = hub.add(LivenessWatchdog(("decide",), horizon_events=10))
+        local_only = AgreementMonitor(("decide",))
         seen = []
-        local_only.observe = seen.append  # spy
-        hub.observe(ev(0, DELIVER, "a", "ack", peer="b"))
+        local_only.observe = seen.append  # spy, bound by add()
+        hub.add(local_only)
+        watchdog = hub.add(LivenessWatchdog(("decide",), horizon_events=10))
+        emit(cluster.tracer, DELIVER, "a", "ack", peer="b")
         assert seen == []  # LOCAL-only monitor never saw the deliver
-        hub.observe(ev(1, LOCAL, "a", "decide", value="x"))
+        emit(cluster.tracer, LOCAL, "a", "decide", value="x")
         assert len(seen) == 1
         assert watchdog.decisions == 1  # catchall saw both
 
@@ -318,7 +342,6 @@ class TestHubAndNullTwins:
     def test_null_hub_is_inert(self):
         assert NULL_HUB.ok
         assert NULL_HUB.anomalies == ()
-        NULL_HUB.observe(ev(0, LOCAL, "a", "decide"))
         assert NULL_HUB.finish() == ()
         assert NULL_HUB.extend([]) is NULL_HUB
 
@@ -404,6 +427,53 @@ class TestClusterWiring:
 
         assert to_jsonl(plain.trace) == to_jsonl(monitored.trace)
         assert monitored.monitors.ok
+
+
+class TestNoVacuousMonitor:
+    """A monitor the live path never feeds passes every run: each must
+    be shown to receive rows in the runs ``repro check`` makes."""
+
+    @pytest.mark.parametrize("protocol", sorted(
+        name for name, spec in MONITOR_SPECS.items() if spec.cert))
+    def test_certificate_monitor_sees_acks_and_decides(self, protocol,
+                                                       monkeypatch):
+        scenario = SCENARIOS[protocol]
+        need = MONITOR_SPECS[protocol].cert.need(scenario.n, scenario.f)
+        monkeypatch.setattr(CertSpec, "need",
+                            lambda self, n, f: n + 1)
+        report = run_check(protocol, seed=0)
+        tripped = [a for a in report["anomalies"]
+                   if a["monitor"] == "quorum-certificate"]
+        # Decide rows reach it (it trips) and so do ack rows: a decide
+        # found as many acks as the protocol's own quorum needs.
+        assert tripped, protocol
+        assert max(int(a["detail"]["got"]) for a in tripped) >= need
+
+    @pytest.mark.parametrize("protocol", sorted(SCENARIOS))
+    def test_every_monitor_observes_a_row(self, protocol, monkeypatch):
+        import repro.monitor
+        seen = {}
+        build = repro.monitor.build_monitors
+
+        def spied(*args, **kwargs):
+            battery = build(*args, **kwargs)
+            for monitor in battery:
+                key = (monitor.name, monitor.group)
+                seen[key] = 0
+                observe = monitor.observe
+
+                def spy(row, key=key, observe=observe):
+                    seen[key] += 1
+                    observe(row)
+                monitor.observe = spy
+            return battery
+        monkeypatch.setattr(repro.monitor, "build_monitors", spied)
+        # PBFT's primary of view 0 never announces itself: a `lead` row
+        # appears only after a view change, which a crash forces.
+        faults = "crash" if protocol == "pbft" else None
+        report = run_check(protocol, seed=0, faults=faults)
+        assert report["ok"]
+        assert [key for key, rows in seen.items() if not rows] == []
 
 
 class TestRunCheck:

@@ -58,14 +58,17 @@ class TestLazyMaterialization:
         assert to_jsonl(one_shot.trace) == to_jsonl(incremental.trace)
 
     def test_streamed_events_defer_clocks(self):
-        """Subscription sinks see lamport=0 — clocks are a lazy,
-        query-time product, never computed on the hot path."""
+        """Subscription sinks get the ring's own rows, which carry no
+        clock — clocks are a lazy, query-time product, never computed
+        on the hot path."""
         cluster = Cluster(seed=0, trace=True)
         streamed = []
         cluster.tracer.subscribe(streamed.append)
         run_basic_paxos(cluster, n_acceptors=3, proposals=("X",))
         assert streamed
-        assert all(event.lamport == 0 for event in streamed)
+        rows = cluster.trace.rows()
+        assert all(row is ring for row, ring in zip(streamed, rows))
+        assert all(len(row) == 7 for row in streamed)
         # The materialized trace has real clocks for the same events.
         assert any(event.lamport > 0 for event in cluster.trace.events)
 
@@ -84,38 +87,37 @@ class TestSubscriptionDispatch:
     def run_with_sinks(self):
         cluster = Cluster(seed=0, trace=True)
         tracer = cluster.tracer
-        log = {"all": [], "local": [], "raw": [], "counts": []}
+        log = {"all": [], "local": [], "deliver": []}
         tracer.subscribe(log["all"].append)
         tracer.subscribe(log["local"].append, kinds=(LOCAL,),
                          mtypes=("decide",))
-        tracer.subscribe_raw(
-            lambda *args: log["raw"].append(args),
-            kinds=(DELIVER,))
-        tracer.subscribe_counters(
-            lambda kind, node, mtype: log["counts"].append(kind))
+        tracer.subscribe(log["deliver"].append, kinds=(DELIVER,))
         run_basic_paxos(cluster, n_acceptors=3, proposals=("X",))
         return cluster, log
 
     def test_typed_subscription_sees_only_its_kinds(self):
         cluster, log = self.run_with_sinks()
         assert log["local"]
-        assert all(e.kind is LOCAL and e.mtype == "decide"
-                   for e in log["local"])
-        kinds_seen = {e.kind for e in log["all"]}
+        assert all(row[0] is LOCAL and row[4] == "decide"
+                   for row in log["local"])
+        kinds_seen = {row[0] for row in log["all"]}
         assert SEND in kinds_seen and DELIVER in kinds_seen
 
-    def test_catchall_and_counter_channels_cover_every_event(self):
+    def test_catchall_sink_sees_every_row(self):
         cluster, log = self.run_with_sinks()
-        assert len(log["all"]) == len(log["counts"]) == len(cluster.trace)
+        assert len(log["all"]) == len(cluster.trace)
+        assert all(row is ring
+                   for row, ring in zip(log["all"], cluster.trace.rows()))
 
-    def test_raw_channel_carries_the_live_message_object(self):
+    def test_deliver_rows_carry_the_live_message(self):
         from repro.net.message import Message
         cluster, log = self.run_with_sinks()
-        assert log["raw"]
-        for kind, _time, _node, _peer, _mtype, _msg_id, payload in \
-                log["raw"]:
+        assert log["deliver"]
+        for kind, _time, _node, _peer, mtype, _msg_id, payload in \
+                log["deliver"]:
             assert kind is DELIVER
             assert isinstance(payload, Message)
+            assert payload.mtype == mtype
 
     def test_subscriptions_do_not_perturb_the_trace(self):
         plain = Cluster(seed=0, trace=True)

@@ -261,17 +261,18 @@ class TestAnomalySpanLink:
     def test_record_links_offending_request_span(self):
         from repro.monitor.base import Monitor
         from repro.trace.events import LOCAL
+        from repro.trace.tracer import row_get
         cluster = Cluster(seed=0, trace=True)
         run_multipaxos(cluster, n_replicas=3, n_clients=1,
                        commands_per_client=2)
-        event = next(e for e in cluster.trace.events
-                     if e.kind == LOCAL and e.mtype == "apply"
-                     and e.get("req") is not None)
-        anomaly = Monitor().record("synthetic violation", event=event)
+        row = next(r for r in cluster.trace.rows()
+                   if r[0] == LOCAL and r[4] == "apply"
+                   and row_get(r, "req") is not None)
+        anomaly = Monitor().record("synthetic violation", row=row)
         detail = dict(anomaly.detail)
-        assert detail["span"] == event.get("req")
+        assert detail["span"] == row_get(row, "req")
         # An explicit span= wins over the derived one.
-        pinned = Monitor().record("synthetic", event=event, span="x")
+        pinned = Monitor().record("synthetic", row=row, span="x")
         assert dict(pinned.detail)["span"] == "x"
 
 
