@@ -69,9 +69,8 @@ class ClientProtocol:
     #: collector from first transmission to completion.
     spans: bool = False
     #: ``view(reply)`` when replies carry the view; the primary of view
-    #: ``v`` is replica ``v mod n``.  The open-loop injector follows it;
-    #: :class:`ClosedLoopClient` does not (only a redirect or a
-    #: rotate-retry moves its target), which the pbft goldens pin.
+    #: ``v`` is replica ``v mod n``.  Both drivers follow it: the next
+    #: request goes to the primary the completing reply names.
     view: object = None
     # What a fleet builder (load engine, ShardGroup, ReplicatedKV) needs
     # on top; rows nobody builds fleets from leave these out.
@@ -243,6 +242,8 @@ class ClosedLoopClient(Node):
         self.results.append(msg.result)
         self.latencies.append(self.sim.now - self._sent_at)
         self._next += 1
+        if row.view is not None:
+            self.target = self.replicas[row.view(msg) % len(self.replicas)]
         if row.cancel_on_reply and self._timer is not None:
             self._timer.cancel()
         self._send_next()

@@ -113,6 +113,18 @@ class TestCrashedPrimary:
                               operations_per_client=3, crash_primary_at=5.0)
             assert result.logs_consistent(), seed
 
+    def test_closed_loop_client_follows_the_view(self, make_cluster):
+        # After the view change the client sends to the new primary;
+        # one that kept asking the dead one would wait out the 30 vt
+        # retransmit timer on every later request (143.5 vt in all).
+        result = run_pbft(make_cluster(seed=0), f=1, n_clients=1,
+                          operations_per_client=6, crash_primary_at=12)
+        client = result.clients[0]
+        assert client.done and result.logs_consistent()
+        assert client.target == "r1"
+        assert max(client.latencies[4:]) < 10.0
+        assert result.duration <= 90.0
+
 
 class TestByzantinePrimaries:
     def test_silent_primary_triggers_view_change(self, make_cluster):

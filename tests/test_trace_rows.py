@@ -159,6 +159,6 @@ def test_bounded_ring_view_after_eviction_replays_clocks_from_its_window():
         == [e[:4] + e[5:] for e in full.events[-60:]]
     # Clocks restart at the window: the first row of a node ticks to 1,
     # where the unbounded trace has counted the evicted prefix too.
-    first = events[0]
+    first = next(event for event in events if event.node)
     assert first.lamport == 1 < full.events[first.seq].lamport
     assert events[-1] == list(events)[-1] == events[59]
