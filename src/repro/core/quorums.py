@@ -28,6 +28,12 @@ from itertools import combinations
 from .exceptions import ConfigurationError
 
 
+def primary_of(peers, view):
+    """The member of ``peers`` (in their fixed order) that leads
+    ``view``: the primary rotates round-robin with the view."""
+    return peers[view % len(peers)]
+
+
 def minimum_nodes(f, b=0):
     """The rule's bound: members needed to tolerate ``f`` faults with at
     most ``b`` faulty members in any quorum intersection, 2f + b + 1."""

@@ -27,6 +27,7 @@ locates the knee with :func:`~repro.load.slo.detect_knee`.
 from ..core.client import agreed, next_target
 from ..core.cluster import Cluster
 from ..core.node import Node
+from ..core.quorums import primary_of
 from ..net.delivery import QueuedDelayModel
 from ..parallel.runner import ParallelRunner
 from ..parallel.streams import named_stream
@@ -259,7 +260,7 @@ class OpenLoopInjector(InjectorBase, Node):
             view = row.view(msg)
             if view > self.view:
                 self.view = view
-                self.target = self.targets[view % len(self.targets)]
+                self.target = primary_of(self.targets, view)
         ident = row.key(msg)
         if ident not in self.outstanding:
             return

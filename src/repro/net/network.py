@@ -15,6 +15,7 @@ interceptors, no partition) takes a short branch straight to the
 delivery model.
 """
 
+from ..metrics.collector import MetricsCollector
 from ..sim.errors import ClockError
 from .delivery import DeliveryModel, UniformDelayModel
 from .message import protocol_of
@@ -32,8 +33,8 @@ class Network:
         A :class:`~repro.net.delivery.DeliveryModel`; defaults to mildly
         jittered bounded delay.
     metrics:
-        Optional :class:`~repro.metrics.MetricsCollector`; every sent
-        message is recorded on it.
+        The :class:`~repro.metrics.MetricsCollector` every sent message
+        and every phase mark is recorded on; a fresh one by default.
     tracer:
         Optional :class:`~repro.trace.Tracer`; every send, delivery and
         drop is recorded on it.  ``None`` (the default) keeps the send
@@ -49,7 +50,7 @@ class Network:
                  telemetry=None):
         self.sim = sim
         self.delivery = delivery if delivery is not None else UniformDelayModel()
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsCollector()
         self.tracer = tracer
         self.telemetry = telemetry
         self.partitions = PartitionManager()
@@ -62,7 +63,7 @@ class Network:
         # Unified per-link fast-path cache, keyed (message class, src,
         # dst): each entry is ``(slot, handles)`` — the collector's
         # [count, bytes] accumulation slot and the pre-resolved telemetry
-        # counter handles (either may be None).  Resolving a telemetry
+        # counter handles (None without telemetry).  Resolving a telemetry
         # handle sorts and hashes the label dict; these memos make every
         # later send on the same link a handful of inline increments.
         self._link_handles = {}
@@ -117,21 +118,16 @@ class Network:
         """
         if dst not in self._nodes:
             raise KeyError("unknown destination %r" % (dst,))
-        size = _size
         cached = self._link_handles.get((message.__class__, src, dst))
         if cached is None:
             cached = self._resolve_link(src, dst, message)
         slot, handles = cached
-        if slot is not None:
-            if size is None:
-                size = message.size_estimate()
-            # Batched collector lane: two list-cell bumps; the collector
-            # folds slots into its aggregates on read.
-            slot[0] += 1
-            slot[1] += size
+        size = message.size_estimate() if _size is None else _size
+        # Batched collector lane: two list-cell bumps; the collector
+        # folds slots into its aggregates on read.
+        slot[0] += 1
+        slot[1] += size
         if handles is not None:
-            if size is None:
-                size = message.size_estimate()
             # Direct slot stores, not ``inc()`` calls: the amounts are
             # non-negative by construction, so the counter's guard (and
             # the call frame) buys nothing here.
@@ -194,9 +190,7 @@ class Network:
 
     def _resolve_link(self, src, dst, message):
         """Build and memoize the ``(slot, handles)`` pair for one link."""
-        metrics = self.metrics
-        slot = None if metrics is None else \
-            metrics.slot_for(src, dst, message.mtype)
+        slot = self.metrics.slot_for(src, dst, message.mtype)
         handles = None
         telemetry = self.telemetry
         if telemetry is not None:
@@ -221,7 +215,7 @@ class Network:
         messages), so each samples its own delay and counts as one message.
         """
         sent = 0
-        size = self._shared_size(message)
+        size = message.size_estimate()
         for name in self._nodes:
             if name == src and not include_self:
                 continue
@@ -232,19 +226,12 @@ class Network:
     def multicast(self, src, dsts, message):
         """Unicast ``message`` to each destination in ``dsts``."""
         sent = 0
-        size = self._shared_size(message)
+        # Every copy carries the same bytes: cost the payload once.
+        size = message.size_estimate()
         for dst in dsts:
             if self.send(src, dst, message, _size=size):
                 sent += 1
         return sent
-
-    def _shared_size(self, message):
-        """Cost a fan-out payload once: every copy of a broadcast carries
-        the same bytes, so the per-field walk need not repeat per
-        destination.  ``None`` when nothing consumes sizes."""
-        if self.metrics is not None or self.telemetry is not None:
-            return message.size_estimate()
-        return None
 
     def _count_drop(self, message, reason):
         if self.telemetry is not None:

@@ -113,14 +113,11 @@ class FleetNetwork(Network):
         if cached is None:
             cached = self._resolve_link(src, dst, message)
         slot, handles = cached
-        if slot is not None:
-            if size is None:
-                size = message.size_estimate()
-            slot[0] += 1
-            slot[1] += size
+        if size is None:
+            size = message.size_estimate()
+        slot[0] += 1
+        slot[1] += size
         if handles is not None:
-            if size is None:
-                size = message.size_estimate()
             handles[0].value += 1
             handles[1].value += size
             handles[2].value += 1

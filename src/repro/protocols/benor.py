@@ -22,9 +22,8 @@ property E14 measures as a rounds-to-decide distribution.
 
 from dataclasses import dataclass
 
-from ..core.node import Node
-from ..core.quorums import CountingQuorum
 from ..net.message import Message
+from .replica import Replica
 
 UNDECIDED = "?"
 
@@ -49,17 +48,15 @@ class DecisionMsg(Message):
     value: int
 
 
-class BenOrNode(Node):
-    """One participant in Ben-Or binary consensus."""
+class BenOrNode(Replica):
+    """One participant in Ben-Or binary consensus.
+
+    Only the crash rule's bound, n > 2f, matters here: the rounds wait
+    for n - f messages and count majorities and f+1, not quorums.
+    """
 
     def __init__(self, sim, network, name, peers, initial, f, max_rounds=200):
-        super().__init__(sim, network, name)
-        self.peers = list(peers)
-        self.n = len(self.peers)
-        # Only the crash rule's bound, n > 2f: the rounds below wait for
-        # n - f messages and count majorities and f+1, not quorums.
-        CountingQuorum.tolerating(self.peers, f)
-        self.f = f
+        super().__init__(sim, network, name, peers, f)
         self.estimate = initial
         self.round = 1
         self.decided = None
@@ -78,9 +75,7 @@ class BenOrNode(Node):
         self._phase = "report"
         message = Report(self.round, self.estimate)
         self._record_report(self.round, self.estimate, self.name)
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(peer, message)
+        self.multicast(self.other_peers, message)
 
     def handle_report(self, msg, src):
         self._record_report(msg.round_id, msg.value, src)
@@ -95,9 +90,7 @@ class BenOrNode(Node):
         self._phase = "propose"
         message = Proposal(self.round, value)
         self._record_proposal(self.round, value, self.name)
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(peer, message)
+        self.multicast(self.other_peers, message)
 
     def handle_proposal(self, msg, src):
         self._record_proposal(msg.round_id, msg.value, src)
@@ -137,9 +130,7 @@ class BenOrNode(Node):
                 self.trace_local("decide", round=self.round,
                                  value=self.decided)
                 # Terminal gossip so laggards decide too.
-                for peer in self.peers:
-                    if peer != self.name:
-                        self.send(peer, DecisionMsg(self.decided))
+                self.multicast(self.other_peers, DecisionMsg(self.decided))
                 return
             if concrete:
                 self.estimate = next(iter(concrete))
@@ -158,9 +149,7 @@ class BenOrNode(Node):
             self.decided_round = self.round
             self.estimate = msg.value
             self.trace_local("learn", round=self.round, value=msg.value)
-            for peer in self.peers:
-                if peer != self.name:
-                    self.send(peer, DecisionMsg(msg.value))
+            self.multicast(self.other_peers, DecisionMsg(msg.value))
 
 
 @dataclass

@@ -26,9 +26,8 @@ detector and checking agreement still holds.
 
 from dataclasses import dataclass
 
-from ..core.node import Node
-from ..core.quorums import CountingQuorum
 from ..net.message import Message
+from .replica import Replica
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,9 @@ class AlwaysSuspecting:
         return True
 
 
-class CTProcess(Node):
-    """One participant in Chandra–Toueg rotating-coordinator consensus."""
+class CTProcess(Replica):
+    """One participant in Chandra–Toueg rotating-coordinator consensus;
+    the coordinator of round r is the primary of view r."""
 
     #: How long a non-coordinator waits for the round's proposal before
     #: consulting the detector (polling granularity, not a synchrony
@@ -135,11 +135,7 @@ class CTProcess(Node):
 
     def __init__(self, sim, network, name, peers, initial, f,
                  detector_factory=None, max_rounds=500):
-        super().__init__(sim, network, name)
-        self.peers = list(peers)
-        self.n = len(self.peers)
-        self.quorums = CountingQuorum.tolerating(self.peers, f)
-        self.f = f
+        super().__init__(sim, network, name, peers, f)
         self.estimate = initial
         self.ts = 0
         self.round = 1
@@ -157,9 +153,6 @@ class CTProcess(Node):
         self._acked = set()  # rounds we already acked/nacked
         self._proposed = set()  # rounds we coordinated
 
-    def coordinator_of(self, round_id):
-        return self.peers[round_id % self.n]
-
     # -- lifecycle ------------------------------------------------------------
 
     def on_start(self):
@@ -169,7 +162,7 @@ class CTProcess(Node):
     def _begin_round(self):
         if self.decided is not None or self.round > self.max_rounds:
             return
-        coordinator = self.coordinator_of(self.round)
+        coordinator = self.primary_of(self.round)
         message = Estimate(self.round, self.estimate, self.ts)
         if coordinator == self.name:
             self._record_estimate(self.round, self.estimate, self.ts,
@@ -183,7 +176,7 @@ class CTProcess(Node):
             return
         if round_id in self._proposal_seen:
             return
-        coordinator = self.coordinator_of(round_id)
+        coordinator = self.primary_of(round_id)
         if coordinator != self.name and \
                 self.detector.suspects(coordinator, self.sim.now):
             # Phase 3, nack branch: suspected coordinator.
@@ -208,7 +201,7 @@ class CTProcess(Node):
         self._record_estimate(msg.round_id, msg.value, msg.ts, src)
 
     def _record_estimate(self, round_id, value, ts, sender):
-        if self.coordinator_of(round_id) != self.name:
+        if self.primary_of(round_id) != self.name:
             return
         estimates = self._estimates.setdefault(round_id, {})
         estimates[sender] = (value, ts)
@@ -220,15 +213,13 @@ class CTProcess(Node):
             self._proposal_value[round_id] = best_value
             proposal = CtProposal(round_id, best_value)
             self._on_proposal(proposal, self.name)
-            for peer in self.peers:
-                if peer != self.name:
-                    self.send(peer, proposal)
+            self.multicast(self.other_peers, proposal)
 
     # -- phase 3: ack / nack ----------------------------------------------------------
 
     def handle_ctproposal(self, msg, src):
         self.detector.observe(src, self.sim.now)
-        if src != self.coordinator_of(msg.round_id):
+        if src != self.primary_of(msg.round_id):
             return
         self._on_proposal(msg, src)
 
@@ -253,7 +244,7 @@ class CTProcess(Node):
         if round_id in self._acked:
             return
         self._acked.add(round_id)
-        coordinator = self.coordinator_of(round_id)
+        coordinator = self.primary_of(round_id)
         ack = Ack(round_id, positive)
         if coordinator == self.name:
             self._record_ack(round_id, positive, self.name)
@@ -267,7 +258,7 @@ class CTProcess(Node):
         self._record_ack(msg.round_id, msg.positive, src)
 
     def _record_ack(self, round_id, positive, sender):
-        if self.coordinator_of(round_id) != self.name:
+        if self.primary_of(round_id) != self.name:
             return
         acks = self._acks.setdefault(round_id, {})
         acks[sender] = positive
@@ -285,18 +276,14 @@ class CTProcess(Node):
         self.decided_round = self.round
         self.trace_local("decide", round=self.round, value=value)
         # Reliable broadcast: everyone relays the decision once.
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(peer, CtDecide(value))
+        self.multicast(self.other_peers, CtDecide(value))
 
     def handle_ctdecide(self, msg, src):
         if self.decided is None:
             self.decided = msg.value
             self.decided_round = self.round
             self.trace_local("learn", round=self.round, value=msg.value)
-            for peer in self.peers:
-                if peer != self.name:
-                    self.send(peer, CtDecide(msg.value))
+            self.multicast(self.other_peers, CtDecide(msg.value))
 
 
 @dataclass

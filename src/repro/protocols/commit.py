@@ -129,6 +129,7 @@ class Cohort(Node):
             raise ValueError("protocol must be '2pc' or '3pc'")
         self.coordinator = coordinator
         self.peers = list(peers)
+        self.other_peers = [p for p in self.peers if p != name]
         self.vote_yes = vote_yes
         self.protocol = protocol
         self.decision_timeout = decision_timeout
@@ -196,9 +197,7 @@ class Cohort(Node):
         if self.protocol == "2pc":
             if self.cooperative:
                 # Ask the other cohorts whether anyone knows the outcome.
-                for peer in self.peers:
-                    if peer != self.name:
-                        self.send(peer, DecisionQuery(txid))
+                self.multicast(self.other_peers, DecisionQuery(txid))
                 # If nobody replies with a decision, we stay blocked.
                 self.set_timer(self.decision_timeout, self._mark_blocked)
             else:
@@ -241,9 +240,7 @@ class Cohort(Node):
         self.is_recovery_coordinator = True
         self.trace.enter(CCPhase.LEADER_ELECTION, self.sim.now, "termination")
         self._recovery_states = {self.name: self.state}
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(peer, StateRequest(txid))
+        self.multicast(self.other_peers, StateRequest(txid))
         self.set_timer(self.decision_timeout, self._maybe_terminate, txid, True)
 
     def _successor(self):
@@ -278,9 +275,8 @@ class Cohort(Node):
             self._precommit_acks = {self.name}
             if self.state is TxState.READY:
                 self.state = TxState.PRECOMMITTED
-            for peer in self._recovery_states:
-                if peer != self.name:
-                    self.send(peer, PreCommit(txid))
+            self.multicast([p for p in self._recovery_states
+                            if p != self.name], PreCommit(txid))
             self.set_timer(self.decision_timeout, self._announce, txid, True)
         else:
             # All uncertain: nobody can have committed — abort is safe.
@@ -292,9 +288,7 @@ class Cohort(Node):
 
     def _announce(self, txid, commit):
         message = GlobalCommit(txid) if commit else GlobalAbort(txid)
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(peer, message)
+        self.multicast(self.other_peers, message)
         if commit:
             self.handle_globalcommit(GlobalCommit(txid), self.name)
         else:
@@ -335,8 +329,7 @@ class Coordinator(Node):
 
     def on_start(self):
         self.trace.enter(CCPhase.VALUE_DISCOVERY, self.sim.now, "vote-request")
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase(self.protocol, "vote", self.sim.now)
+        self.network.metrics.mark_phase(self.protocol, "vote", self.sim.now)
         self.multicast(self.cohorts, VoteRequest(self.txid))
 
     def handle_vote(self, msg, src):
@@ -352,8 +345,8 @@ class Coordinator(Node):
                 return
             if self.protocol == "3pc":
                 self.trace.enter(CCPhase.FT_AGREEMENT, self.sim.now, "pre-commit")
-                if self.network.metrics is not None:
-                    self.network.metrics.mark_phase("3pc", "pre-commit", self.sim.now)
+                self.network.metrics.mark_phase("3pc", "pre-commit",
+                                                self.sim.now)
                 self.multicast(self.cohorts, PreCommit(self.txid))
             else:
                 self._decide(commit=True)
@@ -371,8 +364,8 @@ class Coordinator(Node):
     def _decide(self, commit):
         self.decision = "commit" if commit else "abort"
         self.trace.enter(CCPhase.DECISION, self.sim.now, self.decision)
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase(self.protocol, "decision", self.sim.now)
+        self.network.metrics.mark_phase(self.protocol, "decision",
+                                        self.sim.now)
         message = GlobalCommit(self.txid) if commit else GlobalAbort(self.txid)
         targets = self.cohorts
         if self.crash_after == "partial_decision":

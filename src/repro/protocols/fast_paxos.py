@@ -20,8 +20,9 @@ Hence the property box: 1 **or** 3 phases.
 from dataclasses import dataclass
 
 from ..core.node import Node
-from ..core.quorums import CountingQuorum, minimum_nodes
+from ..core.quorums import minimum_nodes
 from ..net.message import Message
+from .replica import Replica
 
 
 # -- messages ---------------------------------------------------------------
@@ -114,24 +115,24 @@ class FastPaxosReplica(Node):
         self.decided = msg.value
 
 
-class FastPaxosLeader(Node):
+class FastPaxosLeader(Replica):
     """The coordinator: opens fast rounds, resolves collisions.
 
     Parameters
     ----------
     replicas:
-        Names of the 3f+1 acceptors.
+        Names of the 3f+1 acceptors: the leader's peers, though it is
+        not one of them.
     f:
-        Tolerated crash failures; quorums are 2f+1.
+        Tolerated crash failures; quorums are 2f+1.  Fast quorums
+        (b = f): any two share f+1 replicas, so two fast quorums and a
+        classic one still meet.
     """
 
+    protocol = "fast-paxos"
+
     def __init__(self, sim, network, name, replicas, f):
-        super().__init__(sim, network, name)
-        self.replicas = list(replicas)
-        #: Fast quorums (b = f): any two share f+1 replicas, so two fast
-        #: quorums and a classic one still meet.
-        self.quorums = CountingQuorum.tolerating(self.replicas, f, b=f)
-        self.f = f
+        super().__init__(sim, network, name, replicas, f, b=f)
         self.round_id = 1
         self.fast_votes = {}  # src -> value
         self.classic_votes = {}  # src -> value
@@ -141,9 +142,8 @@ class FastPaxosLeader(Node):
         self.classic_round_id = None
 
     def on_start(self):
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("fast-paxos", "any", self.sim.now)
-        self.multicast(self.replicas, AnyMsg(self.round_id))
+        self.mark_phase("any")
+        self.multicast(self.peers, AnyMsg(self.round_id))
 
     # -- fast path ---------------------------------------------------------
 
@@ -161,11 +161,11 @@ class FastPaxosLeader(Node):
         # Collision detection: once n−f replicas reported and no value can
         # still reach a fast quorum, start coordinated recovery.
         responded = len(self.fast_votes)
-        outstanding = len(self.replicas) - responded
+        outstanding = self.n - responded
         best = max(counts.values(), default=0)
-        if responded >= len(self.replicas) - self.f and best + outstanding < self.quorums.q2:
+        if responded >= self.n - self.f and best + outstanding < self.quorums.q2:
             self._start_classic_round()
-        elif responded == len(self.replicas) and best < self.quorums.q2:
+        elif responded == self.n and best < self.quorums.q2:
             self._start_classic_round()
 
     @staticmethod
@@ -180,8 +180,7 @@ class FastPaxosLeader(Node):
     def _start_classic_round(self):
         self.collision = True
         self.classic_round_id = self.round_id + 1
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("fast-paxos", "classic", self.sim.now)
+        self.mark_phase("classic")
         counts = self._counts(self.fast_votes)
         # A value reported by >= f+1 replicas might have been chosen by a
         # fast quorum we didn't fully observe; it must be re-proposed.
@@ -190,7 +189,7 @@ class FastPaxosLeader(Node):
         # Deterministic pick: highest count, then lexicographic value.
         value = sorted(pool.items(), key=lambda item: (-item[1], str(item[0])))[0][0]
         self.classic_votes = {}
-        self.multicast(self.replicas, ClassicAccept(self.classic_round_id, value))
+        self.multicast(self.peers, ClassicAccept(self.classic_round_id, value))
 
     def handle_classicaccepted(self, msg, src):
         if self.decided is not None or msg.round_id != self.classic_round_id:
@@ -205,9 +204,8 @@ class FastPaxosLeader(Node):
     def _decide(self, value):
         self.decided = value
         self.decided_at = self.sim.now
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("fast-paxos", "commit", self.sim.now)
-        self.multicast(self.replicas, Commit(self.round_id, value))
+        self.mark_phase("commit")
+        self.multicast(self.peers, Commit(self.round_id, value))
 
 
 class FastPaxosClient(Node):

@@ -23,11 +23,11 @@ from functools import cached_property
 from operator import attrgetter
 
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
-from ..core.node import Node
 from ..core.quorums import CountingQuorum, minimum_nodes
 from ..crypto.hashing import sha256_hex
 from ..crypto.threshold import ThresholdScheme
 from ..net.message import Message
+from .replica import Replica, run_closed_loop
 
 
 # -- basic (sequential) HotStuff ----------------------------------------------
@@ -79,27 +79,22 @@ def _record_vote(votes, key, partial):
     return partials
 
 
-class BasicHotStuffReplica(Node):
+class BasicHotStuffReplica(Replica):
     """One replica of basic (non-pipelined) HotStuff.
 
     All replicas share a :class:`~repro.crypto.ThresholdScheme` with
-    k = 2f+1; the leader of the view drives the four QC phases.
+    k = 2f+1; the primary of the view drives the four QC phases.
     """
+
+    protocol = "hotstuff"
 
     def __init__(self, sim, network, name, peers, f, scheme,
                  state_machine_factory=None):
-        super().__init__(sim, network, name)
-        self.peers = list(peers)
-        self.n = len(self.peers)
-        self.quorums = CountingQuorum.tolerating(self.peers, f, b=f)
-        self.f = f
+        super().__init__(sim, network, name, peers, f, b=f,
+                         state_machine_factory=state_machine_factory)
         self.scheme = scheme
         self.view = 0
         self.decided_ops = []
-        if state_machine_factory is None:
-            from .leader import ListStateMachine
-            state_machine_factory = ListStateMachine
-        self.state_machine = state_machine_factory()
 
         # Leader state
         self._queue = []  # pending client requests
@@ -108,19 +103,11 @@ class BasicHotStuffReplica(Node):
         self._votes = {}  # (phase, node_hash) -> {signer: partial}
         self._busy = False
 
-    @property
-    def leader_name(self):
-        return self.peers[self.view % self.n]
-
-    @property
-    def is_leader(self):
-        return self.leader_name == self.name
-
     # -- client requests ------------------------------------------------------
 
     def handle_hsrequest(self, msg, src):
-        if not self.is_leader:
-            self.send(self.leader_name, msg)
+        if not self.is_primary:
+            self.send(self.primary_name, msg)
             return
         self._queue.append(msg)
         self._maybe_start()
@@ -138,17 +125,15 @@ class BasicHotStuffReplica(Node):
     def _broadcast_phase(self, justify):
         phase = BASIC_PHASES[self._phase_index]
         node_hash, operation, _client = self._current
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("hotstuff", phase, self.sim.now)
+        self.mark_phase(phase)
         message = HsPhaseMsg(self.view, phase, node_hash, operation, justify)
-        self.multicast([peer for peer in self.peers if peer != self.name],
-                       message)
+        self.multicast(self.other_peers, message)
         self._on_phase_msg(message)  # leader processes its own broadcast
 
     # -- replica side -----------------------------------------------------------
 
     def handle_hsphasemsg(self, msg, src):
-        if src != self.leader_name:
+        if src != self.primary_name:
             return
         self._on_phase_msg(msg)
 
@@ -169,13 +154,13 @@ class BasicHotStuffReplica(Node):
             self.name, msg.view, msg.phase, msg.node_hash
         )
         vote = HsVote(msg.view, msg.phase, msg.node_hash, partial)
-        if self.is_leader:
+        if self.is_primary:
             self.handle_hsvote(vote, self.name)
         else:
-            self.send(self.leader_name, vote)
+            self.send(self.primary_name, vote)
 
     def handle_hsvote(self, msg, src):
-        if not self.is_leader or self._current is None:
+        if not self.is_primary or self._current is None:
             return
         if msg.node_hash != self._current[0]:
             return
@@ -194,7 +179,7 @@ class BasicHotStuffReplica(Node):
         result = self.state_machine.apply(msg.operation)
         self.decided_ops.append(msg.operation)
         self.trace_local("decide", view=self.view, op=msg.operation)
-        if self.is_leader:
+        if self.is_primary:
             _node_hash, _operation, client = self._current
             self.send(client, HsReply(msg.operation, result))
             self._current = None
@@ -208,7 +193,7 @@ class BasicHotStuffReplica(Node):
     def _rotate_queue(self):
         # After rotation the queue must follow the new leader.
         if self._queue:
-            new_leader = self.leader_name
+            new_leader = self.primary_name
             if new_leader != self.name:
                 for request in self._queue:
                     self.send(new_leader, request)
@@ -281,7 +266,7 @@ class GenericVote(Message):
     partial: object
 
 
-class ChainedHotStuffReplica(Node):
+class ChainedHotStuffReplica(Replica):
     """Chained HotStuff with round-robin leader rotation.
 
     One generic phase per view: the leader proposes a block justified by
@@ -291,13 +276,11 @@ class ChainedHotStuffReplica(Node):
     consecutive views (b ← b' ← b'' with QCs all the way).
     """
 
+    protocol = "hotstuff-chained"
+
     def __init__(self, sim, network, name, peers, f, scheme, commands,
                  view_timeout=15.0):
-        super().__init__(sim, network, name)
-        self.peers = list(peers)
-        self.n = len(self.peers)
-        self.quorums = CountingQuorum.tolerating(self.peers, f, b=f)
-        self.f = f
+        super().__init__(sim, network, name, peers, f, b=f)
         self.scheme = scheme
         self.commands = list(commands)  # shared command queue (replicated)
         #: Commands are numbered: one in the queue by its first index
@@ -328,11 +311,8 @@ class ChainedHotStuffReplica(Node):
         self.view_timeout = view_timeout
         self._timeout_timer = None
 
-    def leader_of(self, view):
-        return self.peers[view % self.n]
-
     def on_start(self):
-        if self.leader_of(self.view) == self.name:
+        if self.is_primary:
             self.sim.call_soon(self._propose)
         self._arm_timeout()
 
@@ -354,12 +334,12 @@ class ChainedHotStuffReplica(Node):
             voted_view, voted_hash = self._last_voted
             partial = self.scheme.sign_share(self.name, voted_view, voted_hash)
             vote = GenericVote(voted_view, voted_hash, partial)
-            new_leader = self.leader_of(self.view)
+            new_leader = self.primary_name
             if new_leader == self.name:
                 self.handle_genericvote(vote, self.name)
             else:
                 self.send(new_leader, vote)
-        if self.leader_of(self.view) == self.name:
+        if self.is_primary:
             self._propose()
         self._arm_timeout()
 
@@ -423,22 +403,20 @@ class ChainedHotStuffReplica(Node):
         self._proposed_views.add(self.view)
         qc_view, qc_hash, qc = self.high_qc
         block = Block(self.view, qc_hash, self._next_command(), qc_view, qc)
+        self.mark_phase("propose")
         metrics = self.network.metrics
-        if metrics is not None:
-            metrics.mark_phase("hotstuff-chained", "propose", self.sim.now)
-            label = "hotstuff:%s" % (block.command,)
-            if block.command in self._queue_index and not metrics.request_open(label):
-                # Span opens when a command first enters a proposed block;
-                # a re-proposal after a failed view keeps the original.
-                metrics.start_request(label, self.sim.now)
+        label = "hotstuff:%s" % (block.command,)
+        if block.command in self._queue_index and not metrics.request_open(label):
+            # Span opens when a command first enters a proposed block;
+            # a re-proposal after a failed view keeps the original.
+            metrics.start_request(label, self.sim.now)
         proposal = Proposal(block)
-        self.multicast([peer for peer in self.peers if peer != self.name],
-                       proposal)
+        self.multicast(self.other_peers, proposal)
         self.handle_proposal(proposal, self.name)
 
     def handle_proposal(self, msg, src):
         block = msg.block
-        if src != self.leader_of(block.view):
+        if src != self.primary_of(block.view):
             return
         if block.view < self.view:
             return
@@ -461,7 +439,7 @@ class ChainedHotStuffReplica(Node):
         partial = self.scheme.sign_share(self.name, block.view, block.hash)
         vote = GenericVote(block.view, block.hash, partial)
         self._last_voted = (block.view, block.hash)
-        next_leader = self.leader_of(block.view + 1)
+        next_leader = self.primary_of(block.view + 1)
         if next_leader == self.name:
             self.handle_genericvote(vote, self.name)
         else:
@@ -489,7 +467,7 @@ class ChainedHotStuffReplica(Node):
         self._update_high_qc(msg.view, msg.block_hash, qc)
         self.view = max(self.view, msg.view + 1)
         self._arm_timeout()
-        if self.leader_of(self.view) == self.name:
+        if self.is_primary:
             self._propose()
 
     def _update_high_qc(self, view, block_hash, qc):
@@ -530,7 +508,7 @@ class ChainedHotStuffReplica(Node):
                 self._decided_set.add(blk.command)
                 metrics = self.network.metrics
                 label = "hotstuff:%s" % (blk.command,)
-                if metrics is not None and metrics.request_open(label):
+                if metrics.request_open(label):
                     # First replica to three-chain-commit closes the span.
                     metrics.finish_request(label, self.sim.now)
                 self.trace_local("decide", view=blk.view,
@@ -559,11 +537,9 @@ def run_basic_hotstuff(cluster, f=1, operations=3, horizon=2000.0):
     scheme = ThresholdScheme(
         CountingQuorum.tolerating(names, f, b=f).q2, names)
     replicas = cluster.add_nodes(BasicHotStuffReplica, names, names, f, scheme)
-    client = cluster.add_node(
-        BasicHotStuffClient, "c0", names,
-        ["op-%d" % i for i in range(operations)],
-    )
-    return HotStuffResult.drive(cluster, replicas, [client], horizon)
+    return run_closed_loop(HotStuffResult, cluster, replicas,
+                           BasicHotStuffClient, names, operations,
+                           horizon=horizon)
 
 
 def run_chained_hotstuff(cluster, f=1, commands=8, crash_leader_at=None,
@@ -580,7 +556,7 @@ def run_chained_hotstuff(cluster, f=1, commands=8, crash_leader_at=None,
     if crash_leader_at is not None:
         def crash_leader():
             for replica in replicas:
-                if replica.leader_of(replica.view) == replica.name:
+                if replica.is_primary:
                     replica.crash()
                     return
             replicas[1].crash()

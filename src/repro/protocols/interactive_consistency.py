@@ -21,8 +21,8 @@ n >= 3m+1 at several (n, m) points.
 
 from dataclasses import dataclass
 
-from ..core.node import Node
 from ..net.message import Message
+from .replica import Replica
 
 UNKNOWN = "UNKNOWN"
 
@@ -41,17 +41,17 @@ class VectorMsg(Message):
     vector: tuple
 
 
-class ICProcess(Node):
+class ICProcess(Replica):
     """An honest participant in the vector-exchange algorithm.
 
     The synchronous rounds are driven by fixed virtual times: round
     boundaries at ``round_length`` and ``2 * round_length`` — safe with
-    any delivery model whose delays stay below ``round_length``.
+    any delivery model whose delays stay below ``round_length``.  It
+    counts majorities, not quorums.
     """
 
     def __init__(self, sim, network, name, peers, value, round_length=2.0):
-        super().__init__(sim, network, name)
-        self.peers = list(peers)
+        super().__init__(sim, network, name, peers)
         self.index = self.peers.index(name)
         self.value = value
         self.round_length = round_length
@@ -60,9 +60,7 @@ class ICProcess(Node):
         self.result = None
 
     def on_start(self):
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(peer, ValueMsg(self.value))
+        self.multicast(self.other_peers, ValueMsg(self.value))
         self.set_timer(self.round_length, self._send_vector)
         self.set_timer(2 * self.round_length, self._compute_result)
 
@@ -73,10 +71,7 @@ class ICProcess(Node):
         return tuple(self.got.get(peer, UNKNOWN) for peer in self.peers)
 
     def _send_vector(self):
-        vector = self._vector()
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(peer, VectorMsg(vector))
+        self.multicast(self.other_peers, VectorMsg(self._vector()))
 
     def handle_vectormsg(self, msg, src):
         self.received_vectors[src] = msg.vector

@@ -17,8 +17,7 @@ import enum
 from operator import attrgetter
 
 from ..core.client import ClientProtocol, RunResult
-from ..core.node import Node
-from ..core.quorums import CountingQuorum
+from .replica import Replica
 
 
 class Role(enum.Enum):
@@ -30,34 +29,14 @@ class Role(enum.Enum):
     LEADER = "leader"
 
 
-class ListStateMachine:
-    """Default state machine: append-only command history."""
-
-    def __init__(self):
-        self.history = []
-
-    def apply(self, command):
-        self.history.append(command)
-        return len(self.history) - 1
-
-    def snapshot(self):
-        return list(self.history)
-
-    def restore(self, snapshot, ops_applied=0):
-        self.history = list(snapshot)
-
-
-class LeaderReplica(Node):
+class LeaderReplica(Replica):
     """A replica of a leader-based replicated log.
 
     Parameters
     ----------
-    peers:
-        All replica names, this one included, in a fixed global order.
-    state_machine_factory:
-        Zero-arg callable building this replica's deterministic state
-        machine, which exposes ``apply(command) -> result``; ``None``
-        means :class:`ListStateMachine`.
+    peers, state_machine_factory:
+        As for :class:`~repro.protocols.replica.Replica`; quorums are
+        majorities, tolerating as many crash faults as the peers allow.
     election_timeout:
         Leader silence after which a follower campaigns; each arm adds
         uniform jitter in [0, timeout] against split votes and duels.
@@ -98,13 +77,8 @@ class LeaderReplica(Node):
 
     def __init__(self, sim, network, name, peers, state_machine_factory,
                  election_timeout):
-        super().__init__(sim, network, name)
-        self.peers = list(peers)
-        #: Majorities: as many crash faults as the peers tolerate (b = 0).
-        self.quorums = CountingQuorum.tolerating(self.peers)
-        #: Every peer but ourselves, in ``peers`` order — the fan-out list.
-        self.other_peers = [p for p in self.peers if p != name]
-        self.state_machine = (state_machine_factory or ListStateMachine)()
+        super().__init__(sim, network, name, peers,
+                         state_machine_factory=state_machine_factory)
         self.election_timeout = election_timeout
         self.role = Role.FOLLOWER
         self.leader_hint = None

@@ -123,6 +123,7 @@ class MultiPaxosReplica(LeaderReplica):
     """
 
     REPLY, REDIRECT = ClientReply, Redirect
+    protocol = "multi-paxos"
 
     def __init__(
         self,
@@ -161,8 +162,7 @@ class MultiPaxosReplica(LeaderReplica):
         self.ballot_num = self.ballot_num.successor(self.name)
         self._preparing = self.ballot_num
         self._prepare_acks = {}
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("multi-paxos", "prepare", self.sim.now)
+        self.mark_phase("prepare")
         self._record_prepare_ack(self.name, self._own_accepted(), self.commit_index)
         self.multicast(self.other_peers, MPPrepare(self.ballot_num))
         self._arm_election_timer()
@@ -270,8 +270,7 @@ class MultiPaxosReplica(LeaderReplica):
         return index
 
     def _propose(self, index, value):
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("multi-paxos", "accept", self.sim.now)
+        self.mark_phase("accept")
         self.trace_local("propose", index=index, req=value.request_id)
         self._write(index, _EntryState(self.ballot_num, value))
         self._pending[index] = {self.name}

@@ -217,7 +217,7 @@ class PaxosProposer(Node):
             return
         self.rounds += 1
         metrics = self.network.metrics
-        if metrics is not None and self.rounds == 1:
+        if self.rounds == 1:
             # Request span: first prepare to this proposer's decision.
             metrics.start_request("paxos:%s" % self.name, self.sim.now)
         base = max(self.max_seen, self.ballot)
@@ -226,8 +226,7 @@ class PaxosProposer(Node):
         self.prepare_acks = {}
         self.accept_acks = set()
         self.trace.enter(CCPhase.LEADER_ELECTION, self.sim.now, str(self.ballot))
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("paxos", "prepare", self.sim.now)
+        metrics.mark_phase("paxos", "prepare", self.sim.now)
         self.multicast(self.acceptors, Prepare(self.ballot))
         self._arm_retry()
 
@@ -256,8 +255,7 @@ class PaxosProposer(Node):
         proposal = best_val if best_val is not None else self.my_value
         self.phase = "accept"
         self.trace.enter(CCPhase.FT_AGREEMENT, self.sim.now)
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("paxos", "accept", self.sim.now)
+        self.network.metrics.mark_phase("paxos", "accept", self.sim.now)
         self.multicast(self.acceptors, Accept(self.ballot, proposal))
         self._proposal = proposal
 
@@ -284,7 +282,7 @@ class PaxosProposer(Node):
         self.decided_at = self.sim.now
         self.phase = "decided"
         metrics = self.network.metrics
-        if metrics is not None and metrics.request_open("paxos:%s" % self.name):
+        if metrics.request_open("paxos:%s" % self.name):
             metrics.finish_request("paxos:%s" % self.name, self.sim.now,
                                    phases=self.rounds)
         if self._retry_timer is not None:
@@ -293,8 +291,7 @@ class PaxosProposer(Node):
         self.trace_local("learn" if learned else "decide",
                          ballot=self.ballot, value=value)
         if not learned:
-            if self.network.metrics is not None:
-                self.network.metrics.mark_phase("paxos", "decide", self.sim.now)
+            metrics.mark_phase("paxos", "decide", self.sim.now)
             self.broadcast(Decide(self.ballot, value))
 
 

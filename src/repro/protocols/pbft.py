@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from ..core.client import ClientProtocol, ClosedLoopClient, RunResult
-from ..core.node import Node
 from ..core.quorums import CountingQuorum, minimum_nodes
 from ..crypto.hashing import sha256_hex
 from ..net.message import Message
+from .replica import Replica
 
 
 # -- messages ---------------------------------------------------------------
@@ -142,39 +142,27 @@ def quorums_for(peers, f):
     return CountingQuorum.tolerating(peers, f, b=f)
 
 
-class PbftReplica(Node):
-    """One PBFT replica (primary when ``view % n == index``).
+class PbftReplica(Replica):
+    """One PBFT replica (the primary of view v is ``peers[v % n]``).
 
     Parameters
     ----------
-    peers:
-        All replica names, index order fixed; primary of view v is
-        ``peers[v % n]``.
     f:
-        Tolerated Byzantine faults; requires n >= 3f+1.
+        Tolerated Byzantine faults; requires n >= 3f+1, and any two
+        quorums share f+1 replicas (b = f, :func:`quorums_for`).
     checkpoint_interval:
         Checkpoint every this-many executed requests.
     """
 
     VIEW_CHANGE_TIMEOUT = 20.0
+    protocol = "pbft"
 
     def __init__(self, sim, network, name, peers, f,
                  state_machine_factory=None, checkpoint_interval=16,
                  keys=None):
-        super().__init__(sim, network, name)
+        super().__init__(sim, network, name, peers, f, b=f,
+                         state_machine_factory=state_machine_factory)
         self.keys = keys  # KeyRegistry for client-request verification
-        self.peers = list(peers)
-        self.n = len(self.peers)
-        self.quorums = quorums_for(self.peers, f)
-        self.f = f
-        self.index = self.peers.index(name)
-        #: Every peer but ourselves, in ``peers`` order — the fan-out
-        #: list the hot phase loops multicast to.
-        self.other_peers = [p for p in self.peers if p != name]
-        if state_machine_factory is None:
-            from .leader import ListStateMachine
-            state_machine_factory = ListStateMachine
-        self.state_machine = state_machine_factory()
         self.checkpoint_interval = checkpoint_interval
 
         self.view = 0
@@ -196,16 +184,6 @@ class PbftReplica(Node):
         self._pending_requests = {}  # digest -> PbftRequest (awaiting order)
         self._future_preprepares = []  # stashed until the NEW-VIEW arrives
         self.view_changes_completed = 0
-
-    # -- roles --------------------------------------------------------------
-
-    @property
-    def primary_name(self):
-        return self.peers[self.view % self.n]
-
-    @property
-    def is_primary(self):
-        return self.primary_name == self.name
 
     # -- client requests -------------------------------------------------------
 
@@ -244,8 +222,7 @@ class PbftReplica(Node):
         seq = self.next_seq
         self.next_seq += 1
         self._seen_digests[digest] = seq
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("pbft", "pre-prepare", self.sim.now)
+        self.mark_phase("pre-prepare")
         message = PrePrepare(self.view, seq, digest, request)
         self._accept_pre_prepare(message)
         self.multicast(self.other_peers, message)
@@ -274,8 +251,7 @@ class PbftReplica(Node):
             self._arm_view_change_timer()
             return
         self._accept_pre_prepare(msg)
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("pbft", "prepare", self.sim.now)
+        self.mark_phase("prepare")
         prepare = PbftPrepare(msg.view, msg.seq, msg.digest)
         self._record_prepare(msg.seq, msg.digest, self.name)
         self.multicast(self.other_peers, prepare)
@@ -338,8 +314,7 @@ class PbftReplica(Node):
         if len(slot.prepares) >= self.quorums.q2:
             slot.prepared = True
             slot.prepared_proof = (self.view, slot.digest, slot.request)
-            if self.network.metrics is not None:
-                self.network.metrics.mark_phase("pbft", "commit", self.sim.now)
+            self.mark_phase("commit")
             commit = PbftCommit(self.view, seq, slot.digest)
             self._record_commit(seq, slot.digest, self.name)
             self.multicast(self.other_peers, commit)
@@ -449,8 +424,7 @@ class PbftReplica(Node):
             for seq, slot in sorted(self.slots.items())
             if slot.prepared_proof is not None and not slot.executed
         )
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("pbft", "view-change", self.sim.now)
+        self.mark_phase("view-change")
         message = ViewChange(new_view, self.last_stable_seq, proofs)
         self._record_view_change(message, self.name)
         self.multicast(self.other_peers, message)
@@ -468,8 +442,7 @@ class PbftReplica(Node):
     def _record_view_change(self, msg, sender):
         votes = self._view_changes.setdefault(msg.new_view, {})
         votes[sender] = msg
-        new_primary = self.peers[msg.new_view % self.n]
-        if new_primary != self.name:
+        if self.primary_of(msg.new_view) != self.name:
             return
         if len(votes) >= self.quorums.q1 and msg.new_view > self.view:
             self._become_primary(msg.new_view, dict(votes))
@@ -521,8 +494,7 @@ class PbftReplica(Node):
         self._replay_future_preprepares()
 
     def handle_newview(self, msg, src):
-        new_primary = self.peers[msg.view % self.n]
-        if src != new_primary or msg.view <= self.view:
+        if src != self.primary_of(msg.view) or msg.view <= self.view:
             return
         if len(msg.view_change_senders) < self.quorums.q1:
             return  # insufficient proof

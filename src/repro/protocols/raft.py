@@ -108,6 +108,7 @@ class RaftNode(LeaderReplica):
     """
 
     REPLY, REDIRECT = RaftClientReply, RaftRedirect
+    protocol = "raft"
 
     def __init__(self, sim, network, name, peers,
                  state_machine_factory=None, election_timeout=6.0,
@@ -172,8 +173,7 @@ class RaftNode(LeaderReplica):
         self.voted_for = self.name
         self._votes = {self.name}
         self.elections_started += 1
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("raft", "election", self.sim.now)
+        self.mark_phase("election")
         self.multicast(
             self.other_peers,
             RequestVote(self.current_term, self.last_log_index(),
@@ -242,8 +242,7 @@ class RaftNode(LeaderReplica):
         self._write(index, LogEntry(self.current_term, command, request_id))
         self.match_index[self.name] = index
         self.trace_local("propose", index=index, req=request_id)
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("raft", "append", self.sim.now)
+        self.mark_phase("append")
         self._broadcast_append()
         return index
 

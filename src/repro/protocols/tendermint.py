@@ -18,10 +18,10 @@ makes this "blockchain consensus" rather than one-shot agreement.
 import enum
 from dataclasses import dataclass
 
-from ..core.node import Node
-from ..core.quorums import CountingQuorum, minimum_nodes
+from ..core.quorums import minimum_nodes
 from ..crypto.hashing import sha256_hex
 from ..net.message import Message
+from .replica import Replica
 
 NIL = "<nil>"
 
@@ -72,7 +72,7 @@ class Step(enum.Enum):
     PRECOMMIT = "precommit"
 
 
-class TendermintNode(Node):
+class TendermintNode(Replica):
     """One validator.
 
     Parameters
@@ -83,14 +83,11 @@ class TendermintNode(Node):
 
     PROPOSE_TIMEOUT = 6.0
     VOTE_TIMEOUT = 6.0
+    protocol = "tendermint"
 
     def __init__(self, sim, network, name, peers, f, payload_source=None,
                  target_height=None):
-        super().__init__(sim, network, name)
-        self.peers = list(peers)
-        self.n = len(self.peers)
-        self.quorums = CountingQuorum.tolerating(self.peers, f, b=f)
-        self.f = f
+        super().__init__(sim, network, name, peers, f, b=f)
         self.payload_source = payload_source or (lambda h: "block-%d" % h)
         self.target_height = target_height
 
@@ -110,7 +107,7 @@ class TendermintNode(Node):
     # -- round structure --------------------------------------------------------
 
     def proposer_of(self, height, round_):
-        return self.peers[(height + round_) % self.n]
+        return self.primary_of(height + round_)
 
     @property
     def prev_hash(self):
@@ -133,14 +130,10 @@ class TendermintNode(Node):
             block = self.locked_block if self.locked_block is not None else \
                 TmBlock(self.height, self.prev_hash,
                         self.payload_source(self.height))
-            if self.network.metrics is not None:
-                self.network.metrics.mark_phase("tendermint", "propose",
-                                                self.sim.now)
+            self.mark_phase("propose")
             proposal = TmProposal(self.height, round_, block)
             self._on_proposal(proposal, self.name)
-            for peer in self.peers:
-                if peer != self.name:
-                    self.send(peer, proposal)
+            self.multicast(self.other_peers, proposal)
         self._arm_step_timer(self.PROPOSE_TIMEOUT, self._on_propose_timeout,
                              self.height, round_)
 
@@ -184,14 +177,10 @@ class TendermintNode(Node):
 
     def _broadcast_prevote(self, block_hash):
         self.step = Step.PREVOTE
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("tendermint", "prevote",
-                                            self.sim.now)
+        self.mark_phase("prevote")
         vote = Prevote(self.height, self.round, block_hash)
         self._record_prevote(self.height, self.round, block_hash, self.name)
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(peer, vote)
+        self.multicast(self.other_peers, vote)
         self._arm_step_timer(self.VOTE_TIMEOUT, self._on_prevote_timeout,
                              self.height, self.round)
 
@@ -229,14 +218,10 @@ class TendermintNode(Node):
 
     def _broadcast_precommit(self, block_hash):
         self.step = Step.PRECOMMIT
-        if self.network.metrics is not None:
-            self.network.metrics.mark_phase("tendermint", "precommit",
-                                            self.sim.now)
+        self.mark_phase("precommit")
         vote = Precommit(self.height, self.round, block_hash)
         self._record_precommit(self.height, self.round, block_hash, self.name)
-        for peer in self.peers:
-            if peer != self.name:
-                self.send(peer, vote)
+        self.multicast(self.other_peers, vote)
         self._arm_step_timer(self.VOTE_TIMEOUT, self._on_precommit_timeout,
                              self.height, self.round)
 

@@ -151,5 +151,5 @@ class TestChainedHotStuff:
         replica.view = 10
         from repro.protocols.hotstuff import Block, Proposal
         stale = Block(3, "nonexistent", "evil", 2, None)
-        replica.handle_proposal(Proposal(stale), replica.leader_of(3))
+        replica.handle_proposal(Proposal(stale), replica.primary_of(3))
         assert stale.hash not in replica.blocks  # view too old: dropped
