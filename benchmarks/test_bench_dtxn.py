@@ -89,9 +89,9 @@ def test_distributed_transactions(benchmark, report, bench_snapshot):
     fanout, contention, fault = benchmark.pedantic(run_all, rounds=1,
                                                    iterations=1)
     text = render_table(fanout, title="E18 — 2PC fan-out over Paxos groups")
-    text += ("\nprotocol = messages / txn minus the leaders' Heartbeats: 8 per "
-             "group consensus round\n(request, 2 accepts, 2 acks, 2 commits, "
-             "reply), over 2 rounds for one shard and\n3N+1 for N shards "
+    text += ("\nprotocol = messages / txn minus the leaders' Heartbeats: 6 per "
+             "group consensus round\n(request, 2 accepts, 2 acks, reply), "
+             "over 2 rounds for one shard and\n3N+1 for N shards "
              "(N lock, N prepare, 1 decide, N commit).  Gray & Lamport's\n"
              "3N-1 counts one message per 2PC hop between unreplicated "
              "processes; one shard\nruns no 2PC.")
@@ -109,8 +109,8 @@ def test_distributed_transactions(benchmark, report, bench_snapshot):
     assert fanout[0]["messages / txn"] < fanout[1]["messages / txn"] \
         < fanout[2]["messages / txn"]
     assert all(row["outcome"] == "committed" for row in fanout)
-    # Every protocol message is a consensus round's: 8 per round.
-    assert [row["protocol"] for row in fanout] == [8 * 2, 8 * 7, 8 * 10]
+    # Every protocol message is a consensus round's: 6 per round.
+    assert [row["protocol"] for row in fanout] == [6 * 2, 6 * 7, 6 * 10]
     # One shard: lock, apply.  More: lock, prepare, decide, commit.
     assert [row["consensus rounds"] for row in fanout] == [2, 4, 4]
     # Contention serializes: every increment lands exactly once.

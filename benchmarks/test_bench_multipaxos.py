@@ -17,8 +17,7 @@ def multi_paxos_costs(commands):
                    commands_per_client=commands)
     by_type = cluster.metrics.by_type
     prepares = by_type["mpprepare"] + by_type["mpprepareack"]
-    per_command = by_type["mpaccept"] + by_type["mpaccepted"] + \
-        by_type["mpcommit"]
+    per_command = by_type["mpaccept"] + by_type["mpaccepted"]
     return {
         "protocol": "multi-paxos",
         "commands": commands,

@@ -52,7 +52,9 @@ class LeaderReplica(Replica):
     ``()`` for a no-op, ``None`` while uncommitted) and
     ``_append(command, request_id)``, which returns the new entry's
     index.  Every log write that stores a request id calls
-    :meth:`_note_write`, so the request index knows where to look.
+    :meth:`_note_write`, so the request index knows where to look.  A
+    log whose lost replication only the leader can notice overrides
+    :meth:`_repair`, which runs at every heartbeat due time.
 
     Heartbeats exist only so that followers do not suspect a live
     leader, and any replication message does that job too (a Raft
@@ -153,6 +155,7 @@ class LeaderReplica(Replica):
     def _heartbeat_due(self):
         """Skip the heartbeat a replication broadcast already sent, or
         send it and space the next one out (see the class docstring)."""
+        self._repair()
         if self._replicated:
             gap = self.HEARTBEAT_INTERVAL
         else:
@@ -161,6 +164,11 @@ class LeaderReplica(Replica):
         self._replicated = False
         self._heartbeat_gap = gap
         self._heartbeat_timer.restart(gap)
+
+    def _repair(self):
+        """Re-send replication the followers lost.  Raft's needs nothing
+        here: each AppendEntries re-ships what a follower's consistency
+        check rejects."""
 
     # -- the client path --------------------------------------------------
 

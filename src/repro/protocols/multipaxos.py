@@ -12,6 +12,16 @@ the client sends a command to a server; the server uses Paxos to choose
 it for a log entry; the server waits for previous entries to be applied,
 applies the command to the state machine; and returns the result.
 
+Followers learn what is committed the way Raft's do: every ``MPAccept``
+and ``Heartbeat`` carries the leader's applied prefix (its
+``last_applied``), and a follower marks committed each slot up to it
+that it holds *at the message's ballot* — an entry accepted under an
+older ballot may hold a value the new leader replaced.  Two repairs keep
+that live under loss: a follower that a heartbeat shows behind asks the
+leader to catch it up from its own applied prefix, and the leader
+re-sends the ``MPAccept`` of a slot that has stayed pending past the
+election timeout while acks stopped or a later slot committed.
+
 Replicas monitor the leader with heartbeats; on silence, the next
 replica in ring order runs phase 1 with a higher ballot, learns every
 accepted entry from a quorum, re-proposes anything uncommitted, and
@@ -66,11 +76,13 @@ class MPPrepareAck(Message):
 
 @dataclass(frozen=True)
 class MPAccept(Message):
-    """Normal-mode phase 2 for one log index."""
+    """Normal-mode phase 2 for one log index, carrying the leader's
+    applied prefix (``commit_index``) as the commit decision."""
 
     ballot: Ballot
     index: int
     value: object
+    commit_index: int
 
 
 @dataclass(frozen=True)
@@ -80,18 +92,24 @@ class MPAccepted(Message):
 
 
 @dataclass(frozen=True)
-class MPCommit(Message):
-    """Asynchronous decision propagation, piggybacking the commit index."""
-
-    ballot: Ballot
-    index: int
-    value: object
-
-
-@dataclass(frozen=True)
 class Heartbeat(Message):
     ballot: Ballot
     commit_index: int
+
+
+@dataclass(frozen=True)
+class MPCatchUp(Message):
+    """A follower behind the leader's applied prefix asks for the
+    committed entries from ``start`` on."""
+
+    ballot: Ballot
+    start: int
+
+
+@dataclass(frozen=True)
+class MPCatchUpReply(Message):
+    ballot: Ballot
+    entries: tuple  # ((index, ballot, value), ...), every one committed
 
 
 # -- replica ----------------------------------------------------------------
@@ -140,7 +158,10 @@ class MultiPaxosReplica(LeaderReplica):
         self.log = {}  # index -> _EntryState
         self.leader_hint = self.peers[0]
         self.next_index = 0
-        self._pending = {}  # index -> set of ack senders
+        # index -> (proposed or last re-sent at, set of ack senders), in
+        # the order of that time
+        self._pending = {}
+        self._acked_at = 0.0  # when the last MPAccepted came in
         self._prepare_acks = {}
         self._preparing = None
         self.view_changes = 0
@@ -209,6 +230,8 @@ class MultiPaxosReplica(LeaderReplica):
 
     def _take_over(self):
         self._preparing = None
+        self._pending = {}
+        self._acked_at = self.sim.now
         # Value discovery: adopt, per index, the value of the highest
         # accept ballot seen in the quorum, then re-propose uncommitted
         # entries under the new ballot.
@@ -233,7 +256,8 @@ class MultiPaxosReplica(LeaderReplica):
                 entry.committed = True
         self.next_index = max(best.keys(), default=self.commit_index) + 1
         # Catch up on everything the quorum knows to be committed...
-        self._advance_commit(max_commit)
+        self.commit_index = max(self.commit_index, max_commit)
+        self._apply_ready()
         # ...and re-run agreement for anything still uncommitted.
         for index in sorted(best):
             if index > max_commit:
@@ -241,12 +265,33 @@ class MultiPaxosReplica(LeaderReplica):
 
     def _send_heartbeat(self):
         self.multicast(self.other_peers,
-                       Heartbeat(self.ballot_num, self.commit_index))
+                       Heartbeat(self.ballot_num, self.last_applied))
 
     def handle_heartbeat(self, msg, src):
         if msg.ballot >= self.ballot_num:
             self._follow(msg.ballot, src)
-            self._advance_commit(msg.commit_index)
+            self._learn(msg.ballot, msg.commit_index)
+            if msg.commit_index > self.last_applied:
+                # A slot we lack, or hold at an older ballot: ask again
+                # at every such heartbeat, since the ask can be lost too.
+                self.send(src, MPCatchUp(msg.ballot, self.last_applied + 1))
+
+    def handle_mpcatchup(self, msg, src):
+        if not self.is_leader or msg.ballot != self.ballot_num:
+            return
+        log = self.log
+        self.send(src, MPCatchUpReply(self.ballot_num, tuple(
+            (index, log[index].accept_num, log[index].value)
+            for index in range(msg.start, self.last_applied + 1))))
+
+    def handle_mpcatchupreply(self, msg, src):
+        for index, accept_num, value in msg.entries:
+            entry = self.log.get(index)
+            if entry is None or not entry.committed:
+                self._write(index, _EntryState(accept_num, value,
+                                               committed=True))
+            self.commit_index = max(self.commit_index, index)
+        self._apply_ready()
 
     # -- normal mode (phase 2) ---------------------------------------------
 
@@ -273,55 +318,76 @@ class MultiPaxosReplica(LeaderReplica):
         self.mark_phase("accept")
         self.trace_local("propose", index=index, req=value.request_id)
         self._write(index, _EntryState(self.ballot_num, value))
-        self._pending[index] = {self.name}
-        self.multicast(self.other_peers,
-                       MPAccept(self.ballot_num, index, value))
+        self._pending[index] = (self.sim.now, {self.name})
+        self.multicast(self.other_peers, MPAccept(self.ballot_num, index,
+                                                  value, self.last_applied))
         self._replicated = True
+
+    def _repair(self):
+        """Re-send the ``MPAccept`` of each slot pending for an election
+        timeout whose acks look lost: none at all came in for that long,
+        or a later slot already committed.  A slot merely still pending
+        is not enough — past the knee its acks wait in the leader's
+        ingress queue far longer than that."""
+        now = self.sim.now
+        stale = now - self.election_timeout
+        quiet = self._acked_at <= stale
+        lost = []
+        for index, (since, _acks) in self._pending.items():
+            if since > stale:
+                break  # every later slot is younger
+            if quiet or index < self.commit_index:
+                lost.append(index)
+        for index in lost:
+            acks = self._pending.pop(index)[1]
+            self._pending[index] = (now, acks)
+            self.multicast(
+                [peer for peer in self.other_peers if peer not in acks],
+                MPAccept(self.ballot_num, index, self.log[index].value,
+                         self.last_applied))
 
     def handle_mpaccept(self, msg, src):
         if msg.ballot >= self.ballot_num:
             self._follow(msg.ballot, src)
-            self._write(msg.index, _EntryState(msg.ballot, msg.value))
+            entry = self.log.get(msg.index)
+            if entry is None or not entry.committed:
+                self._write(msg.index, _EntryState(msg.ballot, msg.value))
             self.send(src, MPAccepted(msg.ballot, msg.index))
+            self._learn(msg.ballot, msg.commit_index)
 
     def handle_mpaccepted(self, msg, src):
         if not self.is_leader or msg.ballot != self.ballot_num:
             return
+        self._acked_at = self.sim.now
         pending = self._pending.get(msg.index)
         if pending is None:
             return
-        pending.add(src)
-        if not self.quorums.is_phase2_quorum(pending):
+        acks = pending[1]
+        acks.add(src)
+        if not self.quorums.is_phase2_quorum(acks):
             return
         del self._pending[msg.index]
-        value = self.log[msg.index].value
-        self.trace_local("commit", index=msg.index, req=value.request_id)
-        self._commit(msg.index)
-        self.multicast(self.other_peers,
-                       MPCommit(self.ballot_num, msg.index, value))
-
-    def handle_mpcommit(self, msg, src):
-        entry = self.log.get(msg.index)
-        if entry is None or entry.value != msg.value:
-            self._write(msg.index, _EntryState(msg.ballot, msg.value))
-        self._commit(msg.index)
-
-    def _commit(self, index):
-        entry = self.log.get(index)
-        if entry is None:
-            return
+        entry = self.log[msg.index]
+        self.trace_local("commit", index=msg.index,
+                         req=entry.value.request_id)
         entry.committed = True
-        self.commit_index = max(self.commit_index, index)
+        self.commit_index = max(self.commit_index, msg.index)
         self._apply_ready()
 
-    def _advance_commit(self, commit_index):
-        if commit_index <= self.last_applied:
-            return  # the usual heartbeat: nothing new to commit or apply
-        for index in range(self.last_applied + 1, commit_index + 1):
-            entry = self.log.get(index)
-            if entry is not None:
+    def _learn(self, ballot, applied):
+        """Commit what the leader's applied prefix ``applied`` vouches
+        for: each slot after ours up to it that we hold at the leader's
+        ``ballot``.  A slot held at an older ballot may carry a value the
+        leader replaced; catch-up brings the committed one."""
+        if applied <= self.last_applied:
+            return  # the usual case: nothing new to commit or apply
+        log = self.log
+        for index in range(self.last_applied + 1, applied + 1):
+            entry = log.get(index)
+            if entry is not None and entry.accept_num == ballot:
                 entry.committed = True
-        self.commit_index = max(self.commit_index, commit_index)
+                if index > self.commit_index:
+                    self.commit_index = index
         self._apply_ready()
 
     def _committed_entry(self, index):

@@ -298,10 +298,7 @@ def _drained_after_lossy_burst(proto, seed):
 
 
 @pytest.mark.parametrize("proto", [
-    pytest.param(_MultiPaxos, id="multi-paxos", marks=pytest.mark.xfail(
-        strict=True, reason="Multi-Paxos has no catch-up: a slot whose "
-        "MPAccept and MPCommit a follower both lost, or whose MPAccepted "
-        "replies the leader lost, stays missing or uncommitted")),
+    pytest.param(_MultiPaxos, id="multi-paxos"),
     pytest.param(_Raft, id="raft"),
 ])
 def test_followers_converge_after_a_lossy_burst(proto):

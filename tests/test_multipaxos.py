@@ -1,10 +1,18 @@
 """Tests for Multi-Paxos: the replicated log, the phase-1 amortisation,
 leader failover, and client semantics."""
 
+import pytest
+
 from repro.core import Node
+from repro.core.ballot import Ballot
+from repro.load import engine
+from repro.load.engine import LoadSpec, run_loadtest
 from repro.protocols.multipaxos import (
     ClientRequest,
     Heartbeat,
+    LogCommand,
+    MPAccept,
+    MPCatchUpReply,
     MPPrepareAck,
     MultiPaxosReplica,
     MultiPaxosResult,
@@ -150,7 +158,7 @@ class TestDeposedLeader:
         # Heal, but let only phase-2 traffic through to the old leader.
         cluster.network.add_interceptor(
             lambda src, dst, msg: not (
-                dst == "r0" and msg.mtype in ("heartbeat", "mpcommit")))
+                dst == "r0" and msg.mtype in ("heartbeat", "mpcatchupreply")))
         cluster.network.partitions.heal()
         submit(new, "c")
         cluster.run_until(lambda: old.ballot_num == new.ballot_num,
@@ -165,6 +173,69 @@ class TestDeposedLeader:
         histories = [r.state_machine.history for r in others]
         assert histories[0] == histories[1] == ["op-a", "op-b", "op-c"]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_healed_leader_takes_the_majoritys_slot_not_its_own(
+            self, make_cluster, seed):
+        """r0 proposes ``stale`` while cut off; the majority commits ``b``
+        at the same index.  After the heal the leader's applied prefix
+        covers that index, but r0 holds it at its old ballot: it must not
+        commit ``stale``, and catch-up brings it ``b``."""
+        cluster = make_cluster(seed=seed)
+        names = ["r0", "r1", "r2"]
+        replicas = cluster.add_nodes(MultiPaxosReplica, names, names)
+        old, others = replicas[0], replicas[1:]
+        near, far = cluster.add_nodes(Node, ["c0", "c1"])  # replies unread
+        cluster.start_all()
+
+        def submit(client, replica, request_id):
+            client.send(replica.name, ClientRequest("op-" + request_id,
+                                                    request_id))
+
+        def everywhere(request_id, group):
+            return lambda: all(request_id in r._applied_requests
+                               for r in group)
+
+        cluster.run_until(lambda: old.is_leader, until=50.0)
+        submit(far, old, "a")
+        cluster.run_until(everywhere("a", replicas), until=100.0)
+
+        cluster.network.partitions.split(["r0", "c0"], ["r1", "r2", "c1"])
+        submit(near, old, "stale")
+        cluster.run_until(lambda: any(r.is_leader for r in others),
+                          until=200.0)
+        new = next(r for r in others if r.is_leader)
+        submit(far, new, "b")
+        cluster.run_until(everywhere("b", others), until=300.0)
+        assert old.log[1].value.request_id == "stale"
+
+        cluster.network.partitions.heal()
+        cluster.sim.run_for(50.0)
+
+        assert [r.state_machine.history for r in replicas] == \
+            [["op-a", "op-b"]] * 3
+        result = MultiPaxosResult(replicas, [near, far], 0, cluster.now)
+        assert result.logs_consistent()
+
+    @pytest.mark.parametrize("learned_by", ["applied prefix", "catch-up"])
+    def test_a_resent_accept_never_uncommits_a_slot(self, cluster,
+                                                    learned_by):
+        names = ["r0", "r1", "r2"]
+        follower = cluster.add_nodes(MultiPaxosReplica, names, names)[1]
+        ballot = Ballot(1, "r0")
+        value = LogCommand("op-a", "a")
+        accept = MPAccept(ballot, 0, value, -1)
+        if learned_by == "catch-up":
+            follower.handle_mpcatchupreply(
+                MPCatchUpReply(ballot, ((0, ballot, value),)), "r0")
+        else:
+            follower.handle_mpaccept(accept, "r0")
+            follower.handle_heartbeat(Heartbeat(ballot, 0), "r0")
+        assert follower.committed_log() == [(0, value)]
+        # The leader lost the ack and sends the slot's accept again.
+        follower.handle_mpaccept(accept, "r0")
+        assert follower.committed_log() == [(0, value)]
+        assert follower.state_machine.history == ["op-a"]
+
     def test_superseded_candidate_does_not_take_over(self, cluster):
         """A late phase-1 ack for a ballot we abandoned must not make us
         leader under the ballot of the replica that superseded it."""
@@ -176,3 +247,76 @@ class TestDeposedLeader:
         candidate.handle_mpprepareack(MPPrepareAck(own, (), -1), "r0")
         assert not candidate.is_leader
         assert candidate.ballot_num.pid == "r2"
+
+
+def _losing_the_acks_of(cluster, lost, requests):
+    """Three replicas whose leader is handed ``requests`` new requests,
+    one per vt, and loses the first ``MPAccepted`` of slot ``lost`` from
+    each follower.  Returns the replicas and the leader."""
+    names = ["r0", "r1", "r2"]
+    replicas = cluster.add_nodes(MultiPaxosReplica, names, names)
+    cluster.add_node(Node, "c0")  # replies unread
+    cluster.start_all()
+    cluster.run_until(lambda: replicas[0].is_leader, until=50.0)
+    leader = replicas[0]
+    dropped = set()
+
+    def drop(src, dst, msg):
+        if msg.mtype == "mpaccepted" and msg.index == lost and \
+                src not in dropped:
+            dropped.add(src)
+            return False
+        return True
+
+    cluster.network.add_interceptor(drop)
+    for i in range(requests):
+        cluster.sim.schedule(1.0 + i, leader.deliver,
+                             ClientRequest("op-%d" % i, "q%d" % i), "c0")
+    return replicas, leader
+
+
+class TestRepair:
+    """The leader re-sends a slot's accept once its acks look lost."""
+
+    def test_a_slot_a_later_one_overtook_is_resent_under_load(self,
+                                                              cluster):
+        # Acks for later slots keep coming, so only "a later slot
+        # already committed" can tell that slot 3's acks were lost.
+        _, leader = _losing_the_acks_of(cluster, lost=3, requests=40)
+        cluster.sim.run_for(25.0)
+        assert leader._acked_at > cluster.now - 2.0  # acks still flow
+        assert leader.last_applied >= 15
+
+    def test_the_last_slot_is_resent_once_acks_stop(self, cluster):
+        replicas, _ = _losing_the_acks_of(cluster, lost=2, requests=3)
+        cluster.sim.run_for(30.0)
+        assert [r.state_machine.history for r in replicas] == \
+            [["op-0", "op-1", "op-2"]] * 3
+
+
+class TestNoRepairWithoutFaults:
+    @pytest.mark.parametrize("rate", [4.0, 12.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_drained_open_loop_run_sends_no_repair(self, monkeypatch,
+                                                     rate, seed):
+        """Below and past the knee, with nothing lost: no follower asks
+        for catch-up and the leader sends each slot's accept once."""
+        clusters = []
+        fleet = engine._core_fleet
+
+        def keep(cluster, spec, accountant):
+            clusters.append(cluster)
+            return fleet(cluster, spec, accountant)
+
+        monkeypatch.setattr(engine, "_core_fleet", keep)
+        report = run_loadtest(LoadSpec(protocol="multi-paxos", rate=rate,
+                                       duration=60.0, seed=seed))
+        accounting = report["accounting"]
+        assert accounting["completed"] == accounting["offered"] > 200
+        (cluster,) = clusters
+        replicas = [n for n in cluster.nodes
+                    if isinstance(n, MultiPaxosReplica)]
+        (leader,) = [r for r in replicas if r.is_leader]
+        by_type = cluster.metrics.by_type
+        assert by_type["mpcatchup"] == by_type["mpcatchupreply"] == 0
+        assert by_type["mpaccept"] == (len(replicas) - 1) * leader.next_index

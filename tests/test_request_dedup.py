@@ -15,8 +15,9 @@ from repro.load import engine
 from repro.load.engine import LoadSpec, run_loadtest
 from repro.net import UniformDelayModel
 from repro.protocols.leader import LeaderReplica
-from repro.protocols.multipaxos import (ClientRequest, LogCommand, MPCommit,
-                                        MultiPaxosClient, MultiPaxosReplica)
+from repro.protocols.multipaxos import (ClientRequest, LogCommand,
+                                        MPCatchUpReply, MultiPaxosClient,
+                                        MultiPaxosReplica)
 from repro.protocols.raft import (AppendEntries, LogEntry, RaftClient,
                                   RaftClientRequest, RaftNode, Role)
 
@@ -501,8 +502,9 @@ def test_multipaxos_skips_a_slot_past_the_next_it_assigns(cluster):
     # A decision for a slot this leader has not reached yet: its own
     # next proposal there will overwrite it.
     _, leader, _ = _start(cluster, _MultiPaxos)
-    leader.handle_mpcommit(MPCommit(leader.ballot_num, leader.next_index + 3,
-                                    LogCommand("op", "x")), "r1")
+    leader.handle_mpcatchupreply(MPCatchUpReply(leader.ballot_num, (
+        (leader.next_index + 3, leader.ballot_num, LogCommand("op", "x")),)),
+        "r1")
     assert "x" in leader._written_at
     assert leader._in_flight("x") is None is _scan(_MultiPaxos, leader, "x")
 
