@@ -95,7 +95,8 @@ _CLASS_SIZES = {
 
 def _items_size(values):
     """The price of a message's fields, or of a sequence's items: one
-    :data:`_CLASS_SIZES` hit or one ``len`` per common item, and
+    :data:`_CLASS_SIZES` hit or one ``len`` per common item, a nested
+    call per tuple (a batched accept carries one per message), and
     :func:`_field_size` for the rest."""
     class_sizes = _CLASS_SIZES
     total = 0
@@ -106,6 +107,8 @@ def _items_size(values):
             total += size
         elif value_cls is str or value_cls is bytes:
             total += len(value)
+        elif value_cls is tuple:
+            total += 4 + _items_size(value)
         else:
             total += _field_size(value)
     return total

@@ -5,8 +5,18 @@ essentially only in leader election: Raft votes only for a candidate
 whose log is up to date, Paxos recovers the log in phase 1.
 :class:`LeaderReplica` is everything else, written once: the election
 timer, step-down, the heartbeat rule, the client request path with its
-retry dedup and the in-order apply loop; :func:`leader_row` builds the
-client row and :func:`run_leader_log` runs a cluster with clients.
+retry dedup and its batching window, and the in-order apply loop;
+:func:`leader_row` builds the client row and :func:`run_leader_log` runs
+a cluster with clients.
+
+A leader ingests about three messages per command (the request and two
+acks), so past the knee its ingress queue, not the protocol, sets the
+latency.  The window bounds that: a leader appends a request at once
+only while fewer than :attr:`LeaderReplica.WINDOW` of its entries are
+un-applied; otherwise it holds the request, and the next time its apply
+loop applies anything it appends everything held as one batch, which
+one replication message per follower carries and one ack per follower
+answers.
 
 This is a protocol module, not a ``core`` one, because handler time is
 attributed to the package of the module that defines the handler, and
@@ -46,12 +56,14 @@ class LeaderReplica(Replica):
     provides its election — ``_start_election`` (calling
     :meth:`_become_leader` on a win), ``_epoch`` (the ``lead``
     milestone's detail), ``_take_over`` and ``_send_heartbeat`` — and
-    three operations on its log: ``_request_at(index)`` (the request id
-    the live entry at an index after ``last_applied`` holds, or
-    ``None``), ``_committed_entry(index)`` (``(command, request_id)``,
-    ``()`` for a no-op, ``None`` while uncommitted) and
-    ``_append(command, request_id)``, which returns the new entry's
-    index.  Every log write that stores a request id calls
+    four operations on its log: ``_last_index()`` (the last index
+    written or assigned), ``_request_at(index)`` (the request id the
+    live entry at an index after ``last_applied`` holds, or ``None``),
+    ``_committed_entry(index)`` (``(command, request_id)``, ``()`` for a
+    no-op, ``None`` while uncommitted) and ``_append(batch)``, which
+    writes a batch of ``(command, request_id)`` pairs at consecutive
+    indices, replicates them together and returns the first index.
+    Every log write that stores a request id calls
     :meth:`_note_write`, so the request index knows where to look.  A
     log whose lost replication only the leader can notice overrides
     :meth:`_repair`, which runs at every heartbeat due time.
@@ -74,6 +86,10 @@ class LeaderReplica(Replica):
     """
 
     HEARTBEAT_INTERVAL = 1.0
+    #: Un-applied entries past which a leader holds new requests back,
+    #: to append them as one batch (see the module docstring).  Steady
+    #: loads below the knee never reach it.
+    WINDOW = 32
     #: The protocol's client-reply and redirect message classes.
     REPLY = REDIRECT = None
 
@@ -92,6 +108,10 @@ class LeaderReplica(Replica):
         # only if it was written at several.  Entries may be stale (the
         # slot was overwritten or truncated): a lookup checks the log.
         self._written_at = {}
+        # request_id -> (command, client) of each request the window
+        # held back, in arrival order.  Volatile: only a leader holds,
+        # and leadership ends in a crash or in _step_down.
+        self._held_requests = {}
         self._election_timer = None
         self._heartbeat_timer = None
         self._heartbeat_gap = self.HEARTBEAT_INTERVAL
@@ -110,6 +130,7 @@ class LeaderReplica(Replica):
 
     def on_crash(self):
         self.role = Role.FOLLOWER
+        self._held_requests.clear()
 
     def on_restart(self):
         # The log, the term or ballot and the dedup table are durable;
@@ -131,13 +152,19 @@ class LeaderReplica(Replica):
 
     def _step_down(self, leader_hint=None):
         """Give up leadership or candidacy, stop heartbeating, note
-        ``leader_hint`` when given and wait for the leader."""
+        ``leader_hint`` when given, redirect every request the window
+        held back there, and wait for the leader."""
         self.role = Role.FOLLOWER
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
             self._heartbeat_timer = None
         if leader_hint is not None:
             self.leader_hint = leader_hint
+        if self._held_requests:
+            hint = self.leader_hint or ""
+            for request_id, (_, client) in self._held_requests.items():
+                self.send(client, self.REDIRECT(request_id, hint))
+            self._held_requests.clear()
         self._arm_election_timer()
 
     def _become_leader(self):
@@ -175,7 +202,8 @@ class LeaderReplica(Replica):
     def on_clientrequest(self, msg, src):
         """Redirect a client that did not reach the leader; answer a
         retry of an applied request from the dedup table; re-address the
-        reply of one still committing; append anything new."""
+        reply of one still committing or held; hold anything new while
+        the window is full or others are held, else append it."""
         request_id = msg.request_id
         if not self.is_leader:
             self.send(src, self.REDIRECT(request_id, self.leader_hint or ""))
@@ -186,9 +214,15 @@ class LeaderReplica(Replica):
                                       self._applied_requests[request_id]))
             return
         index = self._in_flight(request_id)
-        if index is None:
-            index = self._append(msg.command, request_id)
-        self._client_of[index] = (src, request_id)
+        if index is not None:
+            self._client_of[index] = (src, request_id)
+        elif self._held_requests or \
+                self._last_index() - self.last_applied >= self.WINDOW:
+            # A held id's retry keeps its place and only re-addresses it.
+            self._held_requests[request_id] = (msg.command, src)
+        else:
+            index = self._append(((msg.command, request_id),))
+            self._client_of[index] = (src, request_id)
 
     def _note_write(self, request_id, index):
         """Record that the log entry at ``index`` holds ``request_id``."""
@@ -222,11 +256,13 @@ class LeaderReplica(Replica):
         """Apply committed entries strictly in log order — the slides'
         'server waits for previous log entries to be applied' — keep
         each request's result for retries, and answer a client waiting
-        on an entry only with the result of its own request."""
+        on an entry only with the result of its own request.  A leader
+        that applied anything appends what the window held back."""
+        applied_before = self.last_applied
         while True:
             entry = self._committed_entry(self.last_applied + 1)
             if entry is None:
-                return
+                break
             self.last_applied = index = self.last_applied + 1
             if not entry:
                 continue  # a leader's no-op: nothing to apply
@@ -242,6 +278,18 @@ class LeaderReplica(Replica):
             client = self._client_of.pop(index, None)
             if client is not None and client[1] == request_id:
                 self.send(client[0], self.REPLY(request_id, result))
+        if self._held_requests and self.last_applied > applied_before:
+            self._append_held()
+
+    def _append_held(self):
+        """Append every held request as one batch, in arrival order."""
+        held = self._held_requests
+        self._held_requests = {}
+        index = self._append([(command, request_id) for request_id,
+                              (command, _) in held.items()])
+        for request_id, (_, client) in held.items():
+            self._client_of[index] = (client, request_id)
+            index += 1
 
 
 def leader_row(name, replica, client, request, **options):

@@ -12,6 +12,13 @@ the client sends a command to a server; the server uses Paxos to choose
 it for a log entry; the server waits for previous entries to be applied,
 applies the command to the state machine; and returns the result.
 
+A leader replicates a batch of new slots (see
+:mod:`repro.protocols.leader`'s window) with one ``MPAccept`` carrying
+the run of values from its first ``index``, and a follower acks the run
+with one ``MPAccepted(ballot, index, count)``; a slot's log entry,
+pending acks, commit and ``propose``/``commit`` trace rows stay per
+slot.
+
 Followers learn what is committed the way Raft's do: every ``MPAccept``
 and ``Heartbeat`` carries the leader's applied prefix (its
 ``last_applied``), and a follower marks committed each slot up to it
@@ -19,8 +26,9 @@ that it holds *at the message's ballot* — an entry accepted under an
 older ballot may hold a value the new leader replaced.  Two repairs keep
 that live under loss: a follower that a heartbeat shows behind asks the
 leader to catch it up from its own applied prefix, and the leader
-re-sends the ``MPAccept`` of a slot that has stayed pending past the
-election timeout while acks stopped or a later slot committed.
+re-sends, one ``MPAccept`` per run of consecutive slots, each slot that
+has stayed pending past the election timeout while acks stopped or a
+later slot committed.
 
 Replicas monitor the leader with heartbeats; on silence, the next
 replica in ring order runs phase 1 with a higher ballot, learns every
@@ -30,6 +38,7 @@ explicit.
 """
 
 from dataclasses import dataclass
+from itertools import starmap
 
 from ..core.ballot import Ballot
 from ..core.client import ClosedLoopClient
@@ -76,19 +85,23 @@ class MPPrepareAck(Message):
 
 @dataclass(frozen=True)
 class MPAccept(Message):
-    """Normal-mode phase 2 for one log index, carrying the leader's
-    applied prefix (``commit_index``) as the commit decision."""
+    """Normal-mode phase 2 for the consecutive log indices from
+    ``index``, one per value, carrying the leader's applied prefix
+    (``commit_index``) as the commit decision."""
 
     ballot: Ballot
     index: int
-    value: object
+    values: tuple
     commit_index: int
 
 
 @dataclass(frozen=True)
 class MPAccepted(Message):
+    """Acks the ``count`` slots an ``MPAccept`` carried from ``index``."""
+
     ballot: Ballot
     index: int
+    count: int = 1
 
 
 @dataclass(frozen=True)
@@ -261,7 +274,7 @@ class MultiPaxosReplica(LeaderReplica):
         # ...and re-run agreement for anything still uncommitted.
         for index in sorted(best):
             if index > max_commit:
-                self._propose(index, best[index][1])
+                self._propose(index, (best[index][1],))
 
     def _send_heartbeat(self):
         self.multicast(self.other_peers,
@@ -302,77 +315,100 @@ class MultiPaxosReplica(LeaderReplica):
         self.log[index] = entry
         self._note_write(entry.value.request_id, index)
 
+    def _last_index(self):
+        return self.next_index - 1
+
     def _request_at(self, index):
         entry = self.log.get(index)
         if entry is None or index >= self.next_index:
             return None  # a slot this leader has not assigned yet
         return entry.value.request_id
 
-    def _append(self, command, request_id):
+    def _append(self, batch):
         index = self.next_index
-        self.next_index += 1
-        self._propose(index, LogCommand(command, request_id))
+        self.next_index += len(batch)
+        self._propose(index, tuple(starmap(LogCommand, batch)))
         return index
 
-    def _propose(self, index, value):
+    def _propose(self, index, values):
+        """Propose ``values`` for the slots from ``index`` on, in one
+        ``MPAccept``."""
         self.mark_phase("accept")
-        self.trace_local("propose", index=index, req=value.request_id)
-        self._write(index, _EntryState(self.ballot_num, value))
-        self._pending[index] = (self.sim.now, {self.name})
-        self.multicast(self.other_peers, MPAccept(self.ballot_num, index,
-                                                  value, self.last_applied))
+        ballot, now = self.ballot_num, self.sim.now
+        for slot, value in enumerate(values, index):
+            self.trace_local("propose", index=slot, req=value.request_id)
+            self._write(slot, _EntryState(ballot, value))
+            self._pending[slot] = (now, {self.name})
+        self.multicast(self.other_peers, MPAccept(ballot, index, values,
+                                                  self.last_applied))
         self._replicated = True
 
     def _repair(self):
-        """Re-send the ``MPAccept`` of each slot pending for an election
-        timeout whose acks look lost: none at all came in for that long,
-        or a later slot already committed.  A slot merely still pending
-        is not enough — past the knee its acks wait in the leader's
-        ingress queue far longer than that."""
+        """Re-send each slot pending for an election timeout whose acks
+        look lost: none at all came in for that long, or a later slot
+        already committed.  A slot merely still pending is not enough —
+        past the knee its acks wait in the leader's ingress queue far
+        longer than that.  Each run of consecutive lost slots goes in
+        one ``MPAccept`` to every follower that has not acked all of
+        them."""
         now = self.sim.now
         stale = now - self.election_timeout
         quiet = self._acked_at <= stale
-        lost = []
+        runs = []
         for index, (since, _acks) in self._pending.items():
             if since > stale:
                 break  # every later slot is younger
             if quiet or index < self.commit_index:
-                lost.append(index)
-        for index in lost:
-            acks = self._pending.pop(index)[1]
-            self._pending[index] = (now, acks)
+                if runs and runs[-1][-1] == index - 1:
+                    runs[-1].append(index)
+                else:
+                    runs.append([index])
+        for run in runs:
+            acked_all = set(self.other_peers)
+            for index in run:
+                acks = self._pending.pop(index)[1]
+                self._pending[index] = (now, acks)
+                acked_all &= acks
             self.multicast(
-                [peer for peer in self.other_peers if peer not in acks],
-                MPAccept(self.ballot_num, index, self.log[index].value,
+                [peer for peer in self.other_peers if peer not in acked_all],
+                MPAccept(self.ballot_num, run[0],
+                         tuple(self.log[index].value for index in run),
                          self.last_applied))
 
     def handle_mpaccept(self, msg, src):
         if msg.ballot >= self.ballot_num:
             self._follow(msg.ballot, src)
-            entry = self.log.get(msg.index)
-            if entry is None or not entry.committed:
-                self._write(msg.index, _EntryState(msg.ballot, msg.value))
-            self.send(src, MPAccepted(msg.ballot, msg.index))
+            log = self.log
+            for index, value in enumerate(msg.values, msg.index):
+                entry = log.get(index)
+                if entry is None or not entry.committed:
+                    self._write(index, _EntryState(msg.ballot, value))
+            self.send(src, MPAccepted(msg.ballot, msg.index,
+                                      len(msg.values)))
             self._learn(msg.ballot, msg.commit_index)
 
     def handle_mpaccepted(self, msg, src):
         if not self.is_leader or msg.ballot != self.ballot_num:
             return
         self._acked_at = self.sim.now
-        pending = self._pending.get(msg.index)
-        if pending is None:
-            return
-        acks = pending[1]
-        acks.add(src)
-        if not self.quorums.is_phase2_quorum(acks):
-            return
-        del self._pending[msg.index]
-        entry = self.log[msg.index]
-        self.trace_local("commit", index=msg.index,
-                         req=entry.value.request_id)
-        entry.committed = True
-        self.commit_index = max(self.commit_index, msg.index)
-        self._apply_ready()
+        committed = False
+        for index in range(msg.index, msg.index + msg.count):
+            pending = self._pending.get(index)
+            if pending is None:
+                continue
+            acks = pending[1]
+            acks.add(src)
+            if not self.quorums.is_phase2_quorum(acks):
+                continue
+            del self._pending[index]
+            entry = self.log[index]
+            self.trace_local("commit", index=index,
+                             req=entry.value.request_id)
+            entry.committed = True
+            self.commit_index = max(self.commit_index, index)
+            committed = True
+        if committed:
+            self._apply_ready()
 
     def _learn(self, ballot, applied):
         """Commit what the leader's applied prefix ``applied`` vouches

@@ -237,14 +237,18 @@ class RaftNode(LeaderReplica):
             return self.log[position].request_id
         return None  # truncated away
 
-    def _append(self, command, request_id):
-        index = self.last_log_index() + 1
-        self._write(index, LogEntry(self.current_term, command, request_id))
+    _last_index = last_log_index
+
+    def _append(self, batch):
+        first = self.last_log_index() + 1
+        for index, (command, request_id) in enumerate(batch, first):
+            self._write(index, LogEntry(self.current_term, command,
+                                        request_id))
+            self.trace_local("propose", index=index, req=request_id)
         self.match_index[self.name] = index
-        self.trace_local("propose", index=index, req=request_id)
         self.mark_phase("append")
         self._broadcast_append()
-        return index
+        return first
 
     def _broadcast_append(self):
         if self.role is not Role.LEADER:

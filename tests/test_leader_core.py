@@ -35,6 +35,11 @@ class _MultiPaxos:
     def campaign(replica):
         replica._start_prepare()
 
+    @staticmethod
+    def holds(replica, request_id):
+        return any(entry.value.request_id == request_id
+                   for entry in replica.log.values())
+
 
 class _Raft:
     replica = RaftNode
@@ -54,6 +59,10 @@ class _Raft:
     @staticmethod
     def campaign(replica):
         replica._start_election()
+
+    @staticmethod
+    def holds(replica, request_id):
+        return any(entry.request_id == request_id for entry in replica.log)
 
 
 both = pytest.mark.parametrize("proto", [_MultiPaxos, _Raft],
@@ -283,25 +292,178 @@ def test_an_idle_group_keeps_its_first_leader(proto, seed):
     assert proto.epoch(leader) == epoch
 
 
-def _drained_after_lossy_burst(proto, seed):
-    """The committed logs of three replicas after 60 requests at 2.5
-    per vt with 5% of messages lost, then 100 vt of quiet."""
+def _drained_after_lossy_burst(proto, seed, rate):
+    """The committed logs of three replicas after 60 requests at
+    ``rate`` per vt with 5% of messages lost, then 100 vt of quiet."""
     cluster = Cluster(seed=seed,
                       delivery=UniformDelayModel(0.5, 1.5, drop_rate=0.05))
     replicas = cluster.add_nodes(proto.replica, NAMES, NAMES)
     cluster.add_node(_Sink, "c0")
     cluster.start_all()
     leader = _leader_of(cluster, replicas)
-    _feed(cluster, leader, proto, [0.4 * k for k in range(1, 61)])
-    cluster.sim.run_for(125.0)
+    _feed(cluster, leader, proto, [k / rate for k in range(1, 61)])
+    cluster.sim.run_for(60 / rate + 100.0)
     return [r.committed_log() for r in replicas]
 
 
-@pytest.mark.parametrize("proto", [
-    pytest.param(_MultiPaxos, id="multi-paxos"),
-    pytest.param(_Raft, id="raft"),
+@pytest.mark.parametrize("proto, rate", [
+    pytest.param(_MultiPaxos, 2.5, id="multi-paxos"),
+    pytest.param(_Raft, 2.5, id="raft"),
+    pytest.param(_MultiPaxos, 12.0, id="multi-paxos-12"),
+    pytest.param(_Raft, 12.0, id="raft-12"),
 ])
-def test_followers_converge_after_a_lossy_burst(proto):
+def test_followers_converge_after_a_lossy_burst(proto, rate):
+    """At 2.5 req/vt nothing is held; at 12 the window holds requests
+    back, and runs of slots are lost and re-sent together."""
     for seed in range(10):
-        logs = _drained_after_lossy_burst(proto, seed)
+        logs = _drained_after_lossy_burst(proto, seed, rate)
         assert len(logs[0]) == 60 and logs[1] == logs[0] == logs[2], seed
+
+
+# -- the batching window ------------------------------------------------------
+
+
+def _backlog(cluster, proto, requests=100):
+    """Three replicas whose elected leader is handed ``requests``
+    requests ``q<i>`` from c0 at one instant; returns the replicas, the
+    leader and the batch sizes its ``_append`` is called with from
+    then on."""
+    replicas = cluster.add_nodes(proto.replica, NAMES, NAMES)
+    cluster.add_nodes(_Sink, ["c0", "c1"])
+    cluster.start_all()
+    leader = _leader_of(cluster, replicas)
+    cluster.sim.run_for(10.0)  # Raft's no-op is applied
+    batches = []
+    append = leader._append
+
+    def counted(batch):
+        batches.append(len(batch))
+        return append(batch)
+
+    leader._append = counted
+    for i in range(requests):
+        leader.deliver(proto.request("op-%d" % i, "q%d" % i), "c0")
+    return replicas, leader, batches
+
+
+def _history(requests):
+    return ["op-%d" % i for i in requests]
+
+
+@both
+def test_a_backlog_fills_the_window_and_the_rest_leaves_as_one_run(cluster,
+                                                                   proto):
+    replicas, leader, batches = _backlog(cluster, proto)
+    window = leader.WINDOW
+    assert batches == [1] * window
+    assert leader._last_index() - leader.last_applied == window
+    assert list(leader._held_requests) == \
+        ["q%d" % i for i in range(window, 100)]
+    applied = leader.last_applied
+    _await(cluster, lambda: leader.last_applied > applied)
+    assert batches == [1] * window + [100 - window]
+    _await(cluster, lambda: all("q99" in r._applied_requests
+                                for r in replicas))
+    cluster.sim.run_for(10.0)
+    assert all(r.state_machine.history == _history(range(100))
+               for r in replicas)
+    assert len(cluster.node_named("c0").replies) == 100
+
+
+@both
+def test_held_requests_are_appended_in_arrival_order(cluster, proto):
+    replicas, leader, batches = _backlog(cluster, proto, requests=40)
+    # Arriving later, with the window full: held behind q32..q39.
+    for i in (45, 41, 43):
+        leader.deliver(proto.request("op-%d" % i, "q%d" % i), "c0")
+    _await(cluster, lambda: all(not r._held_requests and
+                                r.last_applied == leader.last_applied
+                                for r in replicas))
+    order = list(range(40)) + [45, 41, 43]
+    assert all(r.state_machine.history == _history(order)
+               for r in replicas)
+
+
+@both
+def test_a_retried_held_request_is_appended_once(cluster, proto):
+    replicas, leader, batches = _backlog(cluster, proto, requests=40)
+    c0, c1 = cluster.node_named("c0"), cluster.node_named("c1")
+    for src in ("c1", "c0", "c1"):
+        leader.deliver(proto.request("op-35", "q35"), src)
+    assert list(leader._held_requests).count("q35") == 1
+    assert leader._held_requests["q35"] == ("op-35", "c1")
+    _await(cluster, lambda: all("q39" in r._applied_requests
+                                for r in replicas))
+    cluster.sim.run_for(10.0)
+    assert all(r.state_machine.history == _history(range(40))
+               for r in replicas)
+    assert c1.replies == [("q35", leader._applied_requests["q35"])]
+    assert len(c0.replies) == 39 and "q35" not in dict(c0.replies)
+
+
+class _Chaser(_Sink):
+    """A sink that re-sends each redirected request ``q<i>`` to the
+    leader the redirect names."""
+
+    def handle_redirect(self, msg, src):
+        super().handle_redirect(msg, src)
+        request = self.request(
+            "op-" + msg.request_id[1:], msg.request_id)
+        self.send(msg.leader_hint, request)
+
+    handle_raftredirect = handle_redirect
+
+
+@both
+def test_a_deposed_leader_redirects_what_it_held_to_the_new_leader(cluster,
+                                                                   proto):
+    replicas = cluster.add_nodes(proto.replica, NAMES, NAMES)
+    chaser = cluster.add_node(_Chaser, "c0")
+    chaser.request = proto.request
+    cluster.start_all()
+    old = _leader_of(cluster, replicas)
+    cluster.sim.run_for(10.0)
+    others = [r for r in replicas if r is not old]
+    # Cut off before the backlog arrives: it can commit nothing, so it
+    # never appends what it holds.
+    cluster.network.partitions.split([old.name],
+                                     [r.name for r in others] + ["c0"])
+    for i in range(100):
+        old.deliver(proto.request("op-%d" % i, "q%d" % i), "c0")
+    held = list(old._held_requests)
+    assert len(held) == 100 - old.WINDOW
+    new = _leader_of(cluster, others)
+    cluster.network.partitions.heal()
+    _await(cluster, lambda: not old.is_leader)
+    assert not old._held_requests
+    _await(cluster, lambda: all(request_id in r._applied_requests
+                                for r in replicas for request_id in held))
+    assert sorted(chaser.redirects) == sorted(
+        (request_id, new.name) for request_id in held)
+    assert dict(chaser.replies).keys() >= set(held)
+    assert all(r.state_machine.history == new.state_machine.history
+               for r in replicas)
+    assert sorted(new.state_machine.history) == sorted(
+        "op-" + request_id[1:] for request_id in held)
+
+
+@both
+def test_a_crash_forgets_what_the_leader_held(cluster, proto):
+    """Crashed while holding requests, restarted and re-elected, the
+    leader never appends them: the client was never told they were
+    taken, and a retry may have completed them elsewhere meanwhile."""
+    replicas, leader, _ = _backlog(cluster, proto)
+    held = list(leader._held_requests)
+    assert held
+    leader.crash()
+    cluster.sim.run_for(1.0)
+    leader.restart()
+    proto.campaign(leader)
+    _await(cluster, lambda: leader.is_leader, within=50.0)
+    _await(cluster, lambda: all("q%d" % (leader.WINDOW - 1)
+                                in r._applied_requests for r in replicas))
+    cluster.sim.run_for(20.0)
+    assert all(r.state_machine.history == _history(range(leader.WINDOW))
+               for r in replicas)
+    assert not any(proto.holds(r, request_id)
+                   for r in replicas for request_id in held)

@@ -223,7 +223,7 @@ class TestDeposedLeader:
         follower = cluster.add_nodes(MultiPaxosReplica, names, names)[1]
         ballot = Ballot(1, "r0")
         value = LogCommand("op-a", "a")
-        accept = MPAccept(ballot, 0, value, -1)
+        accept = MPAccept(ballot, 0, (value,), -1)
         if learned_by == "catch-up":
             follower.handle_mpcatchupreply(
                 MPCatchUpReply(ballot, ((0, ballot, value),)), "r0")
@@ -293,19 +293,53 @@ class TestRepair:
         assert [r.state_machine.history for r in replicas] == \
             [["op-0", "op-1", "op-2"]] * 3
 
+    def test_a_run_of_lost_slots_is_resent_in_one_accept(self, cluster):
+        names = ["r0", "r1", "r2"]
+        replicas = cluster.add_nodes(MultiPaxosReplica, names, names)
+        cluster.add_node(Node, "c0")  # replies unread
+        cluster.start_all()
+        cluster.run_until(lambda: replicas[0].is_leader, until=50.0)
+        leader = replicas[0]
+        first = leader.next_index
+        accepts = []
+
+        def lose_acks(src, dst, msg):
+            if msg.mtype == "mpaccept":
+                accepts.append((dst, msg.index, len(msg.values)))
+            return msg.mtype != "mpaccepted"
+
+        cluster.network.add_interceptor(lose_acks)
+        for i in range(5):  # five slots, one accept each
+            leader.deliver(ClientRequest("op-%d" % i, "q%d" % i), "c0")
+        cluster.run_until(lambda: len(accepts) > 10, until=cluster.now + 30.0)
+        assert accepts[:10] == [(peer, first + i, 1) for i in range(5)
+                                for peer in ("r1", "r2")]
+        assert accepts[10:] == [("r1", first, 5), ("r2", first, 5)]
+        cluster.network.remove_interceptor(lose_acks)
+        cluster.sim.run_for(30.0)
+        assert [r.state_machine.history for r in replicas] == \
+            [["op-%d" % i for i in range(5)]] * 3
+
 
 class TestNoRepairWithoutFaults:
-    @pytest.mark.parametrize("rate", [4.0, 12.0])
+    @pytest.mark.parametrize("rate", [4.0, 12.0, 16.0])
     @pytest.mark.parametrize("seed", range(3))
     def test_a_drained_open_loop_run_sends_no_repair(self, monkeypatch,
                                                      rate, seed):
-        """Below and past the knee, with nothing lost: no follower asks
-        for catch-up and the leader sends each slot's accept once."""
+        """Unbatched (4 req/vt) and batched (12 and 16), with nothing
+        lost: no follower asks for catch-up and the leader sends each
+        slot to each follower once, whatever runs its accepts carry."""
         clusters = []
+        slots = []
         fleet = engine._core_fleet
+
+        def count_slots(src, dst, msg):
+            if msg.mtype == "mpaccept":
+                slots.append(len(msg.values))
 
         def keep(cluster, spec, accountant):
             clusters.append(cluster)
+            cluster.network.add_interceptor(count_slots)
             return fleet(cluster, spec, accountant)
 
         monkeypatch.setattr(engine, "_core_fleet", keep)
@@ -319,4 +353,5 @@ class TestNoRepairWithoutFaults:
         (leader,) = [r for r in replicas if r.is_leader]
         by_type = cluster.metrics.by_type
         assert by_type["mpcatchup"] == by_type["mpcatchupreply"] == 0
-        assert by_type["mpaccept"] == (len(replicas) - 1) * leader.next_index
+        assert len(slots) == by_type["mpaccept"]
+        assert sum(slots) == (len(replicas) - 1) * leader.next_index

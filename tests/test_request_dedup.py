@@ -319,21 +319,27 @@ def test_request_path_never_walks_the_whole_log(cluster, proto, backlog):
 def _retries_read_a_bounded_number_of_entries(cluster, proto, replicas,
                                               leader, c0, c1):
     """300 requests reach the leader with the simulator held, so none is
-    applied; a retry of any of them still costs a few log reads."""
+    applied: the window's worth is appended and the rest held back; a
+    retry of any of them still costs a few log reads, and a retry of a
+    held one none."""
     end = proto.end(leader)
     for i in range(300):
         leader.deliver(proto.request("op-%d" % i, "q%d" % i), "c0")
-    assert proto.end(leader) == end + 300
+    appended = proto.end(leader) - end
+    assert proto.end(leader) - 1 - leader.last_applied == \
+        LeaderReplica.WINDOW
+    assert appended + len(leader._held_requests) == 300
     assert not any(r._applied_requests for r in replicas)
     leader.log = (_CountingDict if proto is _MultiPaxos
                   else _CountingList)(leader.log)
 
-    for i in (150, 0, 299):
+    for i, most in ((0, 4), (150, 0), (299, 0)):
         reads = leader.log.reads
         leader.deliver(proto.request("op-%d" % i, "q%d" % i), "c1")
-        assert leader.log.reads - reads <= 4
-        assert proto.end(leader) == end + 300  # re-addressed, not appended
-    assert leader._client_of[end + 150] == ("c1", "q150")
+        assert leader.log.reads - reads <= most
+        assert proto.end(leader) == end + appended  # re-addressed
+    assert leader._client_of[end] == ("c1", "q0")
+    assert leader._held_requests["q150"] == ("op-150", "c1")
 
     _await_applied(cluster, "q299", replicas)
     cluster.sim.run_for(10.0)
@@ -488,11 +494,10 @@ def test_an_id_written_at_several_slots_is_found_at_its_lowest_live_one(
     _, leader, _ = _start(cluster, _MultiPaxos)
     first = leader.next_index
     # Written past the lookup, as inherited duplicates are.
-    for request_id in ("x", "y", "x"):
-        leader._append("op", request_id)
+    leader._append([("op", "x"), ("op", "y"), ("op", "x")])
     assert leader._in_flight("x") == first
-    leader._propose(first + 1, LogCommand("op", "x"))
-    leader._propose(first, LogCommand("op", "z"))
+    leader._propose(first + 1, (LogCommand("op", "x"),))
+    leader._propose(first, (LogCommand("op", "z"),))
     assert leader._written_at["x"] == [first, first + 2, first + 1]
     assert leader._in_flight("x") == first + 1 == \
         _scan(_MultiPaxos, leader, "x")
