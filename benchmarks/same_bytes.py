@@ -24,9 +24,9 @@ import subprocess
 import sys
 import tempfile
 
-#: (below, beyond) the E28 knees of 6.0 / 6.0 / 0.5 req/vt; the fleet's
-#: is not in E28, its pair brackets where p99 leaves the SLO.
-LOAD_RATES = {"multi-paxos": (4.0, 12.0), "raft": (3.0, 8.0),
+#: (below, beyond) the E28 knees of 16.0 / 16.0 / 0.5 req/vt; the
+#: fleet's is not in E28, its pair brackets where p99 leaves the SLO.
+LOAD_RATES = {"multi-paxos": (4.0, 24.0), "raft": (3.0, 20.0),
               "pbft": (0.3, 1.0), "shards": (1.0, 6.0)}
 
 #: Runs compared by what they print, keyed by artifact stem: the

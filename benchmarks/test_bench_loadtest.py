@@ -35,20 +35,24 @@ SEED = 0
 DURATION = 60.0 if QUICK else 150.0
 SLO = 30.0
 
-#: Swept offered loads per protocol.  Leader-based protocols saturate
-#: around 1/(3·service) requests per unit (the leader ingests ~3
-#: messages per request); PBFT's all-to-all phases ingest ~3n per
-#: replica, pushing its knee an order of magnitude lower.
+#: Swept offered loads per protocol.  One request at a time, a leader
+#: ingests ~3 messages per request, so it would saturate near
+#: 1/(3·service) requests per unit; past its window it batches, one
+#: replication message and one ack per follower carrying many
+#: requests, so it approaches 1/service, where client requests alone
+#: fill its ingress.  PBFT's all-to-all phases ingest ~3n per replica,
+#: pushing its knee an order of magnitude lower.
 if QUICK:
     SWEEPS = [
-        ("multi-paxos", (1.0, 6.0, 12.0)),
-        ("raft", (1.0, 6.0, 12.0)),
+        ("multi-paxos", (1.0, 6.0, 12.0, 24.0)),
+        ("raft", (1.0, 6.0, 12.0, 24.0)),
         ("pbft", (0.25, 1.0, 2.0)),
     ]
 else:
     SWEEPS = [
-        ("multi-paxos", (0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0)),
-        ("raft", (0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0)),
+        ("multi-paxos", (0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 20.0,
+                         24.0)),
+        ("raft", (0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 20.0, 24.0)),
         ("pbft", (0.25, 0.5, 1.0, 1.5, 2.0)),
     ]
 
