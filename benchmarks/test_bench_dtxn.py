@@ -91,10 +91,11 @@ def test_distributed_transactions(benchmark, report, bench_snapshot):
     text = render_table(fanout, title="E18 — 2PC fan-out over Paxos groups")
     text += ("\nprotocol = messages / txn minus the leaders' Heartbeats: 6 per "
              "group consensus round\n(request, 2 accepts, 2 acks, reply), "
-             "over 2 rounds for one shard and\n3N+1 for N shards "
-             "(N lock, N prepare, 1 decide, N commit).  Gray & Lamport's\n"
-             "3N-1 counts one message per 2PC hop between unreplicated "
-             "processes; one shard\nruns no 2PC.")
+             "over 2 rounds for one shard and\n3N for N shards "
+             "(N lock, N prepare, N commit; the commit entries are the\n"
+             "replicated decision).  Gray & Lamport's 3N-1 counts one "
+             "message per 2PC hop\nbetween unreplicated processes; one "
+             "shard runs no 2PC.")
     text += "\n\n" + render_table([contention], title="contention (no-wait + retry)")
     text += "\n\n" + render_table([fault], title="replica failure inside groups")
     report("E18_dtxn", text)
@@ -110,9 +111,9 @@ def test_distributed_transactions(benchmark, report, bench_snapshot):
         < fanout[2]["messages / txn"]
     assert all(row["outcome"] == "committed" for row in fanout)
     # Every protocol message is a consensus round's: 6 per round.
-    assert [row["protocol"] for row in fanout] == [6 * 2, 6 * 7, 6 * 10]
-    # One shard: lock, apply.  More: lock, prepare, decide, commit.
-    assert [row["consensus rounds"] for row in fanout] == [2, 4, 4]
+    assert [row["protocol"] for row in fanout] == [6 * 2, 6 * 6, 6 * 9]
+    # One shard: lock, apply.  More: lock, prepare, commit.
+    assert [row["consensus rounds"] for row in fanout] == [2, 3, 3]
     # Contention serializes: every increment lands exactly once.
     assert contention["committed"] == 5
     assert contention["final value"] == 5

@@ -11,8 +11,7 @@ records what the architecture buys and costs:
   across groups, so density should not *degrade* as the node count
   explodes;
 * the single-shard fast path's share of commits (two consensus rounds)
-  versus full 2PC-over-consensus (lock, prepare, replicated decision,
-  commit);
+  versus full 2PC-over-consensus (lock, prepare, commit);
 * the wall-clock events/sec the simulator sustains hosting the fleet —
   the harness-health number for this subsystem.
 
@@ -93,7 +92,7 @@ def test_shard_scaling(benchmark, report, bench_snapshot):
         rows, title="E25 — sharded fleet scaling (shards x replicas)")
     text += ("\nseed %d, cross-shard ratio %.1f; fast-path = single-shard "
              "commits (2 consensus rounds),\nothers pay full "
-             "2PC-over-consensus with a replicated commit decision. "
+             "2PC-over-consensus (lock, prepare, commit: 3 rounds). "
              "commits/vtime is\ncommitted transactions per unit of "
              "simulated time (in-shard hops are 0.5-1.5\nunits) — a "
              "dimensionless density for comparing configurations, not a "

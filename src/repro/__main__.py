@@ -545,10 +545,9 @@ def _fleet_verdict(consistent, stats, anomalies=None):
         print("monitors: %d anomaly(ies)" % len(anomalies))
         for anomaly in anomalies[:10]:
             print("  [%s] %s" % (anomaly["monitor"], anomaly["message"]))
-    print("totals: %d commits (%d fast-path, %d replicated decisions), "
-          "%d aborts, %d conflicts, %d reroutes"
-          % (stats["commits"], stats["fast_commits"],
-             stats["decisions_replicated"], stats["aborts"],
+    print("totals: %d commits (%d fast-path), %d aborts, %d conflicts, "
+          "%d reroutes"
+          % (stats["commits"], stats["fast_commits"], stats["aborts"],
              stats["conflicts"], stats["reroutes"]))
     return not consistent or bool(anomalies)
 

@@ -124,20 +124,20 @@ EXPERIMENT_NOTES = {
             "Measured on the sharded store (3 hash-partitioned Multi-Paxos shards):\n"
             "per-transaction messages grow with the number of groups a\n"
             "transaction touches. One shard takes the fast path (lock, apply: 2\n"
-            "consensus rounds, 30 messages); two or three pay 2PC plus Gray &\n"
-            "Lamport's replicated commit decision (lock, prepare, decide, commit:\n"
-            "4 rounds, 74 and 96 messages). Until the standalone partitioned\n"
-            "store was retired, E18 ran 3 rounds at every fan-out and never\n"
-            "replicated its decision (104/120/146). No-wait locking + randomized\n"
+            "consensus rounds, 30 messages); two or three pay 2PC (lock,\n"
+            "prepare, commit: 3 rounds, 62 and 80 messages). Each prepare is a\n"
+            "vote as a consensus value (Gray & Lamport), so the commit entries\n"
+            "are the replicated decision; a decide round nothing read cost a\n"
+            "fourth round (74/96) until it was dropped. No-wait locking + randomized\n"
             "retry serializes contended transactions exactly once; a crashed\n"
             "replica in every group is invisible to the transaction layer.\n"
             "\n"
             "Protocol against liveness: the table splits each transaction's\n"
             "messages into the leaders' Heartbeats (read from the collector's\n"
-            "by_type) and the rest. The protocol half is exact: 12, 42, 60 =\n"
+            "by_type) and the rest. The protocol half is exact: 12, 36, 54 =\n"
             "6 messages per group consensus round (request, 2 accepts, 2 acks,\n"
-            "reply) times 2 rounds for one shard and 3N+1 for N shards (N\n"
-            "lock, N prepare, 1 decide, N commit); it was 16, 56, 80 while\n"
+            "reply) times 2 rounds for one shard and 3N for N shards (N lock,\n"
+            "N prepare, N commit); 12, 42, 60 with the decide, 16, 56, 80 while\n"
             "each leader also sent a commit message to both followers per\n"
             "round, which the next accept or heartbeat now carries. Gray &\n"
             "Lamport count 3N-1 messages for 2PC (5 and 8 here): one per hop\n"
@@ -147,8 +147,8 @@ EXPERIMENT_NOTES = {
             "Heartbeats were 50/94/88 of 66/150/168 while every leader sent\n"
             "one each time unit; a leader now skips a heartbeat its\n"
             "replication already sent and spaces them out when idle\n"
-            "(DESIGN.md, leader-replica core), leaving 18/38/36, and 18/32/36\n"
-            "once commits rode on the accepts."),
+            "(DESIGN.md, leader-replica core), leaving 18/38/36, 18/32/36\n"
+            "once commits rode on the accepts, 18/26/26 without the decide."),
     "E19": ("Ablations (extension)",
             "Design-choice knobs isolated one at a time: zero backoff jitter IS\n"
             "the livelock and any meaningful jitter restores liveness; frequent\n"
@@ -230,15 +230,16 @@ EXPERIMENT_NOTES = {
             "keyspace. A ShardedCluster scales from 2x3 to 48x5 = 240 simulated\n"
             "nodes on one virtual clock; single-shard transactions take the\n"
             "two-round fast path while cross-shard ones pay 2PC-over-consensus\n"
-            "with a replicated commit decision (Gray & Lamport). Commit density\n"
+            "in three rounds (lock, prepare, commit). Commit density\n"
             "(committed transactions per unit of simulated time - dimensionless,\n"
             "not wall TPS) stays workload-bound - not node-count-bound - as the\n"
             "fleet grows, which is the scaling argument for sharding itself.\n"
             "\n"
             "Liveness traffic: protocol/commit and heartbeat/commit split the\n"
             "messages the workload sends per commit (the collector's by_type).\n"
-            "The protocol half tracks the transaction mix (20-23 per commit on\n"
-            "3-replica groups, 39-52 on 5-replica ones; 27-31 and 55-72 while\n"
+            "The protocol half tracks the transaction mix (19-21 per commit on\n"
+            "3-replica groups, 35-45 on 5-replica ones; 20-23 and 39-52 with\n"
+            "a decide round per cross-shard commit, 27-31 and 55-72 while\n"
             "each leader sent every follower a commit message per slot). The\n"
             "heartbeat half grows with the number of groups, most of them idle\n"
             "at any moment:\n"
@@ -252,7 +253,8 @@ EXPERIMENT_NOTES = {
             "messages shifted it again: commits/vtime moved by up to 17%\n"
             "(4x3 0.69 -> 0.81, 32x5 0.68 -> 0.60), and the heartbeat half,\n"
             "per commit, with it (1.2 / 3.2 / 6.6 / 16.5 / 33.3 / 81.9 /\n"
-            "111.7).\n"
+            "111.7). Dropping the decide round shifted it once more (8x3\n"
+            "0.85 -> 1.17, 32x5 0.60 -> 0.94; 4x3 0.81 -> 0.79).\n"
             "\n"
             "Wall-clock outlier, refuted: the 4x3 row's 55.6k events/s (against\n"
             "92-127k for every other shape) is not a property of the shape.\n"

@@ -8,20 +8,27 @@ Spanner stack, over the shard groups of a live
    involved shard (parallel), returning current values;
 2. **compute** — the transaction's update function runs on the reads;
 3. **2PC prepare** — replicated ``txn_prepare`` staging the writes on
-   each shard (once a shard's log holds the prepare, it survives any
-   minority of replica crashes — 2PC's participant-side fragility is
-   gone);
-4. **replicated decision** — ``("txn_decide", txid, "commit")`` in the
-   lowest-numbered participant's log before anyone acts on it (Gray &
-   Lamport: the decision *is* a consensus value).  Aborts are presumed,
-   so only commits pay this;
-5. **2PC decision** — ``txn_commit`` everywhere (or ``txn_abort`` on any
-   conflict/failure, releasing locks).
+   each shard.  Each participant's vote is a log entry, i.e. a
+   consensus value (Gray & Lamport), so it survives any minority of
+   replica crashes — 2PC's participant-side fragility is gone;
+4. **2PC commit** — once every participant has answered ``prepared``,
+   ``txn_commit`` everywhere (or ``txn_abort`` on any conflict or
+   failure, releasing locks).
+
+The commit rule: once every participant's log holds its
+``txn_prepare``, the transaction commits, and the ``txn_commit``
+entries are the replicated decision (aborts are presumed).  The
+coordinator may abort only before the first ``txn_commit`` is sent: on
+a conflict, on a veto, or when a round stalls past
+:attr:`TxnCoordinator.ROUND_TIMEOUT`.  A commit round retries until
+every participant answers, so the one case that blocks is a group
+that stays down through its commit round — outside the f-per-group
+model.
 
 A transaction whose keys all route to one shard skips 2PC: after the
 lock round one ``txn_apply`` entry applies its writes and releases its
-locks together — two consensus rounds instead of four, most traffic in
-a well-partitioned workload.
+locks together — two consensus rounds instead of three, most traffic
+in a well-partitioned workload.  Like a commit round, it never aborts.
 
 Routing is recomputed at every round, so a split's cutover is picked up
 without any invalidation protocol.  A key's route cannot change while
@@ -174,12 +181,14 @@ class TxnCoordinator(GroupRequester):
     MAX_ATTEMPTS = 12
     #: Range of the uniform randomized delay before a retry.
     BACKOFF = (2.0, 8.0)
-    #: Stall deadline per round, in virtual time.  A round that has not
-    #: gathered all its replies by then — a participant group wholly
-    #: crashed or partitioned away — aborts the transaction
-    #: deterministically (releasing locks on every still-reachable
-    #: group) instead of hanging it.
+    #: Stall deadline per round, in virtual time.  A lock, prepare or
+    #: abort round that has not gathered all its replies by then — a
+    #: participant group wholly crashed or partitioned away — aborts
+    #: the transaction deterministically instead of hanging it.
     ROUND_TIMEOUT = 120.0
+    #: Rounds sent once the outcome is commit: they carry no stall
+    #: deadline and retry until every participant answers.
+    DECIDED_ROUNDS = frozenset({"txn_commit", "txn_apply"})
 
     def __init__(self, sim, network, name, shard_map, groups):
         super().__init__(sim, network, name, groups)
@@ -194,7 +203,6 @@ class TxnCoordinator(GroupRequester):
         self.aborts = 0
         self.timeout_aborts = 0
         self.fast_commits = 0
-        self.decisions_replicated = 0
         self.reroutes = 0
 
     def stats(self):
@@ -203,7 +211,6 @@ class TxnCoordinator(GroupRequester):
             "commits": self.commits,
             "aborts": self.aborts,
             "fast_commits": self.fast_commits,
-            "decisions_replicated": self.decisions_replicated,
             "timeout_aborts": self.timeout_aborts,
             "conflicts": self.conflicts_seen,
             "reroutes": self.reroutes,
@@ -251,7 +258,10 @@ class TxnCoordinator(GroupRequester):
         }
         self.trace_local("txn_round", req=txn.txid, kind=kind,
                          attempt=txn.attempts)
-        self._arm_round_timer(txn)
+        self._disarm_round_timer(txn.txid)
+        if kind not in self.DECIDED_ROUNDS:
+            self._round_timer[txn.txid] = self.set_timer(
+                self.ROUND_TIMEOUT, self._round_stalled, txn)
         for gid, command in commands.items():
             request_id = "%s-%s-%d" % (txn.txid, kind,
                                        next(self._request_seq))
@@ -267,39 +277,30 @@ class TxnCoordinator(GroupRequester):
 
     # -- stall deadline ----------------------------------------------------------
 
-    def _arm_round_timer(self, txn):
-        self._disarm_round_timer(txn.txid)
-        self._round_timer[txn.txid] = self.set_timer(
-            self.ROUND_TIMEOUT, self._round_stalled, txn)
-
     def _disarm_round_timer(self, txid):
         timer = self._round_timer.pop(txid, None)
         if timer is not None:
             timer.cancel()
 
     def _round_stalled(self, txn):
-        """The stall deadline fired with the round still open: some
-        participant never answered through every replica we tried.
-        2PC's answer is a *deterministic abort* — release locks on every
-        group that can still hear us (fire-and-forget; the unreachable
-        group holds no prepared writes we are obliged to keep) and
-        finish the transaction as aborted."""
+        """The stall deadline fired with a lock, prepare or abort round
+        still open: some participant never answered through every
+        replica we tried.  No commit was sent, so 2PC's answer is a
+        *deterministic abort*.  The silent group may hold locks or
+        staged writes, so each ``txn_abort`` retries, past the
+        transaction's end, until its group acknowledges."""
         round_ = self._round.get(txn.txid)
         if round_ is None or not round_["waiting"] \
                 or txn.state is TxnState.DONE:
             return  # round closed (e.g. waiting out a retry backoff)
         self.timeout_aborts += 1
         self.trace_local("txn_timeout", req=txn.txid, kind=round_["kind"])
-        self._cancel_pending(txn.txid)
-        self._round.pop(txn.txid, None)
-        txn.state = TxnState.ABORTING
+        self._finish(txn, "aborted")
         for gid in self.groups_of(txn):
             request_id = "%s-timeout-abort-%d" % (txn.txid,
                                                   next(self._request_seq))
-            self.send(self._target(gid),
-                      self.make_request(gid, ("txn_abort", txn.txid),
-                                        request_id))
-        self._finish(txn, "aborted")
+            self._request(request_id, gid, ("txn_abort", txn.txid),
+                          (txn.txid, "timeout-abort"))
 
     def on_result(self, tag, gid, command, result):
         txid, kind = tag
@@ -327,19 +328,14 @@ class TxnCoordinator(GroupRequester):
                 self._abort(txn)
         elif kind == "txn_prepare":
             if all(reply == "prepared" for reply in replies):
-                # Replicate the commit decision before acting on it: the
-                # lowest participant's log is the decision's home.
-                decider = min(self.groups_of(txn))
+                # Every vote is in a participant's log: the transaction
+                # is committed, and the commit entries record it.
                 txn.state = TxnState.COMMITTING
-                self._start_round(txn, "txn_decide", {
-                    decider: ("txn_decide", txn.txid, "commit")})
+                self._start_round(txn, "txn_commit", {
+                    gid: ("txn_commit", txn.txid)
+                    for gid in self.groups_of(txn)})
             else:
                 self._abort(txn)
-        elif kind == "txn_decide":
-            self.decisions_replicated += 1
-            self._start_round(txn, "txn_commit", {
-                gid: ("txn_commit", txn.txid)
-                for gid in self.groups_of(txn)})
         elif kind == "txn_commit":
             self._finish(txn, "committed")
         elif round_["vetoed"]:  # txn_abort after the transaction's veto

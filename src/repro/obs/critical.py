@@ -21,8 +21,8 @@ Each edge is then attributed to a named segment by what its *ending*
 event represents: arriving messages are ``network``, waiting for a
 proposal slot is ``propose-wait``, the quorum round is ``quorum-wait``,
 state-machine application is ``apply``, and the coordinator's 2PC
-rounds map to ``lock`` / ``2pc-prepare`` / ``2pc-decide`` /
-``2pc-commit`` (``apply`` for the single-shard fast path).
+rounds map to ``lock`` / ``2pc-prepare`` / ``2pc-commit`` (``apply``
+for the single-shard fast path).
 """
 
 from ..trace.events import DELIVER, LOCAL, SEND
@@ -43,7 +43,6 @@ ROUND_SEGMENTS = {
     "txn_lock": "lock",
     "txn_apply": "apply",
     "txn_prepare": "2pc-prepare",
-    "txn_decide": "2pc-decide",
     "txn_commit": "2pc-commit",
     "txn_abort": "abort",
 }

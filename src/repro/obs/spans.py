@@ -35,8 +35,8 @@ from .critical import attribute
 SCHEMA = "repro.obs.spans/1"
 
 #: Round kinds the transaction coordinator names its sub-requests after.
-TXN_ROUND_KINDS = ("txn_lock", "txn_apply", "txn_prepare", "txn_decide",
-                   "txn_commit", "txn_abort")
+TXN_ROUND_KINDS = ("txn_lock", "txn_apply", "txn_prepare", "txn_commit",
+                   "txn_abort")
 
 #: Coordinator milestone labels anchoring a transaction's root span.
 TXN_LABELS = frozenset({"txn_begin", "txn_round", "txn_round_done",
@@ -186,8 +186,8 @@ class SpanBuilder:
         A transaction completes at its ``txn_finish`` milestone; a
         request (or round) completes when a reply message reaches the
         requester — the node that sent the first request message.
-        Anything else (crash mid-2PC, fire-and-forget aborts) is an
-        *abandoned* span ending at its last anchor.
+        Anything else (crash mid-2PC, an abort to a group that never
+        came back) is an *abandoned* span ending at its last anchor.
         """
         events = span.events
         if span.kind == "txn":

@@ -132,9 +132,8 @@ def shard_transfer_demo(cluster):
     outcome = sharded.transfer(a, b, 30)
     stats = sharded.stats()
     return ("2 shards x 3 replicas: cross-shard transfer %s; "
-            "%d commits (%d fast-path), %d replicated decision(s)"
-            % (outcome, stats["commits"], stats["fast_commits"],
-               stats["decisions_replicated"]))
+            "%d commits (%d fast-path)"
+            % (outcome, stats["commits"], stats["fast_commits"]))
 
 
 def fleet_summary(segments, consistent):

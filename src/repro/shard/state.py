@@ -18,15 +18,16 @@ Beyond 2PC's lock/prepare/commit/abort, the log carries:
 
 * ``txn_apply`` — the single-shard fast path: writes applied and locks
   released in **one** log entry, so a transaction touching one shard
-  commits in two consensus rounds (lock, apply) instead of 2PC's four.
-* ``txn_decide`` — the coordinator's commit decision as a replicated
-  record (Gray & Lamport's *Consensus on Transaction Commit*): once a
-  shard's log holds the decision, a coordinator crash cannot orphan the
-  outcome.  Aborts are presumed and never recorded.
+  commits in two consensus rounds (lock, apply) instead of 2PC's three.
 * ``shard_freeze`` / ``shard_install`` / ``shard_purge`` — the live
   split protocol's three replicated steps: drain-and-snapshot a key
   range, bulk-load it on the destination group, drop it at the source
   leaving a tombstone so stale routing is *told* it is stale.
+
+Each ``txn_prepare`` entry is a participant's vote as a consensus
+value (Gray & Lamport's *Consensus on Transaction Commit*), so the
+``txn_commit`` entries are the replicated decision and no separate
+decision record exists; aborts are presumed and never recorded.
 
 Everything here is a log command, so every replica of a shard reaches
 identical lock tables, staged writes, frozen ranges and tombstones —
@@ -41,7 +42,7 @@ def _in_range(key, lo, hi):
 
 class ShardKVStateMachine:
     """Deterministic shard state machine for 2PL + 2PC, fast-path
-    commit, replicated commit decisions, and range migration.
+    commit, and range migration.
 
     Commands (all tuples):
 
@@ -56,8 +57,6 @@ class ShardKVStateMachine:
       or ``"no-locks"`` if the transaction doesn't hold its locks.
     * ``("txn_apply", txid, writes)`` → ``"applied"`` (writes applied,
       locks released, all in this one entry) or ``"no-locks"``.
-    * ``("txn_decide", txid, verdict)`` → ``"decided"`` (records the
-      coordinator's verdict durably in ``decisions``).
     * ``("txn_commit", txid)`` → ``"committed"`` (applies staged writes,
       releases locks).
     * ``("txn_abort", txid)`` → ``"aborted"`` (drops stage, releases).
@@ -77,7 +76,6 @@ class ShardKVStateMachine:
         self.data = {}
         self.locks = {}  # key -> txid
         self.staged = {}  # txid -> {key: value}
-        self.decisions = {}  # txid -> "commit"
         self.frozen = []  # list of (lo, hi) ranges being migrated out
         self.moved = []  # list of (lo, hi) tombstones (migrated away)
         self.ops_applied = 0
@@ -129,10 +127,6 @@ class ShardKVStateMachine:
         self.commits += 1
         self.fast_applies += 1
         return "applied"
-
-    def _op_txn_decide(self, txid, verdict):
-        self.decisions[txid] = verdict
-        return "decided"
 
     def _op_txn_commit(self, txid):
         self.data.update(self.staged.pop(txid, {}))

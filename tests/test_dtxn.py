@@ -1,9 +1,11 @@
 """Tests for distributed transactions: 2PL + 2PC over consensus groups,
 driven through the sharded store."""
 
+import pytest
+
 from repro.core import Node
 from repro.dtxn import TxnState
-from repro.dtxn.coordinator import GroupRequester
+from repro.dtxn.coordinator import GroupRequester, TxnCoordinator
 from repro.protocols.multipaxos import ClientReply, ClientRequest, LogCommand
 from repro.shard import ShardedCluster, ShardKVStateMachine
 
@@ -153,20 +155,22 @@ class TestShardedTransactions:
         assert doomed_finish_time(13) == doomed_finish_time(13)
 
     def test_prepared_writes_survive_in_group_log(self):
-        # The point of 2PC-over-Paxos: a prepare — and the commit
-        # decision — are *replicated* log entries, visible in the
-        # deciding shard's committed log.  (A one-shard write takes the
-        # fast path and never prepares, so this needs two shards.)
+        # The point of 2PC-over-Paxos: each participant's prepare (its
+        # vote) and commit (the decision) are *replicated* log entries
+        # in its own committed log; nothing else records the decision.
+        # (A one-shard write takes the fast path and never prepares,
+        # so this needs two shards.)
         db = ShardedCluster(n_shards=2, replicas=3, seed=9)
         a, b = _keys_in_distinct_shards(db, 2)
         db.put(a, 1)
         assert db.transfer(a, b, 1) == "committed"
         db.settle()
-        decider = db.shard_groups[min(db.shard_of(a), db.shard_of(b))]
-        ops = {value.command[0] if isinstance(value, LogCommand)
-               else value[0]
-               for log in decider.committed_logs() for _idx, value in log}
-        assert {"txn_lock", "txn_prepare", "txn_decide", "txn_commit"} <= ops
+        for key, put_ops in ((a, {"txn_apply"}), (b, set())):
+            group = db.shard_groups[db.shard_of(key)]
+            ops = {value.command[0] if isinstance(value, LogCommand)
+                   else value[0]
+                   for log in group.committed_logs() for _idx, value in log}
+            assert ops == {"txn_lock", "txn_prepare", "txn_commit"} | put_ops
 
     def test_vetoed_transaction_reports_only_its_final_outcome(self):
         # ``abort_if`` vetoes after the reads; the outcome must not show
@@ -182,6 +186,205 @@ class TestShardedTransactions:
         assert txn.attempts == 1  # a veto is final, not retried
         leader = db.shard_groups[db.shard_of(a)].leader()
         assert leader.state_machine.locks == {}
+
+
+#: How long a fault holds a participant group down or away: past the
+#: stall deadline, so the coordinator's timeout path runs.
+HOLD = TxnCoordinator.ROUND_TIMEOUT + 10.0
+
+
+class TestDecidedRoundsNeverAbort:
+    """Once the outcome is commit, the coordinator waits out a silent
+    participant instead of reporting an abort it can no longer make
+    true; an abort it does make retries until every group has it."""
+
+    def _pair(self, db):
+        # k000000 routes to s1 at seed 0; its partner is s0's first key.
+        b = db.key(0)
+        a = next(db.key(i) for i in range(1, db.key_space)
+                 if db.shard_of(db.key(i)) != db.shard_of(b))
+        assert (db.shard_of(a), db.shard_of(b)) == ("s0", "s1")
+        for key in (a, b):
+            db.put(key, 50)
+        return a, b
+
+    def test_commit_round_outlasts_a_participant_restart(self):
+        db = ShardedCluster(n_shards=2, replicas=3, seed=0)
+        a, b = self._pair(db)
+        _when_round_starts(db, "txn_commit",
+                           lambda: _down_and_back(db, "s1", "crash"))
+        txn = db.submit((a, b), _move(a, b, 5))
+        db.cluster.run_until(lambda: txn.outcome is not None,
+                             until=db.now + 2000.0)
+        assert txn.outcome == "committed"
+        assert db.coordinator.timeout_aborts == 0
+        db.settle()
+        _assert_balances(db, {a: 45, b: 55})
+
+    def test_apply_round_outlasts_a_partitioned_coordinator(self):
+        db = ShardedCluster(n_shards=2, replicas=3, seed=0)
+        a, b = _keys_in_one_shard(db)
+        for key in (a, b):
+            db.put(key, 50)
+        others = [node.name for node in db.cluster.nodes
+                  if node is not db.coordinator]
+        partitions = db.cluster.network.partitions
+
+        txn = db.submit((a, b), _move(a, b, 5))
+
+        def cut_off_coordinator(txid, _writes):
+            if txid == txn.txid and not partitions.active:
+                partitions.split([db.coordinator.name], others)
+                db.cluster.sim.schedule(HOLD, partitions.heal)
+
+        # Cut the coordinator off as the apply entry commits, so the
+        # group applies the writes but its reply is lost.
+        for machine in db.shard_groups[db.shard_of(a)].machines():
+            machine._op_txn_apply = _then(machine._op_txn_apply,
+                                          cut_off_coordinator)
+        db.cluster.run_until(lambda: txn.outcome is not None,
+                             until=db.now + 2000.0)
+        assert txn.outcome == "committed"
+        assert db.coordinator.timeout_aborts == 0
+        db.settle()
+        _assert_balances(db, {a: 45, b: 55})
+
+    def test_timeout_abort_reaches_a_group_that_restarts(self):
+        db = ShardedCluster(n_shards=2, replicas=3, seed=0)
+        a, b = self._pair(db)
+        _when_round_starts(db, "txn_prepare",
+                           lambda: _down_and_back(db, "s1", "crash"))
+        txn = db.submit((a, b), _move(a, b, 5))
+        db.cluster.run_until(lambda: txn.outcome is not None,
+                             until=db.now + 2000.0)
+        assert txn.outcome == "aborted"
+        assert db.coordinator.timeout_aborts == 1
+        db.settle(HOLD)
+        _assert_balances(db, {a: 50, b: 50})
+        # The key the restarted group locked for tx0 is free again.
+        after = db.run_transaction((b,), lambda r: {b: r[b] + 1})
+        assert after.outcome == "committed" and after.attempts == 1
+
+
+#: Round kinds a transfer of each shape passes through; a "veto" is a
+#: cross-shard transfer its overdraft guard refuses.
+SWEEP_ROUNDS = {
+    "single": ("txn_lock", "txn_apply"),
+    "cross": ("txn_lock", "txn_prepare", "txn_commit"),
+    "veto": ("txn_lock", "txn_abort"),
+}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_atomicity_under_participant_faults(seed):
+    """At the start of every round kind, take one participant group
+    down (crash, then restart) or away (partition, then heal) for
+    longer than the stall deadline.  After settling, the balance total
+    is conserved, no replica holds staged writes or locks, and the
+    transaction reports ``committed`` exactly when its writes show."""
+    for shape, kinds in SWEEP_ROUNDS.items():
+        for kind in kinds:
+            for fault in ("crash", "partition"):
+                _check_faulted_transfer(seed, shape, kind, fault)
+
+
+def _check_faulted_transfer(seed, shape, kind, fault):
+    db = ShardedCluster(n_shards=2, replicas=3, seed=seed)
+    if shape == "single":
+        a, b = _keys_in_one_shard(db)
+    else:
+        a, b = _keys_in_distinct_shards(db, 2)
+    for key in (a, b):
+        db.put(key, 50)
+    victim = db.shard_of((a, b)[seed % 2])
+    fired = _when_round_starts(
+        db, kind, lambda: _down_and_back(db, victim, fault))
+    amount = 500 if shape == "veto" else 5
+    txn = db.submit((a, b), _move(a, b, amount),
+                    abort_if=lambda r: r[a] < amount)
+    db.cluster.run_until(lambda: txn.outcome is not None,
+                         until=db.now + 2000.0)
+    case = (seed, shape, kind, fault, txn.outcome)
+    assert fired, case
+    db.settle(HOLD)
+    balances = _replica_balances(db, (a, b))
+    assert sum(balances.values()) == 100, case
+    committed = balances == {a: 50 - amount, b: 50 + amount}
+    assert committed or balances == {a: 50, b: 50}, case
+    assert (txn.outcome == "committed") == committed, case
+    for group in db.shard_groups.values():
+        for machine in group.machines():
+            assert not machine.locks and not machine.staged, case
+    assert db.check_consistency(), case
+
+
+def _move(src, dst, amount):
+    return lambda r: {src: r[src] - amount, dst: r[dst] + amount}
+
+
+def _then(operation, after):
+    """``operation`` wrapped to call ``after`` with the same arguments
+    once it has run."""
+    def wrapped(*args):
+        result = operation(*args)
+        after(*args)
+        return result
+    return wrapped
+
+
+def _when_round_starts(db, kind, action):
+    """Run ``action()`` once, as the coordinator starts its first
+    ``kind`` round and before that round's requests leave.  Returns a
+    list that holds the start time once it has fired."""
+    coord = db.coordinator
+    start_round = coord._start_round
+    fired = []
+
+    def hooked(txn, round_kind, commands, vetoed=False):
+        if round_kind == kind:
+            del coord._start_round
+            fired.append(db.now)
+            action()
+        return start_round(txn, round_kind, commands, vetoed=vetoed)
+
+    coord._start_round = hooked
+    return fired
+
+
+def _down_and_back(db, sid, fault):
+    """Crash every replica of ``sid`` or partition the group away from
+    the rest of the fleet, and undo it :data:`HOLD` later."""
+    group = db.shard_groups[sid]
+    sim = db.cluster.sim
+    if fault == "crash":
+        group.crash_all()
+        sim.schedule(HOLD, lambda: [replica.restart()
+                                    for replica in group.replicas])
+        return
+    members = set(group.members)
+    partitions = db.cluster.network.partitions
+    partitions.split(members, [node.name for node in db.cluster.nodes
+                               if node.name not in members])
+    sim.schedule(HOLD, partitions.heal)
+
+
+def _replica_balances(db, keys):
+    """Each key's value, read off every replica of its group, which
+    must all agree."""
+    balances = {}
+    for key in keys:
+        values = {machine.data.get(key)
+                  for machine in db.shard_groups[db.shard_of(key)].machines()}
+        assert len(values) == 1, (key, values)
+        balances[key] = values.pop()
+    return balances
+
+
+def _assert_balances(db, expected):
+    assert _replica_balances(db, expected) == expected
+    for group in db.shard_groups.values():
+        for machine in group.machines():
+            assert not machine.locks and not machine.staged
 
 
 class _Group:

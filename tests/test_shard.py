@@ -1,5 +1,5 @@
 """Tests for sharded multi-group SMR: fleets, 2PC-over-consensus,
-fast path, replicated decisions, crashes and live splits."""
+fast path, crashes and live splits."""
 
 import pytest
 
@@ -66,11 +66,9 @@ class TestFastPath:
         key = sharded.key(0)
         assert sharded.put(key, 7) == "committed"
         assert sharded.coordinator.fast_commits == 1
-        assert sharded.coordinator.decisions_replicated == 0
         sharded.settle()
         ops = _group_ops(sharded.shard_groups[sharded.shard_of(key)])
-        assert "txn_apply" in ops
-        assert "txn_prepare" not in ops and "txn_commit" not in ops
+        assert ops == {"txn_lock", "txn_apply"}
 
     def test_fast_path_conflicts_still_serialize(self):
         sharded = ShardedCluster(n_shards=1, replicas=3, seed=4)
@@ -105,13 +103,22 @@ class TestCrossShard2PC:
         txn = sharded.run_transaction(
             (a, b), lambda r: {a: r[a] - 1, b: (r[b] or 0) + 1})
         assert txn.outcome == "committed"
-        assert sharded.coordinator.decisions_replicated == 1
         sharded.settle()
-        decider = min(sharded.shard_of(a), sharded.shard_of(b))
-        group = sharded.shard_groups[decider]
-        assert "txn_decide" in _group_ops(group)
-        for machine in group.machines():
-            assert machine.decisions.get(txn.txid) == "commit"
+        # Lock, prepare, commit in both participants' logs and no
+        # separate decision record anywhere (a's put adds its apply).
+        assert _group_ops(sharded.shard_groups[sharded.shard_of(a)]) \
+            == {"txn_lock", "txn_apply", "txn_prepare", "txn_commit"}
+        assert _group_ops(sharded.shard_groups[sharded.shard_of(b)]) \
+            == {"txn_lock", "txn_prepare", "txn_commit"}
+        for key, value in ((a, 8), (b, 1)):
+            group = sharded.shard_groups[sharded.shard_of(key)]
+            for log in group.committed_logs():
+                commands = [v.command if isinstance(v, LogCommand) else v
+                            for _index, v in log]
+                assert ("txn_commit", txn.txid) in commands
+            for machine in group.machines():
+                assert machine.data[key] == value
+                assert not machine.locks and not machine.staged
 
     def test_survives_participant_replica_crash(self):
         # A minority crash inside one participant group: the group

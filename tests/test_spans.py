@@ -138,8 +138,8 @@ class TestTxnSpanTrees:
         transfer = [s for s in roots if s.kind == "txn"][-1]
         assert transfer.completed and transfer.outcome == "committed"
         kinds = {child.round_kind for child in transfer.children}
-        assert {"txn_lock", "txn_prepare", "txn_decide"} <= kinds
-        for segment in ("lock", "2pc-prepare", "2pc-decide"):
+        assert kinds == {"txn_lock", "txn_prepare", "txn_commit"}
+        for segment in ("lock", "2pc-prepare", "2pc-commit"):
             assert transfer.segments.get(segment, 0.0) > 0.0, segment
         # Two participant shards -> two lock rounds, two prepare rounds.
         locks = [c for c in transfer.children
