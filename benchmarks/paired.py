@@ -1,14 +1,17 @@
-"""Alternated parent/change pairs of one benchmark workload.
+"""Alternated parent/change pairs of benchmark workloads.
 
-    python3 benchmarks/paired.py PARENT_DIR CHANGE_DIR --workload W
+    python3 benchmarks/paired.py PARENT_DIR CHANGE_DIR --workload W[,W2...]|all
                                  [--pairs 10] [--seed S] [--seconds T]
 
-Runs ``benchmarks/e2e/run.py --workload W --trace 0`` in the two
-checkouts alternately (the side that goes first flips every pair, so a
-noisy neighbour or a warming cache lands on both), then prints, per
-end-to-end metric, each side's median and quartiles, how many pairs the
-change won (ties count for neither), a verdict and whether every run
-produced the same ``vt_digest``.
+For each workload named (``all``: every workload in ``BENCHMARK.json``,
+in its order), runs ``benchmarks/e2e/run.py --workload W --trace 0`` in
+the two checkouts alternately (the side that goes first flips every
+pair, so a noisy neighbour or a warming cache lands on both), then
+prints the workload's own block: per end-to-end metric, each side's
+median and quartiles, how many pairs the change won (ties count for
+neither), a verdict, and whether every run produced the same
+``vt_digest``.  Exits 1 when any metric of any workload reads
+``worse`` or any workload's digests differ, else 0.
 
 The verdict applies the rules of the choosing-metrics guide (sections
 6 and 8) with the metric's bound from ``BENCHMARK.json``, a fraction of
@@ -82,42 +85,63 @@ def verdict(parent, change, better, bound):
     return "same"
 
 
+def compare(parent_dir, change_dir, workload, pairs, seed, seconds,
+            end_to_end):
+    """Run ``pairs`` alternated pairs of one workload and print its
+    block; returns True when no metric is ``worse`` and every run
+    produced the same ``vt_digest``."""
+    sides = {"parent": parent_dir, "change": change_dir}
+    runs = {side: [] for side in sides}
+    digests = set()
+    for pair in range(pairs):
+        for side in sorted(sides, reverse=bool(pair % 2)):
+            metrics, digest = run_once(sides[side], workload, seed, seconds)
+            runs[side].append(metrics)
+            digests.add(digest)
+        print("%s pair %d: wall_s parent %.4f change %.4f"
+              % (workload, pair + 1, runs["parent"][-1]["wall_s"],
+                 runs["change"][-1]["wall_s"]), flush=True)
+    print("\n%s seed %d, %d pairs; median [q1, q3]"
+          % (workload, seed, pairs))
+    verdicts = []
+    for metric in end_to_end:
+        name, better = metric["name"], metric["better"]
+        parent = [run[name] for run in runs["parent"]]
+        change = [run[name] for run in runs["change"]]
+        verdicts.append(verdict(parent, change, better, metric["bound"]))
+        print("  %-18s parent %-28s change %-28s change wins %2d/%d  %s"
+              % (name, summary(parent), summary(change),
+                 wins(parent, change, better), pairs, verdicts[-1]))
+    print("  vt_digest %s\n" % ("identical on every run" if len(digests) == 1
+                                else "DIFFERS: %s" % sorted(digests)),
+          flush=True)
+    return "worse" not in verdicts and len(digests) == 1
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_dir")
     parser.add_argument("change_dir")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma-separated list, or all")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
     spec = json.loads((pathlib.Path(args.change_dir)
                        / "BENCHMARK.json").read_text())
-    sides = {"parent": args.parent_dir, "change": args.change_dir}
-    runs = {side: [] for side in sides}
-    digests = set()
-    for pair in range(args.pairs):
-        for side in sorted(sides, reverse=bool(pair % 2)):
-            metrics, digest = run_once(sides[side], args.workload,
-                                       args.seed, args.seconds)
-            runs[side].append(metrics)
-            digests.add(digest)
-        print("pair %d: wall_s parent %.4f change %.4f"
-              % (pair + 1, runs["parent"][-1]["wall_s"],
-                 runs["change"][-1]["wall_s"]), flush=True)
-    print("\n%s seed %d, %d pairs; median [q1, q3]"
-          % (args.workload, args.seed, args.pairs))
-    for metric in spec["end_to_end"]:
-        name, better = metric["name"], metric["better"]
-        parent = [run[name] for run in runs["parent"]]
-        change = [run[name] for run in runs["change"]]
-        print("  %-18s parent %-28s change %-28s change wins %2d/%d  %s"
-              % (name, summary(parent), summary(change),
-                 wins(parent, change, better), args.pairs,
-                 verdict(parent, change, better, metric["bound"])))
-    print("  vt_digest %s" % ("identical on every run" if len(digests) == 1
-                              else "DIFFERS: %s" % sorted(digests)))
-    return 0 if len(digests) == 1 else 1
+    known = [workload["name"] for workload in spec["workloads"]]
+    chosen = known if args.workload == "all" \
+        else [name for name in args.workload.split(",") if name]
+    unknown = sorted(set(chosen) - set(known))
+    if unknown or not chosen:
+        parser.error("unknown workload(s) %s; choose from %s or all"
+                     % (", ".join(unknown) or "(none)", ", ".join(known)))
+    passed = [compare(args.parent_dir, args.change_dir, workload,
+                      args.pairs, args.seed, args.seconds,
+                      spec["end_to_end"])
+              for workload in chosen]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ messages, or touch the simulator's RNG.  Enabling monitors therefore
 cannot perturb a run — same seed, same trace, monitors or not.
 """
 
-from ..trace.events import DELIVER
+from ..trace.events import DELIVER, KINDS
 from ..trace.tracer import row_get
 from .anomaly import SAFETY, Anomaly
 
@@ -182,10 +182,12 @@ class MonitorHub:
 
     Two registration shapes: an unscoped monitor's :meth:`Monitor.observe`
     is subscribed to the tracer directly, once per entry of its
-    interest map; every scoped monitor (one group of a fleet) goes
-    through one routed sink, :meth:`_route`, that caches per ``(kind,
-    mtype, node)`` the handlers of the monitors of that node's group
-    that want the row.
+    interest map; a scoped monitor (one group of a fleet) is entered,
+    for every ``(kind, mtype)`` it wants, into that pair's node table.
+    Each table has one router sink, subscribed to exactly its pair, so
+    the tracer's own kind/mtype dispatch picks the table and a row
+    costs the router one probe on its node; a row no scoped monitor
+    wants never reaches a router.
 
     Parameters
     ----------
@@ -201,10 +203,9 @@ class MonitorHub:
         self.tracer = tracer
         self.collector = collector
         self.monitors = []
-        #: ``(scope, interests, observe)`` of every scoped monitor.
-        self._scoped = []
-        #: ``(kind, mtype, node)`` -> tuple of handlers; cleared when a
-        #: scoped monitor is added.
+        #: ``(kind, mtype)`` -> node -> handlers of the scoped monitors
+        #: of that node that want those rows (``mtype`` ``None``: every
+        #: mtype of the kind).
         self._routes = {}
 
     @property
@@ -220,10 +221,7 @@ class MonitorHub:
             return monitor
         interests = monitor.interests()
         if monitor.scope is not None:
-            if not self._scoped:
-                tracer.subscribe(self._route)
-            self._scoped.append((monitor.scope, interests, monitor.observe))
-            self._routes.clear()
+            self._add_scoped(monitor.scope, interests, monitor.observe)
         elif interests is None:
             tracer.subscribe(monitor.observe)
         else:
@@ -232,23 +230,22 @@ class MonitorHub:
                                  mtypes=mtypes)
         return monitor
 
-    def _route(self, row):
-        """The one sink of every scoped monitor: a row reaches the
-        monitors of its node's group that want it, one dict hit per
-        row."""
-        key = (row[0], row[4], row[2])
-        route = self._routes.get(key)
-        if route is None:
-            kind, mtype, node = key
-            route = self._routes[key] = tuple(
-                observe for scope, interests, observe in self._scoped
-                if node in scope and (
-                    interests is None or (
-                        kind in interests and (
-                            interests[kind] is None
-                            or mtype in interests[kind]))))
-        for observe in route:
-            observe(row)
+    def _add_scoped(self, scope, interests, observe):
+        """Enter ``observe`` into the node table of every ``(kind,
+        mtype)`` in ``interests``, subscribing a router for a new one."""
+        if interests is None:
+            interests = dict.fromkeys(KINDS)
+        for kind, mtypes in interests.items():
+            for mtype in (None,) if mtypes is None \
+                    else dict.fromkeys(mtypes):
+                table = self._routes.get((kind, mtype))
+                if table is None:
+                    table = self._routes[kind, mtype] = {}
+                    self.tracer.subscribe(
+                        _node_router(table), kinds=(kind,),
+                        mtypes=None if mtype is None else (mtype,))
+                for node in scope:
+                    table[node] = table.get(node, ()) + (observe,)
 
     def extend(self, monitors):
         for monitor in monitors:
@@ -286,6 +283,19 @@ class MonitorHub:
     def __repr__(self):
         return "MonitorHub(%d monitors, %d anomalies)" % (
             len(self.monitors), len(self.anomalies))
+
+
+def _node_router(table):
+    """The sink of one ``(kind, mtype)`` node table: a row reaches the
+    handlers of its node, if any."""
+    handlers_of = table.get
+
+    def route(row):
+        handlers = handlers_of(row[2])
+        if handlers is not None:
+            for observe in handlers:
+                observe(row)
+    return route
 
 
 class NullMonitorHub:

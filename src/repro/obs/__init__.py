@@ -12,6 +12,7 @@ from .critical import ROUND_SEGMENTS, SEGMENT_BY_LABEL, attribute, critical_path
 from .export_chrome import chrome_to_json, to_chrome, write_chrome
 from .spans import (
     SCHEMA,
+    Anchors,
     Span,
     SpanBuilder,
     parse_request_id,
@@ -23,6 +24,7 @@ from .spans import (
 from .timeseries import DEFAULT_WINDOW, build_timeseries, slo_summary
 
 __all__ = [
+    "Anchors",
     "DEFAULT_WINDOW",
     "ROUND_SEGMENTS",
     "SCHEMA",

@@ -18,11 +18,17 @@ anchor times, the per-segment durations telescope: they sum to exactly
 no request time is lost or double-counted by the attribution.
 
 Each edge is then attributed to a named segment by what its *ending*
-event represents: arriving messages are ``network``, waiting for a
-proposal slot is ``propose-wait``, the quorum round is ``quorum-wait``,
-state-machine application is ``apply``, and the coordinator's 2PC
-rounds map to ``lock`` / ``2pc-prepare`` / ``2pc-commit`` (``apply``
-for the single-shard fast path).
+anchor represents, so the builder classifies each anchor once:
+arriving messages are ``network``, waiting for a proposal slot is
+``propose-wait``, the quorum round is ``quorum-wait``, state-machine
+application is ``apply``, and the coordinator's 2PC rounds map to
+``lock`` / ``2pc-prepare`` / ``2pc-commit`` (``apply`` for the
+single-shard fast path).
+
+Anchors are indices into the builder's
+:class:`~repro.obs.spans.Anchors` columns, and every span's path is one
+run of the table's shared ``path`` column: a garbage collection walks
+no object per path.
 """
 
 from ..trace.events import DELIVER, LOCAL, SEND
@@ -48,47 +54,53 @@ ROUND_SEGMENTS = {
 }
 
 
-def classify(prev, event):
-    """Name the segment of the happens-before edge ``prev -> event``."""
-    if event.kind == DELIVER:
+def classify(kind, label, round_kind=None):
+    """Name the segment of a happens-before edge by its ending anchor's
+    ``kind`` and ``label`` (its mtype); ``round_kind`` is the ``kind``
+    detail a ``txn_round_done`` milestone carries."""
+    if kind == DELIVER:
         return "network"
-    if event.kind == LOCAL:
-        if event.mtype == "txn_round_done":
-            return ROUND_SEGMENTS.get(event.get("kind"), "other")
-        return SEGMENT_BY_LABEL.get(event.mtype, "other")
-    if event.kind == SEND:
+    if kind == LOCAL:
+        if label == "txn_round_done":
+            return ROUND_SEGMENTS.get(round_kind, "other")
+        return SEGMENT_BY_LABEL.get(label, "other")
+    if kind == SEND:
         return "queue"
     return "other"
 
 
-def critical_path(events, end):
+def critical_path(table, anchors, end):
     """The backward-chained anchor path ending at ``end``.
 
-    ``events`` are the span's anchors in recording (``seq``) order and
-    ``end`` is one of them; the returned list runs start -> end.
+    ``anchors`` are the span's indices into the
+    :class:`~repro.obs.spans.Anchors` ``table``, in recording order (an
+    anchor's index orders it like its ``seq``), and ``end`` is one of
+    them; the returned list of anchor indices runs start -> end.
     """
+    kinds, nodes, msg_ids = table.kind, table.node, table.msg_id
     sends = {}
-    before = {}  # seq -> the latest earlier anchor on the same node
+    before = {}  # anchor -> the latest earlier anchor on the same node
     latest = {}
-    for event in events:
-        if event.kind == SEND and event.msg_id >= 0 \
-                and event.msg_id not in sends:
-            sends[event.msg_id] = event
-        node = event.node
+    for anchor in anchors:
+        if kinds[anchor] == SEND:
+            msg_id = msg_ids[anchor]
+            if msg_id >= 0 and msg_id not in sends:
+                sends[msg_id] = anchor
+        node = nodes[anchor]
         if node:
-            before[event.seq] = latest.get(node)
-            latest[node] = event
+            before[anchor] = latest.get(node)
+            latest[node] = anchor
 
     chain = [end]
     current = end
     while current is not None:
         earlier = None
-        if current.kind == DELIVER:
-            send = sends.get(current.msg_id)
-            if send is not None and send.seq < current.seq:
+        if kinds[current] == DELIVER:
+            send = sends.get(msg_ids[current])
+            if send is not None and send < current:
                 earlier = send
         if earlier is None:
-            earlier = before.get(current.seq)
+            earlier = before.get(current)
         if earlier is not None:
             chain.append(earlier)
         current = earlier
@@ -97,7 +109,8 @@ def critical_path(events, end):
 
 
 def attribute(span):
-    """Fill ``span.start`` / ``span.path`` / ``span.segments``.
+    """Fill ``span.start`` / ``span.path`` (its run of the table's
+    ``path`` column) / ``span.segments``.
 
     The span's ``end`` anchor must already be resolved.  Segments are
     accumulated in path order, so the floats sum in a deterministic
@@ -105,15 +118,20 @@ def attribute(span):
     """
     if span.end is None:
         return span
-    chain = critical_path(span.events, span.end)
+    table = span.table
+    chain = critical_path(table, span.anchors, span.end)
     span.start = chain[0]
-    path = []
+    times, segment_of = table.time, table.segment
     segments = {}
-    for prev, event in zip(chain, chain[1:]):
-        segment = classify(prev, event)
-        path.append((segment, prev, event))
+    prev = chain[0]
+    for anchor in chain[1:]:
+        segment = segment_of[anchor]
         segments[segment] = segments.get(segment, 0.0) \
-            + (event.time - prev.time)
-    span.path = path
+            + (times[anchor] - times[prev])
+        prev = anchor
+    paths = table.path
+    span.path_from = len(paths)
+    paths.extend(chain)
+    span.path_to = len(paths)
     span.segments = segments
     return span

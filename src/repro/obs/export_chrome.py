@@ -32,8 +32,9 @@ def _nodes_of(spans):
     while stack:
         span = stack.pop()
         stack.extend(span.children)
-        for _segment, prev, event in span.path:
-            for name in (prev.node, event.node):
+        node = span.table.node
+        for _segment, prev, anchor in span.steps():
+            for name in (node[prev], node[anchor]):
                 if name:
                     names.add(name)
     return sorted(names)
@@ -69,17 +70,19 @@ def to_chrome(spans, protocol=""):
                              in sorted(span.segments.items())},
             },
         })
-        for segment, prev, event in span.path:
-            duration = event.time - prev.time
+        table = span.table
+        times, node = table.time, table.node
+        for segment, prev, anchor in span.steps():
+            duration = times[anchor] - times[prev]
             if duration <= 0:
                 continue
-            track = event.node or prev.node
+            track = node[anchor] or node[prev]
             events.append({
                 "ph": "X", "pid": 1, "tid": tid_of.get(track, 0),
                 "name": segment, "cat": "segment",
-                "ts": prev.time * SCALE_US,
+                "ts": times[prev] * SCALE_US,
                 "dur": duration * SCALE_US,
-                "args": {"req": span.req, "mtype": event.mtype},
+                "args": {"req": span.req, "mtype": table.mtype[anchor]},
             })
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 

@@ -29,7 +29,7 @@ artifact behind ``python -m repro spans``.
 from ..telemetry.instruments import Histogram, _finite
 from ..trace.events import DELIVER, LOCAL, SEND
 from ..trace.tracer import row_get
-from .critical import attribute
+from .critical import attribute, classify
 
 #: Schema tag for the JSON spans report.
 SCHEMA = "repro.obs.spans/1"
@@ -37,6 +37,8 @@ SCHEMA = "repro.obs.spans/1"
 #: Round kinds the transaction coordinator names its sub-requests after.
 TXN_ROUND_KINDS = ("txn_lock", "txn_apply", "txn_prepare", "txn_commit",
                    "txn_abort")
+
+_ROUND_MARKERS = tuple(("-%s-" % kind, kind) for kind in TXN_ROUND_KINDS)
 
 #: Coordinator milestone labels anchoring a transaction's root span.
 TXN_LABELS = frozenset({"txn_begin", "txn_round", "txn_round_done",
@@ -54,8 +56,7 @@ def parse_request_id(rid):
     pos = rid.find(marker)
     if pos > 0 and rid[pos + len(marker):].isdigit():
         return rid[:pos], "txn_abort"
-    for kind in TXN_ROUND_KINDS:
-        marker = "-%s-" % kind
+    for marker, kind in _ROUND_MARKERS:
         pos = rid.find(marker)
         if pos > 0 and rid[pos + len(marker):].isdigit():
             return rid[:pos], kind
@@ -67,63 +68,108 @@ def parse_request_id(rid):
 REQUEST_KEYS = {SEND: "request_id", DELIVER: "request_id", LOCAL: "req"}
 
 
+class Anchors:
+    """The req-carrying rows of one trace, as parallel columns.
+
+    :meth:`SpanBuilder.build` collects one entry of :data:`FIELDS` per
+    anchor, in recording order, into a flat list and cuts it into these
+    columns; every span it derives holds indices into them
+    (``Span.anchors``, ``start``, ``end``, ``path``), so deriving spans
+    builds no object per anchor.  ``segment`` names what an edge ending
+    at the anchor is attributed to
+    (:func:`~repro.obs.critical.classify`).  ``path`` holds every span's
+    critical path, one run of anchor indices per span, so a path is no
+    object a garbage collection walks either.
+    """
+
+    FIELDS = ("seq", "time", "kind", "node", "mtype", "msg_id", "segment")
+    __slots__ = FIELDS + ("path",)
+
+    def __init__(self, flat):
+        width = len(self.FIELDS)
+        for offset, name in enumerate(self.FIELDS):
+            setattr(self, name, flat[offset::width])
+        self.path = []
+
+
 class Span:
     """One request's (or transaction's, or round's) derived span.
 
     Attributes are filled in two stages: the builder collects the
-    anchor ``events`` and resolves ``end``/``completed``; the critical
-    module then sets ``start``, ``path`` (the happens-before chain from
-    start to end, one ``(segment, prev, event)`` step per edge) and
-    ``segments`` (segment name -> summed duration).  The segment
-    durations telescope, so they sum to exactly ``latency``.
+    ``anchors`` (a list of indices into the shared :class:`Anchors`
+    ``table``) and resolves ``end``/``completed``; the critical module
+    then sets ``start``, the span's run ``path_from``/``path_to`` of the
+    table's ``path`` column (the happens-before chain from start to end,
+    read as :attr:`path`) and ``segments`` (segment name -> summed
+    duration).  The segment durations telescope, so they sum to exactly
+    ``latency``.  Only a transaction has ``children`` (its rounds).
     """
 
-    __slots__ = ("req", "kind", "round_kind", "events", "children",
-                 "start", "end", "completed", "outcome", "path",
-                 "segments")
+    __slots__ = ("req", "kind", "round_kind", "table", "anchors",
+                 "children", "start", "end", "completed", "outcome",
+                 "path_from", "path_to", "segments")
 
-    def __init__(self, req, kind, round_kind=None):
+    def __init__(self, req, kind, round_kind, table, anchors):
         self.req = req
         self.kind = kind  # "request" | "txn" | "round"
         self.round_kind = round_kind
-        self.events = []
-        self.children = []
+        self.table = table
+        self.anchors = anchors
+        self.children = [] if kind == "txn" else ()
         self.start = None
         self.end = None
         self.completed = False
         self.outcome = None
-        self.path = []
+        self.path_from = self.path_to = 0
         self.segments = {}
 
     @property
+    def path(self):
+        """The critical path's anchor indices, start -> end."""
+        return self.table.path[self.path_from:self.path_to]
+
+    @property
     def start_time(self):
-        return self.start.time if self.start is not None else None
+        return self.table.time[self.start] if self.start is not None \
+            else None
 
     @property
     def end_time(self):
-        return self.end.time if self.end is not None else None
+        return self.table.time[self.end] if self.end is not None else None
 
     @property
     def latency(self):
         if self.start is None or self.end is None:
             return None
-        return self.end.time - self.start.time
+        times = self.table.time
+        return times[self.end] - times[self.start]
+
+    def steps(self):
+        """The critical path's edges, start -> end, as ``(segment,
+        prev, anchor)`` triples of a segment name and two anchor
+        indices."""
+        path = self.path
+        segment_of = self.table.segment
+        return [(segment_of[anchor], prev, anchor)
+                for prev, anchor in zip(path, path[1:])]
 
     def __repr__(self):
         state = "completed" if self.completed else "abandoned"
-        return "Span(%s, %s, %s, %d events, %d children)" % (
-            self.req, self.kind, state, len(self.events),
+        return "Span(%s, %s, %s, %d anchors, %d children)" % (
+            self.req, self.kind, state, len(self.anchors),
             len(self.children))
 
 
 class SpanBuilder:
     """Folds a :class:`~repro.trace.trace.Trace` into root spans.
 
-    One pass over the trace's raw rows buckets the req-carrying anchors
-    (the only rows an event is built for); a second pass resolves each
-    bucket into a :class:`Span`, parents rounds under their transaction,
-    and runs the critical-path attribution.  The result is sorted by
-    first-anchor order, so it is as deterministic as the trace itself.
+    One pass over the trace's raw rows collects the req-carrying
+    anchors into one :class:`Anchors` table and buckets their indices
+    per request id; a second pass resolves each bucket into a
+    :class:`Span`, parents rounds under their transaction, and runs the
+    critical-path attribution.  No event is built and no clock is
+    read.  The result is sorted by first-anchor order, so it is as
+    deterministic as the trace itself.
     """
 
     def __init__(self, trace):
@@ -131,92 +177,110 @@ class SpanBuilder:
 
     def build(self):
         """Derive and return the list of root :class:`Span` objects."""
+        flat = []
+        extend = flat.extend
         buckets = {}
-        order = []
-        events = self.trace.events
-        for index, row in enumerate(self.trace.rows()):
-            key = REQUEST_KEYS.get(row[0])
+        outcomes = {}
+        anchor = 0
+        for seq, row in enumerate(self.trace.rows(), self.trace.base_seq):
+            kind = row[0]
+            key = REQUEST_KEYS.get(kind)
             rid = row_get(row, key) if key is not None else None
             if rid is None:
                 continue
             bucket = buckets.get(rid)
             if bucket is None:
                 bucket = buckets[rid] = []
-                order.append(rid)
-            bucket.append(events[index])
+            bucket.append(anchor)
+            mtype = row[4]
+            round_kind = None
+            if kind == LOCAL:
+                if mtype == "txn_round_done":
+                    round_kind = row_get(row, "kind")
+                elif mtype == "txn_finish":
+                    outcomes[anchor] = row_get(row, "outcome")
+            extend((seq, row[1], kind, row[2], mtype, row[5],
+                    classify(kind, mtype, round_kind)))
+            anchor += 1
+        table = Anchors(flat)
+        kinds, mtypes = table.kind, table.mtype
 
         spans = {}
         roots = []
-        for rid in order:
+        rounds = []
+        for rid, bucket in buckets.items():
             txid, round_kind = parse_request_id(rid)
             if txid is not None:
-                span = Span(rid, "round", round_kind)
-            elif any(e.kind == LOCAL and e.mtype in TXN_LABELS
-                     for e in buckets[rid]):
-                span = Span(rid, "txn")
-            else:
-                span = Span(rid, "request")
-            span.events = buckets[rid]
-            spans[rid] = span
-            if txid is None:
+                span = Span(rid, "round", round_kind, table, bucket)
+                rounds.append((txid, span))
+            elif any(kinds[a] == LOCAL and mtypes[a] in TXN_LABELS
+                     for a in bucket):
+                span = Span(rid, "txn", None, table, bucket)
                 roots.append(span)
+            else:
+                span = Span(rid, "request", None, table, bucket)
+                roots.append(span)
+            spans[rid] = span
         # Parent rounds under their transaction (in first-anchor order);
         # a round whose txn never produced a milestone — possible with a
         # bounded ring that evicted the coordinator's prefix — becomes
         # its own root so no anchor is silently dropped.
-        for rid in order:
-            span = spans[rid]
-            if span.kind != "round":
-                continue
-            txid, _kind = parse_request_id(rid)
+        for txid, span in rounds:
             parent = spans.get(txid)
             if parent is not None and parent.kind == "txn":
                 parent.children.append(span)
             else:
                 roots.append(span)
         for span in spans.values():
-            self._resolve_end(span)
+            self._resolve_end(span, outcomes)
             attribute(span)
         return roots
 
     @staticmethod
-    def _resolve_end(span):
+    def _resolve_end(span, outcomes):
         """Pick the span's end anchor and completion verdict.
 
-        A transaction completes at its ``txn_finish`` milestone; a
-        request (or round) completes when a reply message reaches the
-        requester — the node that sent the first request message.
-        Anything else (crash mid-2PC, an abort to a group that never
-        came back) is an *abandoned* span ending at its last anchor.
+        A transaction completes at its ``txn_finish`` milestone (whose
+        ``outcome`` detail ``outcomes`` holds, by anchor); a request (or
+        round) completes when a reply message reaches the requester —
+        the node that sent the first request message.  Anything else
+        (crash mid-2PC, an abort to a group that never came back) is an
+        *abandoned* span ending at its last anchor.
         """
-        events = span.events
+        table = span.table
+        kinds, nodes, mtypes = table.kind, table.node, table.mtype
+        anchors = span.anchors
         if span.kind == "txn":
-            for event in events:
-                if event.kind == LOCAL and event.mtype == "txn_finish":
-                    span.end = event
+            for anchor in anchors:
+                if kinds[anchor] == LOCAL and mtypes[anchor] == "txn_finish":
+                    span.end = anchor
                     span.completed = True
-                    span.outcome = event.get("outcome")
+                    span.outcome = outcomes[anchor]
                     return
-            span.end = events[-1]
+            span.end = anchors[-1]
             return
         requester = None
-        for event in events:
-            if event.kind == SEND:
-                requester = event.node
+        for anchor in anchors:
+            if kinds[anchor] == SEND:
+                requester = nodes[anchor]
                 break
         if requester is None:
-            requester = events[0].node
-        for event in events:
-            if event.kind == DELIVER and event.node == requester \
-                    and event.mtype.endswith("reply"):
-                span.end = event
+            requester = nodes[anchors[0]]
+        for anchor in anchors:
+            if kinds[anchor] == DELIVER and nodes[anchor] == requester \
+                    and mtypes[anchor].endswith("reply"):
+                span.end = anchor
                 span.completed = True
                 return
-        span.end = events[-1]
+        span.end = anchors[-1]
 
 
 def span_to_dict(span, with_children=True):
     """Plain-dict form of one span for the JSON report."""
+    table = span.table
+    path = span.path
+    # Each inner anchor ends one step and starts the next: round once.
+    times = [_finite(table.time[anchor]) for anchor in path]
     entry = {
         "req": span.req,
         "kind": span.kind,
@@ -228,14 +292,14 @@ def span_to_dict(span, with_children=True):
                      for name, value in sorted(span.segments.items())},
         "critical_path": [
             {
-                "segment": segment,
-                "t0": _finite(prev.time),
-                "t1": _finite(event.time),
-                "node": event.node,
-                "kind": event.kind,
-                "mtype": event.mtype,
+                "segment": table.segment[anchor],
+                "t0": t0,
+                "t1": t1,
+                "node": table.node[anchor],
+                "kind": table.kind[anchor],
+                "mtype": table.mtype[anchor],
             }
-            for segment, prev, event in span.path
+            for anchor, t0, t1 in zip(path[1:], times, times[1:])
         ],
     }
     if span.kind == "txn":
@@ -309,9 +373,10 @@ def render_waterfall(span, width=WATERFALL_WIDTH, indent=""):
                     span.end_time, span.latency, state, extra))
     total = span.latency or 0.0
     scale = (width / total) if total > 0 else 0.0
-    for segment, prev, event in span.path:
-        t0 = prev.time - span.start_time
-        t1 = event.time - span.start_time
+    table = span.table
+    for segment, prev, anchor in span.steps():
+        t0 = table.time[prev] - span.start_time
+        t1 = table.time[anchor] - span.start_time
         lead = int(round(t0 * scale))
         span_chars = max(int(round((t1 - t0) * scale)), 0)
         if t1 > t0 and span_chars == 0:
@@ -320,7 +385,7 @@ def render_waterfall(span, width=WATERFALL_WIDTH, indent=""):
         bar = " " * lead + "#" * span_chars
         lines.append("%s  %-12s %8.3f |%-*s| %s %s"
                      % (indent, segment, t1 - t0, width, bar,
-                        event.node or "-", event.mtype))
+                        table.node[anchor] or "-", table.mtype[anchor]))
     for child in span.children:
         lines.extend(render_waterfall(child, width=width,
                                       indent=indent + "    "))

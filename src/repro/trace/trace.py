@@ -38,7 +38,9 @@ class Trace:
         """The raw rows ``(kind, time, node, peer, mtype, msg_id,
         payload)``, index-aligned with :attr:`events`, for readers that
         scan before they inflate.  ``payload`` is the detail pairs, or
-        (live send/deliver rows) the message itself."""
+        on a live trace the message itself (send/deliver rows) or the
+        detail dict (milestone rows); read it with
+        :func:`~repro.trace.tracer.row_get`."""
         return [(e.kind, e.time, e.node, e.peer, e.mtype, e.msg_id, e.detail)
                 for e in self._events]
 

@@ -8,17 +8,23 @@ attribute load and comparison per site — the zero-overhead-when-disabled
 contract.
 
 The record path is deliberately skeletal — the near-free-when-enabled
-half of the contract.  Each hook appends one compact tuple to a ring
-buffer (a plain list by default, a bounded ``deque`` when ``capacity``
-is set) and returns.  The ring is also the query format: the live
-trace's ``events`` is a view that inflates a
+half of the contract.  Each hook builds one row ``(kind, time, node,
+peer, mtype, msg_id, payload)``, extends the ring with its fields and
+hands the row to the interested sinks; the row tuple itself is not
+kept.  The ring is one flat sequence, :data:`ROW_WIDTH` slots per row
+(a plain list by default, a bounded ``deque`` when ``capacity`` is
+set), so it holds no container per row: a garbage collection walking
+it meets strings, floats and ints it never tracks, and the recorded
+messages.  The ring is also the query format: :meth:`Trace.rows`
+regroups it into row tuples as it is read, and the live trace's
+``events`` is a view that inflates a
 :class:`~repro.trace.events.TraceEvent` (``detail`` string pairs,
-Lamport clock) per row *read*, never per row recorded, and scanning
-readers (spans, parallel shipping) take :meth:`Trace.rows` and inflate
-nothing.  Message rows store the message object itself and extract its
-detail fields through a per-class plan compiled on first sight
-(mirroring ``Message._size_plan``), so the hot path never probes
-attributes.
+Lamport clock) per row *read*, never per row recorded.  Payloads stay
+as recorded — a send/deliver row holds the message itself, a milestone
+row the detail dict its node passed — and become sorted string pairs
+only when read (:func:`row_detail`, :func:`row_get`); message fields
+come through a per-class plan compiled on first sight (mirroring
+``Message._size_plan``), so the hot path never probes attributes.
 
 Streaming sinks (the monitor hub) register *typed* interest via
 :meth:`Tracer.subscribe`, the one streaming lane: a per-event-kind (and
@@ -49,12 +55,16 @@ from .events import (
 )
 from .trace import Trace
 
+#: Slots one row takes in the flat ring.
+ROW_WIDTH = 7
+
 #: Message attributes lifted into event ``detail`` when present — the
 #: protocol-identifying fields (ballot, view, seq, ...) that causal
 #: invariants match on.  Values are stringified, so anything with a
 #: deterministic ``str`` works (e.g. :class:`~repro.core.ballot.Ballot`).
 DETAIL_ATTRS = ("ballot", "view", "seq", "round", "height", "term", "index",
                 "digest", "request_id", "txid")
+_DETAIL_KEYS = frozenset(DETAIL_ATTRS)
 
 #: attrs-to-extract per message class, compiled on first instance seen.
 #: Message classes are dataclasses with a fixed field set, so one
@@ -99,12 +109,22 @@ def _compile_row(entries):
                       for mtype, sinks in by_mtype.items()}
 
 
+def _grouped(flat):
+    """The row tuples of a flat ring (or of a slice of one), in order."""
+    fields = iter(flat)
+    return zip(*(fields,) * ROW_WIDTH)
+
+
 def row_detail(row):
-    """``detail`` pairs of a raw row (live send/deliver rows hold the
-    message itself, every other row its pairs)."""
+    """``detail`` pairs of a raw row: live send/deliver rows hold the
+    message itself, milestone rows the detail dict their node passed,
+    every other row its pairs."""
     payload = row[6]
-    return payload if payload.__class__ is tuple \
-        else _message_detail(payload)
+    if payload.__class__ is tuple:
+        return payload
+    if payload.__class__ is dict:
+        return canonical_detail(payload)
+    return _message_detail(payload)
 
 
 def row_get(row, key):
@@ -115,8 +135,34 @@ def row_get(row, key):
             if k == key:
                 return v
         return None
-    value = getattr(payload, key, None) if key in DETAIL_ATTRS else None
+    if payload.__class__ is dict:
+        return str(payload[key]) if key in payload else None
+    value = getattr(payload, key, None) if key in _DETAIL_KEYS else None
     return None if value is None else str(value)
+
+
+class _RowView(Sequence):
+    """The ring's rows as ``(kind, time, node, peer, mtype, msg_id,
+    payload)`` tuples, regrouped as they are read; holds nothing."""
+
+    def __init__(self, ring):
+        self._ring = ring
+
+    def __len__(self):
+        return len(self._ring) // ROW_WIDTH
+
+    def __getitem__(self, index):
+        count = len(self)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("trace row index out of range")
+        ring = self._ring
+        start = index * ROW_WIDTH
+        return tuple([ring[i] for i in range(start, start + ROW_WIDTH)])
+
+    def __iter__(self):
+        return _grouped(self._ring)
 
 
 class _RingView(Sequence):
@@ -133,6 +179,7 @@ class _RingView(Sequence):
 
     def __init__(self, tracer):
         self._tracer = tracer
+        self._rows = _RowView(tracer._ring)
         self._lamports = []
         self._clocks = {}
         self._sends = {}
@@ -144,16 +191,17 @@ class _RingView(Sequence):
         lamports, clocks, sends = self._lamports, self._clocks, self._sends
         if self._stamp == tracer._total:
             return lamports
-        records = tracer._records
+        ring = tracer._ring
         if tracer.capacity:
             lamports.clear()
             clocks.clear()
             sends.clear()
+            rows = _grouped(ring)
         else:
-            records = records[len(lamports):]
+            rows = _grouped(ring[ROW_WIDTH * len(lamports):])
         append = lamports.append
         clock_of, sent_at = clocks.get, sends.pop
-        for row in records:
+        for row in rows:
             kind = row[0]
             if kind is PHASE or kind is REQUEST:
                 append(0)
@@ -172,25 +220,24 @@ class _RingView(Sequence):
         return lamports
 
     def __len__(self):
-        return len(self._tracer._records)
+        return len(self._rows)
 
     def __getitem__(self, index):
-        tracer = self._tracer
-        records = tracer._records
+        rows = self._rows
         if index.__class__ is slice:
-            return [self[i] for i in range(*index.indices(len(records)))]
-        row = records[index]
+            return [self[i] for i in range(*index.indices(len(rows)))]
+        row = rows[index]
         if index < 0:
-            index += len(records)
+            index += len(rows)
         kind, time, node, peer, mtype, msg_id, _payload = row
-        return TraceEvent(tracer._total - len(records) + index, time, kind,
-                          node, self._clocked()[index], peer, mtype, msg_id,
-                          row_detail(row))
+        return TraceEvent(self._tracer._total - len(rows) + index, time,
+                          kind, node, self._clocked()[index], peer, mtype,
+                          msg_id, row_detail(row))
 
     def __iter__(self):
-        records = self._tracer._records
-        seq = self._tracer._total - len(records)
-        for row, lamport in zip(records, self._clocked()):
+        rows = self._rows
+        seq = self._tracer._total - len(rows)
+        for row, lamport in zip(rows, self._clocked()):
             kind, time, node, peer, mtype, msg_id, _payload = row
             yield TraceEvent(seq, time, kind, node, lamport, peer, mtype,
                              msg_id, row_detail(row))
@@ -216,11 +263,11 @@ class _LiveTrace(Trace):
         return self._view
 
     def rows(self):
-        return self._tracer._records
+        return self._view._rows
 
     @property
     def base_seq(self):
-        return self._tracer._total - len(self._tracer._records)
+        return self._tracer._total - len(self._view._rows)
 
     def append(self, event):
         raise TypeError("a live trace is written by its tracer's hooks only")
@@ -247,8 +294,8 @@ class Tracer:
     def __init__(self, sim, capacity=None):
         self.sim = sim
         self.capacity = capacity
-        self._records = deque(maxlen=capacity) if capacity else []
-        self._append = self._records.append
+        self._ring = deque(maxlen=ROW_WIDTH * capacity) if capacity else []
+        self._extend = self._ring.extend
         self._total = 0
         self._next_msg_id = 0
         self.trace = _LiveTrace(self)
@@ -270,10 +317,11 @@ class Tracer:
         ``kinds`` limits the sink to those event kinds (default: all);
         ``mtypes`` further limits it to those ``mtype`` values.  Sinks
         observe rows online, in recording order, the moment they are
-        appended: ``sink(row)`` gets the ring's own ``(kind, time, node,
-        peer, mtype, msg_id, payload)`` tuple, whose payload is the live
-        message for send/deliver rows and the detail pairs otherwise
-        (read it with :func:`row_get`).  The row being observed is the
+        appended: ``sink(row)`` gets the ``(kind, time, node, peer,
+        mtype, msg_id, payload)`` tuple the ring was extended with, whose
+        payload is the live message for send/deliver rows, the detail
+        dict for milestones and the detail pairs otherwise (read it with
+        :func:`row_get`).  The row being observed is the
         newest, so its seq is ``len`` of everything recorded minus one.
         A sink must treat the row as read-only, must not schedule
         events or touch the RNG; like the tracer itself it is a pure
@@ -304,7 +352,7 @@ class Tracer:
         self._next_msg_id = msg_id + 1
         mtype = message.mtype
         row = (SEND, self.sim._now, src, dst, mtype, msg_id, message)
-        self._append(row)
+        self._extend(row)
         self._total += 1
         subs = self._send_subs
         if subs is not None:
@@ -320,7 +368,7 @@ class Tracer:
         """Record arrival at a live node."""
         mtype = message.mtype
         row = (DELIVER, self.sim._now, dst, src, mtype, token, message)
-        self._append(row)
+        self._extend(row)
         self._total += 1
         subs = self._deliver_subs
         if subs is not None:
@@ -333,7 +381,7 @@ class Tracer:
 
     def _record(self, row):
         """Append a rare-kind row and hand it to its sinks."""
-        self._append(row)
+        self._extend(row)
         self._total += 1
         subs = self._subs.get(row[0])
         if subs is not None:
@@ -363,9 +411,13 @@ class Tracer:
                       (("protocol", str(protocol)),)))
 
     def on_local(self, node, label, detail=None):
-        """Record a protocol-declared milestone (decide, commit, execute)."""
+        """Record a protocol-declared milestone (decide, commit, execute).
+
+        ``detail`` (a dict of extras) is kept as passed, so the caller
+        hands over a dict it no longer mutates; it is canonicalised
+        when read."""
         self._record((LOCAL, self.sim._now, node, "", label, -1,
-                      canonical_detail(detail) if detail else ()))
+                      detail or ()))
 
     def on_request(self, label, edge):
         """Record a request-span boundary; ``edge`` is start or end."""
@@ -373,7 +425,7 @@ class Tracer:
                       (("edge", str(edge)),)))
 
     def __repr__(self):
-        window = len(self._records)
+        window = len(self._ring) // ROW_WIDTH
         if self.capacity and window < self._total:
             return "Tracer(%d events, newest %d ringed)" % (self._total,
                                                             window)

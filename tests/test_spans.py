@@ -167,7 +167,7 @@ class TestTxnSpanTrees:
         abandoned = [c for c in doomed.children if not c.completed]
         assert abandoned, [c.req for c in doomed.children]
         for child in abandoned:
-            assert child.end is child.events[-1]
+            assert child.end == child.anchors[-1]
             entry = span_to_dict(child)
             assert entry["completed"] is False
 

@@ -2,11 +2,12 @@
 
 ``trace.events`` on a live trace is a view that inflates a TraceEvent
 per row *read*; spans, reports, causal context and parallel shipping
-scan :meth:`Trace.rows` and inflate only what they keep.  These tests
-pin (a) that the lazy path derives byte-for-byte what the old eager
-path (kept here as the oracle: ``Trace(list(live.events))``) derives,
-(b) that the laziness is structural — counted in TraceEvents built, not
-in milliseconds — and (c) that the view is a faithful sequence.
+scan :meth:`Trace.rows` and inflate only what they keep (spans:
+nothing).  These tests pin (a) that the lazy path derives byte-for-byte
+what the old eager path (kept here as the oracle:
+``Trace(list(live.events))``) derives, (b) that the laziness is
+structural — counted in TraceEvents built, not in milliseconds — and
+(c) that the view is a faithful sequence.
 """
 
 import pathlib
@@ -95,8 +96,8 @@ def test_span_builder_builds_no_event_for_heartbeats_or_timers(built):
     cluster = heartbeat_cluster()
     rows = cluster.trace.rows()
     spans = SpanBuilder(cluster.trace).build()
-    anchors = {event.seq for span in spans for event in span.events}
-    assert spans and built[0] == len(anchors) < len(rows) // 10
+    anchors = {span.table.seq[a] for span in spans for a in span.anchors}
+    assert spans and built[0] == 0 and 0 < len(anchors) < len(rows) // 10
     idle = {seq for seq, row in enumerate(rows)
             if row[0] == TIMER or row[4] in ("appendentries", "appendreply")}
     assert len(idle) > len(rows) * 9 // 10 and not idle & anchors
