@@ -8,6 +8,7 @@ distribution across seeds, with agreement never violated.
 
 from repro.analysis import render_table
 from repro.core import Cluster
+from repro.faults import FaultPlan
 from repro.net import AsynchronousModel
 from repro.protocols.benor import run_benor
 
@@ -22,8 +23,10 @@ def distribution(initial_values, crash, label):
             delivery=AsynchronousModel(mean=1.0, tail_prob=0.1,
                                        tail_factor=25.0),
         )
-        result = run_benor(cluster, n=5, f=1, initial_values=initial_values,
-                           crash_indices=crash)
+        plan = FaultPlan(cluster)
+        for index in crash:
+            plan.crash_at(0.0, "p%d" % index)
+        result = run_benor(cluster, n=5, f=1, initial_values=initial_values)
         assert result.agreement(), seed
         assert result.all_decided(), seed
         rounds.append(result.max_round())

@@ -10,6 +10,7 @@ worse.
 
 from repro.analysis import render_table
 from repro.core import Cluster
+from repro.faults import FaultPlan
 from repro.net import AsynchronousModel
 from repro.protocols.chandra_toueg import AlwaysSuspecting, run_chandra_toueg
 
@@ -24,7 +25,10 @@ def scenario(label, crash=(), detector_factory=None, horizon=3000.0,
         delivery = (AsynchronousModel(mean=1.5, tail_prob=0.1)
                     if asynchronous else None)
         cluster = Cluster(seed=seed, delivery=delivery)
-        result = run_chandra_toueg(cluster, n=5, f=2, crash_indices=crash,
+        plan = FaultPlan(cluster)
+        for index in crash:
+            plan.crash_at(0.0, "ct%d" % index)
+        result = run_chandra_toueg(cluster, n=5, f=2,
                                    detector_factory=detector_factory,
                                    horizon=horizon, max_rounds=max_rounds)
         decided += result.all_decided()

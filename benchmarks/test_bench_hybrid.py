@@ -9,6 +9,7 @@ predicate.
 
 from repro.analysis import render_table
 from repro.core import Cluster
+from repro.faults import FaultPlan, Silence
 from repro.protocols.seemore import run_seemore
 from repro.protocols.upright import run_upright
 from repro.protocols.xft import (
@@ -29,9 +30,12 @@ def upright_rows():
         (1, 0, (), (), True),          # degenerates to PBFT
     ):
         cluster = Cluster(seed=3)
-        result = run_upright(cluster, m=m, c=c, operations=2,
-                             crash_indices=crash, silent_indices=silent,
-                             horizon=400.0)
+        plan = FaultPlan(cluster)
+        for index in crash:
+            plan.crash_at(0.0, "r%d" % index)
+        for index in silent:
+            Silence(cluster, "r%d" % index).install()
+        result = run_upright(cluster, m=m, c=c, operations=2, horizon=400.0)
         rows.append({
             "m": m, "c": c,
             "n (3m+2c+1)": 3 * m + 2 * c + 1,

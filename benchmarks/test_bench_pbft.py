@@ -8,6 +8,7 @@ prepared certificates).
 
 from repro.analysis import render_table
 from repro.core import Cluster
+from repro.faults import FaultPlan
 from repro.metrics import classify_order, fit_order
 from repro.protocols.pbft import run_pbft
 
@@ -30,8 +31,8 @@ def agreement_row(f):
 
 def view_change_row(f):
     cluster = Cluster(seed=2)
-    run_pbft(cluster, f=f, n_clients=1, operations_per_client=2,
-             crash_primary_at=3.0)
+    FaultPlan(cluster).crash_at(3.0, "r0")
+    run_pbft(cluster, f=f, n_clients=1, operations_per_client=2)
     vc_msgs = cluster.metrics.by_type["viewchange"] + \
         cluster.metrics.by_type["newview"]
     return {"f": f, "n": 3 * f + 1, "view-change msgs": vc_msgs}

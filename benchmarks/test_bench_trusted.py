@@ -9,6 +9,7 @@ an active-replica crash.
 
 from repro.analysis import render_table
 from repro.core import Cluster
+from repro.faults import FaultPlan
 from repro.protocols.cheapbft import run_cheapbft
 from repro.protocols.minbft import run_minbft
 from repro.protocols.pbft import run_pbft
@@ -31,7 +32,8 @@ def protocol_row(name, runner, **kwargs):
 
 def switch_row():
     cluster = Cluster(seed=2)
-    result = run_cheapbft(cluster, f=1, operations=4, crash_active_at=3.0)
+    FaultPlan(cluster).crash_at(3.0, "r1")  # active, not primary
+    result = run_cheapbft(cluster, f=1, operations=4)
     live_modes = sorted({r.mode for r in result.replicas if not r.crashed})
     switched_at = min((r.switched_at for r in result.replicas
                        if r.switched_at is not None), default=None)

@@ -14,6 +14,7 @@ Run:  python examples/flp_tour.py
 """
 
 from repro.core import Cluster
+from repro.faults import FaultPlan
 from repro.net import AsynchronousModel, PartialSynchronyModel
 from repro.protocols.benor import run_benor
 from repro.protocols.chandra_toueg import run_chandra_toueg
@@ -27,7 +28,8 @@ def escape_one_randomization():
     rounds = []
     for seed in range(8):
         cluster = Cluster(seed=seed, delivery=AsynchronousModel(**ADVERSARIAL))
-        result = run_benor(cluster, n=5, f=1, crash_indices=(4,))
+        FaultPlan(cluster).crash_at(0.0, "p4")
+        result = run_benor(cluster, n=5, f=1)
         assert result.agreement() and result.all_decided()
         rounds.append(result.max_round())
     print("  8/8 adversarial runs decided; rounds-to-decide:", sorted(rounds))
@@ -43,9 +45,10 @@ def escape_two_synchrony():
             post_low=0.5, post_high=1.0,
         ),
     )
+    FaultPlan(cluster).crash_at(0.0, "a0")
     result = run_basic_paxos(cluster, n_acceptors=5, proposals=("X", "Y"),
                              retry=RandomizedBackoff(), stagger=1.0,
-                             crash_acceptors=(0,), horizon=400.0)
+                             horizon=400.0)
     print("  GST at t=40; decided %r at t=%.1f after %d rounds"
           % (result.value, result.decided_at, result.rounds))
     print("  (chaos before GST costs rounds; bounded delays after GST"
@@ -55,7 +58,8 @@ def escape_two_synchrony():
 def escape_three_oracle():
     print("== escape 3: add an oracle (Chandra-Toueg + failure detector) ==")
     cluster = Cluster(seed=5, delivery=AsynchronousModel(**ADVERSARIAL))
-    result = run_chandra_toueg(cluster, n=5, f=2, crash_indices=(1,))
+    FaultPlan(cluster).crash_at(0.0, "ct1")
+    result = run_chandra_toueg(cluster, n=5, f=2)
     detectors = [p.detector.false_suspicions for p in result.processes
                  if not p.crashed]
     print("  decided:", sorted(set(result.decided_values())),

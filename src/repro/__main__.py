@@ -262,7 +262,11 @@ def cmd_check(args):
                   "(fault scenarios are sequential-only)")
             return 2
     if args.all:
-        protocols = list(SCENARIOS)
+        protocols = [p for p, scenario in SCENARIOS.items()
+                     if args.faults is None or args.faults in scenario.faults]
+        if not protocols:
+            print("no protocol lists --faults %s" % args.faults)
+            return 2
     elif args.protocol is None:
         print("usage: repro check <protocol> [--seed N] [--faults KIND] "
               "[--json PATH]  (or --all); protocols: %s"
@@ -701,7 +705,8 @@ def main(argv=None):
                               help="e.g. paxos, pbft, tendermint")
     check_parser.add_argument("--all", action="store_true",
                               help="check every table protocol with a "
-                                   "driver")
+                                   "driver (with --faults KIND, every one "
+                                   "that lists KIND)")
     check_parser.add_argument("--faults", default=None, metavar="KIND",
                               help="inject a fault (per protocol: "
                                    "equivocate, silent, crash, byzantine)")

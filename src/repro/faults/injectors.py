@@ -10,6 +10,17 @@ interceptors), so tests and experiments read declaratively::
     faults.partition_at(10.0, ["r0", "r1"], ["r2", "r3"])
     faults.heal_at(30.0)
     faults.drop_messages(lambda src, dst, msg: src == "r2", between=(12.0, 20.0))
+
+A schedule is also a plain value: a tuple of ``(at, action, *args)``
+rows, ``action`` naming one of the ``*_at`` methods.  This is how
+:data:`repro.scenarios.SCENARIOS` writes "this node fails at t"::
+
+    FaultPlan(cluster).apply(((20.0, "crash", "leader"),
+                              (40.0, "partition", ["r0"], ["r1", "r2"]),
+                              (60.0, "heal")))
+
+Apply a schedule before the protocol's driver: a row at t=0 then fires
+before the nodes' ``on_start``, so the node never starts.
 """
 
 
@@ -26,14 +37,35 @@ class FaultPlan:
         if telemetry is not None:
             telemetry.counter("fault_injections_total", kind=kind).inc()
 
+    def apply(self, schedule):
+        """Schedule every ``(at, action, *args)`` row of ``schedule`` as
+        ``self.<action>_at(at, *args)``; returns the plan."""
+        for at, action, *args in schedule:
+            getattr(self, action + "_at")(at, *args)
+        return self
+
     # -- process faults ---------------------------------------------------------
 
-    def crash_at(self, time, node_name):
-        """Fail-stop ``node_name`` at virtual ``time``."""
+    def crash_at(self, time, target):
+        """Fail-stop ``target`` at virtual ``time``: a node name
+        (``KeyError`` when no node has it), or ``"leader"``, resolved when
+        the row fires to the first live node, in cluster order, that
+        reports itself leader (``is_leader`` where its class has one,
+        else ``is_primary``).  With no live leader the row does nothing."""
         def do_crash():
-            self.cluster.node_named(node_name).crash()
-            self._log("crash", node_name)
+            node = (self._leader() if target == "leader"
+                    else self.cluster.node_named(target))
+            if node is not None:
+                node.crash()
+                self._log("crash", node.name)
         self.cluster.sim.schedule_at(time, do_crash)
+
+    def _leader(self):
+        for node in self.cluster.nodes:
+            flag = "is_leader" if hasattr(node, "is_leader") else "is_primary"
+            if not node.crashed and getattr(node, flag, False):
+                return node
+        return None
 
     def restart_at(self, time, node_name):
         def do_restart():

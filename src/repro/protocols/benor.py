@@ -174,8 +174,8 @@ class BenOrResult:
         return max(rounds) if rounds else None
 
 
-def run_benor(cluster, n=5, f=1, initial_values=None, crash_indices=(),
-              horizon=10000.0, max_rounds=200):
+def run_benor(cluster, n=5, f=1, initial_values=None, horizon=10000.0,
+              max_rounds=200):
     """Run Ben-Or consensus; default initial values are a near-even split
     (the hard case that actually needs the coin flips)."""
     names = ["p%d" % i for i in range(n)]
@@ -186,8 +186,6 @@ def run_benor(cluster, n=5, f=1, initial_values=None, crash_indices=(),
                          max_rounds=max_rounds)
         for i, name in enumerate(names)
     ]
-    for index in crash_indices:
-        nodes[index].crash()
     cluster.start_all()
     cluster.run_until(
         lambda: all(node.decided is not None

@@ -304,8 +304,7 @@ class CTResult:
 
 
 def run_chandra_toueg(cluster, n=5, f=2, initial_values=None,
-                      crash_indices=(), detector_factory=None,
-                      horizon=3000.0, max_rounds=500):
+                      detector_factory=None, horizon=3000.0, max_rounds=500):
     """Drive Chandra–Toueg consensus to (probable) decision."""
     names = ["ct%d" % i for i in range(n)]
     if initial_values is None:
@@ -316,8 +315,6 @@ def run_chandra_toueg(cluster, n=5, f=2, initial_values=None,
                          max_rounds=max_rounds)
         for i, name in enumerate(names)
     ]
-    for index in crash_indices:
-        processes[index].crash()
     cluster.start_all()
     cluster.run_until(
         lambda: all(p.decided is not None

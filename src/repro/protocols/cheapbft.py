@@ -333,16 +333,13 @@ class CheapBftResult(RunResult):
                 for replica in self.replicas]
 
 
-def run_cheapbft(cluster, f=1, operations=3, crash_active_at=None,
-                 horizon=2000.0, n_clients=1):
-    """Drive CheapBFT; optionally crash one active replica to force the
-    CheapSwitch → MinBFT path."""
+def run_cheapbft(cluster, f=1, operations=3, horizon=2000.0, n_clients=1):
+    """Drive CheapBFT; crashing an active replica (``r0``..``r<f>``)
+    forces the CheapSwitch → MinBFT path."""
     names = ["r%d" % i for i in range(minimum_nodes(f))]
     active = names[: f + 1]
     replicas = cluster.add_nodes(
         CheapBftReplica, names, names, f, cluster.usig_authority, active
     )
-    if crash_active_at is not None:
-        cluster.sim.schedule(crash_active_at, replicas[f].crash)
     return run_closed_loop(CheapBftResult, cluster, replicas, CheapBftClient,
                            names, operations, f, horizon, n_clients)

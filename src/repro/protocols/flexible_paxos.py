@@ -54,7 +54,7 @@ def quorums_for(acceptors, f=None):
 
 
 def run_flexible_paxos(cluster, n_acceptors=6, q1=Q1, q2=Q2, proposals=("X",),
-                       crash_acceptors=(), horizon=500.0):
+                       horizon=500.0):
     """Classic-shaped run with counting flexible quorums."""
     quorums = CountingQuorum(["a%d" % i for i in range(n_acceptors)], q1, q2)
     return run_basic_paxos(
@@ -62,7 +62,6 @@ def run_flexible_paxos(cluster, n_acceptors=6, q1=Q1, q2=Q2, proposals=("X",),
         n_acceptors=n_acceptors,
         proposals=proposals,
         quorum_system=quorums,
-        crash_acceptors=crash_acceptors,
         horizon=horizon,
     )
 

@@ -542,8 +542,7 @@ def run_basic_hotstuff(cluster, f=1, operations=3, horizon=2000.0):
                            horizon=horizon)
 
 
-def run_chained_hotstuff(cluster, f=1, commands=8, crash_leader_at=None,
-                         horizon=3000.0):
+def run_chained_hotstuff(cluster, f=1, commands=8, horizon=3000.0):
     """Drive chained HotStuff until every command is decided everywhere
     alive."""
     names = ["r%d" % i for i in range(minimum_nodes(f, b=f))]
@@ -553,15 +552,6 @@ def run_chained_hotstuff(cluster, f=1, commands=8, crash_leader_at=None,
     replicas = cluster.add_nodes(
         ChainedHotStuffReplica, names, names, f, scheme, command_list
     )
-    if crash_leader_at is not None:
-        def crash_leader():
-            for replica in replicas:
-                if replica.is_primary:
-                    replica.crash()
-                    return
-            replicas[1].crash()
-        cluster.sim.schedule(crash_leader_at, crash_leader)
-
     wanted = set(command_list)
 
     def all_decided():

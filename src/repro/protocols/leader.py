@@ -327,22 +327,14 @@ class LeaderResult(RunResult):
 
 
 def run_leader_log(result, cluster, client, prefix, n, n_clients,
-                   commands_per_client, crash_leader_at, horizon, **options):
+                   commands_per_client, horizon, **options):
     """Drive ``n`` replicas named ``<prefix><i>`` (``client``'s row names
     their class; ``options`` go to it) with ``n_clients`` closed-loop
-    ``client`` nodes, crash whoever leads at ``crash_leader_at``, and
-    return a ``result``, a :class:`LeaderResult`."""
+    ``client`` nodes and return a ``result``, a :class:`LeaderResult`."""
     names = ["%s%d" % (prefix, i) for i in range(n)]
     replicas = cluster.add_nodes(client.ROW.replica, names, names, **options)
     clients = [cluster.add_node(client, "c%d" % i, names,
                                 ["cmd-%d-%d" % (i, j)
                                  for j in range(commands_per_client)])
                for i in range(n_clients)]
-    if crash_leader_at is not None:
-        def crash_leader():
-            for replica in replicas:
-                if replica.is_leader:
-                    replica.crash()
-                    return
-        cluster.sim.schedule(crash_leader_at, crash_leader)
     return result.drive(cluster, replicas, clients, horizon)

@@ -468,12 +468,11 @@ def run_multipaxos(
     n_replicas=3,
     n_clients=1,
     commands_per_client=5,
-    crash_leader_at=None,
     horizon=2000.0,
     state_machine_factory=None,
 ):
     """Drive a Multi-Paxos cluster with closed-loop clients."""
     return run_leader_log(
         MultiPaxosResult, cluster, MultiPaxosClient, "r", n_replicas,
-        n_clients, commands_per_client, crash_leader_at, horizon,
+        n_clients, commands_per_client, horizon,
         state_machine_factory=state_machine_factory)

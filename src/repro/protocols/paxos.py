@@ -350,7 +350,6 @@ def run_basic_paxos(
     quorum_system=None,
     retry=None,
     stagger=0.0,
-    crash_acceptors=(),
     horizon=500.0,
     max_rounds=None,
 ):
@@ -363,8 +362,6 @@ def run_basic_paxos(
         One value per competing proposer.
     stagger:
         Start offset between consecutive proposers.
-    crash_acceptors:
-        Indices of acceptors to crash at t=0 (before any traffic).
     """
     acceptor_names = ["a%d" % i for i in range(n_acceptors)]
     acceptors = cluster.add_nodes(PaxosAcceptor, acceptor_names)
@@ -383,8 +380,6 @@ def run_basic_paxos(
                 max_rounds=max_rounds,
             )
         )
-    for index in crash_acceptors:
-        acceptors[index].crash()
     cluster.start_all()
     cluster.run_until(
         lambda: all(p.decided is not None for p in proposers), until=horizon

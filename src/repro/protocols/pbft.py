@@ -669,7 +669,6 @@ def run_pbft(
     n_clients=1,
     operations_per_client=3,
     primary_class=PbftReplica,
-    crash_primary_at=None,
     horizon=3000.0,
     checkpoint_interval=16,
     authenticate_clients=False,
@@ -700,6 +699,4 @@ def run_pbft(
         )
         for i in range(n_clients)
     ]
-    if crash_primary_at is not None:
-        cluster.sim.schedule(crash_primary_at, replicas[0].crash)
     return PbftResult.drive(cluster, replicas, clients, horizon)

@@ -459,7 +459,6 @@ def run_raft(
     n_nodes=3,
     n_clients=1,
     commands_per_client=5,
-    crash_leader_at=None,
     horizon=3000.0,
     state_machine_factory=None,
     snapshot_threshold=None,
@@ -467,6 +466,6 @@ def run_raft(
     """Drive a Raft cluster with closed-loop clients."""
     return run_leader_log(
         RaftResult, cluster, RaftClient, "n", n_nodes, n_clients,
-        commands_per_client, crash_leader_at, horizon,
+        commands_per_client, horizon,
         state_machine_factory=state_machine_factory,
         snapshot_threshold=snapshot_threshold)

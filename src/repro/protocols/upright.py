@@ -41,27 +41,12 @@ class UpRightResult(RunResult):
         return [r.executed_requests for r in self.replicas if not r.crashed]
 
 
-def run_upright(cluster, m=1, c=1, operations=3, crash_indices=(),
-                silent_indices=(), horizon=3000.0):
-    """Drive an UpRight cluster of 3m+2c+1 replicas.
-
-    ``crash_indices`` fail-stop at t=0; ``silent_indices`` model malicious
-    replicas that participate in nothing (the strongest *denial* behaviour
-    — equivocation is separately covered by the PBFT tests, and UpRight
-    inherits PBFT's defences here).
-    """
+def run_upright(cluster, m=1, c=1, operations=3, horizon=3000.0):
+    """Drive an UpRight cluster of 3m+2c+1 replicas."""
     names = ["r%d" % i for i in range(minimum_nodes(m + c, b=m))]
     replicas = cluster.add_nodes(UpRightReplica, names, names, m, c)
     client = cluster.add_node(
         PbftClient, "c0", names,
         ["op-%d" % i for i in range(operations)], m,
     )
-    for index in crash_indices:
-        replicas[index].crash()
-    for index in silent_indices:
-        # A silent Byzantine node: drop every outbound message.
-        name = replicas[index].name
-        cluster.network.add_interceptor(
-            lambda src, dst, msg, _name=name: False if src == _name else None
-        )
     return UpRightResult.drive(cluster, replicas, [client], horizon)

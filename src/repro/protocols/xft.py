@@ -305,14 +305,11 @@ class XftResult(RunResult):
     """What the XFT drivers return."""
 
 
-def run_xft(cluster, f=1, operations=3, crash_group_member_at=None,
-            horizon=2000.0, n_clients=1):
-    """Drive XPaxos's common case; optionally crash a synchronous-group
-    member to exercise the view change."""
+def run_xft(cluster, f=1, operations=3, horizon=2000.0, n_clients=1):
+    """Drive XPaxos's common case; crashing a synchronous-group member
+    (``r1`` in view 0) exercises the view change."""
     names = ["r%d" % i for i in range(minimum_nodes(f))]
     replicas = cluster.add_nodes(XftReplica, names, names, f)
-    if crash_group_member_at is not None:
-        cluster.sim.schedule(crash_group_member_at, replicas[1].crash)
     return run_closed_loop(XftResult, cluster, replicas, XftClient, names,
                            operations, horizon=horizon, n_clients=n_clients)
 

@@ -22,6 +22,7 @@ from functools import reduce
 from importlib import import_module
 
 from .analysis.claims import PaperClaim, claim_for
+from .faults import FaultPlan
 
 __all__ = ["SCENARIOS", "Scenario", "client_row", "fleet_summary"]
 
@@ -46,8 +47,11 @@ class Scenario:
     #: conformance goldens (``report["summary"]``).
     summary: object
     kwargs: dict = field(default_factory=dict)
-    #: Fault kind -> extra kwargs (a dict, or a zero-argument callable
-    #: returning one when a value lives in the lazily loaded module).
+    #: Fault kind -> a tuple of ``(at, action, *args)`` rows one
+    #: :class:`~repro.faults.FaultPlan` applies before the entry runs, or
+    #: entry kwargs where the fault is a node class (a dict, or a
+    #: zero-argument callable returning one when a value lives in the
+    #: lazily loaded module).
     faults: dict = field(default_factory=dict)
     #: The fault kind ``repro run`` and its siblings inject, so the demo
     #: shows the protocol surviving what it claims to survive.
@@ -78,6 +82,9 @@ class Scenario:
             extra = self.faults[faults]
             if callable(extra):
                 extra = extra()
+            if isinstance(extra, tuple):
+                FaultPlan(cluster).apply(extra)
+                extra = {}
         from .monitor import NULL_HUB  # repro.monitor imports this module
         if cluster.monitors is not NULL_HUB and self.fleet_claim is None:
             cluster.attach_monitors(self.name, self.n, self.f)
@@ -174,18 +181,20 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         lambda r: "decided %r in %d proposer round(s)" % (r.value,
                                                           r.rounds),
         {"n_acceptors": 5, "proposals": ("X", "Y"), "stagger": 1.0},
-        faults={"crash": {"crash_acceptors": (4,)}}),
+        faults={"crash": ((0.0, "crash", "a4"),)}),
     Scenario(
         "multi-paxos", "repro.protocols.multipaxos:run_multipaxos", 5, 2,
         _logs_consistent("5 commands"),
         {"n_replicas": 5, "commands_per_client": 5},
-        faults={"crash": {"crash_leader_at": 25.0}},
+        # Mid-run: the fault-free run ends by t=25, so a later row never
+        # fires (``tests/test_scenarios.py`` counts that it does).
+        faults={"crash": ((10.0, "crash", "leader"),)},
         client="repro.protocols.multipaxos:CLIENT"),
     Scenario(
         "raft", "repro.protocols.raft:run_raft", 5, 2,
         _logs_consistent("5 commands"),
         {"n_nodes": 5, "commands_per_client": 5},
-        faults={"crash": {"crash_leader_at": 20.0}}, demo_faults="crash",
+        faults={"crash": ((20.0, "crash", "leader"),)}, demo_faults="crash",
         client="repro.protocols.raft:CLIENT"),
     Scenario(
         "fast-paxos", "repro.protocols.fast_paxos:run_fast_paxos", 4, 1,
@@ -209,7 +218,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         {"f": 1, "operations_per_client": 3},
         faults={"equivocate": _pbft_primary("EquivocatingPrimary"),
                 "silent": _pbft_primary("SilentPrimary"),
-                "crash": {"crash_primary_at": 5.0}},
+                "crash": ((5.0, "crash", "r0"),)},
         demo_faults="equivocate", client="repro.protocols.pbft:CLIENT"),
     Scenario(
         "zyzzyva", "repro.protocols.zyzzyva:run_zyzzyva", 4, 1,
@@ -241,7 +250,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         lambda r: "agreement=%s in <=%s round(s)" % (r.agreement(),
                                                      r.max_round()),
         {"n": 5, "f": 1},
-        faults={"crash": {"crash_indices": (4,)}}, demo_faults="crash"),
+        faults={"crash": ((0.0, "crash", "p4"),)}, demo_faults="crash"),
     Scenario(
         "interactive-consistency",
         "repro.protocols.interactive_consistency:"
@@ -263,7 +272,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         "repro.protocols.chandra_toueg:run_chandra_toueg", 5, 2,
         lambda r: "agreement=%s" % r.agreement(),
         {"n": 5, "f": 2},
-        faults={"crash": {"crash_indices": (1,)}}, demo_faults="crash"),
+        faults={"crash": ((0.0, "crash", "ct1"),)}, demo_faults="crash"),
     # Two groups of three replicas; f is per group, (replicas - 1) // 2.
     Scenario(
         "shards", "repro.scenarios:shard_workloads", 6, 1, str,

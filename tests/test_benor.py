@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.faults import FaultPlan
 from repro.net import AsynchronousModel
 from repro.protocols.benor import BenOrNode, run_benor
 
@@ -39,8 +40,9 @@ class TestSafety:
 class TestLiveness:
     def test_terminates_despite_crash(self, make_cluster):
         for seed in range(8):
-            result = run_benor(make_cluster(seed=seed), n=5, f=1,
-                               crash_indices=(4,))
+            cluster = make_cluster(seed=seed)
+            FaultPlan(cluster).crash_at(0.0, "p4")
+            result = run_benor(cluster, n=5, f=1)
             assert result.all_decided(), seed
             assert result.agreement(), seed
 
@@ -54,7 +56,8 @@ class TestLiveness:
                 delivery=AsynchronousModel(mean=1.0, tail_prob=0.15,
                                            tail_factor=30.0),
             )
-            result = run_benor(cluster, n=5, f=1, crash_indices=(0,))
+            FaultPlan(cluster).crash_at(0.0, "p0")
+            result = run_benor(cluster, n=5, f=1)
             assert result.all_decided(), seed
             rounds.append(result.max_round())
         assert max(rounds) <= 50  # probabilistic but fast in practice

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.faults import FaultPlan
 from repro.net import AsynchronousModel
 from repro.protocols.chandra_toueg import (
     AlwaysSuspecting,
@@ -52,8 +53,10 @@ class TestConsensus:
 
     def test_tolerates_f_crashes_including_coordinators(self, make_cluster):
         # Crash the coordinators of rounds 1 and 2 (indices 1, 2).
-        result = run_chandra_toueg(make_cluster(seed=2), n=5, f=2,
-                                   crash_indices=(1, 2))
+        cluster = make_cluster(seed=2)
+        FaultPlan(cluster).apply(((0.0, "crash", "ct1"),
+                                  (0.0, "crash", "ct2")))
+        result = run_chandra_toueg(cluster, n=5, f=2)
         assert result.agreement()
         assert result.all_decided()
 
@@ -84,8 +87,11 @@ class TestConsensus:
                       ["p0", "p1", "p2", "p3"], "v", f=2)  # n <= 2f
 
     def test_majority_crash_blocks_but_stays_safe(self, make_cluster):
-        result = run_chandra_toueg(make_cluster(seed=5), n=5, f=2,
-                                   crash_indices=(0, 1, 2), horizon=200.0,
+        cluster = make_cluster(seed=5)
+        plan = FaultPlan(cluster)
+        for name in ("ct0", "ct1", "ct2"):
+            plan.crash_at(0.0, name)
+        result = run_chandra_toueg(cluster, n=5, f=2, horizon=200.0,
                                    max_rounds=30)
         assert not result.all_decided()
         assert result.agreement()

@@ -83,9 +83,9 @@ class TestRaftChaos:
         from repro.protocols.raft import run_raft
         cluster = Cluster(seed=88, monitors=True)
         cluster.attach_monitors("raft", n=3, f=1)
+        FaultPlan(cluster).crash_at(30.0, "leader")
         result = run_raft(cluster, n_nodes=3, n_clients=2,
-                          commands_per_client=12, crash_leader_at=30.0,
-                          snapshot_threshold=4)
+                          commands_per_client=12, snapshot_threshold=4)
         assert all(c.done for c in result.clients)
         assert result.logs_consistent()
         # The streaming battery agrees: no split brain, no divergent
@@ -111,9 +111,9 @@ class TestPbftChaos:
             lambda src, dst, msg: cluster.sim.rng.random() < 0.05,
             between=(10.0, 60.0),
         )
+        plan.crash_at(8.0, "r0")
         result = run_pbft(cluster, f=1, n_clients=1,
-                          operations_per_client=5, crash_primary_at=8.0,
-                          horizon=5000.0)
+                          operations_per_client=5, horizon=5000.0)
         assert result.logs_consistent()
         assert all(c.done for c in result.clients)
         # Crash + loss must not register as safety violations: no

@@ -215,3 +215,18 @@ class TestCheckCli:
         out = capsys.readouterr().out
         for protocol in ("paxos", "pbft", "tendermint", "pow"):
             assert "conformance: %s" % protocol in out
+
+    def test_check_all_under_one_fault_kind_checks_the_rows_listing_it(
+            self, capsys):
+        assert main(["check", "--all", "--seed", "0",
+                     "--faults", "crash"]) == 0
+        out = capsys.readouterr().out
+        checked = [line.split()[1] for line in out.splitlines()
+                   if line.startswith("conformance: ")]
+        assert checked == ["paxos", "multi-paxos", "raft", "pbft", "ben-or",
+                           "chandra-toueg", "shards"]
+
+    def test_check_all_under_an_unknown_fault_kind_is_usage_error(
+            self, capsys):
+        assert main(["check", "--all", "--faults", "meteor"]) == 2
+        assert "meteor" in capsys.readouterr().out

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import Cluster
 from repro.core.client import ClosedLoopClient
+from repro.faults import FaultPlan
 from repro.load import engine
 from repro.scenarios import SCENARIOS, _load
 from repro.shard import ShardedCluster
@@ -35,8 +36,9 @@ def _run(module, faults, cluster):
     driver = ROWS[module]
     if isinstance(driver, str):
         scenario = SCENARIOS[driver]
-        extra = scenario.faults[faults] if faults else {}
-        return _load(scenario.entry)(cluster, **{**scenario.kwargs, **extra})
+        if faults:
+            FaultPlan(cluster).apply(scenario.faults[faults])
+        return _load(scenario.entry)(cluster, **scenario.kwargs)
     function, kwargs = driver
     return getattr(import_module("repro.protocols." + module),
                    function)(cluster, **kwargs)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import Node
 from repro.core.ballot import Ballot
+from repro.faults import FaultPlan
 from repro.load import engine
 from repro.load.engine import LoadSpec, run_loadtest
 from repro.protocols.multipaxos import (
@@ -86,9 +87,10 @@ class TestPhaseOneAmortisation:
 
 class TestLeaderFailover:
     def test_view_change_after_leader_crash(self, make_cluster):
-        result = run_multipaxos(make_cluster(seed=9), n_replicas=5,
-                                n_clients=1, commands_per_client=8,
-                                crash_leader_at=6.0)
+        cluster = make_cluster(seed=9)
+        FaultPlan(cluster).crash_at(6.0, "leader")
+        result = run_multipaxos(cluster, n_replicas=5, n_clients=1,
+                                commands_per_client=8)
         assert all(c.done for c in result.clients)
         assert result.logs_consistent()
         views = sum(r.view_changes for r in result.replicas)
@@ -96,16 +98,18 @@ class TestLeaderFailover:
 
     def test_no_committed_entry_lost_on_failover(self, make_cluster):
         for seed in (3, 11, 27):
-            result = run_multipaxos(make_cluster(seed=seed), n_replicas=3,
-                                    n_clients=1, commands_per_client=6,
-                                    crash_leader_at=8.0)
+            cluster = make_cluster(seed=seed)
+            FaultPlan(cluster).crash_at(8.0, "leader")
+            result = run_multipaxos(cluster, n_replicas=3, n_clients=1,
+                                    commands_per_client=6)
             assert all(c.done for c in result.clients), seed
             assert check_log_consistency(result.committed_logs()), seed
 
     def test_crashed_replica_rejoin_consistency(self, make_cluster):
         cluster = make_cluster(seed=5)
+        FaultPlan(cluster).crash_at(5.0, "leader")
         result = run_multipaxos(cluster, n_replicas=3, n_clients=1,
-                                commands_per_client=4, crash_leader_at=5.0)
+                                commands_per_client=4)
         crashed = [r for r in result.replicas if r.crashed][0]
         crashed.restart()
         cluster.sim.run_for(60.0)

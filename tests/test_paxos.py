@@ -4,6 +4,7 @@ the livelock figure, and quorum-safety foundations."""
 import pytest
 
 from repro.core import CCPhase, CountingQuorum
+from repro.faults import FaultPlan
 from repro.net import SynchronousModel
 from repro.protocols.paxos import (
     FixedBackoff,
@@ -58,15 +59,19 @@ class TestBasicAgreement:
 
 class TestFaultTolerance:
     def test_survives_minority_crashes(self, cluster):
-        result = run_basic_paxos(
-            cluster, n_acceptors=5, proposals=("X",), crash_acceptors=(0, 1)
-        )
+        plan = FaultPlan(cluster)
+        for name in ("a0", "a1"):
+            plan.crash_at(0.0, name)
+        result = run_basic_paxos(cluster, n_acceptors=5, proposals=("X",))
         assert result.value == "X"
 
     def test_blocks_on_majority_crashes(self, cluster):
+        plan = FaultPlan(cluster)
+        for name in ("a0", "a1", "a2"):
+            plan.crash_at(0.0, name)
         result = run_basic_paxos(
-            cluster, n_acceptors=5, proposals=("X",),
-            crash_acceptors=(0, 1, 2), horizon=120.0, max_rounds=5,
+            cluster, n_acceptors=5, proposals=("X",), horizon=120.0,
+            max_rounds=5,
         )
         assert not result.agreed  # liveness lost, safety intact
 

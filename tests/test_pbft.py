@@ -4,6 +4,7 @@ primaries, view change, and garbage collection."""
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.faults import FaultPlan
 from repro.protocols.pbft import (
     Checkpoint,
     EquivocatingPrimary,
@@ -95,8 +96,9 @@ class TestCrashedPrimary:
     def test_view_change_restores_liveness(self, make_cluster):
         for seed in (2, 6):
             cluster = make_cluster(seed=seed, trace=True)
+            FaultPlan(cluster).crash_at(5.0, "r0")
             result = run_pbft(cluster, f=1, n_clients=1,
-                              operations_per_client=3, crash_primary_at=5.0)
+                              operations_per_client=3)
             assert all(c.done for c in result.clients), seed
             assert result.logs_consistent(), seed
             live_views = [r.view for r in result.replicas if not r.crashed]
@@ -109,16 +111,20 @@ class TestCrashedPrimary:
         # The prepared-certificate transfer: nothing executed before the
         # crash may be reassigned a different request.
         for seed in range(2, 10):
-            result = run_pbft(make_cluster(seed=seed), f=1, n_clients=1,
-                              operations_per_client=3, crash_primary_at=5.0)
+            cluster = make_cluster(seed=seed)
+            FaultPlan(cluster).crash_at(5.0, "r0")
+            result = run_pbft(cluster, f=1, n_clients=1,
+                              operations_per_client=3)
             assert result.logs_consistent(), seed
 
     def test_closed_loop_client_follows_the_view(self, make_cluster):
         # After the view change the client sends to the new primary;
         # one that kept asking the dead one would wait out the 30 vt
         # retransmit timer on every later request (143.5 vt in all).
-        result = run_pbft(make_cluster(seed=0), f=1, n_clients=1,
-                          operations_per_client=6, crash_primary_at=12)
+        cluster = make_cluster(seed=0)
+        FaultPlan(cluster).crash_at(12.0, "r0")
+        result = run_pbft(cluster, f=1, n_clients=1,
+                          operations_per_client=6)
         client = result.clients[0]
         assert client.done and result.logs_consistent()
         assert client.target == "r1"

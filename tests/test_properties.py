@@ -191,16 +191,18 @@ def test_majority_is_strict(values):
 @settings(max_examples=15, deadline=None)
 def test_paxos_never_decides_two_values(seed, data):
     from repro.core import Cluster
+    from repro.faults import FaultPlan
     from repro.protocols.paxos import (RandomizedBackoff, chosen_value,
                                        run_basic_paxos)
     n = data.draw(st.sampled_from([3, 5]))
     n_crash = data.draw(st.integers(min_value=0, max_value=(n - 1) // 2))
-    crash = tuple(range(n_crash))
     cluster = Cluster(seed=seed)
+    plan = FaultPlan(cluster)
+    for index in range(n_crash):
+        plan.crash_at(0.0, "a%d" % index)
     result = run_basic_paxos(
         cluster, n_acceptors=n, proposals=("X", "Y"),
-        retry=RandomizedBackoff(), stagger=0.5,
-        crash_acceptors=crash, horizon=400.0,
+        retry=RandomizedBackoff(), stagger=0.5, horizon=400.0,
     )
     decided = {v for v in result.decided_values if v is not None}
     assert len(decided) <= 1

@@ -85,9 +85,11 @@ class TestBenOrCoinUsage:
 
 class TestChandraTouegRotation:
     def test_coordinator_rotates_past_crash(self, make_cluster):
+        from repro.faults import FaultPlan
         from repro.protocols.chandra_toueg import run_chandra_toueg
-        result = run_chandra_toueg(make_cluster(seed=6), n=5, f=2,
-                                   crash_indices=(1,))
+        cluster = make_cluster(seed=6)
+        FaultPlan(cluster).crash_at(0.0, "ct1")
+        result = run_chandra_toueg(cluster, n=5, f=2)
         # Round 1's coordinator (index 1) is dead: deciders needed >= 2
         # rounds.
         rounds = [p.decided_round for p in result.processes

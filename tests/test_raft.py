@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Cluster
+from repro.faults import FaultPlan
 from repro.protocols.raft import LogEntry, RaftNode, Role, run_raft
 from repro.trace import assert_unique_leader_per_view
 
@@ -75,21 +76,26 @@ class TestReplication:
 class TestLeaderCrash:
     def test_progress_after_leader_crash(self, make_cluster):
         for seed in (11, 23):
-            result = run_raft(make_cluster(seed=seed), n_nodes=5, n_clients=1,
-                              commands_per_client=8, crash_leader_at=25.0)
+            cluster = make_cluster(seed=seed)
+            FaultPlan(cluster).crash_at(25.0, "leader")
+            result = run_raft(cluster, n_nodes=5, n_clients=1,
+                              commands_per_client=8)
             assert all(c.done for c in result.clients), seed
             assert result.logs_consistent(), seed
 
     def test_terms_increase_after_crash(self, make_cluster):
-        result = run_raft(make_cluster(seed=11), n_nodes=5, n_clients=1,
-                          commands_per_client=6, crash_leader_at=25.0)
+        cluster = make_cluster(seed=11)
+        FaultPlan(cluster).crash_at(25.0, "leader")
+        result = run_raft(cluster, n_nodes=5, n_clients=1,
+                          commands_per_client=6)
         alive_terms = [n.current_term for n in result.nodes if not n.crashed]
         assert max(alive_terms) >= 2
 
     def test_restarted_node_rejoins_consistently(self, make_cluster):
         cluster = make_cluster(seed=13)
+        FaultPlan(cluster).crash_at(20.0, "leader")
         result = run_raft(cluster, n_nodes=3, n_clients=1,
-                          commands_per_client=5, crash_leader_at=20.0)
+                          commands_per_client=5)
         crashed = [n for n in result.nodes if n.crashed]
         for node in crashed:
             node.restart()

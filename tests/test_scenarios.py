@@ -30,6 +30,18 @@ def test_every_listed_fault_kind_runs_and_is_echoed(protocol, kind):
     assert report["measured"]["f"] == SCENARIOS[protocol].f
 
 
+@pytest.mark.parametrize("protocol,kind", [
+    (name, kind) for name, scenario in SCENARIOS.items()
+    for kind, rows in scenario.faults.items() if isinstance(rows, tuple)])
+def test_every_row_of_a_fault_schedule_lands(protocol, kind):
+    # A mistyped target raises, and a leader row that finds no leader
+    # counts nothing: either way the count falls short of the rows.
+    cluster = Cluster(seed=0, telemetry=True)
+    SCENARIOS[protocol].run(cluster, kind)
+    rows = SCENARIOS[protocol].faults[kind]
+    assert cluster.telemetry.total("fault_injections_total") == len(rows)
+
+
 def test_run_attaches_the_battery_only_to_a_live_hub():
     scenario = SCENARIOS["raft"]
     bare = Cluster(seed=0)

@@ -337,6 +337,54 @@ class TestSubstrateInstrumentation:
         assert cluster.telemetry.value("fault_injections_total",
                                        kind="restart") == 1
 
+    def test_leader_target_resolves_when_the_row_fires(self):
+        from repro.core import Node
+
+        class Claimant(Node):
+            is_leader = False
+
+        class Primary(Node):
+            is_primary = False
+
+        cluster = Cluster(seed=0, telemetry=True)
+        stale, first, second = cluster.add_nodes(Claimant, ["n0", "n1", "n2"])
+        primary = cluster.add_node(Primary, "n3")
+        stale.is_leader = True
+        stale.crash()  # a crashed node that still says "leader" is skipped
+        second.is_leader = True
+        cluster.sim.schedule_at(5.0, setattr, second, "is_leader", False)
+        cluster.sim.schedule_at(5.0, setattr, first, "is_leader", True)
+        primary.is_primary = True
+        plan = FaultPlan(cluster).apply(((10.0, "crash", "leader"),
+                                         (12.0, "crash", "leader")))
+        cluster.sim.run(until=20.0)
+        # Whoever leads at t=10, not at scheduling time; then the class
+        # with only ``is_primary`` is asked by that predicate.
+        assert plan.events == [(10.0, "crash", "n1"), (12.0, "crash", "n3")]
+        assert first.crashed and primary.crashed and not second.crashed
+        assert cluster.telemetry.value("fault_injections_total",
+                                       kind="crash") == 2
+
+    def test_leader_row_without_a_live_leader_does_nothing(self):
+        from repro.core import Node
+        cluster = Cluster(seed=0, telemetry=True)
+        nodes = cluster.add_nodes(Node, ["n0", "n1"])
+        plan = FaultPlan(cluster).apply(((1.0, "crash", "leader"),))
+        cluster.sim.run(until=5.0)
+        assert plan.events == []
+        assert not any(node.crashed for node in nodes)
+        assert cluster.telemetry.total("fault_injections_total") == 0
+
+    def test_unknown_target_raises_when_the_row_fires(self):
+        from repro.core import Node
+        cluster = Cluster(seed=0, telemetry=True)
+        cluster.add_node(Node, "n0")
+        plan = FaultPlan(cluster)
+        plan.crash_at(1.0, "n9")  # scheduling does not look the name up
+        with pytest.raises(KeyError):
+            cluster.sim.run(until=5.0)
+        assert plan.events == []
+
     def test_protocol_of_is_leaf_module(self):
         cluster, _ = _run_paxos(telemetry=False)
         from repro.core.ballot import Ballot

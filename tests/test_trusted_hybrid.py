@@ -4,6 +4,7 @@ MinBFT, CheapBFT, UpRight, SeeMoRe, XFT."""
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.faults import FaultPlan, Silence
 from repro.protocols.cheapbft import run_cheapbft
 from repro.protocols.minbft import MinBftReplica, run_minbft
 from repro.protocols.seemore import run_seemore
@@ -78,8 +79,9 @@ class TestCheapBft:
 
     def test_active_crash_switches_to_minbft(self, make_cluster):
         for seed in (2, 5):
-            result = run_cheapbft(make_cluster(seed=seed), f=1, operations=4,
-                                  crash_active_at=3.0)
+            cluster = make_cluster(seed=seed)
+            FaultPlan(cluster).crash_at(3.0, "r1")  # active, not primary
+            result = run_cheapbft(cluster, f=1, operations=4)
             assert result.clients[0].done, seed
             assert result.clients[0].panics_sent >= 1
             live_modes = [r.mode for r in result.replicas if not r.crashed]
@@ -93,8 +95,9 @@ class TestCheapBft:
         assert len(passive.executed) == 4
 
     def test_f2_switch(self, make_cluster):
-        result = run_cheapbft(make_cluster(seed=3), f=2, operations=3,
-                              crash_active_at=3.0)
+        cluster = make_cluster(seed=3)
+        FaultPlan(cluster).crash_at(3.0, "r2")  # active, not primary
+        result = run_cheapbft(cluster, f=2, operations=3)
         assert result.clients[0].done and result.logs_consistent()
 
 
@@ -106,15 +109,19 @@ class TestUpRight:
         assert result.clients[0].done
 
     def test_tolerates_exactly_m_and_c(self, make_cluster):
-        result = run_upright(make_cluster(seed=2), m=1, c=1, operations=3,
-                             crash_indices=(5,), silent_indices=(4,))
+        cluster = make_cluster(seed=2)
+        FaultPlan(cluster).crash_at(0.0, "r5")
+        Silence(cluster, "r4").install()
+        result = run_upright(cluster, m=1, c=1, operations=3)
         assert result.clients[0].done
         assert result.logs_consistent()
 
     def test_stalls_beyond_budget(self, make_cluster):
-        result = run_upright(make_cluster(seed=3), m=1, c=1, operations=2,
-                             crash_indices=(4, 5), silent_indices=(3,),
-                             horizon=300.0)
+        cluster = make_cluster(seed=3)
+        FaultPlan(cluster).apply(((0.0, "crash", "r4"),
+                                  (0.0, "crash", "r5")))
+        Silence(cluster, "r3").install()
+        result = run_upright(cluster, m=1, c=1, operations=2, horizon=300.0)
         assert not result.clients[0].done  # liveness gone
         assert result.logs_consistent()    # safety intact
 
@@ -186,8 +193,9 @@ class TestXft:
         assert result.logs_consistent()
 
     def test_group_crash_triggers_view_change(self, make_cluster):
-        result = run_xft(make_cluster(seed=2), f=1, operations=3,
-                         crash_group_member_at=3.0)
+        cluster = make_cluster(seed=2)
+        FaultPlan(cluster).crash_at(3.0, "r1")  # in view 0's group
+        result = run_xft(cluster, f=1, operations=3)
         assert result.clients[0].done
         assert result.logs_consistent()
         live_views = [r.view for r in result.replicas if not r.crashed]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.faults import FaultPlan
 from repro.net import SynchronousModel
 from repro.protocols.hotstuff import (
     ChainedHotStuffReplica,
@@ -131,8 +132,9 @@ class TestChainedHotStuff:
 
     def test_crashed_leader_recovered_by_pacemaker(self, make_cluster):
         for seed in (3, 13):
-            result = run_chained_hotstuff(make_cluster(seed=seed), f=1,
-                                          commands=5, crash_leader_at=4.0)
+            cluster = make_cluster(seed=seed)
+            FaultPlan(cluster).crash_at(4.0, "leader")
+            result = run_chained_hotstuff(cluster, f=1, commands=5)
             live = [r for r in result.replicas if not r.crashed]
             for replica in live:
                 decided_cmds = {c for c in replica.decided
