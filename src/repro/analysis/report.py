@@ -148,7 +148,14 @@ EXPERIMENT_NOTES = {
             "one each time unit; a leader now skips a heartbeat its\n"
             "replication already sent and spaces them out when idle\n"
             "(DESIGN.md, leader-replica core), leaving 18/38/36, 18/32/36\n"
-            "once commits rode on the accepts, 18/26/26 without the decide."),
+            "once commits rode on the accepts, 18/26/26 without the decide.\n"
+            "\n"
+            "Reply point: the coordinator reports a cross-shard commit when\n"
+            "the last vote is logged (the commit rule), so the client waits 2\n"
+            "consensus rounds for N shards as for one; the commit round runs\n"
+            "behind the reply. The message columns count until that round has\n"
+            "closed, not until the reply: counted at the reply, the protocol\n"
+            "column read 12/26/39, a drop of messages that were still sent."),
     "E19": ("Ablations (extension)",
             "Design-choice knobs isolated one at a time: zero backoff jitter IS\n"
             "the livelock and any meaningful jitter restores liveness; frequent\n"
@@ -255,6 +262,11 @@ EXPERIMENT_NOTES = {
             "per commit, with it (1.2 / 3.2 / 6.6 / 16.5 / 33.3 / 81.9 /\n"
             "111.7). Dropping the decide round shifted it once more (8x3\n"
             "0.85 -> 1.17, 32x5 0.60 -> 0.94; 4x3 0.81 -> 0.79).\n"
+            "Replying when the last vote is logged, with the commit round\n"
+            "behind the reply, raised it on every shape (2x3 0.92 -> 0.98,\n"
+            "8x3 1.17 -> 1.47, 32x5 0.94 -> 1.24, 48x5 0.88 -> 1.11): each\n"
+            "wave ends about one consensus round sooner, so the idle\n"
+            "heartbeat half per commit fell too (48x5 83.9 -> 65.5).\n"
             "\n"
             "Wall-clock outlier, refuted: the 4x3 row's 55.6k events/s (against\n"
             "92-127k for every other shape) is not a property of the shape.\n"
@@ -302,7 +314,14 @@ EXPERIMENT_NOTES = {
             "advertised 1.2x. export ms is that full inflation plus to_jsonl:\n"
             "only `repro trace --jsonl` and the flow renderer, the readers that\n"
             "do need every object, pay it. A hot path that asks for neither\n"
-            "pays only the tracer's ring-buffer appends."),
+            "pays only the tracer's ring-buffer appends.\n"
+            "\n"
+            "The shards run chains its transfers (k0 -> k1, then k1 -> k2, ...)\n"
+            "from one closed-loop client. Since a cross-shard commit replies\n"
+            "when the last vote is logged, the next transfer's lock round\n"
+            "often meets the previous commit round's lock: 13 conflicts, each\n"
+            "an abort round and a 2-8 vt back-off, took the run from 5859 to\n"
+            "7167 events and its transfers from 268 to 351 vt (seed 7)."),
     "E28": ("Saturation knees: offered load vs tail latency (extension)",
             "Not a paper figure: the open-loop load engine (src/repro/load/)\n"
             "sweeps Poisson offered load against each protocol over\n"

@@ -17,9 +17,16 @@ Spanner stack, over the shard groups of a live
 
 The commit rule: once every participant's log holds its
 ``txn_prepare``, the transaction commits, and the ``txn_commit``
-entries are the replicated decision (aborts are presumed).  The
-coordinator may abort only before the first ``txn_commit`` is sent: on
-a conflict, on a veto, or when a round stalls past
+entries are the replicated decision (aborts are presumed).  So the
+client hears ``committed`` when the last vote is logged, as the commit
+round starts; that round's completion only closes the transaction
+(:meth:`TxnCoordinator.settled`).  Its locks hold until each
+``txn_commit`` applies, so a reader racing the commit round pays one
+conflict back-off rather than reading values from before the commit;
+a coordinator that crashes after replying leaves those locks held, but
+the outcome it reported is the one the votes fixed.  The coordinator
+may abort only before the first ``txn_commit`` is sent: on a
+conflict, on a veto, or when a round stalls past
 :attr:`TxnCoordinator.ROUND_TIMEOUT`.  A commit round retries until
 every participant answers, so the one case that blocks is a group
 that stays down through its commit round — outside the f-per-group
@@ -329,15 +336,16 @@ class TxnCoordinator(GroupRequester):
         elif kind == "txn_prepare":
             if all(reply == "prepared" for reply in replies):
                 # Every vote is in a participant's log: the transaction
-                # is committed, and the commit entries record it.
-                txn.state = TxnState.COMMITTING
+                # is committed, so report it now; the commit entries
+                # record it and release its locks behind the reply.
                 self._start_round(txn, "txn_commit", {
                     gid: ("txn_commit", txn.txid)
                     for gid in self.groups_of(txn)})
+                self._report(txn, "committed")
             else:
                 self._abort(txn)
         elif kind == "txn_commit":
-            self._finish(txn, "committed")
+            self._close(txn)
         elif round_["vetoed"]:  # txn_abort after the transaction's veto
             self._finish(txn, "aborted")
         else:  # txn_abort after a conflict: back off, then try again
@@ -386,6 +394,11 @@ class TxnCoordinator(GroupRequester):
         }, vetoed=vetoed)
 
     def _finish(self, txn, outcome):
+        self._report(txn, outcome)
+        self._close(txn)
+
+    def _report(self, txn, outcome):
+        """Tell the client: ``txn`` is DONE with ``outcome``."""
         txn.outcome = outcome
         txn.state = TxnState.DONE
         txn.finished_at = self.sim.now
@@ -397,6 +410,17 @@ class TxnCoordinator(GroupRequester):
             self.aborts += 1
         if txn.on_finish is not None:
             txn.on_finish(txn)
+
+    def _close(self, txn):
+        """Forget ``txn``'s round, stall deadline and requests."""
         self._round.pop(txn.txid, None)
         self._disarm_round_timer(txn.txid)
         self._cancel_pending(txn.txid)
+
+    def settled(self, txn):
+        """True once ``txn`` is reported and no round or request of it
+        is still open: every group it touched has acknowledged its last
+        round."""
+        return txn.outcome is not None and txn.txid not in self._round \
+            and all(tag[0] != txn.txid
+                    for _gid, _command, tag in self._pending.values())

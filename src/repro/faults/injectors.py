@@ -24,6 +24,27 @@ before the nodes' ``on_start``, so the node never starts.
 """
 
 
+def live_leader(nodes):
+    """The first live node of ``nodes`` that reports itself leader
+    (``is_leader`` where its class has one, else ``is_primary``), or
+    ``None``."""
+    for node in nodes:
+        flag = "is_leader" if hasattr(node, "is_leader") else "is_primary"
+        if not node.crashed and getattr(node, flag, False):
+            return node
+    return None
+
+
+def crash_leader(nodes):
+    """Crash the :func:`live_leader` of ``nodes``; returns its name, or
+    ``None`` when none leads."""
+    leader = live_leader(nodes)
+    if leader is None:
+        return None
+    leader.crash()
+    return leader.name
+
+
 class FaultPlan:
     """Schedule of fault events bound to one cluster."""
 
@@ -53,19 +74,12 @@ class FaultPlan:
         reports itself leader (``is_leader`` where its class has one,
         else ``is_primary``).  With no live leader the row does nothing."""
         def do_crash():
-            node = (self._leader() if target == "leader"
+            node = (live_leader(self.cluster.nodes) if target == "leader"
                     else self.cluster.node_named(target))
             if node is not None:
                 node.crash()
                 self._log("crash", node.name)
         self.cluster.sim.schedule_at(time, do_crash)
-
-    def _leader(self):
-        for node in self.cluster.nodes:
-            flag = "is_leader" if hasattr(node, "is_leader") else "is_primary"
-            if not node.crashed and getattr(node, flag, False):
-                return node
-        return None
 
     def restart_at(self, time, node_name):
         def do_restart():

@@ -32,6 +32,7 @@ from ..net.delivery import QueuedDelayModel
 from ..parallel.runner import ParallelRunner
 from ..parallel.streams import named_stream
 from ..scenarios import SCENARIOS, client_row
+from ..shard.layout import draw_partner, key_name
 from ..sim.process import Process
 from ..telemetry.instruments import _finite
 from .arrivals import DiurnalArrivals, HotKeyStorm, PoissonArrivals
@@ -293,21 +294,11 @@ class ShardTxnInjector(InjectorBase, Process):
         self.keys = keys
 
     def _pick_keys(self):
-        sharded = self.sharded
-        src = sharded.key(self.keys.sample_rank(self.rng)
-                          % self.spec.key_space)
-        want_cross = self.rng.random() < self.spec.cross_ratio
-        dst = src
-        for _ in range(32):
-            candidate = sharded.key(self.rng.randrange(self.spec.key_space))
-            if candidate == src:
-                continue
-            crosses = sharded.shard_of(candidate) != sharded.shard_of(src)
-            if crosses == want_cross:
-                return src, candidate
-            if dst == src:
-                dst = candidate  # fallback: any distinct key
-        return src, dst
+        spec = self.spec
+        src = key_name(self.keys.sample_rank(self.rng) % spec.key_space)
+        want_cross = self.rng.random() < spec.cross_ratio
+        return src, draw_partner(self.rng, self.sharded.shard_map,
+                                 spec.key_space, src, want_cross, 32)
 
     def _inject(self, intended):
         src, dst = self._pick_keys()

@@ -21,9 +21,10 @@ Each edge is then attributed to a named segment by what its *ending*
 anchor represents, so the builder classifies each anchor once:
 arriving messages are ``network``, waiting for a proposal slot is
 ``propose-wait``, the quorum round is ``quorum-wait``, state-machine
-application is ``apply``, and the coordinator's 2PC rounds map to
-``lock`` / ``2pc-prepare`` / ``2pc-commit`` (``apply`` for the
-single-shard fast path).
+application is ``apply``, and the coordinator's rounds before its
+reply map to ``lock`` / ``2pc-prepare`` (``apply`` for the single-shard
+fast path).  A commit round completes after the transaction's
+``txn_finish``, so it is never on a transaction's path.
 
 Anchors are indices into the builder's
 :class:`~repro.obs.spans.Anchors` columns, and every span's path is one
@@ -49,7 +50,6 @@ ROUND_SEGMENTS = {
     "txn_lock": "lock",
     "txn_apply": "apply",
     "txn_prepare": "2pc-prepare",
-    "txn_commit": "2pc-commit",
     "txn_abort": "abort",
 }
 

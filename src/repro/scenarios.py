@@ -131,16 +131,20 @@ def shard_workloads(cluster, crash_follower=None):
 
 def shard_transfer_demo(cluster):
     """The demo (and the ``shards_seed0.*`` goldens): two puts and one
-    cross-shard transfer, i.e. exactly one walk down the full 2PC path."""
+    cross-shard transfer, i.e. exactly one walk down the full 2PC path,
+    run on past the reply until the commit round has closed."""
+    from .shard.layout import transfer_update
     sharded = _demo_fleet(cluster)
     a, b = sharded.key(2), sharded.key(10)  # one key on each shard
     sharded.put(a, 100)
     sharded.put(b, 10)
-    outcome = sharded.transfer(a, b, 30)
+    txn = sharded.run_transaction((a, b), transfer_update(a, b, 30))
+    sharded.cluster.run_until(lambda: sharded.coordinator.settled(txn),
+                              until=sharded.now + sharded.op_timeout)
     stats = sharded.stats()
     return ("2 shards x 3 replicas: cross-shard transfer %s; "
             "%d commits (%d fast-path)"
-            % (outcome, stats["commits"], stats["fast_commits"]))
+            % (txn.outcome, stats["commits"], stats["fast_commits"]))
 
 
 def fleet_summary(segments, consistent):

@@ -10,6 +10,7 @@ returning to: *any* log-replication protocol underneath, same shard on
 top.
 """
 
+from ..faults.injectors import crash_leader, live_leader
 from ..scenarios import client_row
 from ..smr import check_log_consistency, check_state_machines
 from .state import ShardKVStateMachine
@@ -58,10 +59,7 @@ class ShardGroup:
 
     def leader(self):
         """The live leader replica, or ``None`` mid-election."""
-        for replica in self.replicas:
-            if not replica.crashed and self._row.is_leader(replica):
-                return replica
-        return None
+        return live_leader(self.replicas)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -76,10 +74,7 @@ class ShardGroup:
     # -- fault injection ----------------------------------------------------
 
     def crash_leader(self):
-        leader = self.leader()
-        if leader is not None:
-            leader.crash()
-        return leader.name if leader is not None else None
+        return crash_leader(self.replicas)
 
     def crash_follower(self):
         for replica in self.replicas:

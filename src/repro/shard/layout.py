@@ -54,20 +54,27 @@ def draw_transfer(rng, shard_map, key_space, cross_ratio, amount):
     probability ``cross_ratio``.  The order of draws from ``rng`` is
     part of every fleet golden and ``vt_digest``."""
     src = key_name(rng.randrange(key_space))
-    dst = src
     want_cross = rng.random() < cross_ratio
-    for _ in range(64):
+    dst = draw_partner(rng, shard_map, key_space, src, want_cross, 64)
+    delta = rng.randrange(1, amount + 1)
+    return src, dst, delta
+
+
+def draw_partner(rng, shard_map, key_space, src, want_cross, tries):
+    """A key other than ``src``, on another shard iff ``want_cross``,
+    from at most ``tries`` draws; else the first other key drawn, else
+    ``src``."""
+    home = shard_map.shard_of(src)
+    dst = src
+    for _ in range(tries):
         candidate = key_name(rng.randrange(key_space))
         if candidate == src:
             continue
-        crosses = shard_map.shard_of(candidate) != shard_map.shard_of(src)
-        if crosses == want_cross:
-            dst = candidate
-            break
+        if (shard_map.shard_of(candidate) != home) == want_cross:
+            return candidate
         if dst == src:
-            dst = candidate  # fallback: any distinct key
-    delta = rng.randrange(1, amount + 1)
-    return src, dst, delta
+            dst = candidate
+    return dst
 
 
 def transfer_update(src, dst, delta):

@@ -15,6 +15,7 @@ never from its local clock.
 
 
 from ..core.cluster import Cluster
+from ..faults.injectors import crash_leader
 from ..protocols.multipaxos import MultiPaxosClient, MultiPaxosReplica
 
 DEFAULT_LEASE = 30.0
@@ -136,11 +137,7 @@ class LockService:
         self.cluster.sim.run_for(duration)
 
     def crash_leader(self):
-        for replica in self.replicas:
-            if replica.is_leader and not replica.crashed:
-                replica.crash()
-                return replica.name
-        return None
+        return crash_leader(self.replicas)
 
     def check_consistency(self):
         from .checker import check_log_consistency

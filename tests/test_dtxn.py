@@ -3,7 +3,7 @@ driven through the sharded store."""
 
 import pytest
 
-from repro.core import Node
+from repro.core import Cluster, Node
 from repro.dtxn import TxnState
 from repro.dtxn.coordinator import GroupRequester, TxnCoordinator
 from repro.protocols.multipaxos import ClientReply, ClientRequest, LogCommand
@@ -188,6 +188,35 @@ class TestShardedTransactions:
         assert leader.state_machine.locks == {}
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_cross_shard_commit_replies_when_the_last_vote_is_logged(seed):
+    """The client hears ``committed`` as the prepare round completes;
+    the commit round runs behind the reply, and its locks keep a racing
+    reader from seeing the balances from before the commit."""
+    db = ShardedCluster(n_shards=2, replicas=3,
+                        cluster=Cluster(seed=seed, trace=True))
+    a, b = _keys_in_distinct_shards(db, 2)
+    for key in (a, b):
+        db.put(key, 50)
+    txn = db.run_transaction((a, b), _move(a, b, 5))
+    assert txn.outcome == "committed"
+    prepared = [event.time
+                for event in db.cluster.trace.locals("txn_round_done")
+                if event.get("req") == txn.txid
+                and event.get("kind") == "txn_prepare"]
+    assert prepared == [txn.finished_at]
+    assert db.now == txn.finished_at
+    read = db.run_transaction((a, b), lambda r: {})
+    assert read.result == {a: 45, b: 55}
+    db.cluster.run_until(lambda: db.coordinator.settled(txn),
+                         until=db.now + 2000.0)
+    assert db.coordinator.settled(txn)
+    for group in db.shard_groups.values():
+        for machine in group.machines():
+            assert txn.txid not in machine.locks.values()
+            assert txn.txid not in machine.staged
+
+
 #: How long a fault holds a participant group down or away: past the
 #: stall deadline, so the coordinator's timeout path runs.
 HOLD = TxnCoordinator.ROUND_TIMEOUT + 10.0
@@ -214,7 +243,7 @@ class TestDecidedRoundsNeverAbort:
         _when_round_starts(db, "txn_commit",
                            lambda: _down_and_back(db, "s1", "crash"))
         txn = db.submit((a, b), _move(a, b, 5))
-        db.cluster.run_until(lambda: txn.outcome is not None,
+        db.cluster.run_until(lambda: db.coordinator.settled(txn),
                              until=db.now + 2000.0)
         assert txn.outcome == "committed"
         assert db.coordinator.timeout_aborts == 0
@@ -302,7 +331,7 @@ def _check_faulted_transfer(seed, shape, kind, fault):
     amount = 500 if shape == "veto" else 5
     txn = db.submit((a, b), _move(a, b, amount),
                     abort_if=lambda r: r[a] < amount)
-    db.cluster.run_until(lambda: txn.outcome is not None,
+    db.cluster.run_until(lambda: db.coordinator.settled(txn),
                          until=db.now + 2000.0)
     case = (seed, shape, kind, fault, txn.outcome)
     assert fired, case

@@ -139,8 +139,15 @@ class TestTxnSpanTrees:
         assert transfer.completed and transfer.outcome == "committed"
         kinds = {child.round_kind for child in transfer.children}
         assert kinds == {"txn_lock", "txn_prepare", "txn_commit"}
-        for segment in ("lock", "2pc-prepare", "2pc-commit"):
+        # The reply lands when the last vote is logged; the commit
+        # round completes behind it, off the transaction's path.
+        commits = [c for c in transfer.children
+                   if c.round_kind == "txn_commit"]
+        assert commits and all(c.completed for c in commits)
+        assert all(c.end_time > transfer.end_time for c in commits)
+        for segment in ("lock", "2pc-prepare"):
             assert transfer.segments.get(segment, 0.0) > 0.0, segment
+        assert "2pc-commit" not in transfer.segments
         # Two participant shards -> two lock rounds, two prepare rounds.
         locks = [c for c in transfer.children
                  if c.round_kind == "txn_lock"]
