@@ -35,12 +35,9 @@ def fanout_row(partitions_touched):
         lambda reads: {key: reads[key] + 1 for key in keys},
     )
     # The reply comes before the commit round completes: count the
-    # transaction's messages until its last round has closed (a
-    # stop_when run takes one event before it first asks).
+    # transaction's messages until its last round has closed.
     settled = db.coordinator.settled
-    if not settled(txn):
-        db.cluster.run_until(lambda: settled(txn),
-                             until=db.now + db.op_timeout)
+    db.cluster.run_until(lambda: settled(txn), until=db.now + db.op_timeout)
     assert settled(txn)
     cost = metrics.messages_total - before
     heartbeats = metrics.by_type["heartbeat"] - heartbeats
@@ -64,10 +61,16 @@ def fanout_row(partitions_touched):
 
 
 def contention_row():
+    # Each increment also touches a key on the other shard: a one-shard
+    # transaction is one log entry and never holds a lock to contend
+    # for, so contention is 2PC's.
     db = ShardedCluster(n_shards=2, replicas=3, seed=5)
     db.put("hot", 0)
-    txns = [db.submit(("hot",), lambda reads: {"hot": reads["hot"] + 1})
-            for _ in range(5)]
+    others = [key for key in ("k%d" % i for i in range(100))
+              if db.shard_of(key) != db.shard_of("hot")][:5]
+    txns = [db.submit(("hot", other),
+                      lambda reads: {"hot": reads["hot"] + 1})
+            for other in others]
     db.cluster.run_until(lambda: all(t.outcome for t in txns), until=6000.0)
     return {
         "concurrent txns on one key": len(txns),
@@ -104,13 +107,13 @@ def test_distributed_transactions(benchmark, report, bench_snapshot):
     text = render_table(fanout, title="E18 — 2PC fan-out over Paxos groups")
     text += ("\nprotocol = messages / txn minus the leaders' Heartbeats: 6 per "
              "group consensus round\n(request, 2 accepts, 2 acks, reply), "
-             "over 2 rounds for one shard and\n3N for N shards "
-             "(N lock, N prepare, N commit; the commit entries are the\n"
-             "replicated decision).  Counted until the last round closes; "
-             "the client hears\nthe outcome after 2 rounds either way, "
-             "since the last logged vote decides a\ncommit.  Gray & "
-             "Lamport's 3N-1 counts one message per 2PC hop\nbetween "
-             "unreplicated processes; one shard runs no 2PC.")
+             "over 1 round for one shard (one txn_exec\nentry) and 3N for "
+             "N shards (N lock, N prepare, N commit; the commit entries\n"
+             "are the replicated decision).  Counted until the last round "
+             "closes; a cross-shard\nclient hears the outcome after 2 "
+             "rounds, since the last logged vote decides a\ncommit.  "
+             "Gray & Lamport's 3N-1 counts one message per 2PC hop\nbetween "
+             "unreplicated processes; one shard runs no commit protocol.")
     text += "\n\n" + render_table([contention], title="contention (no-wait + retry)")
     text += "\n\n" + render_table([fault], title="replica failure inside groups")
     report("E18_dtxn", text)
@@ -126,11 +129,11 @@ def test_distributed_transactions(benchmark, report, bench_snapshot):
         < fanout[2]["messages / txn"]
     assert all(row["outcome"] == "committed" for row in fanout)
     # Every protocol message is a consensus round's: 6 per round.
-    assert [row["protocol"] for row in fanout] == [6 * 2, 6 * 6, 6 * 9]
-    # One shard: lock, apply.  More: lock, prepare, commit.
-    assert [row["consensus rounds"] for row in fanout] == [2, 3, 3]
-    # The reply lands when the last vote is logged: 2 rounds for all.
-    assert [row["rounds before reply"] for row in fanout] == [2, 2, 2]
+    assert [row["protocol"] for row in fanout] == [6 * 1, 6 * 6, 6 * 9]
+    # One shard: one exec entry.  More: lock, prepare, commit.
+    assert [row["consensus rounds"] for row in fanout] == [1, 3, 3]
+    # One shard replies with its entry; 2PC when the last vote is logged.
+    assert [row["rounds before reply"] for row in fanout] == [1, 2, 2]
     # Contention serializes: every increment lands exactly once.
     assert contention["committed"] == 5
     assert contention["final value"] == 5

@@ -10,7 +10,7 @@ records what the architecture buys and costs:
   not a wall-clock TPS) as shards multiply — the fleet parallelises
   across groups, so density should not *degrade* as the node count
   explodes;
-* the single-shard fast path's share of commits (two consensus rounds)
+* the single-shard fast path's share of commits (one consensus round)
   versus full 2PC-over-consensus (lock, prepare, commit);
 * the wall-clock events/sec the simulator sustains hosting the fleet —
   the harness-health number for this subsystem.
@@ -91,7 +91,7 @@ def test_shard_scaling(benchmark, report, bench_snapshot):
     text = render_table(
         rows, title="E25 — sharded fleet scaling (shards x replicas)")
     text += ("\nseed %d, cross-shard ratio %.1f; fast-path = single-shard "
-             "commits (2 consensus rounds),\nothers pay full "
+             "commits (1 consensus round),\nothers pay full "
              "2PC-over-consensus (lock, prepare, commit: 3 rounds). "
              "commits/vtime is\ncommitted transactions per unit of "
              "simulated time (in-shard hops are 0.5-1.5\nunits) — a "

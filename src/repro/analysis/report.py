@@ -123,21 +123,27 @@ EXPERIMENT_NOTES = {
             "execution tier over Paxos-replicated partitions in the storage tier.\n"
             "Measured on the sharded store (3 hash-partitioned Multi-Paxos shards):\n"
             "per-transaction messages grow with the number of groups a\n"
-            "transaction touches. One shard takes the fast path (lock, apply: 2\n"
-            "consensus rounds, 30 messages); two or three pay 2PC (lock,\n"
-            "prepare, commit: 3 rounds, 62 and 80 messages). Each prepare is a\n"
+            "transaction touches. One shard needs no commit protocol: one\n"
+            "txn_exec entry checks the locks, reads, vetoes and writes (1\n"
+            "consensus round, 12 messages; 2 rounds and 30 while a lock round\n"
+            "preceded a separate apply entry); two or three pay 2PC (lock,\n"
+            "prepare, commit: 3 rounds, 68 and 84 messages). Each prepare is a\n"
             "vote as a consensus value (Gray & Lamport), so the commit entries\n"
             "are the replicated decision; a decide round nothing read cost a\n"
             "fourth round (74/96) until it was dropped. No-wait locking + randomized\n"
-            "retry serializes contended transactions exactly once; a crashed\n"
+            "retry serializes contended cross-shard transactions exactly once\n"
+            "(a one-shard transaction holds no lock to contend for, so the\n"
+            "contention row's increments each touch a key on the other shard);\n"
+            "a crashed\n"
             "replica in every group is invisible to the transaction layer.\n"
             "\n"
             "Protocol against liveness: the table splits each transaction's\n"
             "messages into the leaders' Heartbeats (read from the collector's\n"
-            "by_type) and the rest. The protocol half is exact: 12, 36, 54 =\n"
+            "by_type) and the rest. The protocol half is exact: 6, 36, 54 =\n"
             "6 messages per group consensus round (request, 2 accepts, 2 acks,\n"
-            "reply) times 2 rounds for one shard and 3N for N shards (N lock,\n"
-            "N prepare, N commit); 12, 42, 60 with the decide, 16, 56, 80 while\n"
+            "reply) times 1 round for one shard and 3N for N shards (N lock,\n"
+            "N prepare, N commit); 12 for one shard with its lock round; 12,\n"
+            "42, 60 with the decide, 16, 56, 80 while\n"
             "each leader also sent a commit message to both followers per\n"
             "round, which the next accept or heartbeat now carries. Gray &\n"
             "Lamport count 3N-1 messages for 2PC (5 and 8 here): one per hop\n"
@@ -148,11 +154,13 @@ EXPERIMENT_NOTES = {
             "one each time unit; a leader now skips a heartbeat its\n"
             "replication already sent and spaces them out when idle\n"
             "(DESIGN.md, leader-replica core), leaving 18/38/36, 18/32/36\n"
-            "once commits rode on the accepts, 18/26/26 without the decide.\n"
+            "once commits rode on the accepts, 18/26/26 without the decide,\n"
+            "6/32/30 since the puts before each row take one round (the\n"
+            "heartbeat column counts whatever falls in the window).\n"
             "\n"
             "Reply point: the coordinator reports a cross-shard commit when\n"
             "the last vote is logged (the commit rule), so the client waits 2\n"
-            "consensus rounds for N shards as for one; the commit round runs\n"
+            "consensus rounds for N shards and 1 for one; the commit round runs\n"
             "behind the reply. The message columns count until that round has\n"
             "closed, not until the reply: counted at the reply, the protocol\n"
             "column read 12/26/39, a drop of messages that were still sent."),
@@ -235,17 +243,19 @@ EXPERIMENT_NOTES = {
     "E25": ("Sharded fleet scaling (extension)",
             "The modern-deployment shape: many consensus groups behind one\n"
             "keyspace. A ShardedCluster scales from 2x3 to 48x5 = 240 simulated\n"
-            "nodes on one virtual clock; single-shard transactions take the\n"
-            "two-round fast path while cross-shard ones pay 2PC-over-consensus\n"
-            "in three rounds (lock, prepare, commit). Commit density\n"
+            "nodes on one virtual clock; a single-shard transaction is one\n"
+            "txn_exec entry (one consensus round) while cross-shard ones pay\n"
+            "2PC-over-consensus in three rounds (lock, prepare, commit). Commit density\n"
             "(committed transactions per unit of simulated time - dimensionless,\n"
             "not wall TPS) stays workload-bound - not node-count-bound - as the\n"
             "fleet grows, which is the scaling argument for sharding itself.\n"
             "\n"
             "Liveness traffic: protocol/commit and heartbeat/commit split the\n"
             "messages the workload sends per commit (the collector's by_type).\n"
-            "The protocol half tracks the transaction mix (19-21 per commit on\n"
-            "3-replica groups, 35-45 on 5-replica ones; 20-23 and 39-52 with\n"
+            "The protocol half tracks the transaction mix (14-17 per commit on\n"
+            "3-replica groups, 28-40 on 5-replica ones; 19-21 and 35-45 while\n"
+            "a one-shard transaction took a lock round and an apply round,\n"
+            "20-23 and 39-52 with\n"
             "a decide round per cross-shard commit, 27-31 and 55-72 while\n"
             "each leader sent every follower a commit message per slot). The\n"
             "heartbeat half grows with the number of groups, most of them idle\n"
@@ -267,6 +277,10 @@ EXPERIMENT_NOTES = {
             "8x3 1.17 -> 1.47, 32x5 0.94 -> 1.24, 48x5 0.88 -> 1.11): each\n"
             "wave ends about one consensus round sooner, so the idle\n"
             "heartbeat half per commit fell too (48x5 83.9 -> 65.5).\n"
+            "One txn_exec entry per single-shard transaction raised it again\n"
+            "on six of seven shapes (2x3 0.98 -> 1.60, 4x3 0.87 -> 1.31, 16x5\n"
+            "0.98 -> 1.38; 32x5 1.24 -> 1.19), a round less per one-shard\n"
+            "commit and no lock for a neighbour to conflict with.\n"
             "\n"
             "Wall-clock outlier, refuted: the 4x3 row's 55.6k events/s (against\n"
             "92-127k for every other shape) is not a property of the shape.\n"
@@ -321,7 +335,11 @@ EXPERIMENT_NOTES = {
             "when the last vote is logged, the next transfer's lock round\n"
             "often meets the previous commit round's lock: 13 conflicts, each\n"
             "an abort round and a 2-8 vt back-off, took the run from 5859 to\n"
-            "7167 events and its transfers from 268 to 351 vt (seed 7)."),
+            "7167 events and its transfers from 268 to 351 vt (seed 7). Now\n"
+            "the coordinator holds a new attempt on a key of its own open\n"
+            "commit round until that round closes: 0 conflicts, 4922 events,\n"
+            "259 vt. Of that, making each put one txn_exec entry alone gave\n"
+            "9 conflicts, 5757 events and 302 vt; the hold, the rest."),
     "E28": ("Saturation knees: offered load vs tail latency (extension)",
             "Not a paper figure: the open-loop load engine (src/repro/load/)\n"
             "sweeps Poisson offered load against each protocol over\n"

@@ -21,9 +21,10 @@ entries are the replicated decision (aborts are presumed).  So the
 client hears ``committed`` when the last vote is logged, as the commit
 round starts; that round's completion only closes the transaction
 (:meth:`TxnCoordinator.settled`).  Its locks hold until each
-``txn_commit`` applies, so a reader racing the commit round pays one
-conflict back-off rather than reading values from before the commit;
-a coordinator that crashes after replying leaves those locks held, but
+``txn_commit`` applies, so no reader sees values from before the
+commit: a new attempt of this coordinator's on those keys waits until
+the round closes, another reader pays one conflict back-off.
+A coordinator that crashes after replying leaves those locks held, but
 the outcome it reported is the one the votes fixed.  The coordinator
 may abort only before the first ``txn_commit`` is sent: on a
 conflict, on a veto, or when a round stalls past
@@ -32,10 +33,12 @@ every participant answers, so the one case that blocks is a group
 that stays down through its commit round — outside the f-per-group
 model.
 
-A transaction whose keys all route to one shard skips 2PC: after the
-lock round one ``txn_apply`` entry applies its writes and releases its
-locks together — two consensus rounds instead of three, most traffic
-in a well-partitioned workload.  Like a commit round, it never aborts.
+A transaction whose keys all route to one shard needs no commit
+protocol: it is one ``txn_exec`` entry (lock check, read, veto, write),
+one consensus round, and holds no lock across rounds.  A conflict or a
+stale route backs off and retries with no abort round.  Like a commit
+round it has no stall deadline: whether the entry was logged is
+unknown, so the coordinator waits for the group.
 
 Routing is recomputed at every round, so a split's cutover is picked up
 without any invalidation protocol.  A key's route cannot change while
@@ -73,9 +76,11 @@ class Transaction:
     """One multi-partition transaction.
 
     ``keys`` is the full read/write set; ``update`` maps
-    ``{key: old_value} -> {key: new_value}`` (pure, may write any subset
-    of the keys).  ``abort_if`` lets business logic veto (e.g. overdraft)
-    after reading — a clean abort, not a conflict.
+    ``{key: old_value} -> {key: new_value}`` (may write any subset of
+    the keys).  ``abort_if`` lets business logic veto (e.g. overdraft)
+    after reading — a clean abort, not a conflict.  Both must be pure:
+    a one-shard transaction runs them on every replica of its shard (a
+    fleet split across processes pickles them).
     """
 
     txid: str
@@ -91,6 +96,20 @@ class Transaction:
     #: optional ``callback(txn)`` fired once when the txn reaches DONE;
     #: lets open-loop load injectors account completions without polling.
     on_finish: object = None
+
+
+class Program:
+    """A one-shard transaction's ``update`` and ``abort_if``, as its
+    ``txn_exec`` command carries them.  The ``repr`` is constant, so no
+    object address reaches a trace."""
+
+    __slots__ = ("update", "abort_if")
+
+    def __init__(self, update, abort_if):
+        self.update, self.abort_if = update, abort_if
+
+    def __repr__(self):
+        return "<program>"
 
 
 class GroupRequester(Node):
@@ -193,9 +212,9 @@ class TxnCoordinator(GroupRequester):
     #: participant group wholly crashed or partitioned away — aborts
     #: the transaction deterministically instead of hanging it.
     ROUND_TIMEOUT = 120.0
-    #: Rounds sent once the outcome is commit: they carry no stall
-    #: deadline and retry until every participant answers.
-    DECIDED_ROUNDS = frozenset({"txn_commit", "txn_apply"})
+    #: Rounds the coordinator cannot undo once sent: they carry no
+    #: stall deadline and retry until every participant answers.
+    DECIDED_ROUNDS = frozenset({"txn_commit", "txn_exec"})
 
     def __init__(self, sim, network, name, shard_map, groups):
         super().__init__(sim, network, name, groups)
@@ -205,6 +224,8 @@ class TxnCoordinator(GroupRequester):
         # txid -> {"kind", "waiting": set, "replies": dict, "vetoed"}
         self._round = {}
         self._round_timer = {}  # txid -> stall-deadline Timer
+        self._committing = {}  # key -> txid of the open commit round on it
+        self._held = {}  # that txid -> transactions waiting for it to close
         self.conflicts_seen = 0
         self.commits = 0
         self.aborts = 0
@@ -244,12 +265,24 @@ class TxnCoordinator(GroupRequester):
         if txn.attempts >= self.MAX_ATTEMPTS:
             self._finish(txn, "aborted")
             return
+        for key in txn.keys:
+            if key in self._committing:  # wait for that commit round
+                self._held.setdefault(self._committing[key], []).append(txn)
+                return
         txn.attempts += 1
-        txn.state = TxnState.LOCKING
         txn.reads = {}
+        by_group = self.groups_of(txn)
+        if len(by_group) == 1:
+            ((gid, keys),) = by_group.items()
+            txn.state = TxnState.COMMITTING
+            self._start_round(txn, "txn_exec", {gid: (
+                "txn_exec", txn.txid, txn.attempts, tuple(keys),
+                Program(txn.update, txn.abort_if))})
+            return
+        txn.state = TxnState.LOCKING
         self._start_round(txn, "txn_lock", {
             gid: ("txn_lock", txn.txid, tuple(keys))
-            for gid, keys in self.groups_of(txn).items()
+            for gid, keys in by_group.items()
         })
 
     def _start_round(self, txn, kind, commands, vetoed=False):
@@ -327,12 +360,17 @@ class TxnCoordinator(GroupRequester):
         replies = round_["replies"].values()
         if kind == "txn_lock":
             self._locks_answered(txn, replies)
-        elif kind == "txn_apply":
-            if all(reply == "applied" for reply in replies):
+        elif kind == "txn_exec":
+            (reply,) = replies
+            if reply[0] == "applied":
                 self.fast_commits += 1
-                self._finish(txn, "committed")
-            else:
-                self._abort(txn)
+            if reply[0] in ("applied", "vetoed"):
+                txn.reads = dict(reply[1])
+                self._finish(txn, "committed" if reply[0] == "applied"
+                             else "aborted")
+            else:  # refused, nothing taken: back off, then try again
+                self._count_refusals(replies)
+                self._back_off(txn)
         elif kind == "txn_prepare":
             if all(reply == "prepared" for reply in replies):
                 # Every vote is in a participant's log: the transaction
@@ -341,6 +379,8 @@ class TxnCoordinator(GroupRequester):
                 self._start_round(txn, "txn_commit", {
                     gid: ("txn_commit", txn.txid)
                     for gid in self.groups_of(txn)})
+                for key in txn.keys:
+                    self._committing[key] = txn.txid
                 self._report(txn, "committed")
             else:
                 self._abort(txn)
@@ -349,16 +389,20 @@ class TxnCoordinator(GroupRequester):
         elif round_["vetoed"]:  # txn_abort after the transaction's veto
             self._finish(txn, "aborted")
         else:  # txn_abort after a conflict: back off, then try again
-            delay = self.rng.uniform(*self.BACKOFF)
-            self.set_timer(delay, self._begin_attempt, txn)
+            self._back_off(txn)
+
+    def _back_off(self, txn):
+        delay = self.rng.uniform(*self.BACKOFF)
+        self.set_timer(delay, self._begin_attempt, txn)
+
+    def _count_refusals(self, replies):
+        kinds = [reply[0] for reply in replies]
+        self.conflicts_seen += kinds.count("conflict")
+        self.reroutes += kinds.count("frozen") + kinds.count("moved")
 
     def _locks_answered(self, txn, replies):
-        blocked = [reply for reply in replies if reply[0] != "ok"]
-        if blocked:
-            self.conflicts_seen += sum(
-                1 for reply in blocked if reply[0] == "conflict")
-            self.reroutes += sum(
-                1 for reply in blocked if reply[0] in ("frozen", "moved"))
+        if any(reply[0] != "ok" for reply in replies):
+            self._count_refusals(replies)
             self._abort(txn)
             return
         for reply in replies:
@@ -370,19 +414,11 @@ class TxnCoordinator(GroupRequester):
         by_group = {}
         for key, value in writes.items():
             by_group.setdefault(self.shard_map.shard_of(key), {})[key] = value
-        involved = self.groups_of(txn)
-        if len(involved) == 1:
-            (gid,) = involved
-            txn.state = TxnState.COMMITTING
-            self._start_round(txn, "txn_apply", {
-                gid: ("txn_apply", txn.txid,
-                      tuple(sorted(by_group.get(gid, {}).items())))})
-            return
         txn.state = TxnState.PREPARING
         self._start_round(txn, "txn_prepare", {
             gid: ("txn_prepare", txn.txid,
                   tuple(sorted(by_group.get(gid, {}).items())))
-            for gid in involved})
+            for gid in self.groups_of(txn)})
 
     def _abort(self, txn, vetoed=False):
         """Release whatever ``txn`` might hold on every involved group.
@@ -412,10 +448,16 @@ class TxnCoordinator(GroupRequester):
             txn.on_finish(txn)
 
     def _close(self, txn):
-        """Forget ``txn``'s round, stall deadline and requests."""
+        """Forget ``txn``'s round, stall deadline and requests, and start
+        the attempts its commit round held back."""
         self._round.pop(txn.txid, None)
         self._disarm_round_timer(txn.txid)
         self._cancel_pending(txn.txid)
+        for key in txn.keys:
+            if self._committing.get(key) == txn.txid:
+                del self._committing[key]
+        for waiting in self._held.pop(txn.txid, ()):
+            self._begin_attempt(waiting)
 
     def settled(self, txn):
         """True once ``txn`` is reported and no round or request of it

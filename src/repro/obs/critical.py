@@ -22,9 +22,10 @@ anchor represents, so the builder classifies each anchor once:
 arriving messages are ``network``, waiting for a proposal slot is
 ``propose-wait``, the quorum round is ``quorum-wait``, state-machine
 application is ``apply``, and the coordinator's rounds before its
-reply map to ``lock`` / ``2pc-prepare`` (``apply`` for the single-shard
-fast path).  A commit round completes after the transaction's
-``txn_finish``, so it is never on a transaction's path.
+reply map to ``lock`` / ``2pc-prepare`` (``apply`` for a single-shard
+transaction's one ``txn_exec`` round).  A commit round completes after
+the transaction's ``txn_finish``, so it is never on a transaction's
+path.
 
 Anchors are indices into the builder's
 :class:`~repro.obs.spans.Anchors` columns, and every span's path is one
@@ -48,7 +49,7 @@ SEGMENT_BY_LABEL = {
 #: Segment attributed to a completed coordinator round, by round kind.
 ROUND_SEGMENTS = {
     "txn_lock": "lock",
-    "txn_apply": "apply",
+    "txn_exec": "apply",
     "txn_prepare": "2pc-prepare",
     "txn_abort": "abort",
 }

@@ -35,7 +35,7 @@ from .critical import attribute, classify
 SCHEMA = "repro.obs.spans/1"
 
 #: Round kinds the transaction coordinator names its sub-requests after.
-TXN_ROUND_KINDS = ("txn_lock", "txn_apply", "txn_prepare", "txn_commit",
+TXN_ROUND_KINDS = ("txn_lock", "txn_exec", "txn_prepare", "txn_commit",
                    "txn_abort")
 
 _ROUND_MARKERS = tuple(("-%s-" % kind, kind) for kind in TXN_ROUND_KINDS)

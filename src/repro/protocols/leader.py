@@ -268,11 +268,15 @@ class LeaderReplica(Replica):
                 continue  # a leader's no-op: nothing to apply
             command, request_id = entry
             result = self.state_machine.apply(command)
-            if request_id is None:
-                self.trace_local("apply", index=index, op=command)
-            else:
-                self.trace_local("apply", index=index, op=command,
-                                 req=request_id)
+            if self.network.tracer is not None:
+                # Text, not the command: a transaction's program would
+                # pin tracked objects (rows read ``op`` via ``str()``).
+                if request_id is None:
+                    self.trace_local("apply", index=index, op=str(command))
+                else:
+                    self.trace_local("apply", index=index, op=str(command),
+                                     req=request_id)
+            if request_id is not None:
                 self._applied_requests[request_id] = result
                 self._written_at.pop(request_id, None)
             client = self._client_of.pop(index, None)

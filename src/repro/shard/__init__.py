@@ -3,10 +3,10 @@
 The package that turns "a replicated log" into "a database": a
 partitioned keyspace routed by a live :class:`ShardMap`, one consensus
 group per shard (Multi-Paxos or Raft, even mixed), cross-shard
-transactions via 2PC-over-consensus with a single-shard fast path, and
-live shard splitting under traffic.  See :class:`ShardedCluster` for
-the one-stop entry point and ``DESIGN.md`` ("Sharding") for the
-protocol walk-through.
+transactions via 2PC-over-consensus, single-shard ones as one log
+entry, and live shard splitting under traffic.  See
+:class:`ShardedCluster` for the one-stop entry point and ``DESIGN.md``
+("Sharding") for the protocol walk-through.
 """
 
 from .cluster import ShardedCluster

@@ -14,7 +14,7 @@ keyspace, stitched together by a routing table and a transaction layer.
   shard, the SMR abstraction doesn't care);
 * cross-shard transactions through 2PC-over-consensus
   (:class:`~repro.dtxn.coordinator.TxnCoordinator`), single-shard ones
-  through the two-round fast path;
+  as one log entry each;
 * live splits under traffic via the
   :class:`~repro.shard.rebalance.SplitOrchestrator`;
 * optional per-shard conformance monitors, each scoped to its group so

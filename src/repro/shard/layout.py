@@ -9,6 +9,8 @@ fleet for worker processes — derive identical fleets from one
 implementation.
 """
 
+from functools import partial
+
 from .keyspace import HashPartitioner, RangePartitioner, ShardMap
 
 #: Width of generated key names — fixed so lexicographic order equals
@@ -79,8 +81,11 @@ def draw_partner(rng, shard_map, key_space, src, want_cross, tries):
 
 def transfer_update(src, dst, delta):
     """The update function of a transfer: move ``delta`` from ``src`` to
-    ``dst`` (no overdraft guard, so workloads conserve the total)."""
-    def update(reads):
-        return {src: (reads[src] or 0) - delta,
-                dst: (reads[dst] or 0) + delta}
-    return update
+    ``dst`` (no overdraft guard, so workloads conserve the total).  A
+    partial, so it pickles: a ``txn_exec`` command carries it to the
+    shard's replicas, across worker processes in a parallel run."""
+    return partial(_transfer, src, dst, delta)
+
+
+def _transfer(src, dst, delta, reads):
+    return {src: (reads[src] or 0) - delta, dst: (reads[dst] or 0) + delta}

@@ -16,9 +16,9 @@ deterministic and makes deadlock impossible by construction.
 
 Beyond 2PC's lock/prepare/commit/abort, the log carries:
 
-* ``txn_apply`` — the single-shard fast path: writes applied and locks
-  released in **one** log entry, so a transaction touching one shard
-  commits in two consensus rounds (lock, apply) instead of 2PC's three.
+* ``txn_exec`` — a whole single-shard transaction in **one** log entry
+  (lock check, read, veto, update, write): one participant needs no
+  commit protocol, so it commits in one consensus round, lock-free.
 * ``shard_freeze`` / ``shard_install`` / ``shard_purge`` — the live
   split protocol's three replicated steps: drain-and-snapshot a key
   range, bulk-load it on the destination group, drop it at the source
@@ -41,8 +41,8 @@ def _in_range(key, lo, hi):
 
 
 class ShardKVStateMachine:
-    """Deterministic shard state machine for 2PL + 2PC, fast-path
-    commit, and range migration.
+    """Deterministic shard state machine for 2PL + 2PC, one-entry
+    single-shard transactions, and range migration.
 
     Commands (all tuples):
 
@@ -55,8 +55,12 @@ class ShardKVStateMachine:
       beyond a latency blip.
     * ``("txn_prepare", txid, writes)`` → ``"prepared"`` after staging,
       or ``"no-locks"`` if the transaction doesn't hold its locks.
-    * ``("txn_apply", txid, writes)`` → ``"applied"`` (writes applied,
-      locks released, all in this one entry) or ``"no-locks"``.
+    * ``("txn_exec", txid, attempt, keys, program)`` → a refusal as for
+      ``txn_lock`` (nothing taken), ``("vetoed", reads)`` (writes
+      nothing), or ``("applied", reads)`` after writing
+      ``program.update(reads)``.  A later copy of one
+      ``(txid, attempt)`` answers the first copy's result, applying
+      nothing.
     * ``("txn_commit", txid)`` → ``"committed"`` (applies staged writes,
       releases locks).
     * ``("txn_abort", txid)`` → ``"aborted"`` (drops stage, releases).
@@ -78,6 +82,7 @@ class ShardKVStateMachine:
         self.staged = {}  # txid -> {key: value}
         self.frozen = []  # list of (lo, hi) ranges being migrated out
         self.moved = []  # list of (lo, hi) tombstones (migrated away)
+        self.executed = {}  # (txid, attempt) -> the txn_exec answer
         self.ops_applied = 0
         self.commits = 0
         self.aborts = 0
@@ -95,7 +100,31 @@ class ShardKVStateMachine:
     # -- transactional ---------------------------------------------------------
 
     def _op_txn_lock(self, txid, keys):
-        keys = tuple(keys)
+        blocked = self._refusal(txid, keys)
+        if blocked is not None:
+            return blocked
+        for key in keys:
+            self.locks[key] = txid
+        return ("ok", {key: self.data.get(key) for key in keys})
+
+    def _op_txn_exec(self, txid, attempt, keys, program):
+        result = self.executed.get((txid, attempt))
+        if result is None:
+            result = self.executed[(txid, attempt)] = \
+                self._refusal(txid, keys) or self._exec(keys, program)
+        return result
+
+    def _exec(self, keys, program):
+        reads = {key: self.data.get(key) for key in keys}
+        if program.abort_if is not None and program.abort_if(reads):
+            return ("vetoed", reads)
+        self.data.update(program.update(dict(reads)))
+        self.commits += 1
+        self.fast_applies += 1
+        return ("applied", reads)
+
+    def _refusal(self, txid, keys):
+        """``txid``'s frozen/moved/conflict answer for ``keys``, or None."""
         blocked = self._blocked_range(keys)
         if blocked is not None:
             return blocked
@@ -104,9 +133,6 @@ class ShardKVStateMachine:
             if holder is not None and holder != txid:
                 self.conflicts += 1
                 return ("conflict", holder)
-        for key in keys:
-            self.locks[key] = txid
-        return ("ok", {key: self.data.get(key) for key in keys})
 
     def _holds_locks(self, txid, writes):
         return all(self.locks.get(key) == txid for key in writes)
@@ -117,16 +143,6 @@ class ShardKVStateMachine:
             return "no-locks"
         self.staged[txid] = writes
         return "prepared"
-
-    def _op_txn_apply(self, txid, writes):
-        writes = dict(writes)
-        if not self._holds_locks(txid, writes):
-            return "no-locks"
-        self.data.update(writes)
-        self._release(txid)
-        self.commits += 1
-        self.fast_applies += 1
-        return "applied"
 
     def _op_txn_commit(self, txid):
         self.data.update(self.staged.pop(txid, {}))

@@ -118,9 +118,10 @@ class Simulator:
             the guard that turns a protocol livelock into a test failure
             instead of a hang.
         stop_when:
-            Optional zero-argument predicate checked after every event;
-            the loop exits once it returns true (used by drivers that run
-            "until a value is decided").
+            Optional zero-argument predicate checked before the first
+            event and after every event; the loop exits once it returns
+            true (used by drivers that run "until a value is decided"),
+            so a predicate that already holds fires no event.
 
         Returns the virtual time at which the loop stopped.
         """
@@ -140,7 +141,8 @@ class Simulator:
         processed = 0
         try:
             while True:
-                if self._stop_requested:
+                if self._stop_requested or \
+                        (stop_when is not None and stop_when()):
                     break
                 # One scan: cancelled events are discarded once, and a
                 # live event beyond the horizon stays queued.
@@ -158,8 +160,6 @@ class Simulator:
                     # callback is called bare: no guard, no extra frame.
                     entry[1](*entry[2])
                 except SimulationFinished:
-                    break
-                if stop_when is not None and stop_when():
                     break
         finally:
             self._running = False

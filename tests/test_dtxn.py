@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import Cluster, Node
 from repro.dtxn import TxnState
-from repro.dtxn.coordinator import GroupRequester, TxnCoordinator
+from repro.dtxn.coordinator import GroupRequester, Program, TxnCoordinator
 from repro.protocols.multipaxos import ClientReply, ClientRequest, LogCommand
 from repro.shard import ShardedCluster, ShardKVStateMachine
 
@@ -49,6 +49,50 @@ class TestTxnStateMachine:
         self.sm.apply(("txn_lock", "t1", ("a",)))
         status, _reads = self.sm.apply(("txn_lock", "t1", ("a", "b")))
         assert status == "ok"
+
+    def test_exec_applies_update_and_keeps_no_lock(self):
+        self.sm.apply(("put", "a", 10))
+        assert self.sm.apply(_exec("t1", 1, ("a", "b"), _bump)) \
+            == ("applied", {"a": 10, "b": None})
+        assert self.sm.data == {"a": 11, "b": 1} and self.sm.locks == {}
+
+    def test_exec_conflict_takes_nothing(self):
+        self.sm.apply(("put", "a", 10))
+        self.sm.apply(("txn_lock", "t1", ("b",)))
+        assert self.sm.apply(_exec("t2", 1, ("a", "b"), _bump)) \
+            == ("conflict", "t1")
+        assert self.sm.data == {"a": 10} and self.sm.locks == {"b": "t1"}
+
+    def test_exec_veto_writes_nothing(self):
+        self.sm.apply(("put", "a", 10))
+        veto = Program(_bump, lambda reads: reads["a"] < 50)
+        assert self.sm.apply(("txn_exec", "t1", 1, ("a",), veto)) \
+            == ("vetoed", {"a": 10})
+        assert self.sm.data == {"a": 10} and self.sm.locks == {}
+
+    def test_exec_on_a_frozen_or_moved_range_is_refused(self):
+        self.sm.apply(("put", "k1", 10))
+        assert self.sm.apply(("shard_freeze", "k0", "k5"))[0] == "frozen"
+        assert self.sm.apply(_exec("t1", 1, ("k1",), _bump)) \
+            == ("frozen", ("k0", "k5"))
+        self.sm.apply(("shard_purge", "k0", "k5"))
+        assert self.sm.apply(_exec("t1", 2, ("k1",), _bump)) \
+            == ("moved", ("k0", "k5"))
+        assert self.sm.data == {} and self.sm.locks == {}
+
+    def test_exec_copy_of_one_request_answers_the_first_result(self):
+        # The leader log can hold one request at two indices; only the
+        # first copy may apply, and a copy of a refused attempt stays
+        # refused after the lock is gone.
+        self.sm.apply(("put", "a", 10))
+        self.sm.apply(("txn_lock", "t0", ("a",)))
+        refused = self.sm.apply(_exec("t1", 1, ("a",), _bump))
+        self.sm.apply(("txn_abort", "t0"))
+        assert self.sm.apply(_exec("t1", 1, ("a",), _bump)) == refused
+        applied = self.sm.apply(_exec("t1", 2, ("a",), _bump))
+        assert self.sm.apply(_exec("t1", 2, ("a",), _bump)) == applied \
+            == ("applied", {"a": 10})
+        assert self.sm.data == {"a": 11}
 
 
 class TestShardedTransactions:
@@ -165,7 +209,7 @@ class TestShardedTransactions:
         db.put(a, 1)
         assert db.transfer(a, b, 1) == "committed"
         db.settle()
-        for key, put_ops in ((a, {"txn_apply"}), (b, set())):
+        for key, put_ops in ((a, {"txn_exec"}), (b, set())):
             group = db.shard_groups[db.shard_of(key)]
             ops = {value.command[0] if isinstance(value, LogCommand)
                    else value[0]
@@ -217,6 +261,26 @@ def test_cross_shard_commit_replies_when_the_last_vote_is_logged(seed):
             assert txn.txid not in machine.staged
 
 
+def test_an_attempt_on_a_committing_key_waits_for_the_commit_round():
+    """A chained client's next transaction on a key whose commit round
+    is still open starts when that round closes, instead of conflicting
+    with the locks the commit entries are about to release."""
+    db = ShardedCluster(n_shards=2, replicas=3, seed=0)
+    a, b = _keys_in_distinct_shards(db, 2)
+    for key in (a, b):
+        db.put(key, 50)
+    first = db.run_transaction((a, b), _move(a, b, 5))
+    assert not db.coordinator.settled(first)
+    after = db.submit((b,), lambda r: {b: r[b] + 1})
+    assert after.attempts == 0  # held, no round sent
+    db.cluster.run_until(lambda: after.outcome is not None,
+                         until=db.now + 2000.0)
+    assert db.coordinator.settled(first)
+    assert after.outcome == "committed" and after.attempts == 1
+    assert db.coordinator.conflicts_seen == 0
+    assert after.result == {b: 55}
+
+
 #: How long a fault holds a participant group down or away: past the
 #: stall deadline, so the coordinator's timeout path runs.
 HOLD = TxnCoordinator.ROUND_TIMEOUT + 10.0
@@ -261,18 +325,22 @@ class TestDecidedRoundsNeverAbort:
 
         txn = db.submit((a, b), _move(a, b, 5))
 
-        def cut_off_coordinator(txid, _writes):
+        cut = []
+
+        def cut_off_coordinator(txid, *_command):
             if txid == txn.txid and not partitions.active:
+                cut.append(db.now)
                 partitions.split([db.coordinator.name], others)
                 db.cluster.sim.schedule(HOLD, partitions.heal)
 
-        # Cut the coordinator off as the apply entry commits, so the
+        # Cut the coordinator off as the exec entry commits, so the
         # group applies the writes but its reply is lost.
         for machine in db.shard_groups[db.shard_of(a)].machines():
-            machine._op_txn_apply = _then(machine._op_txn_apply,
-                                          cut_off_coordinator)
+            machine._op_txn_exec = _then(machine._op_txn_exec,
+                                         cut_off_coordinator)
         db.cluster.run_until(lambda: txn.outcome is not None,
                              until=db.now + 2000.0)
+        assert cut, "the exec entry never applied"
         assert txn.outcome == "committed"
         assert db.coordinator.timeout_aborts == 0
         db.settle()
@@ -298,7 +366,7 @@ class TestDecidedRoundsNeverAbort:
 #: Round kinds a transfer of each shape passes through; a "veto" is a
 #: cross-shard transfer its overdraft guard refuses.
 SWEEP_ROUNDS = {
-    "single": ("txn_lock", "txn_apply"),
+    "single": ("txn_exec",),
     "cross": ("txn_lock", "txn_prepare", "txn_commit"),
     "veto": ("txn_lock", "txn_abort"),
 }
@@ -345,6 +413,14 @@ def _check_faulted_transfer(seed, shape, kind, fault):
         for machine in group.machines():
             assert not machine.locks and not machine.staged, case
     assert db.check_consistency(), case
+
+
+def _bump(reads):
+    return {key: (value or 0) + 1 for key, value in reads.items()}
+
+
+def _exec(txid, attempt, keys, update):
+    return ("txn_exec", txid, attempt, keys, Program(update, None))
 
 
 def _move(src, dst, amount):

@@ -68,7 +68,7 @@ class TestFastPath:
         assert sharded.coordinator.fast_commits == 1
         sharded.settle()
         ops = _group_ops(sharded.shard_groups[sharded.shard_of(key)])
-        assert ops == {"txn_lock", "txn_apply"}
+        assert ops == {"txn_exec"}
 
     def test_fast_path_conflicts_still_serialize(self):
         sharded = ShardedCluster(n_shards=1, replicas=3, seed=4)
@@ -105,9 +105,9 @@ class TestCrossShard2PC:
         assert txn.outcome == "committed"
         sharded.settle()
         # Lock, prepare, commit in both participants' logs and no
-        # separate decision record anywhere (a's put adds its apply).
+        # separate decision record anywhere (a's put adds its exec).
         assert _group_ops(sharded.shard_groups[sharded.shard_of(a)]) \
-            == {"txn_lock", "txn_apply", "txn_prepare", "txn_commit"}
+            == {"txn_lock", "txn_exec", "txn_prepare", "txn_commit"}
         assert _group_ops(sharded.shard_groups[sharded.shard_of(b)]) \
             == {"txn_lock", "txn_prepare", "txn_commit"}
         for key, value in ((a, 8), (b, 1)):

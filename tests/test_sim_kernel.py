@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.cluster import Cluster
 from repro.sim import (
     ClockError,
     EventLimitExceeded,
@@ -176,6 +177,13 @@ class TestSimulator:
             sim.schedule(float(i + 1), fired.append, i)
         sim.run(stop_when=lambda: len(fired) >= 3)
         assert fired == [0, 1, 2]
+
+    def test_stop_when_already_true_fires_no_event(self):
+        cluster = Cluster(seed=0)
+        fired = []
+        cluster.sim.schedule(1.0, fired.append, "a")
+        assert cluster.run_until(lambda: True, until=5.0) == 0.0
+        assert fired == [] and cluster.sim.events_processed == 0
 
     def test_event_limit_guards_livelock(self):
         sim = Simulator()

@@ -122,7 +122,7 @@ class TestTxnSpanTrees:
         txn = txns[0]
         assert txn.completed and txn.outcome == "committed"
         kinds = [child.round_kind for child in txn.children]
-        assert kinds == ["txn_lock", "txn_apply"]
+        assert kinds == ["txn_exec"]
         assert "2pc-prepare" not in txn.segments
         assert "2pc-commit" not in txn.segments
         assert "apply" in txn.segments
