@@ -10,6 +10,7 @@ replica failures inside groups are invisible to the transaction layer.
 from repro.analysis import render_table
 from repro.core.cluster import Cluster
 from repro.shard import ShardedCluster
+from repro.shard.layout import Deltas
 
 
 def _keys_per_shard(db, count):
@@ -22,7 +23,10 @@ def _keys_per_shard(db, count):
     return [seen[sid] for sid in sorted(seen)][:count]
 
 
-def fanout_row(partitions_touched):
+def fanout_row(partitions_touched, key_local=False):
+    """Increment one key on each of ``partitions_touched`` shards, with
+    a general program (the lock round gathers every read first) or the
+    same increments as a key-local one (each shard stages its own)."""
     db = ShardedCluster(n_shards=3, replicas=3,
                         cluster=Cluster(seed=4, trace=True))
     keys = _keys_per_shard(db, partitions_touched)
@@ -30,10 +34,12 @@ def fanout_row(partitions_touched):
         db.put(key, 100)
     metrics = db.cluster.metrics
     before, heartbeats = metrics.messages_total, metrics.by_type["heartbeat"]
-    txn = db.run_transaction(
-        tuple(keys),
-        lambda reads: {key: reads[key] + 1 for key in keys},
-    )
+    if key_local:
+        update = Deltas(tuple((key, 1) for key in keys))
+    else:
+        def update(reads):
+            return {key: reads[key] + 1 for key in keys}
+    txn = db.run_transaction(tuple(keys), update)
     # The reply comes before the commit round completes: count the
     # transaction's messages until its last round has closed.
     settled = db.coordinator.settled
@@ -49,6 +55,7 @@ def fanout_row(partitions_touched):
                     and event.time <= txn.finished_at]
     return {
         "partitions touched": partitions_touched,
+        "update": "key-local" if key_local else "general",
         "outcome": txn.outcome,
         "messages / txn": cost,
         "heartbeat": heartbeats,
@@ -99,20 +106,23 @@ def fault_row():
 
 def test_distributed_transactions(benchmark, report, bench_snapshot):
     def run_all():
-        return ([fanout_row(k) for k in (1, 2, 3)], contention_row(),
-                fault_row())
+        return ([fanout_row(k) for k in (1, 2, 3)]
+                + [fanout_row(k, key_local=True) for k in (2, 3)],
+                contention_row(), fault_row())
 
     fanout, contention, fault = benchmark.pedantic(run_all, rounds=1,
                                                    iterations=1)
     text = render_table(fanout, title="E18 — 2PC fan-out over Paxos groups")
     text += ("\nprotocol = messages / txn minus the leaders' Heartbeats: 6 per "
              "group consensus round\n(request, 2 accepts, 2 acks, reply), "
-             "over 1 round for one shard (one txn_exec\nentry) and 3N for "
-             "N shards (N lock, N prepare, N commit; the commit entries\n"
-             "are the replicated decision).  Counted until the last round "
-             "closes; a cross-shard\nclient hears the outcome after 2 "
-             "rounds, since the last logged vote decides a\ncommit.  "
-             "Gray & Lamport's 3N-1 counts one message per 2PC hop\nbetween "
+             "over 1 round for one shard (one txn_exec\nentry), 3N for "
+             "N shards with a general update (N lock, N prepare, N commit;\n"
+             "the commit entries are the replicated decision) and 2N with "
+             "a key-local one (each\nlock entry also stages its shard's "
+             "writes: it is the vote).  Counted until the last\nround "
+             "closes; a cross-shard client hears the outcome when the last "
+             "vote is logged:\nafter 2 rounds, or 1 when key-local.  "
+             "Gray & Lamport's 3N-1 counts one message per\n2PC hop between "
              "unreplicated processes; one shard runs no commit protocol.")
     text += "\n\n" + render_table([contention], title="contention (no-wait + retry)")
     text += "\n\n" + render_table([fault], title="replica failure inside groups")
@@ -121,6 +131,8 @@ def test_distributed_transactions(benchmark, report, bench_snapshot):
                    messages_1_partition=fanout[0]["messages / txn"],
                    messages_2_partitions=fanout[1]["messages / txn"],
                    messages_3_partitions=fanout[2]["messages / txn"],
+                   messages_2_partitions_key_local=fanout[3]["messages / txn"],
+                   messages_3_partitions_key_local=fanout[4]["messages / txn"],
                    contention_committed=contention["committed"],
                    fault_transfer=fault["transfer"])
 
@@ -129,11 +141,14 @@ def test_distributed_transactions(benchmark, report, bench_snapshot):
         < fanout[2]["messages / txn"]
     assert all(row["outcome"] == "committed" for row in fanout)
     # Every protocol message is a consensus round's: 6 per round.
-    assert [row["protocol"] for row in fanout] == [6 * 1, 6 * 6, 6 * 9]
-    # One shard: one exec entry.  More: lock, prepare, commit.
-    assert [row["consensus rounds"] for row in fanout] == [1, 3, 3]
+    assert [row["protocol"] for row in fanout] \
+        == [6 * 1, 6 * 6, 6 * 9, 6 * 4, 6 * 6]
+    # One shard: one exec entry.  More: lock, prepare, commit, or lock
+    # (staging) and commit when key-local.
+    assert [row["consensus rounds"] for row in fanout] == [1, 3, 3, 2, 2]
     # One shard replies with its entry; 2PC when the last vote is logged.
-    assert [row["rounds before reply"] for row in fanout] == [1, 2, 2]
+    assert [row["rounds before reply"] for row in fanout] \
+        == [1, 2, 2, 1, 1]
     # Contention serializes: every increment lands exactly once.
     assert contention["committed"] == 5
     assert contention["final value"] == 5

@@ -11,7 +11,8 @@ records what the architecture buys and costs:
   across groups, so density should not *degrade* as the node count
   explodes;
 * the single-shard fast path's share of commits (one consensus round)
-  versus full 2PC-over-consensus (lock, prepare, commit);
+  versus 2PC-over-consensus (a transfer is key-local: lock-and-stage,
+  then commit);
 * the wall-clock events/sec the simulator sustains hosting the fleet —
   the harness-health number for this subsystem.
 
@@ -91,8 +92,9 @@ def test_shard_scaling(benchmark, report, bench_snapshot):
     text = render_table(
         rows, title="E25 — sharded fleet scaling (shards x replicas)")
     text += ("\nseed %d, cross-shard ratio %.1f; fast-path = single-shard "
-             "commits (1 consensus round),\nothers pay full "
-             "2PC-over-consensus (lock, prepare, commit: 3 rounds). "
+             "commits (1 consensus round),\nothers pay "
+             "2PC-over-consensus (a transfer's lock entries stage its "
+             "writes, then commit:\n2 rounds, 1 before the reply). "
              "commits/vtime is\ncommitted transactions per unit of "
              "simulated time (in-shard hops are 0.5-1.5\nunits) — a "
              "dimensionless density for comparing configurations, not a "

@@ -127,7 +127,10 @@ EXPERIMENT_NOTES = {
             "txn_exec entry checks the locks, reads, vetoes and writes (1\n"
             "consensus round, 12 messages; 2 rounds and 30 while a lock round\n"
             "preceded a separate apply entry); two or three pay 2PC (lock,\n"
-            "prepare, commit: 3 rounds, 68 and 84 messages). Each prepare is a\n"
+            "prepare, commit: 3 rounds, 68 and 84 messages). The same\n"
+            "increments as a key-local update (a delta per key, as a transfer\n"
+            "is) let each shard's lock entry stage its own writes: 2 rounds,\n"
+            "1 before the reply, 46 and 58 messages. Each prepare is a\n"
             "vote as a consensus value (Gray & Lamport), so the commit entries\n"
             "are the replicated decision; a decide round nothing read cost a\n"
             "fourth round (74/96) until it was dropped. No-wait locking + randomized\n"
@@ -245,15 +248,18 @@ EXPERIMENT_NOTES = {
             "keyspace. A ShardedCluster scales from 2x3 to 48x5 = 240 simulated\n"
             "nodes on one virtual clock; a single-shard transaction is one\n"
             "txn_exec entry (one consensus round) while cross-shard ones pay\n"
-            "2PC-over-consensus in three rounds (lock, prepare, commit). Commit density\n"
+            "2PC-over-consensus in two rounds (each participant's lock entry\n"
+            "stages the transfer's writes, then commit). Commit density\n"
             "(committed transactions per unit of simulated time - dimensionless,\n"
             "not wall TPS) stays workload-bound - not node-count-bound - as the\n"
             "fleet grows, which is the scaling argument for sharding itself.\n"
             "\n"
             "Liveness traffic: protocol/commit and heartbeat/commit split the\n"
             "messages the workload sends per commit (the collector's by_type).\n"
-            "The protocol half tracks the transaction mix (14-17 per commit on\n"
-            "3-replica groups, 28-40 on 5-replica ones; 19-21 and 35-45 while\n"
+            "The protocol half tracks the transaction mix (11-13 per commit on\n"
+            "3-replica groups, 21-28 on 5-replica ones; 14-17 and 28-40 while\n"
+            "a cross-shard transfer took a lock round and a prepare round,\n"
+            "19-21 and 35-45 while\n"
             "a one-shard transaction took a lock round and an apply round,\n"
             "20-23 and 39-52 with\n"
             "a decide round per cross-shard commit, 27-31 and 55-72 while\n"
@@ -281,6 +287,10 @@ EXPERIMENT_NOTES = {
             "on six of seven shapes (2x3 0.98 -> 1.60, 4x3 0.87 -> 1.31, 16x5\n"
             "0.98 -> 1.38; 32x5 1.24 -> 1.19), a round less per one-shard\n"
             "commit and no lock for a neighbour to conflict with.\n"
+            "Staging each transfer's writes in its participants' lock entries\n"
+            "raised it on every shape (2x3 1.60 -> 2.61, 8x3 1.55 -> 2.57,\n"
+            "32x5 1.19 -> 1.74, 48x5 1.32 -> 2.11): a cross-shard commit\n"
+            "replies after one round, not two.\n"
             "\n"
             "Wall-clock outlier, refuted: the 4x3 row's 55.6k events/s (against\n"
             "92-127k for every other shape) is not a property of the shape.\n"
@@ -339,7 +349,10 @@ EXPERIMENT_NOTES = {
             "the coordinator holds a new attempt on a key of its own open\n"
             "commit round until that round closes: 0 conflicts, 4922 events,\n"
             "259 vt. Of that, making each put one txn_exec entry alone gave\n"
-            "9 conflicts, 5757 events and 302 vt; the hold, the rest."),
+            "9 conflicts, 5757 events and 302 vt; the hold, the rest.\n"
+            "A transfer's lock entries now stage its writes (no prepare\n"
+            "round), which took the run to 3730 events and its transfers\n"
+            "from 259 to 172 vt."),
     "E28": ("Saturation knees: offered load vs tail latency (extension)",
             "Not a paper figure: the open-loop load engine (src/repro/load/)\n"
             "sweeps Poisson offered load against each protocol over\n"

@@ -2,9 +2,10 @@
 (the tutorial's Google Spanner architecture).  The store they run on is
 :class:`repro.shard.ShardedCluster`."""
 
-from .coordinator import Transaction, TxnCoordinator, TxnState
+from .coordinator import KeyLocal, Transaction, TxnCoordinator, TxnState
 
 __all__ = [
+    "KeyLocal",
     "Transaction",
     "TxnCoordinator",
     "TxnState",

@@ -12,12 +12,20 @@ Spanner stack, over the shard groups of a live
    consensus value (Gray & Lamport), so it survives any minority of
    replica crashes — 2PC's participant-side fragility is gone;
 4. **2PC commit** — once every participant has answered ``prepared``,
-   ``txn_commit`` everywhere (or ``txn_abort`` on any conflict or
+   ``txn_commit`` everywhere (or ``txn_abort`` on any conflict, veto or
    failure, releasing locks).
 
-The commit rule: once every participant's log holds its
-``txn_prepare``, the transaction commits, and the ``txn_commit``
-entries are the replicated decision (aborts are presumed).  So the
+When the update and the veto are :class:`KeyLocal` (each key's write
+and veto read only that key, as a transfer's do), every participant
+can compute its own writes, so steps 1-3 are one ``txn_lock`` entry
+per participant carrying the program: it locks, reads, vetoes or
+stages, and answers ``("prepared", reads)`` as its vote.  Any other
+update keeps the two rounds, since it needs every shard's reads.
+
+The commit rule: once every participant's log holds its vote (its
+``txn_prepare``, or its ``txn_lock`` that staged), the transaction
+commits, and the ``txn_commit`` entries are the replicated decision
+(aborts are presumed).  So the
 client hears ``committed`` when the last vote is logged, as the commit
 round starts; that round's completion only closes the transaction
 (:meth:`TxnCoordinator.settled`).  Its locks hold until each
@@ -98,10 +106,21 @@ class Transaction:
     on_finish: object = None
 
 
+class KeyLocal:
+    """Marks an ``update`` or ``abort_if`` whose answer for each key
+    reads only that key.  Called on the reads of some of the keys, an
+    update returns exactly its writes to those keys, and a veto vetoes
+    iff one of those keys vetoes.  So each participant of a cross-shard
+    transaction runs it on its own reads, and the transaction needs no
+    round that gathers every shard's reads first."""
+
+    __slots__ = ()
+
+
 class Program:
-    """A one-shard transaction's ``update`` and ``abort_if``, as its
-    ``txn_exec`` command carries them.  The ``repr`` is constant, so no
-    object address reaches a trace."""
+    """A transaction's ``update`` and ``abort_if``, as a ``txn_exec`` or
+    a key-local ``txn_lock`` command carries them.  The ``repr`` is
+    constant, so no object address reaches a trace."""
 
     __slots__ = ("update", "abort_if")
 
@@ -279,9 +298,13 @@ class TxnCoordinator(GroupRequester):
                 "txn_exec", txn.txid, txn.attempts, tuple(keys),
                 Program(txn.update, txn.abort_if))})
             return
+        staged = ()
+        if isinstance(txn.update, KeyLocal) \
+                and isinstance(txn.abort_if, (KeyLocal, type(None))):
+            staged = (txn.attempts, Program(txn.update, txn.abort_if))
         txn.state = TxnState.LOCKING
         self._start_round(txn, "txn_lock", {
-            gid: ("txn_lock", txn.txid, tuple(keys))
+            gid: ("txn_lock", txn.txid, tuple(keys)) + staged
             for gid, keys in by_group.items()
         })
 
@@ -373,15 +396,7 @@ class TxnCoordinator(GroupRequester):
                 self._back_off(txn)
         elif kind == "txn_prepare":
             if all(reply == "prepared" for reply in replies):
-                # Every vote is in a participant's log: the transaction
-                # is committed, so report it now; the commit entries
-                # record it and release its locks behind the reply.
-                self._start_round(txn, "txn_commit", {
-                    gid: ("txn_commit", txn.txid)
-                    for gid in self.groups_of(txn)})
-                for key in txn.keys:
-                    self._committing[key] = txn.txid
-                self._report(txn, "committed")
+                self._commit(txn)
             else:
                 self._abort(txn)
         elif kind == "txn_commit":
@@ -401,13 +416,18 @@ class TxnCoordinator(GroupRequester):
         self.reroutes += kinds.count("frozen") + kinds.count("moved")
 
     def _locks_answered(self, txn, replies):
-        if any(reply[0] != "ok" for reply in replies):
+        kinds = {reply[0] for reply in replies}
+        if not kinds <= {"ok", "prepared", "vetoed"}:
             self._count_refusals(replies)
             self._abort(txn)
             return
         for reply in replies:
             txn.reads.update(reply[1])
-        if txn.abort_if is not None and txn.abort_if(txn.reads):
+        if kinds == {"prepared"}:  # every key-local vote staged
+            self._commit(txn)
+            return
+        if "vetoed" in kinds or (
+                txn.abort_if is not None and txn.abort_if(txn.reads)):
             self._abort(txn, vetoed=True)
             return
         writes = txn.update(dict(txn.reads))
@@ -419,6 +439,16 @@ class TxnCoordinator(GroupRequester):
             gid: ("txn_prepare", txn.txid,
                   tuple(sorted(by_group.get(gid, {}).items())))
             for gid in self.groups_of(txn)})
+
+    def _commit(self, txn):
+        """Every vote is in a participant's log: ``txn`` is committed,
+        so report it now; the commit entries record it and release its
+        locks behind the reply."""
+        self._start_round(txn, "txn_commit", {
+            gid: ("txn_commit", txn.txid) for gid in self.groups_of(txn)})
+        for key in txn.keys:
+            self._committing[key] = txn.txid
+        self._report(txn, "committed")
 
     def _abort(self, txn, vetoed=False):
         """Release whatever ``txn`` might hold on every involved group.

@@ -32,7 +32,7 @@ from ..net.delivery import QueuedDelayModel
 from ..parallel.runner import ParallelRunner
 from ..parallel.streams import named_stream
 from ..scenarios import SCENARIOS, client_row
-from ..shard.layout import draw_partner, key_name
+from ..shard.layout import draw_partner, key_name, transfer_update
 from ..sim.process import Process
 from ..telemetry.instruments import _finite
 from .arrivals import DiurnalArrivals, HotKeyStorm, PoissonArrivals
@@ -306,10 +306,7 @@ class ShardTxnInjector(InjectorBase, Process):
             # Degenerate single-key touch (tiny keyspaces only).
             txn = self.sharded.submit((src,), lambda reads: {})
         else:
-            def update(reads, src=src, dst=dst):
-                return {src: (reads[src] or 0) - 1,
-                        dst: (reads[dst] or 0) + 1}
-            txn = self.sharded.submit((src, dst), update)
+            txn = self.sharded.submit((src, dst), transfer_update(src, dst, 1))
         self.outstanding[txn.txid] = intended
         txn.on_finish = lambda txn: self._complete(txn.txid)
 

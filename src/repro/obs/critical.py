@@ -22,7 +22,8 @@ anchor represents, so the builder classifies each anchor once:
 arriving messages are ``network``, waiting for a proposal slot is
 ``propose-wait``, the quorum round is ``quorum-wait``, state-machine
 application is ``apply``, and the coordinator's rounds before its
-reply map to ``lock`` / ``2pc-prepare`` (``apply`` for a single-shard
+reply map to ``lock`` / ``2pc-prepare`` (``lock`` alone when a
+key-local lock entry stages the writes, ``apply`` for a single-shard
 transaction's one ``txn_exec`` round).  A commit round completes after
 the transaction's ``txn_finish``, so it is never on a transaction's
 path.

@@ -14,7 +14,8 @@ keyspace, stitched together by a routing table and a transaction layer.
   shard, the SMR abstraction doesn't care);
 * cross-shard transactions through 2PC-over-consensus
   (:class:`~repro.dtxn.coordinator.TxnCoordinator`), single-shard ones
-  as one log entry each;
+  as one log entry each; a transfer's participants lock, read and vote
+  in one entry each;
 * live splits under traffic via the
   :class:`~repro.shard.rebalance.SplitOrchestrator`;
 * optional per-shard conformance monitors, each scoped to its group so
@@ -29,6 +30,7 @@ from ..dtxn.coordinator import Transaction, TxnCoordinator
 from ..monitor import NULL_HUB
 from .group import ShardGroup
 from .layout import (
+    Shortfall,
     build_shard_map,
     draw_transfer,
     key_name,
@@ -166,12 +168,9 @@ class ShardedCluster:
         return self.run_transaction((key,), lambda reads: {}).result[key]
 
     def transfer(self, src, dst, amount):
-        def overdraft(reads):
-            return (reads[src] or 0) < amount
-
         return self.run_transaction((src, dst),
                                     transfer_update(src, dst, amount),
-                                    abort_if=overdraft).outcome
+                                    abort_if=Shortfall(src, amount)).outcome
 
     def total_of(self, keys):
         txn = self.run_transaction(tuple(keys), lambda reads: {})

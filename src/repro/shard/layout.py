@@ -9,8 +9,7 @@ fleet for worker processes — derive identical fleets from one
 implementation.
 """
 
-from functools import partial
-
+from ..dtxn.coordinator import KeyLocal
 from .keyspace import HashPartitioner, RangePartitioner, ShardMap
 
 #: Width of generated key names — fixed so lexicographic order equals
@@ -81,11 +80,35 @@ def draw_partner(rng, shard_map, key_space, src, want_cross, tries):
 
 def transfer_update(src, dst, delta):
     """The update function of a transfer: move ``delta`` from ``src`` to
-    ``dst`` (no overdraft guard, so workloads conserve the total).  A
-    partial, so it pickles: a ``txn_exec`` command carries it to the
-    shard's replicas, across worker processes in a parallel run."""
-    return partial(_transfer, src, dst, delta)
+    ``dst`` (no overdraft guard, so workloads conserve the total).  It
+    is key-local and pickles, so each participant of a cross-shard
+    transfer stages its own key's write, across worker processes in a
+    parallel run too."""
+    return Deltas(((src, -delta), (dst, delta)))
 
 
-def _transfer(src, dst, delta, reads):
-    return {src: (reads[src] or 0) - delta, dst: (reads[dst] or 0) + delta}
+class Deltas(KeyLocal):
+    """A key-local update adding each ``(key, delta)`` pair's delta to
+    that key's value (absent reads as 0), for the keys it is given."""
+
+    __slots__ = ("deltas",)
+
+    def __init__(self, deltas):
+        self.deltas = deltas
+
+    def __call__(self, reads):
+        return {key: (reads[key] or 0) + delta
+                for key, delta in self.deltas if key in reads}
+
+
+class Shortfall(KeyLocal):
+    """A key-local veto: ``key`` holds less than ``amount`` (an
+    overdraft guard reads only the debited key)."""
+
+    __slots__ = ("key", "amount")
+
+    def __init__(self, key, amount):
+        self.key, self.amount = key, amount
+
+    def __call__(self, reads):
+        return self.key in reads and (reads[self.key] or 0) < self.amount

@@ -19,15 +19,19 @@ Beyond 2PC's lock/prepare/commit/abort, the log carries:
 * ``txn_exec`` — a whole single-shard transaction in **one** log entry
   (lock check, read, veto, update, write): one participant needs no
   commit protocol, so it commits in one consensus round, lock-free.
+* a ``txn_lock`` carrying a key-local program — a cross-shard
+  participant's lock, read and prepare in **one** log entry: it stages
+  the writes its own reads determine, and the entry is its vote.
 * ``shard_freeze`` / ``shard_install`` / ``shard_purge`` — the live
   split protocol's three replicated steps: drain-and-snapshot a key
   range, bulk-load it on the destination group, drop it at the source
   leaving a tombstone so stale routing is *told* it is stale.
 
-Each ``txn_prepare`` entry is a participant's vote as a consensus
-value (Gray & Lamport's *Consensus on Transaction Commit*), so the
-``txn_commit`` entries are the replicated decision and no separate
-decision record exists; aborts are presumed and never recorded.
+Each ``txn_prepare`` entry (or staging ``txn_lock``) is a participant's
+vote as a consensus value (Gray & Lamport's *Consensus on Transaction
+Commit*), so the ``txn_commit`` entries are the replicated decision and
+no separate decision record exists; aborts are presumed and never
+recorded.
 
 Everything here is a log command, so every replica of a shard reaches
 identical lock tables, staged writes, frozen ranges and tombstones —
@@ -53,6 +57,12 @@ class ShardKVStateMachine:
       refused too — coordinators treat both like conflicts and re-route
       on retry, which is what makes a split invisible to the workload
       beyond a latency blip.
+    * ``("txn_lock", txid, keys, attempt, program)`` with a key-local
+      program → a refusal as above (nothing taken), ``("vetoed",
+      reads)`` (takes nothing), or ``("prepared", reads)`` with the
+      locks taken and ``program.update(reads)`` staged.  A later copy
+      of one ``(txid, attempt)`` answers the first copy's result,
+      taking nothing.
     * ``("txn_prepare", txid, writes)`` → ``"prepared"`` after staging,
       or ``"no-locks"`` if the transaction doesn't hold its locks.
     * ``("txn_exec", txid, attempt, keys, program)`` → a refusal as for
@@ -82,7 +92,7 @@ class ShardKVStateMachine:
         self.staged = {}  # txid -> {key: value}
         self.frozen = []  # list of (lo, hi) ranges being migrated out
         self.moved = []  # list of (lo, hi) tombstones (migrated away)
-        self.executed = {}  # (txid, attempt) -> the txn_exec answer
+        self.executed = {}  # (txid, attempt) -> its first copy's answer
         self.ops_applied = 0
         self.commits = 0
         self.aborts = 0
@@ -99,7 +109,9 @@ class ShardKVStateMachine:
 
     # -- transactional ---------------------------------------------------------
 
-    def _op_txn_lock(self, txid, keys):
+    def _op_txn_lock(self, txid, keys, attempt=None, program=None):
+        if program is not None:
+            return self._once(txid, attempt, keys, program, stage=True)
         blocked = self._refusal(txid, keys)
         if blocked is not None:
             return blocked
@@ -108,17 +120,28 @@ class ShardKVStateMachine:
         return ("ok", {key: self.data.get(key) for key in keys})
 
     def _op_txn_exec(self, txid, attempt, keys, program):
+        return self._once(txid, attempt, keys, program, stage=False)
+
+    def _once(self, txid, attempt, keys, program, stage):
         result = self.executed.get((txid, attempt))
         if result is None:
             result = self.executed[(txid, attempt)] = \
-                self._refusal(txid, keys) or self._exec(keys, program)
+                self._refusal(txid, keys) \
+                or self._run(txid, keys, program, stage)
         return result
 
-    def _exec(self, keys, program):
+    def _run(self, txid, keys, program, stage):
+        """Read ``keys``, then veto, stage (holding the locks) or write
+        ``program``'s update of the reads."""
         reads = {key: self.data.get(key) for key in keys}
         if program.abort_if is not None and program.abort_if(reads):
             return ("vetoed", reads)
-        self.data.update(program.update(dict(reads)))
+        writes = program.update(dict(reads))
+        if stage:
+            self.locks.update(dict.fromkeys(keys, txid))
+            self.staged[txid] = writes
+            return ("prepared", reads)
+        self.data.update(writes)
         self.commits += 1
         self.fast_applies += 1
         return ("applied", reads)

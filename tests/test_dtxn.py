@@ -8,6 +8,7 @@ from repro.dtxn import TxnState
 from repro.dtxn.coordinator import GroupRequester, Program, TxnCoordinator
 from repro.protocols.multipaxos import ClientReply, ClientRequest, LogCommand
 from repro.shard import ShardedCluster, ShardKVStateMachine
+from repro.shard.layout import Shortfall, transfer_update
 
 
 class TestTxnStateMachine:
@@ -93,6 +94,41 @@ class TestTxnStateMachine:
         assert self.sm.apply(_exec("t1", 2, ("a",), _bump)) == applied \
             == ("applied", {"a": 10})
         assert self.sm.data == {"a": 11}
+
+    def test_key_local_lock_stages_the_update_of_its_own_reads(self):
+        self.sm.apply(("put", "a", 10))
+        assert self.sm.apply(_stage("t1", 1, ("a",))) \
+            == ("prepared", {"a": 10})
+        assert self.sm.locks == {"a": "t1"}
+        assert self.sm.staged == {"t1": {"a": 7}}
+        assert self.sm.apply(("txn_commit", "t1")) == "committed"
+        assert self.sm.data == {"a": 7} and self.sm.locks == {}
+
+    def test_key_local_lock_refusal_or_veto_takes_nothing(self):
+        self.sm.apply(("put", "a", 10))
+        self.sm.apply(("txn_lock", "t0", ("a",)))
+        assert self.sm.apply(_stage("t1", 1, ("a",))) == ("conflict", "t0")
+        self.sm.apply(("txn_abort", "t0"))
+        assert self.sm.apply(_stage("t1", 2, ("a",), Shortfall("a", 50))) \
+            == ("vetoed", {"a": 10})
+        assert self.sm.locks == {} and self.sm.staged == {}
+
+    @pytest.mark.parametrize("then", [None, "txn_commit", "txn_abort"])
+    def test_key_local_lock_copy_answers_the_first_and_takes_nothing(
+            self, then):
+        # A second copy of one first-round request in the log, applied
+        # while the transaction holds its locks, after its commit or
+        # after its abort.
+        self.sm.apply(("put", "a", 10))
+        first = self.sm.apply(_stage("t1", 1, ("a",)))
+        if then is not None:
+            self.sm.apply((then, "t1"))
+        state = (dict(self.sm.data), dict(self.sm.locks),
+                 dict(self.sm.staged))
+        assert self.sm.apply(_stage("t1", 1, ("a",))) == first \
+            == ("prepared", {"a": 10})
+        assert (self.sm.data, self.sm.locks, self.sm.staged) == state
+        assert self.sm.executed == {("t1", 1): first}
 
 
 class TestShardedTransactions:
@@ -204,10 +240,14 @@ class TestShardedTransactions:
         # in its own committed log; nothing else records the decision.
         # (A one-shard write takes the fast path and never prepares,
         # so this needs two shards.)
+        # A general update needs every shard's reads first, so it runs
+        # the lock round and then the prepare round.
         db = ShardedCluster(n_shards=2, replicas=3, seed=9)
         a, b = _keys_in_distinct_shards(db, 2)
         db.put(a, 1)
-        assert db.transfer(a, b, 1) == "committed"
+        txn = db.run_transaction(
+            (a, b), lambda r: {a: r[a] - 1, b: (r[b] or 0) + 1})
+        assert txn.outcome == "committed"
         db.settle()
         for key, put_ops in ((a, {"txn_exec"}), (b, set())):
             group = db.shard_groups[db.shard_of(key)]
@@ -259,6 +299,53 @@ def test_cross_shard_commit_replies_when_the_last_vote_is_logged(seed):
         for machine in group.machines():
             assert txn.txid not in machine.locks.values()
             assert txn.txid not in machine.staged
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_key_local_transfer_replies_after_one_round(seed):
+    """A transfer's update and overdraft guard are key-local, so each
+    participant locks, reads and stages in one ``txn_lock`` entry, its
+    vote: the client hears ``committed`` as that round completes, and
+    no participant log holds a ``txn_prepare``."""
+    db = ShardedCluster(n_shards=2, replicas=3,
+                        cluster=Cluster(seed=seed, trace=True))
+    a, b = _keys_in_distinct_shards(db, 2)
+    for key in (a, b):
+        db.put(key, 50)
+    txn = db.run_transaction((a, b), transfer_update(a, b, 5),
+                             abort_if=Shortfall(a, 5))
+    assert txn.outcome == "committed" and txn.result == {a: 50, b: 50}
+    trace = db.cluster.trace
+    done = [(event.get("kind"), event.time)
+            for event in trace.locals("txn_round_done")
+            if event.get("req") == txn.txid]
+    assert done[-1] == ("txn_lock", txn.finished_at)
+    db.cluster.run_until(lambda: db.coordinator.settled(txn),
+                         until=db.now + 2000.0)
+    assert [event.get("kind") for event in trace.locals("txn_round")
+            if event.get("req") == txn.txid] == ["txn_lock", "txn_commit"]
+    db.settle()
+    for key in (a, b):
+        group = db.shard_groups[db.shard_of(key)]
+        ops = {value.command[0] if isinstance(value, LogCommand)
+               else value[0]
+               for log in group.committed_logs() for _idx, value in log}
+        assert ops == {"txn_exec", "txn_lock", "txn_commit"}
+    _assert_balances(db, {a: 45, b: 55})
+
+
+def test_key_local_veto_aborts_on_every_participant():
+    """The group holding the debited key vetoes in its first-round
+    entry, taking nothing; the other group has staged, so the abort
+    round runs on both, and the veto is final."""
+    db = ShardedCluster(n_shards=2, replicas=3, seed=4)
+    a, b = _keys_in_distinct_shards(db, 2)
+    for key in (a, b):
+        db.put(key, 50)
+    assert db.transfer(a, b, 500) == "aborted"
+    assert db.coordinator.conflicts_seen == 0
+    db.settle()
+    _assert_balances(db, {a: 50, b: 50})
 
 
 def test_an_attempt_on_a_committing_key_waits_for_the_commit_round():
@@ -364,11 +451,15 @@ class TestDecidedRoundsNeverAbort:
 
 
 #: Round kinds a transfer of each shape passes through; a "veto" is a
-#: cross-shard transfer its overdraft guard refuses.
+#: cross-shard transfer its overdraft guard refuses.  "cross" and
+#: "veto" run general updates (lock, then prepare); the "local" shapes
+#: run a key-local transfer and guard (lock, read and stage in one).
 SWEEP_ROUNDS = {
     "single": ("txn_exec",),
     "cross": ("txn_lock", "txn_prepare", "txn_commit"),
     "veto": ("txn_lock", "txn_abort"),
+    "local-cross": ("txn_lock", "txn_commit"),
+    "local-veto": ("txn_lock", "txn_abort"),
 }
 
 
@@ -396,9 +487,13 @@ def _check_faulted_transfer(seed, shape, kind, fault):
     victim = db.shard_of((a, b)[seed % 2])
     fired = _when_round_starts(
         db, kind, lambda: _down_and_back(db, victim, fault))
-    amount = 500 if shape == "veto" else 5
-    txn = db.submit((a, b), _move(a, b, amount),
-                    abort_if=lambda r: r[a] < amount)
+    amount = 500 if shape.endswith("veto") else 5
+    if shape.startswith("local"):
+        txn = db.submit((a, b), transfer_update(a, b, amount),
+                        abort_if=Shortfall(a, amount))
+    else:
+        txn = db.submit((a, b), _move(a, b, amount),
+                        abort_if=lambda r: r[a] < amount)
     db.cluster.run_until(lambda: db.coordinator.settled(txn),
                          until=db.now + 2000.0)
     case = (seed, shape, kind, fault, txn.outcome)
@@ -421,6 +516,12 @@ def _bump(reads):
 
 def _exec(txid, attempt, keys, update):
     return ("txn_exec", txid, attempt, keys, Program(update, None))
+
+
+def _stage(txid, attempt, keys, abort_if=None):
+    """A key-local first-round command moving 3 from ``a`` to ``b``."""
+    return ("txn_lock", txid, keys, attempt,
+            Program(transfer_update("a", "b", 3), abort_if))
 
 
 def _move(src, dst, amount):

@@ -128,11 +128,15 @@ class TestTxnSpanTrees:
         assert "apply" in txn.segments
 
     def test_cross_shard_commit_runs_full_2pc(self):
+        # A general update (not key-local) needs every shard's reads
+        # before its writes: a lock round, then a prepare round.
         sharded = _sharded(seed=5)
         a, b = _cross_shard_pair(sharded)
         sharded.put(a, 100)
         sharded.put(b, 10)
-        assert sharded.transfer(a, b, 40) == "committed"
+        assert sharded.run_transaction(
+            (a, b), lambda r: {a: r[a] - 40, b: r[b] + 40}).outcome \
+            == "committed"
         sharded.settle()
         roots = SpanBuilder(sharded.cluster.trace).build()
         transfer = [s for s in roots if s.kind == "txn"][-1]
@@ -152,6 +156,24 @@ class TestTxnSpanTrees:
         locks = [c for c in transfer.children
                  if c.round_kind == "txn_lock"]
         assert len(locks) == 2
+
+    def test_cross_shard_transfer_votes_in_its_lock_round(self):
+        # A transfer is key-local: each participant's lock entry stages
+        # its writes, so the reply follows the lock round alone.
+        sharded = _sharded(seed=5)
+        a, b = _cross_shard_pair(sharded)
+        sharded.put(a, 100)
+        sharded.put(b, 10)
+        assert sharded.transfer(a, b, 40) == "committed"
+        sharded.settle()
+        roots = SpanBuilder(sharded.cluster.trace).build()
+        transfer = [s for s in roots if s.kind == "txn"][-1]
+        assert transfer.completed and transfer.outcome == "committed"
+        kinds = sorted(child.round_kind for child in transfer.children)
+        assert kinds == ["txn_commit"] * 2 + ["txn_lock"] * 2
+        assert transfer.segments.get("lock", 0.0) > 0.0
+        assert "2pc-prepare" not in transfer.segments
+        assert "2pc-commit" not in transfer.segments
 
     def test_crash_mid_2pc_leaves_abandoned_round_spans(self):
         sharded = _sharded(seed=8)
