@@ -9,6 +9,7 @@ replica failures inside groups are invisible to the transaction layer.
 
 from repro.analysis import render_table
 from repro.core.cluster import Cluster
+from repro.faults import FaultPlan
 from repro.shard import ShardedCluster
 from repro.shard.layout import Deltas
 
@@ -92,8 +93,8 @@ def fault_row():
     a, b = _keys_per_shard(db, 2)
     db.put(a, 100)
     db.put(b, 100)
-    for sid in db.shard_groups:
-        db.crash_follower(sid)
+    FaultPlan(db.cluster).apply(
+        [(db.now, "crash", sid + "/follower") for sid in db.shard_groups])
     outcome = db.transfer(a, b, 50)
     db.settle()
     return {

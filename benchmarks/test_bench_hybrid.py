@@ -9,7 +9,7 @@ predicate.
 
 from repro.analysis import render_table
 from repro.core import Cluster
-from repro.faults import FaultPlan, Silence
+from repro.faults import FaultPlan
 from repro.protocols.seemore import run_seemore
 from repro.protocols.upright import run_upright
 from repro.protocols.xft import (
@@ -30,11 +30,9 @@ def upright_rows():
         (1, 0, (), (), True),          # degenerates to PBFT
     ):
         cluster = Cluster(seed=3)
-        plan = FaultPlan(cluster)
-        for index in crash:
-            plan.crash_at(0.0, "r%d" % index)
-        for index in silent:
-            Silence(cluster, "r%d" % index).install()
+        FaultPlan(cluster).apply(
+            [(0.0, "crash", "r%d" % index) for index in crash]
+            + [(0.0, "drop", "r%d" % index) for index in silent])
         result = run_upright(cluster, m=m, c=c, operations=2, horizon=400.0)
         rows.append({
             "m": m, "c": c,

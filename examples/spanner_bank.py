@@ -9,6 +9,7 @@ layer never notices.
 Run:  python examples/spanner_bank.py
 """
 
+from repro.faults import FaultPlan
 from repro.shard import ShardedCluster
 
 
@@ -51,9 +52,11 @@ def main():
           "(lock conflicts:", db.coordinator.conflicts_seen, ")")
 
     print("\n== crash one replica in every shard ==")
-    print("  crashed:", [db.crash_follower(sid) for sid in db.shard_groups])
+    plan = FaultPlan(db.cluster).apply(
+        [(db.now, "crash", sid + "/follower") for sid in db.shard_groups])
     print("  transfer after crashes:",
           db.transfer(accounts[3], accounts[0], 15))
+    print("  crashed:", [name for _at, _kind, name in plan.events])
 
     db.settle()
     print("\ntotal money now:", db.total_of(accounts),

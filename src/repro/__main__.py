@@ -587,6 +587,7 @@ def _cmd_shards_parallel(args, banner):
 
 def cmd_shards(args):
     from .core.exceptions import LivenessFailure
+    from .faults import FaultPlan
     from .shard import ShardedCluster
     banner = ("fleet: %d shards x %d replicas = %d nodes (%s, %s-partitioned,"
               " seed %d)" % (args.shards, args.replicas,
@@ -631,8 +632,8 @@ def cmd_shards(args):
         dead = sharded.key(next(
             i for i in range(args.keys)
             if sharded.shard_of(sharded.key(i)) == victim))
-        sharded.cluster.sim.schedule(
-            5.0, lambda: sharded.crash_shard(victim))
+        FaultPlan(sharded.cluster).apply(
+            [(sharded.now + 5.0, "crash", victim + "/*")])
         txn = sharded.submit(
             (alive, dead),
             lambda reads: {alive: (reads[alive] or 0) - 1,

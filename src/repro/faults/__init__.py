@@ -1,19 +1,6 @@
-"""Fault injection: crash/partition plans and Byzantine network behaviours."""
+"""Fault injection: one :class:`FaultPlan` runs a schedule of fault rows
+(crash, restart, partition, heal, drop, delay, duplicate)."""
 
-from .byzantine import (
-    ByzantineBehavior,
-    Delayer,
-    Duplicator,
-    SelectiveSilence,
-    Silence,
-)
 from .injectors import FaultPlan
 
-__all__ = [
-    "ByzantineBehavior",
-    "Delayer",
-    "Duplicator",
-    "FaultPlan",
-    "SelectiveSilence",
-    "Silence",
-]
+__all__ = ["FaultPlan"]

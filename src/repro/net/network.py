@@ -97,9 +97,11 @@ class Network:
     def add_interceptor(self, interceptor):
         """Register ``interceptor(src, dst, message) -> bool``.
 
-        Returning ``False`` suppresses delivery.  Used by fault injectors
-        (targeted message loss, delaying a specific node's traffic) and by
-        metrics probes in tests.
+        Returning ``False`` suppresses delivery.  A
+        :class:`~repro.faults.FaultPlan` ``drop``, ``delay`` or
+        ``duplicate`` row installs one while it lasts; a test whose fault
+        is a predicate (a randomly lossy link) or that counts messages
+        installs its own.
         """
         self._interceptors.append(interceptor)
 

@@ -248,19 +248,6 @@ class ShardedCluster:
                                   % (sid, at))
         return split
 
-    # -- fault injection ----------------------------------------------------
-
-    def crash_shard(self, sid):
-        """Crash every replica of one shard (the 2PC-participant-death
-        scenario: in-flight cross-shard transactions must abort)."""
-        return self.shard_groups[sid].crash_all()
-
-    def crash_leader(self, sid):
-        return self.shard_groups[sid].crash_leader()
-
-    def crash_follower(self, sid):
-        return self.shard_groups[sid].crash_follower()
-
     # -- verification -------------------------------------------------------
 
     def settle(self, duration=80.0):

@@ -10,7 +10,7 @@ returning to: *any* log-replication protocol underneath, same shard on
 top.
 """
 
-from ..faults.injectors import crash_leader, live_leader
+from ..faults.injectors import live_leader
 from ..scenarios import client_row
 from ..smr import check_log_consistency, check_state_machines
 from .state import ShardKVStateMachine
@@ -70,27 +70,6 @@ class ShardGroup:
     def attach_monitors(self, f=0):
         """This protocol's monitor battery, scoped to this group."""
         return self.group.attach_monitors(self.protocol, f=f)
-
-    # -- fault injection ----------------------------------------------------
-
-    def crash_leader(self):
-        return crash_leader(self.replicas)
-
-    def crash_follower(self):
-        for replica in self.replicas:
-            if not replica.crashed and not self._row.is_leader(replica):
-                replica.crash()
-                return replica.name
-        return None
-
-    def crash_all(self):
-        """Kill the whole group — the shard goes dark."""
-        crashed = []
-        for replica in self.replicas:
-            if not replica.crashed:
-                replica.crash()
-                crashed.append(replica.name)
-        return crashed
 
     # -- introspection ------------------------------------------------------
 

@@ -26,7 +26,9 @@ class Simulator:
     seed:
         Seed for the simulation-wide random number generator.  All model
         randomness (delays, drops, elections, nonces) must flow through
-        :attr:`rng` so runs are reproducible.
+        :attr:`rng` so runs are reproducible; fault rows draw from their
+        plan's own generator, seeded from :attr:`seed`, so adding one
+        shifts no delay.
     """
 
     def __init__(self, seed=0):

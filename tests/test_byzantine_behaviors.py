@@ -1,14 +1,16 @@
-"""Tests for the generic Byzantine network behaviours, including their
-effect on live protocols (idempotency under duplication, liveness under
-selective silence within the fault budget)."""
+"""Tests for the Byzantine network behaviours a fault row mounts (drop,
+delay, duplicate), including their effect on live protocols
+(idempotency under duplication, liveness under selective silence within
+the fault budget)."""
 
-from repro.faults import Delayer, Duplicator, SelectiveSilence, Silence
+from repro.core import Cluster
+from repro.faults import FaultPlan
 from repro.protocols.minbft import run_minbft
 from repro.protocols.pbft import run_pbft
 
 
 class TestBehaviorMechanics:
-    def test_silence_drops_everything(self, cluster):
+    def test_silence_drops_everything(self):
         from dataclasses import dataclass
         from repro.core import Node
         from repro.net import Message
@@ -25,13 +27,16 @@ class TestBehaviorMechanics:
             def handle_ping(self, msg, src):
                 self.got.append(msg.k)
 
+        cluster = Cluster(seed=0, telemetry=True)
         a = cluster.add_node(Sink, "a")
         b = cluster.add_node(Sink, "b")
-        behavior = Silence(cluster, "a").install()
+        # Everything "a" sends, until t=5.
+        FaultPlan(cluster).apply([(0.0, "drop", "a", None, None, 5.0)])
         cluster.sim.call_soon(lambda: a.send("b", Ping(1)))
         cluster.run()
-        assert not b.got and behavior.messages_affected == 1
-        behavior.uninstall()
+        assert not b.got
+        assert cluster.telemetry.value("net_drops_total", reason="intercepted",
+                                       mtype="ping") == 1
         cluster.sim.call_soon(lambda: a.send("b", Ping(2)))
         cluster.run()
         assert b.got == [2]
@@ -55,7 +60,7 @@ class TestBehaviorMechanics:
 
         a = cluster.add_node(Sink, "a")
         b = cluster.add_node(Sink, "b")
-        Duplicator(cluster, "a", copies=2).install()
+        FaultPlan(cluster).apply([(0.0, "duplicate", 2, "a")])
         cluster.sim.call_soon(lambda: a.send("b", Ping(7)))
         cluster.run()
         assert b.got == [7, 7, 7]
@@ -80,7 +85,7 @@ class TestBehaviorMechanics:
         cluster = make_cluster(seed=0, delivery=SynchronousModel(1.0))
         a = cluster.add_node(Sink, "a")
         b = cluster.add_node(Sink, "b")
-        Delayer(cluster, "a", delay=10.0).install()
+        FaultPlan(cluster).apply([(0.0, "delay", 10.0, "a")])
         cluster.sim.call_soon(lambda: a.send("b", Ping(1)))
         cluster.run()
         assert b.at == 11.0  # 10 held + 1 transit
@@ -90,7 +95,7 @@ class TestProtocolsUnderBehaviors:
     def test_pbft_survives_duplicating_replica(self, make_cluster):
         cluster = make_cluster(seed=3, monitors=True)
         cluster.attach_monitors("pbft", n=4, f=1)
-        Duplicator(cluster, "r2", copies=2).install()
+        FaultPlan(cluster).apply([(0.0, "duplicate", 2, "r2")])
         result = run_pbft(cluster, f=1, n_clients=1, operations_per_client=3)
         assert all(c.done for c in result.clients)
         assert result.logs_consistent()
@@ -102,14 +107,14 @@ class TestProtocolsUnderBehaviors:
     def test_pbft_survives_selectively_silent_backup(self, make_cluster):
         cluster = make_cluster(seed=4)
         # r3 starves half the cluster — within the f=1 budget.
-        SelectiveSilence(cluster, "r3", starved=("r1", "r2")).install()
+        FaultPlan(cluster).apply([(0.0, "drop", "r3", ["r1", "r2"])])
         result = run_pbft(cluster, f=1, n_clients=1, operations_per_client=3)
         assert all(c.done for c in result.clients)
         assert result.logs_consistent()
 
     def test_minbft_survives_delaying_replica(self, make_cluster):
         cluster = make_cluster(seed=5)
-        Delayer(cluster, "r2", delay=8.0).install()
+        FaultPlan(cluster).apply([(0.0, "delay", 8.0, "r2")])
         result = run_minbft(cluster, f=1, operations=3)
         assert result.clients[0].done
         assert result.logs_consistent()
@@ -119,8 +124,7 @@ class TestProtocolsUnderBehaviors:
         cluster = make_cluster(seed=6, monitors=True)
         cluster.attach_monitors("pbft", n=4, f=1)
         # Two silent replicas exceed f=1: liveness gone, safety intact.
-        Silence(cluster, "r2").install()
-        Silence(cluster, "r3").install()
+        FaultPlan(cluster).apply([(0.0, "drop", "r2"), (0.0, "drop", "r3")])
         result = run_pbft(cluster, f=1, n_clients=1,
                           operations_per_client=2, horizon=400.0)
         assert not all(c.done for c in result.clients)

@@ -32,12 +32,15 @@ class TestMultiPaxosChaos:
         plan.partition_at(40.0, [names[3]],
                           [n for n in names if n != names[3]] + ["kvclient"])
         plan.heal_at(65.0)
-        # Lossy link for a while.
-        plan.drop_messages(
-            lambda src, dst, msg: src == names[4] and
-            kv.cluster.sim.rng.random() < 0.3,
-            between=(100.0, 140.0),
-        )
+        # Lossy link for a while: a predicate, so an interceptor.
+        sim = kv.cluster.sim
+
+        def lossy(src, dst, msg):
+            if 100.0 <= sim.now <= 140.0 and src == names[4] \
+                    and sim.rng.random() < 0.3:
+                return False
+            return None
+        kv.cluster.network.add_interceptor(lossy)
         for i in range(12):
             kv.put("key-%d" % i, i)
         kv.settle(200.0)
@@ -106,12 +109,14 @@ class TestPbftChaos:
         cluster = Cluster(seed=seed, delivery=UniformDelayModel(0.5, 1.5),
                           monitors=True)
         cluster.attach_monitors("pbft", n=4, f=1)
-        plan = FaultPlan(cluster)
-        plan.drop_messages(
-            lambda src, dst, msg: cluster.sim.rng.random() < 0.05,
-            between=(10.0, 60.0),
-        )
-        plan.crash_at(8.0, "r0")
+        sim = cluster.sim
+
+        def lossy(src, dst, msg):
+            if 10.0 <= sim.now <= 60.0 and sim.rng.random() < 0.05:
+                return False
+            return None
+        cluster.network.add_interceptor(lossy)
+        FaultPlan(cluster).crash_at(8.0, "r0")
         result = run_pbft(cluster, f=1, n_clients=1,
                           operations_per_client=5, horizon=5000.0)
         assert result.logs_consistent()
@@ -194,12 +199,13 @@ class TestDtxnChaos:
         for key in keys:
             db.put(key, 100)
         total = db.total_of(keys)
-        for sid in db.shard_groups:
-            db.crash_follower(sid)
+        plan = FaultPlan(db.cluster).apply(
+            [(db.now, "crash", sid + "/follower") for sid in db.shard_groups])
         for i in range(5):
             src, dst = keys[i], keys[(i + 1) % len(keys)]
             outcome = db.transfer(src, dst, 10)
             assert outcome == "committed"
+        assert len(plan.events) == 2
         assert db.total_of(keys) == total
         db.settle()
         assert db.check_consistency()

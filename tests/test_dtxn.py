@@ -6,6 +6,7 @@ import pytest
 from repro.core import Cluster, Node
 from repro.dtxn import TxnState
 from repro.dtxn.coordinator import GroupRequester, Program, TxnCoordinator
+from repro.faults import FaultPlan
 from repro.protocols.multipaxos import ClientReply, ClientRequest, LogCommand
 from repro.shard import ShardedCluster, ShardKVStateMachine
 from repro.shard.layout import Shortfall, transfer_update
@@ -187,9 +188,10 @@ class TestShardedTransactions:
         a, b = _keys_in_distinct_shards(db, 2)
         db.put(a, 50)
         db.put(b, 50)
-        for sid in db.shard_groups:
-            assert db.crash_follower(sid) is not None
+        plan = FaultPlan(db.cluster).apply(
+            [(db.now, "crash", sid + "/follower") for sid in db.shard_groups])
         assert db.transfer(a, b, 25) == "committed"
+        assert len(plan.events) == 2  # each group had a follower to crash
         assert db.total_of([a, b]) == 100
         db.settle()
         assert db.check_consistency()
@@ -199,7 +201,8 @@ class TestShardedTransactions:
         a, b = _keys_in_distinct_shards(db, 2)
         db.put(a, 30)
         db.put(b, 30)
-        db.crash_leader(db.shard_of(a))
+        FaultPlan(db.cluster).apply(
+            [(db.now, "crash", db.shard_of(a) + "/leader")])
         assert db.transfer(a, b, 10) == "committed"
         assert db.get(a) == 20 and db.get(b) == 40
 
@@ -210,7 +213,7 @@ class TestShardedTransactions:
         a, b = _keys_in_distinct_shards(db, 2)
         db.put(a, 50)
         db.put(b, 50)
-        db.crash_shard(db.shard_of(b))
+        FaultPlan(db.cluster).apply([(db.now, "crash", db.shard_of(b) + "/*")])
         txn = db.submit((a, b), lambda r: {a: r[a] - 5, b: (r[b] or 0) + 5})
         db.cluster.run_until(lambda: txn.outcome is not None, until=2000.0)
         assert txn.outcome == "aborted"
@@ -225,7 +228,8 @@ class TestShardedTransactions:
             db = ShardedCluster(n_shards=2, replicas=3, seed=seed)
             a, b = _keys_in_distinct_shards(db, 2)
             db.put(a, 50)
-            db.crash_shard(db.shard_of(b))
+            FaultPlan(db.cluster).apply(
+                [(db.now, "crash", db.shard_of(b) + "/*")])
             txn = db.submit((a, b), lambda r: {b: 1})
             db.cluster.run_until(lambda: txn.outcome is not None,
                                  until=2000.0)
@@ -559,11 +563,13 @@ def _when_round_starts(db, kind, action):
 
 def _down_and_back(db, sid, fault):
     """Crash every replica of ``sid`` or partition the group away from
-    the rest of the fleet, and undo it :data:`HOLD` later."""
+    the rest of the fleet, and undo it :data:`HOLD` later.  Not a fault
+    row: a row at ``now`` would fire after the round's requests left."""
     group = db.shard_groups[sid]
     sim = db.cluster.sim
     if fault == "crash":
-        group.crash_all()
+        for replica in group.replicas:
+            replica.crash()
         sim.schedule(HOLD, lambda: [replica.restart()
                                     for replica in group.replicas])
         return

@@ -159,10 +159,11 @@ class TestSeeMoReFaults:
         assert result.clients[0].done  # baseline sanity
 
     def test_mode2_tolerates_m_byzantine_silent_proxies(self, make_cluster):
-        from repro.faults import Silence
+        from repro.faults import FaultPlan
         from repro.protocols.seemore import run_seemore
         cluster = make_cluster(seed=10)
-        Silence(cluster, "pub0").install()  # one of 3m+1=4 proxies silent
+        # One of 3m+1=4 proxies silent.
+        FaultPlan(cluster).apply([(0.0, "drop", "pub0")])
         result = run_seemore(cluster, mode=2, m=1, c=1, operations=2)
         assert result.clients[0].done
         assert result.logs_consistent()

@@ -130,21 +130,19 @@ class TestFaultPlan:
 
         a = cluster.add_node(Sink, "a")
         b = cluster.add_node(Sink, "b")
-        plan = FaultPlan(cluster)
-        plan.drop_messages(lambda src, dst, msg: src == "a",
-                           between=(5.0, 10.0))
+        FaultPlan(cluster).apply([(5.0, "drop", "a", None, None, 10.0)])
         cluster.sim.schedule(1.0, lambda: a.send("b", Beep(1)))
         cluster.sim.schedule(7.0, lambda: a.send("b", Beep(2)))
         cluster.sim.schedule(12.0, lambda: a.send("b", Beep(3)))
         cluster.run()
         assert b.got == [1, 3]
 
-    def test_isolate_node(self, cluster):
+    def test_drop_rows_cut_a_node_off(self, cluster):
         from repro.core import Node
         cluster.add_node(Node, "x")
         cluster.add_node(Node, "y")
-        plan = FaultPlan(cluster)
-        plan.isolate_node("x")
+        FaultPlan(cluster).apply([(0.0, "drop", "x"), (0.0, "drop", None, "x")])
+        cluster.run()
         assert cluster.network.send("x", "y", _DummyMsg()) is False
         assert cluster.network.send("y", "x", _DummyMsg()) is False
 

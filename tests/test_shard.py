@@ -3,6 +3,7 @@ fast path, crashes and live splits."""
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.protocols.multipaxos import LogCommand
 from repro.shard import ShardedCluster
 
@@ -128,9 +129,10 @@ class TestCrossShard2PC:
         a, b = _cross_shard_pair(sharded)
         sharded.put(a, 50)
         sharded.put(b, 50)
-        crashed = sharded.crash_leader(sharded.shard_of(b))
-        assert crashed is not None
+        plan = FaultPlan(sharded.cluster).apply(
+            [(sharded.now, "crash", sharded.shard_of(b) + "/leader")])
         assert sharded.transfer(a, b, 25) == "committed"
+        assert len(plan.events) == 1  # a leader was there to crash
         assert sharded.total_of([a, b]) == 100
         sharded.settle()
         assert sharded.check_consistency()
@@ -145,8 +147,8 @@ class TestCrossShard2PC:
             victim = sharded.shard_of(b)
             # Crash the whole participant shard shortly after submit —
             # genuinely mid-2PC.
-            sharded.cluster.sim.schedule(
-                2.0, lambda: sharded.crash_shard(victim))
+            FaultPlan(sharded.cluster).apply(
+                [(sharded.now + 2.0, "crash", victim + "/*")])
             txn = sharded.submit(
                 (a, b), lambda r: {a: r[a] - 5, b: (r[b] or 0) + 5})
             sharded.cluster.run_until(lambda: txn.outcome is not None,
@@ -239,7 +241,7 @@ class TestLiveSplit:
         sharded.put(kept, 5)
         split = sharded.split_shard("s1")
         assert sharded.shard_of(moved) == split["new_sid"] == "s2"
-        sharded.crash_shard("s2")
+        FaultPlan(sharded.cluster).apply([(sharded.now, "crash", "s2/*")])
         txn = sharded.submit((kept, moved), lambda r: {moved: 1})
         sharded.cluster.run_until(lambda: txn.outcome is not None,
                                   until=sharded.now + 2000.0)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.core import Cluster
+from repro.faults import FaultPlan
 from repro.obs import (
     SpanBuilder,
     build_timeseries,
@@ -180,8 +181,8 @@ class TestTxnSpanTrees:
         a, b = _cross_shard_pair(sharded)
         sharded.put(a, 50)
         victim = sharded.shard_of(b)
-        sharded.cluster.sim.schedule(
-            2.0, lambda: sharded.crash_shard(victim))
+        FaultPlan(sharded.cluster).apply(
+            [(sharded.now + 2.0, "crash", victim + "/*")])
         txn = sharded.submit(
             (a, b), lambda r: {a: r[a] - 5, b: (r[b] or 0) + 5})
         sharded.cluster.run_until(lambda: txn.outcome is not None,

@@ -4,7 +4,7 @@ MinBFT, CheapBFT, UpRight, SeeMoRe, XFT."""
 import pytest
 
 from repro.core.exceptions import ConfigurationError
-from repro.faults import FaultPlan, Silence
+from repro.faults import FaultPlan
 from repro.protocols.cheapbft import run_cheapbft
 from repro.protocols.minbft import MinBftReplica, run_minbft
 from repro.protocols.seemore import run_seemore
@@ -110,17 +110,15 @@ class TestUpRight:
 
     def test_tolerates_exactly_m_and_c(self, make_cluster):
         cluster = make_cluster(seed=2)
-        FaultPlan(cluster).crash_at(0.0, "r5")
-        Silence(cluster, "r4").install()
+        FaultPlan(cluster).apply([(0.0, "crash", "r5"), (0.0, "drop", "r4")])
         result = run_upright(cluster, m=1, c=1, operations=3)
         assert result.clients[0].done
         assert result.logs_consistent()
 
     def test_stalls_beyond_budget(self, make_cluster):
         cluster = make_cluster(seed=3)
-        FaultPlan(cluster).apply(((0.0, "crash", "r4"),
-                                  (0.0, "crash", "r5")))
-        Silence(cluster, "r3").install()
+        FaultPlan(cluster).apply([(0.0, "crash", "r4"), (0.0, "crash", "r5"),
+                                  (0.0, "drop", "r3")])
         result = run_upright(cluster, m=1, c=1, operations=2, horizon=300.0)
         assert not result.clients[0].done  # liveness gone
         assert result.logs_consistent()    # safety intact
